@@ -7,29 +7,18 @@ robot to it, and how large the resulting delays are across a benchmark of
 maps and goals.
 """
 
-from .attack import (
-    AttackPlan,
-    CandidateEval,
-    Outcome,
-    attack_oracle,
-    brute_force_attack,
-    enumerate_candidates,
-)
+from .attack import AttackPlan, CandidateEval, Outcome, brute_force_attack
 from .errors import (
     BadCharError,
     BadEndpointError,
     BadValueError,
     EmptyMapError,
     GridJamError,
-    MapError,
     MissingKeyError,
     NoBaselineError,
     NoPathError,
     OutOfBoundsError,
-    PlannerError,
     RaggedRowsError,
-    ReplanFailedError,
-    ScenarioError,
     UnknownKeyError,
 )
 from .gridmap import (
@@ -41,46 +30,25 @@ from .gridmap import (
     parse_map,
     serialize_map,
 )
-from .harness import (
-    ADVERSARIAL,
-    BENIGN,
-    CSV_HEADER,
-    GoalMetrics,
-    MetricsSummary,
-    SuiteRun,
-    read_csv,
-    run_suite,
-    write_csv,
-)
-from .planner import (
-    Path,
-    astar,
-    dijkstra_oracle,
-    euclidean_distance,
-    octile_distance,
-    prefix_costs,
-    step_cost,
-)
-from .scenario import Scenario, load_scenario, parse_scenario
-from .sim import RunResult, SimConfig, position_at, simulate, spawn_time_model
+from .harness import ADVERSARIAL, BENIGN, CSV_HEADER, read_csv, run_suite, write_csv
+from .planner import astar, euclidean_distance, prefix_costs
+from .scenario import load_scenario, parse_scenario
+from .sim import SimConfig, position_at, simulate, spawn_time_model
 from .svgrender import render_positions_svg, render_scenario_svgs, render_svg
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackPlan", "CandidateEval", "Outcome", "attack_oracle", "brute_force_attack",
-    "enumerate_candidates",
+    "AttackPlan", "CandidateEval", "Outcome", "brute_force_attack",
     "BadCharError", "BadEndpointError", "BadValueError", "EmptyMapError", "GridJamError",
-    "MapError", "MissingKeyError", "NoBaselineError", "NoPathError", "OutOfBoundsError",
-    "PlannerError", "RaggedRowsError", "ReplanFailedError", "ScenarioError", "UnknownKeyError",
+    "MissingKeyError", "NoBaselineError", "NoPathError", "OutOfBoundsError", "RaggedRowsError",
+    "UnknownKeyError",
     "Cell", "GridMap", "ObstaclePlacement", "apply_obstacle", "footprint_cells",
     "parse_map", "serialize_map",
-    "ADVERSARIAL", "BENIGN", "CSV_HEADER", "GoalMetrics", "MetricsSummary", "SuiteRun",
-    "read_csv", "run_suite", "write_csv",
-    "Path", "astar", "dijkstra_oracle", "euclidean_distance", "octile_distance",
-    "prefix_costs", "step_cost",
-    "Scenario", "load_scenario", "parse_scenario",
-    "RunResult", "SimConfig", "position_at", "simulate", "spawn_time_model",
+    "ADVERSARIAL", "BENIGN", "CSV_HEADER", "read_csv", "run_suite", "write_csv",
+    "astar", "euclidean_distance", "prefix_costs",
+    "load_scenario", "parse_scenario",
+    "SimConfig", "position_at", "simulate", "spawn_time_model",
     "render_positions_svg", "render_scenario_svgs", "render_svg",
     "__version__",
 ]

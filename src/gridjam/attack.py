@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .errors import BadEndpointError, NoBaselineError, NoPathError
 from .gridmap import Cell, GridMap, ObstaclePlacement, apply_obstacle
-from .planner import Path, astar, dijkstra_oracle
+from .planner import Path, astar
 
 # Replanned costs are exact k + m*sqrt(2) sums; the tolerance only absorbs
 # representation noise, not real ties.
@@ -48,25 +48,6 @@ class AttackPlan:
         return sum(1 for entry in self.ledger if entry.outcome is not Outcome.INFEASIBLE)
 
 
-def enumerate_candidates(baseline: Path, side: int = 3) -> list:
-    """Feasible placements, one per baseline cell, in path order.
-
-    A placement whose footprint covers the start or the goal is not a
-    legitimate attack (the robot or its target would be buried) and is
-    excluded here; the attack records those as INFEASIBLE without
-    evaluating them.
-    """
-    start = baseline.cells[0]
-    goal = baseline.cells[-1]
-    out = []
-    for step in baseline.cells:
-        placement = ObstaclePlacement(step, side)
-        if placement.covers(start) or placement.covers(goal):
-            continue
-        out.append(placement)
-    return out
-
-
 def brute_force_attack(grid: GridMap, start: Cell, goal: Cell, side: int = 3) -> AttackPlan:
     """Find the baseline-cell placement that maximises the replanned cost.
 
@@ -92,53 +73,6 @@ def brute_force_attack(grid: GridMap, start: Cell, goal: Cell, side: int = 3) ->
             continue
         try:
             replanned = astar(apply_obstacle(grid, placement), start, goal)
-        except NoPathError:
-            ledger.append(CandidateEval(index, placement, Outcome.BLOCKING))
-            continue
-        ledger.append(CandidateEval(index, placement, Outcome.EVALUATED, replanned.cost))
-        if replanned.cost > best_cost + COST_TOL:
-            best = placement
-            best_path = replanned
-            best_cost = replanned.cost
-    gain = best_cost - baseline.cost if best is not None else 0.0
-    return AttackPlan(baseline, best, best_path, tuple(ledger), gain)
-
-
-def attack_oracle(grid: GridMap, start: Cell, goal: Cell, side: int = 3) -> AttackPlan:
-    """Planner-independent re-implementation of the attack, for tests.
-
-    Uses dijkstra_oracle for every plan and its own footprint and overlay
-    arithmetic, so agreement with brute_force_attack checks both the attack
-    loop and the planner at once.
-    """
-    try:
-        baseline = dijkstra_oracle(grid, start, goal)
-    except (NoPathError, BadEndpointError) as exc:
-        raise NoBaselineError(str(exc)) from exc
-
-    half = side // 2
-    ledger = []
-    best = None
-    best_path = None
-    best_cost = baseline.cost
-    for index, step in enumerate(baseline.cells):
-        placement = ObstaclePlacement(step, side)
-        buried = any(
-            abs(end.col - step.col) <= half and abs(end.row - step.row) <= half
-            for end in (start, goal)
-        )
-        if buried:
-            ledger.append(CandidateEval(index, placement, Outcome.INFEASIBLE))
-            continue
-        blocked = [list(r) for r in grid.rows]
-        for row in range(max(0, step.row - half), min(grid.height, step.row + half + 1)):
-            for col in range(max(0, step.col - half), min(grid.width, step.col + half + 1)):
-                blocked[row][col] = True
-        obstructed = GridMap(
-            grid.width, grid.height, grid.cell_size, tuple(tuple(r) for r in blocked)
-        )
-        try:
-            replanned = dijkstra_oracle(obstructed, start, goal)
         except NoPathError:
             ledger.append(CandidateEval(index, placement, Outcome.BLOCKING))
             continue

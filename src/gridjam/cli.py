@@ -12,7 +12,7 @@ from . import data as _data
 from .attack import Outcome, brute_force_attack
 from .errors import GridJamError
 from .gridmap import Cell, parse_map
-from .harness import ADVERSARIAL, run_suite, write_csv
+from .harness import format_run, run_suite, write_csv
 from .planner import astar
 from .scenario import load_scenario
 from .svgrender import render_scenario_svgs, render_svg
@@ -114,7 +114,7 @@ def _cmd_simulate(args) -> int:
     scenario = load_scenario(_scenario_arg(args.scenario))
     runs, summary = run_suite(scenario)
     for run in runs:
-        print(_run_line(run))
+        print(format_run(run))
     for goal in summary.skipped_goals:
         print(f"skipped scenario={scenario.name} goal={goal} reason=unreachable")
     return 0
@@ -128,7 +128,7 @@ def _cmd_suite(args) -> int:
         runs, summary = run_suite(scenario)
         all_runs.extend(runs)
         if args.svg_dir:
-            render_scenario_svgs(scenario, args.svg_dir)
+            render_scenario_svgs(scenario, summary.plans, args.svg_dir)
         blocks.append((scenario, runs, summary))
     write_csv(all_runs, args.csv)
     for scenario, runs, summary in blocks:
@@ -150,25 +150,6 @@ def _cmd_render(args) -> int:
     render_svg(grid, plan.baseline, args.out, attacked=plan.attacked_path, obstacle=plan.best)
     print(f"wrote {args.out}")
     return 0
-
-
-def _run_line(run):
-    r = run.result
-    line = f"run scenario={run.scenario} goal={r.goal} condition={run.condition} repeat={run.repeat}"
-    if run.condition == ADVERSARIAL:
-        line += f" time_s={r.adversarial_time:.6f}"
-        if r.spawn_time is not None:
-            line += f" spawn_time_s={r.spawn_time:.6f}"
-        if r.obstacle is not None:
-            line += f" obstacle={r.obstacle.center}"
-        if r.attack_success is not None:
-            line += f" success={'true' if r.attack_success else 'false'}"
-        line += f" delay_abs_s={r.delay_abs:.6f}"
-        if r.delay_pct is not None:
-            line += f" delay_pct={r.delay_pct:.6f}"
-    else:
-        line += f" time_s={r.benign_time:.6f}"
-    return line
 
 
 def _num(value):

@@ -4,6 +4,7 @@ Grids are immutable values. Overlaying an obstacle returns a new grid, so
 maps can be shared freely between runs without defensive copies.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -35,8 +36,8 @@ class GridMap:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise EmptyMapError(f"grid must be at least 1x1, got {self.width}x{self.height}")
-        if self.cell_size <= 0:
-            raise ValueError(f"cell_size must be positive, got {self.cell_size}")
+        if not 0 < self.cell_size < math.inf:  # also rejects NaN
+            raise ValueError(f"cell_size must be positive and finite, got {self.cell_size}")
         if len(self.rows) != self.height or any(len(r) != self.width for r in self.rows):
             raise ValueError("occupancy rows do not match the declared dimensions")
 

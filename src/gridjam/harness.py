@@ -1,14 +1,16 @@
-"""Experiment suites: benign and attacked repeats per goal, metrics, CSV.
+"""Experiment suites: benign and attacked repeats per goal, metrics, reports.
 
 The protocol mirrors a bench campaign: for every goal the robot runs the
 route `repeats` times without interference and `repeats` times against the
 attacker, and the summary reports mean absolute delay, mean percentage
-delay, and the attack success rate.
+delay, and the attack success rate. Each run is reported as a CSV row or
+as a text line; one field list decides what either shows.
 """
 
 import csv
 from dataclasses import dataclass
 
+from .attack import brute_force_attack
 from .errors import NoBaselineError
 from .gridmap import Cell
 from .scenario import Scenario
@@ -50,45 +52,44 @@ class MetricsSummary:
     overall_mean_delay_pct: float
     success_rate: float  # percent of attacked runs that landed; None if none attacked
     skipped_goals: tuple = ()
+    plans: tuple = ()  # one AttackPlan per scenario goal, None where skipped
 
 
 def run_suite(scenario: Scenario):
     """Run the full protocol; returns (runs, summary).
 
-    Runs are ordered by (goal index, condition, repeat) with benign before
-    adversarial. A goal the planner cannot reach is skipped and recorded in
-    the summary instead of aborting the suite.
+    Each goal is attacked and raced once: the race is deterministic, so every
+    repeat of either condition reports the same RunResult. Runs are ordered
+    by (goal index, condition, repeat) with benign before adversarial. A goal
+    the planner cannot reach is skipped and recorded in the summary instead
+    of aborting the suite.
     """
-    benign_cfg = SimConfig(
+    config = SimConfig(
         speed=scenario.speed,
-        attack_enabled=False,
-        eval_time_per_candidate=scenario.eval_time_per_candidate,
-        attack_start_delay=scenario.attack_start_delay,
-    )
-    attack_cfg = SimConfig(
-        speed=scenario.speed,
-        attack_enabled=True,
         eval_time_per_candidate=scenario.eval_time_per_candidate,
         attack_start_delay=scenario.attack_start_delay,
     )
     runs = []
     per_goal = []
     skipped = []
+    plans = []
     for goal in scenario.goals:
         try:
-            goal_runs = []
-            for repeat in range(1, scenario.repeats + 1):
-                result = simulate(scenario.grid, scenario.start, goal, benign_cfg, scenario.obstacle_side)
-                goal_runs.append(SuiteRun(scenario.name, BENIGN, repeat, result))
-            for repeat in range(1, scenario.repeats + 1):
-                result = simulate(scenario.grid, scenario.start, goal, attack_cfg, scenario.obstacle_side)
-                goal_runs.append(SuiteRun(scenario.name, ADVERSARIAL, repeat, result))
+            plan = brute_force_attack(scenario.grid, scenario.start, goal, scenario.obstacle_side)
         except NoBaselineError:
             skipped.append(goal)
+            plans.append(None)
             continue
+        plans.append(plan)
+        result = simulate(scenario.grid, plan, config)
+        goal_runs = [
+            SuiteRun(scenario.name, condition, repeat, result)
+            for condition in (BENIGN, ADVERSARIAL)
+            for repeat in range(1, scenario.repeats + 1)
+        ]
         runs.extend(goal_runs)
         per_goal.append(_goal_metrics(goal, goal_runs))
-    return runs, _summarize(per_goal, runs, skipped)
+    return runs, _summarize(per_goal, runs, skipped, plans)
 
 
 def _goal_metrics(goal, goal_runs):
@@ -104,7 +105,7 @@ def _goal_metrics(goal, goal_runs):
     )
 
 
-def _summarize(per_goal, runs, skipped):
+def _summarize(per_goal, runs, skipped, plans):
     attacked = [r.result for r in runs if r.condition == ADVERSARIAL]
     delays = [r.delay_abs for r in attacked]
     pcts = [r.delay_pct for r in attacked if r.delay_pct is not None]
@@ -115,6 +116,7 @@ def _summarize(per_goal, runs, skipped):
         overall_mean_delay_pct=_mean(pcts) if pcts else None,
         success_rate=100.0 * sum(landed) / len(landed) if landed else None,
         skipped_goals=tuple(skipped),
+        plans=tuple(plans),
     )
 
 
@@ -131,36 +133,57 @@ def write_csv(runs, out_path):
             writer.writerow(_csv_row(run))
 
 
+def format_run(run) -> str:
+    """One-line text report of a run: only the fields that are not blank."""
+    line = f"run scenario={run.scenario} goal={run.result.goal} condition={run.condition} repeat={run.repeat}"
+    for name, value in _run_fields(run):
+        if value is not None:
+            line += f" {name}={_fmt(value)}"
+    return line
+
+
 def _csv_row(run):
     r = run.result
-    time_s = r.benign_time if run.condition == BENIGN else r.adversarial_time
+    row = [run.scenario, r.goal.col, r.goal.row, run.condition, run.repeat, _fmt(r.euclidean)]
+    for name, value in _run_fields(run):
+        if name == "obstacle":
+            row += ["", ""] if value is None else [value.col, value.row]
+        else:
+            row.append(_fmt(value))
+    return row
+
+
+def _run_fields(run):
+    """The fields a run reports, in output order; None marks a blank.
+
+    A benign run reports only its trip time; an adversarial run reports the
+    attacked trip and the race that decided it.
+    """
+    r = run.result
     if run.condition == BENIGN:
-        spawn = obstacle = success = delay_abs = delay_pct = None
-    else:
-        spawn = r.spawn_time
-        obstacle = r.obstacle
-        success = r.attack_success
-        delay_abs = r.delay_abs
-        delay_pct = r.delay_pct
+        return (
+            ("time_s", r.benign_time), ("spawn_time_s", None), ("obstacle", None),
+            ("success", None), ("delay_abs_s", None), ("delay_pct", None),
+        )
     return (
-        run.scenario,
-        r.goal.col,
-        r.goal.row,
-        run.condition,
-        run.repeat,
-        _fmt(r.euclidean),
-        _fmt(time_s),
-        _fmt(spawn),
-        obstacle.center.col if obstacle is not None else "",
-        obstacle.center.row if obstacle is not None else "",
-        "" if success is None else ("true" if success else "false"),
-        _fmt(delay_abs),
-        _fmt(delay_pct),
+        ("time_s", r.adversarial_time),
+        ("spawn_time_s", r.spawn_time),
+        ("obstacle", r.obstacle.center if r.obstacle is not None else None),
+        ("success", r.attack_success),
+        ("delay_abs_s", r.delay_abs),
+        ("delay_pct", r.delay_pct),
     )
 
 
 def _fmt(value):
-    return "" if value is None else f"{value:.6f}"
+    """Text of one reported value: blank, true/false, a cell, or 6 decimals."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Cell):
+        return str(value)
+    return f"{value:.6f}"
 
 
 def read_csv(path):

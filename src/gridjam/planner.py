@@ -1,12 +1,12 @@
 """Optimal planning on 8-connected grids.
 
-`astar` is the production planner; `dijkstra_oracle` is a deliberately
-separate implementation used to cross-check it in tests. Both return the
-same canonical minimum-cost path, which matters downstream: obstacle
-candidates are enumerated along the returned cells, so two correct planners
-that tie-break differently would otherwise disagree about attack results.
+`astar` returns the canonical minimum-cost path, which matters downstream:
+obstacle candidates are enumerated along the returned cells, so two correct
+planners that tie-break differently would disagree about attack results.
+The tests cross-check it against a separate Dijkstra oracle
+(`tests/oracles.py`) that builds the same canonical path.
 
-Canonical path construction, shared by both planners:
+Canonical path construction, shared with the oracle:
 
 * Costs are tracked as exact (orthogonal, diagonal) step-count pairs; the
   float value of a pair is always computed as ``k + m * sqrt(2)`` in one
@@ -44,26 +44,20 @@ class Path:
 
     @classmethod
     def from_cells(cls, cells, cell_size: float) -> "Path":
-        orth = diag = 0
-        for a, b in zip(cells, cells[1:]):
-            if a.col != b.col and a.row != b.row:
-                diag += 1
-            else:
-                orth += 1
-        cost = orth + diag * SQRT2
+        cost = _running_costs(cells)[-1]
         return cls(tuple(cells), cost, cost * cell_size)
 
 
-def step_cost(a: Cell, b: Cell) -> float:
-    """Cost of one move between adjacent cells: 1 or sqrt(2)."""
-    return SQRT2 if a.col != b.col and a.row != b.row else 1.0
-
-
 def prefix_costs(path: Path) -> tuple:
-    """Cumulative step cost at every path index, in exact k + m*sqrt(2) form."""
+    """Cumulative step cost at every path index; the last one is path.cost."""
+    return _running_costs(path.cells)
+
+
+def _running_costs(cells) -> tuple:
+    """Cumulative step cost at every index, each in exact k + m*sqrt(2) form."""
     out = [0.0]
     orth = diag = 0
-    for a, b in zip(path.cells, path.cells[1:]):
+    for a, b in zip(cells, cells[1:]):
         if a.col != b.col and a.row != b.row:
             diag += 1
         else:
@@ -75,14 +69,6 @@ def prefix_costs(path: Path) -> tuple:
 def euclidean_distance(a: Cell, b: Cell, cell_size: float) -> float:
     """Straight-line distance between two cell centres, in metres."""
     return cell_size * math.hypot(a.col - b.col, a.row - b.row)
-
-
-def octile_distance(a: Cell, b: Cell) -> float:
-    """Octile heuristic: admissible and consistent for 1 / sqrt(2) steps."""
-    dc = abs(a.col - b.col)
-    dr = abs(a.row - b.row)
-    lo, hi = (dc, dr) if dc < dr else (dr, dc)
-    return (hi - lo) + lo * SQRT2
 
 
 def _check_endpoints(grid: GridMap, start: Cell, goal: Cell):
@@ -159,63 +145,4 @@ def astar(grid: GridMap, start: Cell, goal: Cell) -> Path:
                 old = parent[nxt]
                 if (row, col) < (old.row, old.col):
                     parent[nxt] = cur
-    raise NoPathError(f"no path from {start} to {goal}")
-
-
-def dijkstra_oracle(grid: GridMap, start: Cell, goal: Cell) -> Path:
-    """Heuristic-free reference planner with the same contract as astar.
-
-    Kept independent of astar on purpose: only the Cell/GridMap plumbing is
-    shared, so the two can cross-validate each other.
-    """
-    _check_endpoints(grid, start, goal)
-    if start == goal:
-        return Path.from_cells((start,), grid.cell_size)
-
-    occupied = grid.rows
-    width, height = grid.width, grid.height
-    dist = {start: (0, 0)}
-    via = {}
-    done = set()
-    heap = [(0.0, start.row, start.col)]
-
-    while heap:
-        _, row, col = heapq.heappop(heap)
-        node = Cell(col, row)
-        if node in done:
-            continue
-        done.add(node)
-        if node == goal:
-            cells = [node]
-            while cells[-1] != start:
-                cells.append(via[cells[-1]])
-            cells.reverse()
-            return Path.from_cells(cells, grid.cell_size)
-        k, m = dist[node]
-        for dcol in (-1, 0, 1):
-            for drow in (-1, 0, 1):
-                if dcol == 0 and drow == 0:
-                    continue
-                c2 = col + dcol
-                r2 = row + drow
-                if c2 < 0 or c2 >= width or r2 < 0 or r2 >= height:
-                    continue
-                if occupied[r2][c2]:
-                    continue
-                if dcol != 0 and drow != 0:
-                    if occupied[row][c2] or occupied[r2][col]:
-                        continue
-                    cand = (k, m + 1)
-                else:
-                    cand = (k + 1, m)
-                other = Cell(c2, r2)
-                seen = dist.get(other)
-                if seen is None or cand[0] + cand[1] * SQRT2 < seen[0] + seen[1] * SQRT2:
-                    dist[other] = cand
-                    via[other] = node
-                    heapq.heappush(heap, (cand[0] + cand[1] * SQRT2, r2, c2))
-                elif cand == seen and other not in done:
-                    prev = via[other]
-                    if (row, col) < (prev.row, prev.col):
-                        via[other] = node
     raise NoPathError(f"no path from {start} to {goal}")

@@ -14,7 +14,9 @@ Example::
 remaining keys are scalar. Missing optional keys fall back to defaults.
 """
 
+import math
 import pathlib
+import re
 from dataclasses import dataclass
 
 from .errors import BadValueError, MissingKeyError, UnknownKeyError
@@ -33,6 +35,7 @@ _SCALAR_KEYS = (
 )
 _KNOWN_KEYS = set(_SCALAR_KEYS) | {"goal"}
 _REQUIRED_KEYS = ("map", "cell_size", "start", "speed")
+_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
 @dataclass(frozen=True)
@@ -111,9 +114,14 @@ def parse_scenario(text: str, base_dir=".") -> Scenario:
     goals = tuple(_cell(lineno, value, key="goal", grid=grid) for lineno, value in goal_lines)
 
     if "name" in scalars:
-        name = scalars["name"][1]
+        name_lineno, name = scalars["name"]
     else:
-        name = pathlib.Path(map_value).stem
+        name_lineno, name = map_lineno, pathlib.Path(map_value).stem
+    if not _NAME.fullmatch(name):
+        # the name becomes part of output file names, so it must not hold a path
+        raise BadValueError(
+            f"line {name_lineno}: scenario name {name!r} may only use letters, digits, '_' and '-'"
+        )
 
     return Scenario(
         name=name,
@@ -152,9 +160,12 @@ def _nonnegative_float(lineno, value, key):
 
 def _float(lineno, value, key):
     try:
-        return float(value)
+        out = float(value)
     except ValueError:
         raise BadValueError(f"line {lineno}: {key} expects a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise BadValueError(f"line {lineno}: {key} must be finite, got {value!r}")
+    return out
 
 
 def _int_at_least(lineno, value, key, minimum):

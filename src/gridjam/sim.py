@@ -10,10 +10,11 @@ arrives late by exactly the detour length.
 """
 
 import bisect
+import math
 from dataclasses import dataclass
 
-from .attack import AttackPlan, brute_force_attack
-from .errors import BadEndpointError, NoBaselineError, NoPathError, ReplanFailedError
+from .attack import AttackPlan
+from .errors import BadEndpointError, NoPathError, ReplanFailedError
 from .gridmap import Cell, GridMap, ObstaclePlacement, apply_obstacle, footprint_cells
 from .planner import Path, astar, euclidean_distance, prefix_costs
 
@@ -23,22 +24,22 @@ class SimConfig:
     """Timing knobs for one run."""
 
     speed: float  # metres per second, constant along the route
-    attack_enabled: bool = True
     eval_time_per_candidate: float = 0.05  # seconds of attacker compute per candidate
     attack_start_delay: float = 0.0  # seconds before the attacker starts scoring
 
     def __post_init__(self):
-        if self.speed <= 0:
-            raise ValueError(f"speed must be positive, got {self.speed}")
-        if self.eval_time_per_candidate < 0:
-            raise ValueError("eval_time_per_candidate must be >= 0")
-        if self.attack_start_delay < 0:
-            raise ValueError("attack_start_delay must be >= 0")
+        # written so that NaN fails every check
+        if not 0 < self.speed < math.inf:
+            raise ValueError(f"speed must be positive and finite, got {self.speed}")
+        if not 0 <= self.eval_time_per_candidate < math.inf:
+            raise ValueError(f"eval_time_per_candidate must be finite and >= 0, got {self.eval_time_per_candidate}")
+        if not 0 <= self.attack_start_delay < math.inf:
+            raise ValueError(f"attack_start_delay must be finite and >= 0, got {self.attack_start_delay}")
 
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one benign or attacked traversal."""
+    """One goal's undisturbed trip time plus the outcome of the attacked one."""
 
     start: Cell
     goal: Cell
@@ -84,18 +85,16 @@ def spawn_time_model(plan: AttackPlan, config: SimConfig) -> float:
     return config.attack_start_delay + config.eval_time_per_candidate * plan.planning_rounds
 
 
-def simulate(grid: GridMap, start: Cell, goal: Cell, config: SimConfig, side: int = 3) -> RunResult:
-    """Run one traversal; with config.attack_enabled, race it against the attack."""
-    try:
-        baseline = astar(grid, start, goal)
-    except (NoPathError, BadEndpointError) as exc:
-        raise NoBaselineError(str(exc)) from exc
+def simulate(grid: GridMap, plan: AttackPlan, config: SimConfig) -> RunResult:
+    """Drive plan.baseline on grid and race it against the attack behind plan.
+
+    The result carries both outcomes: benign_time is the undisturbed trip,
+    the remaining fields describe the attacked one.
+    """
+    baseline = plan.baseline
+    start, goal = baseline.cells[0], baseline.cells[-1]
     benign_time = baseline.metric_length / config.speed
     euclid = euclidean_distance(start, goal, grid.cell_size)
-    if not config.attack_enabled:
-        return RunResult(start, goal, euclid, benign_time)
-
-    plan = brute_force_attack(grid, start, goal, side)
     if plan.best is None:
         # nothing to drop: the attacked run is indistinguishable from benign
         return RunResult(

@@ -4,7 +4,8 @@ Output is assembled from fixed templates in a fixed order, so identical
 inputs produce byte-identical files and renders can be golden-file tested.
 """
 
-from .attack import brute_force_attack
+from pathlib import Path
+
 from .gridmap import footprint_cells
 
 PX = 16  # pixels per cell
@@ -65,25 +66,19 @@ def render_positions_svg(grid, placements, out_path, start=None, goals=()):
     _write(out_path, lines)
 
 
-def render_scenario_svgs(scenario, out_dir):
+def render_scenario_svgs(scenario, plans, out_dir):
     """Render one attacked view per goal plus a placement overview.
 
-    Returns the written paths in order. Used by the suite command; renders
-    recompute the attack per goal so they stay independent of any cached
-    simulation state.
+    `plans` holds one AttackPlan per scenario goal, None for a goal that was
+    skipped, as run_suite's summary does; nothing is planned here. Returns
+    the written paths in order.
     """
-    from pathlib import Path
-
-    from .errors import NoBaselineError
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     placements = []
-    for index, goal in enumerate(scenario.goals, start=1):
-        try:
-            plan = brute_force_attack(scenario.grid, scenario.start, goal, scenario.obstacle_side)
-        except NoBaselineError:
+    for index, plan in enumerate(plans, start=1):
+        if plan is None:
             continue
         path = out / f"{scenario.name}-goal{index:02d}.svg"
         render_svg(scenario.grid, plan.baseline, path, attacked=plan.attacked_path, obstacle=plan.best)

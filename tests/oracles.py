@@ -1,0 +1,149 @@
+"""Independent reference implementations that the tests compare against.
+
+None of this runs in the package: the Dijkstra planner cross-checks `astar`,
+the attack oracle cross-checks `brute_force_attack`, and the candidate
+enumeration and octile heuristic pin properties the attack and the planner
+rely on.
+"""
+
+import heapq
+
+from gridjam.attack import COST_TOL, AttackPlan, CandidateEval, Outcome
+from gridjam.errors import BadEndpointError, NoBaselineError, NoPathError
+from gridjam.gridmap import Cell, GridMap, ObstaclePlacement
+from gridjam.planner import SQRT2, Path
+
+
+def octile_distance(a: Cell, b: Cell) -> float:
+    """Octile heuristic: admissible and consistent for 1 / sqrt(2) steps."""
+    dc = abs(a.col - b.col)
+    dr = abs(a.row - b.row)
+    lo, hi = (dc, dr) if dc < dr else (dr, dc)
+    return (hi - lo) + lo * SQRT2
+
+
+def dijkstra_oracle(grid: GridMap, start: Cell, goal: Cell) -> Path:
+    """Heuristic-free reference planner with the same contract as astar.
+
+    Kept independent of astar on purpose: only the Cell/GridMap/Path
+    plumbing is shared, so the two can cross-validate each other.
+    """
+    for label, cell in (("start", start), ("goal", goal)):
+        if not grid.is_free(cell):
+            raise BadEndpointError(f"{label} {cell} is occupied or outside the map")
+    if start == goal:
+        return Path.from_cells((start,), grid.cell_size)
+
+    occupied = grid.rows
+    width, height = grid.width, grid.height
+    dist = {start: (0, 0)}
+    via = {}
+    done = set()
+    heap = [(0.0, start.row, start.col)]
+
+    while heap:
+        _, row, col = heapq.heappop(heap)
+        node = Cell(col, row)
+        if node in done:
+            continue
+        done.add(node)
+        if node == goal:
+            cells = [node]
+            while cells[-1] != start:
+                cells.append(via[cells[-1]])
+            cells.reverse()
+            return Path.from_cells(cells, grid.cell_size)
+        k, m = dist[node]
+        for dcol in (-1, 0, 1):
+            for drow in (-1, 0, 1):
+                if dcol == 0 and drow == 0:
+                    continue
+                c2 = col + dcol
+                r2 = row + drow
+                if c2 < 0 or c2 >= width or r2 < 0 or r2 >= height:
+                    continue
+                if occupied[r2][c2]:
+                    continue
+                if dcol != 0 and drow != 0:
+                    if occupied[row][c2] or occupied[r2][col]:
+                        continue
+                    cand = (k, m + 1)
+                else:
+                    cand = (k + 1, m)
+                other = Cell(c2, r2)
+                seen = dist.get(other)
+                if seen is None or cand[0] + cand[1] * SQRT2 < seen[0] + seen[1] * SQRT2:
+                    dist[other] = cand
+                    via[other] = node
+                    heapq.heappush(heap, (cand[0] + cand[1] * SQRT2, r2, c2))
+                elif cand == seen and other not in done:
+                    prev = via[other]
+                    if (row, col) < (prev.row, prev.col):
+                        via[other] = node
+    raise NoPathError(f"no path from {start} to {goal}")
+
+
+def enumerate_candidates(baseline: Path, side: int = 3) -> list:
+    """Feasible placements, one per baseline cell, in path order.
+
+    A placement whose footprint covers the start or the goal is not a
+    legitimate attack (the robot or its target would be buried) and is
+    excluded here; the attack records those as INFEASIBLE without
+    evaluating them.
+    """
+    start = baseline.cells[0]
+    goal = baseline.cells[-1]
+    out = []
+    for step in baseline.cells:
+        placement = ObstaclePlacement(step, side)
+        if placement.covers(start) or placement.covers(goal):
+            continue
+        out.append(placement)
+    return out
+
+
+def attack_oracle(grid: GridMap, start: Cell, goal: Cell, side: int = 3) -> AttackPlan:
+    """Planner-independent re-implementation of the attack, for tests.
+
+    Uses dijkstra_oracle for every plan and its own footprint and overlay
+    arithmetic, so agreement with brute_force_attack checks both the attack
+    loop and the planner at once.
+    """
+    try:
+        baseline = dijkstra_oracle(grid, start, goal)
+    except (NoPathError, BadEndpointError) as exc:
+        raise NoBaselineError(str(exc)) from exc
+
+    half = side // 2
+    ledger = []
+    best = None
+    best_path = None
+    best_cost = baseline.cost
+    for index, step in enumerate(baseline.cells):
+        placement = ObstaclePlacement(step, side)
+        buried = any(
+            abs(end.col - step.col) <= half and abs(end.row - step.row) <= half
+            for end in (start, goal)
+        )
+        if buried:
+            ledger.append(CandidateEval(index, placement, Outcome.INFEASIBLE))
+            continue
+        blocked = [list(r) for r in grid.rows]
+        for row in range(max(0, step.row - half), min(grid.height, step.row + half + 1)):
+            for col in range(max(0, step.col - half), min(grid.width, step.col + half + 1)):
+                blocked[row][col] = True
+        obstructed = GridMap(
+            grid.width, grid.height, grid.cell_size, tuple(tuple(r) for r in blocked)
+        )
+        try:
+            replanned = dijkstra_oracle(obstructed, start, goal)
+        except NoPathError:
+            ledger.append(CandidateEval(index, placement, Outcome.BLOCKING))
+            continue
+        ledger.append(CandidateEval(index, placement, Outcome.EVALUATED, replanned.cost))
+        if replanned.cost > best_cost + COST_TOL:
+            best = placement
+            best_path = replanned
+            best_cost = replanned.cost
+    gain = best_cost - baseline.cost if best is not None else 0.0
+    return AttackPlan(baseline, best, best_path, tuple(ledger), gain)

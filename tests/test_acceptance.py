@@ -20,9 +20,7 @@ from gridjam import (
     NoPathError,
     Outcome,
     astar,
-    attack_oracle,
     brute_force_attack,
-    dijkstra_oracle,
     load_scenario,
     parse_map,
 )
@@ -31,6 +29,7 @@ from gridjam.data import map_path, scenario_names, scenario_path
 from gridjam.harness import ADVERSARIAL, read_csv, run_suite, write_csv
 
 from conftest import random_case
+from oracles import attack_oracle, dijkstra_oracle
 
 
 def _scenario(name):

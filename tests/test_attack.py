@@ -11,12 +11,11 @@ from gridjam import (
     Outcome,
     apply_obstacle,
     astar,
-    attack_oracle,
     brute_force_attack,
-    enumerate_candidates,
     parse_map,
 )
 from conftest import random_case
+from oracles import attack_oracle, enumerate_candidates
 
 SQRT2 = math.sqrt(2.0)
 

@@ -1,5 +1,6 @@
 """Map parsing, serialization, footprints, and obstacle overlays."""
 
+import math
 import random
 
 import pytest
@@ -172,3 +173,9 @@ def test_grid_dimension_validation():
         GridMap(0, 2, 1.0, ())
     with pytest.raises(ValueError):
         GridMap(2, 1, 0.0, ((False, False),))
+
+
+def test_cell_size_must_be_finite():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            GridMap(2, 1, bad, ((False, False),))

@@ -1,17 +1,23 @@
 """Suite protocol, metric aggregation, and the CSV report."""
 
+import sys
+
 import pytest
 
+import gridjam
 from gridjam import (
     ADVERSARIAL,
     BENIGN,
     CSV_HEADER,
     Cell,
+    load_scenario,
     parse_scenario,
     read_csv,
+    render_scenario_svgs,
     run_suite,
     write_csv,
 )
+from gridjam.data import scenario_path
 from conftest import BRANCH_TEXT, CORRIDOR_TEXT
 
 BRANCH_SCN = """\
@@ -175,3 +181,35 @@ def test_csv_bytes_stable(suite_dir, tmp_path):
     runs_again, _ = run_suite(scenario)
     write_csv(runs_again, second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls to the named package functions through every module binding."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(gridjam, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.partition(".")[0] == "gridjam" and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+# Upper bounds: one baseline plus one plan per judged candidate per goal,
+# plus one replan per landed attack. Cheaper candidate evaluation may lower
+# them; nothing should raise them.
+@pytest.mark.parametrize("name, max_astar", [("warehouse", 327), ("turn", 59)])
+def test_each_goal_is_solved_once(name, max_astar, monkeypatch, tmp_path):
+    counts = _count_calls(monkeypatch, ("astar", "brute_force_attack"))
+    scenario = load_scenario(scenario_path(name))
+    _, summary = run_suite(scenario)
+    assert not summary.skipped_goals
+    assert counts["brute_force_attack"] == len(scenario.goals)
+    assert counts["astar"] <= max_astar
+    solved = dict(counts)
+    render_scenario_svgs(scenario, summary.plans, tmp_path)
+    assert counts == solved  # rendering reuses the suite's plans

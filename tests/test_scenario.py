@@ -141,3 +141,32 @@ def test_line_without_equals(scenario_dir):
     with pytest.raises(BadValueError) as err:
         parse_scenario("just some words\n" + MINIMAL, base_dir=scenario_dir)
     assert "line 1" in str(err.value)
+
+
+def test_non_finite_numbers_rejected(scenario_dir):
+    for text in (
+        MINIMAL.replace("speed = 1.0", "speed = nan"),
+        MINIMAL.replace("cell_size = 1.0", "cell_size = inf"),
+        MINIMAL + "eval_time_per_candidate = inf\n",
+        MINIMAL + "attack_start_delay = NaN\n",
+    ):
+        with pytest.raises(BadValueError) as err:
+            parse_scenario(text, base_dir=scenario_dir)
+        assert "finite" in str(err.value)
+    with pytest.raises(BadValueError) as err:
+        parse_scenario(MINIMAL.replace("speed = 1.0", "speed = nan"), base_dir=scenario_dir)
+    assert "line 5" in str(err.value)
+
+
+def test_scenario_name_cannot_hold_a_path(scenario_dir):
+    # the name becomes part of the SVG file names under --svg-dir
+    for bad in ("../escaped", "a/b", "..", "has space"):
+        with pytest.raises(BadValueError) as err:
+            parse_scenario(MINIMAL + f"name = {bad}\n", base_dir=scenario_dir)
+        assert "line 6" in str(err.value)
+    (scenario_dir / "floor.v2.txt").write_text(BRANCH_TEXT)
+    with pytest.raises(BadValueError) as err:
+        parse_scenario(MINIMAL.replace("branch.txt", "floor.v2.txt"), base_dir=scenario_dir)
+    assert "line 1" in str(err.value)
+    named = MINIMAL.replace("branch.txt", "floor.v2.txt") + "name = floor_v2-b\n"
+    assert parse_scenario(named, base_dir=scenario_dir).name == "floor_v2-b"

@@ -1,5 +1,6 @@
 """Timing race: kinematics, spawn model, and full run outcomes."""
 
+import math
 import random
 
 import pytest
@@ -63,6 +64,10 @@ def _plan_with(outcomes):
     return AttackPlan(baseline, None, None, ledger, 0.0)
 
 
+def _branch_plan(branch_map):
+    return brute_force_attack(branch_map, Cell(1, 1), Cell(5, 1), 1)
+
+
 def test_spawn_time_counts_evaluated():
     plan = _plan_with([Outcome.EVALUATED] * 3)
     assert spawn_time_model(plan, SimConfig(speed=1.0, eval_time_per_candidate=0.1)) == pytest.approx(0.3)
@@ -88,7 +93,7 @@ def test_spawn_time_start_delay():
 
 def test_branch_instant_attack_succeeds(branch_map):
     cfg = SimConfig(speed=1.0, eval_time_per_candidate=0.0)
-    result = simulate(branch_map, Cell(1, 1), Cell(5, 1), cfg, 1)
+    result = simulate(branch_map, _branch_plan(branch_map), cfg)
     assert result.benign_time == 4.0
     assert result.spawn_time == 0.0
     assert result.attack_success is True
@@ -101,7 +106,7 @@ def test_branch_instant_attack_succeeds(branch_map):
 def test_branch_slow_attack_misses(branch_map):
     # three candidates at 0.5 s each -> spawn 1.5 s, after t_pass 1.0 s
     cfg = SimConfig(speed=1.0, eval_time_per_candidate=0.5)
-    result = simulate(branch_map, Cell(1, 1), Cell(5, 1), cfg, 1)
+    result = simulate(branch_map, _branch_plan(branch_map), cfg)
     assert result.spawn_time == pytest.approx(1.5)
     assert result.attack_success is False
     assert result.adversarial_time == 4.0
@@ -111,7 +116,7 @@ def test_branch_slow_attack_misses(branch_map):
 
 def test_corridor_attack_finds_nothing(corridor_map):
     cfg = SimConfig(speed=1.0, eval_time_per_candidate=0.0)
-    result = simulate(corridor_map, Cell(1, 1), Cell(5, 1), cfg, 1)
+    result = simulate(corridor_map, brute_force_attack(corridor_map, Cell(1, 1), Cell(5, 1), 1), cfg)
     assert result.adversarial_time == result.benign_time
     assert result.attack_success is None
     assert result.spawn_time is None
@@ -119,27 +124,12 @@ def test_corridor_attack_finds_nothing(corridor_map):
     assert result.delay_abs == 0.0
 
 
-def test_benign_run_has_no_attack_fields(branch_map):
-    cfg = SimConfig(speed=2.0, attack_enabled=False)
-    result = simulate(branch_map, Cell(1, 1), Cell(5, 1), cfg, 1)
-    assert result.benign_time == 2.0
-    assert result.adversarial_time is None
-    assert result.attack_success is None
-    assert result.delay_abs is None
-
-
 def test_start_delay_can_save_the_robot(branch_map):
     # instant evaluation but a long head start for the robot
     cfg = SimConfig(speed=1.0, eval_time_per_candidate=0.0, attack_start_delay=3.5)
-    result = simulate(branch_map, Cell(1, 1), Cell(5, 1), cfg, 1)
+    result = simulate(branch_map, _branch_plan(branch_map), cfg)
     assert result.spawn_time == 3.5
     assert result.attack_success is False
-
-
-def test_simulate_requires_reachable_goal():
-    grid = parse_map(".#.\n.#.\n.#.")
-    with pytest.raises(NoBaselineError):
-        simulate(grid, Cell(0, 0), Cell(2, 0), SimConfig(speed=1.0), 1)
 
 
 def test_config_validation():
@@ -149,6 +139,16 @@ def test_config_validation():
         SimConfig(speed=1.0, eval_time_per_candidate=-0.1)
     with pytest.raises(ValueError):
         SimConfig(speed=1.0, attack_start_delay=-1.0)
+
+
+def test_config_rejects_non_finite():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SimConfig(speed=bad)
+        with pytest.raises(ValueError):
+            SimConfig(speed=1.0, eval_time_per_candidate=bad)
+        with pytest.raises(ValueError):
+            SimConfig(speed=1.0, attack_start_delay=bad)
 
 
 def test_run_invariants_random():
@@ -162,9 +162,10 @@ def test_run_invariants_random():
         )
         side = rng.choice((1, 3))
         try:
-            result = simulate(grid, start, goal, cfg, side)
+            plan = brute_force_attack(grid, start, goal, side)
         except NoBaselineError:
             continue
+        result = simulate(grid, plan, cfg)
         assert result.benign_time >= result.euclidean / cfg.speed - 1e-9
         assert result.adversarial_time >= result.benign_time - 1e-9
         if result.attack_success is False:
@@ -172,7 +173,6 @@ def test_run_invariants_random():
         if result.attack_success:
             assert result.delay_abs > 0 or result.delay_pct == 0.0
         # rebuild the race from the attack ledger and kinematics
-        plan = brute_force_attack(grid, start, goal, side)
         if plan.best is None:
             assert result.attack_success is None
             done += 1
@@ -217,7 +217,7 @@ def _expected_detour(grid, start, goal, side, cfg):
 def test_successful_detour_is_walkable(branch_map):
     # spawn at 0.6 s lands mid-segment with the obstacle dead ahead
     cfg = SimConfig(speed=1.0, eval_time_per_candidate=0.2)
-    result = simulate(branch_map, Cell(1, 1), Cell(5, 1), cfg, 1)
+    result = simulate(branch_map, _branch_plan(branch_map), cfg)
     assert result.attack_success is True
     expected = _expected_detour(branch_map, Cell(1, 1), Cell(5, 1), 1, cfg)
     assert result.adversarial_time == pytest.approx(expected)
@@ -226,7 +226,7 @@ def test_successful_detour_is_walkable(branch_map):
 
 def test_successful_detour_snap_at_centre(branch_map):
     cfg = SimConfig(speed=1.0, eval_time_per_candidate=0.0)
-    result = simulate(branch_map, Cell(1, 1), Cell(5, 1), cfg, 1)
+    result = simulate(branch_map, _branch_plan(branch_map), cfg)
     assert result.attack_success is True
     expected = _expected_detour(branch_map, Cell(1, 1), Cell(5, 1), 1, cfg)
     assert result.adversarial_time == pytest.approx(expected)
@@ -234,6 +234,6 @@ def test_successful_detour_snap_at_centre(branch_map):
 
 def test_simulate_deterministic(branch_map):
     cfg = SimConfig(speed=1.0, eval_time_per_candidate=0.05)
-    first = simulate(branch_map, Cell(1, 1), Cell(5, 1), cfg, 1)
-    second = simulate(branch_map, Cell(1, 1), Cell(5, 1), cfg, 1)
+    first = simulate(branch_map, _branch_plan(branch_map), cfg)
+    second = simulate(branch_map, _branch_plan(branch_map), cfg)
     assert first == second

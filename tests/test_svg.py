@@ -8,6 +8,7 @@ from gridjam import (
     render_positions_svg,
     render_scenario_svgs,
     render_svg,
+    run_suite,
 )
 from conftest import BRANCH_TEXT
 
@@ -66,7 +67,8 @@ def test_scenario_renders(tmp_path):
         "speed = 1.0\nobstacle_side = 1\n",
         base_dir=tmp_path,
     )
-    written = render_scenario_svgs(scenario, tmp_path / "svg")
+    _, summary = run_suite(scenario)
+    written = render_scenario_svgs(scenario, summary.plans, tmp_path / "svg")
     names = [p.name for p in written]
     assert names == ["branch-goal01.svg", "branch-obstacles.svg"]
     for path in written:

@@ -33,7 +33,7 @@ from .gridmap import (
 from .harness import ADVERSARIAL, BENIGN, CSV_HEADER, read_csv, run_suite, write_csv
 from .planner import astar, euclidean_distance, prefix_costs
 from .scenario import load_scenario, parse_scenario
-from .sim import SimConfig, position_at, simulate, spawn_time_model
+from .sim import SimConfig, simulate, spawn_time_model
 from .svgrender import render_positions_svg, render_scenario_svgs, render_svg
 
 __version__ = "0.1.0"
@@ -48,7 +48,7 @@ __all__ = [
     "ADVERSARIAL", "BENIGN", "CSV_HEADER", "read_csv", "run_suite", "write_csv",
     "astar", "euclidean_distance", "prefix_costs",
     "load_scenario", "parse_scenario",
-    "SimConfig", "position_at", "simulate", "spawn_time_model",
+    "SimConfig", "simulate", "spawn_time_model",
     "render_positions_svg", "render_scenario_svgs", "render_svg",
     "__version__",
 ]

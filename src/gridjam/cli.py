@@ -181,3 +181,7 @@ def _scenario_arg(entry):
     if bundled is not None:
         return bundled
     raise FileNotFoundError(f"no such scenario file or bundled scenario: {entry}")
+
+
+if __name__ == "__main__":
+    main()

@@ -3,11 +3,12 @@
 The protocol mirrors a bench campaign: for every goal the robot runs the
 route `repeats` times without interference and `repeats` times against the
 attacker, and the summary reports mean absolute delay, mean percentage
-delay, and the attack success rate. Each run is reported as a CSV row or
-as a text line; one field list decides what either shows.
+delay, and the attack success rate over the goals. Each run is reported as
+a CSV row or as a text line; one field list decides what either shows.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 from .attack import brute_force_attack
@@ -37,17 +38,8 @@ class SuiteRun:
 
 
 @dataclass(frozen=True)
-class GoalMetrics:
-    goal: Cell
-    mean_benign_time: float
-    mean_adversarial_time: float
-    mean_delay_abs: float
-    mean_delay_pct: float  # None when the benign time is zero
-
-
-@dataclass(frozen=True)
 class MetricsSummary:
-    per_goal: tuple
+    per_goal: tuple  # the RunResult of each raced goal, in scenario order
     overall_mean_delay_abs: float
     overall_mean_delay_pct: float
     success_rate: float  # percent of attacked runs that landed; None if none attacked
@@ -70,7 +62,7 @@ def run_suite(scenario: Scenario):
         attack_start_delay=scenario.attack_start_delay,
     )
     runs = []
-    per_goal = []
+    results = []
     skipped = []
     plans = []
     for goal in scenario.goals:
@@ -82,36 +74,22 @@ def run_suite(scenario: Scenario):
             continue
         plans.append(plan)
         result = simulate(scenario.grid, plan, config)
-        goal_runs = [
+        results.append(result)
+        runs.extend(
             SuiteRun(scenario.name, condition, repeat, result)
             for condition in (BENIGN, ADVERSARIAL)
             for repeat in range(1, scenario.repeats + 1)
-        ]
-        runs.extend(goal_runs)
-        per_goal.append(_goal_metrics(goal, goal_runs))
-    return runs, _summarize(per_goal, runs, skipped, plans)
+        )
+    return runs, _summarize(results, skipped, plans)
 
 
-def _goal_metrics(goal, goal_runs):
-    benign = [r.result.benign_time for r in goal_runs if r.condition == BENIGN]
-    attacked = [r.result for r in goal_runs if r.condition == ADVERSARIAL]
-    pct = [r.delay_pct for r in attacked if r.delay_pct is not None]
-    return GoalMetrics(
-        goal=goal,
-        mean_benign_time=_mean(benign),
-        mean_adversarial_time=_mean([r.adversarial_time for r in attacked]),
-        mean_delay_abs=_mean([r.delay_abs for r in attacked]),
-        mean_delay_pct=_mean(pct) if pct else None,
-    )
-
-
-def _summarize(per_goal, runs, skipped, plans):
-    attacked = [r.result for r in runs if r.condition == ADVERSARIAL]
-    delays = [r.delay_abs for r in attacked]
-    pcts = [r.delay_pct for r in attacked if r.delay_pct is not None]
-    landed = [r.attack_success for r in attacked if r.attack_success is not None]
+def _summarize(results, skipped, plans):
+    """Means over the raced goals; every repeat of a goal reports the same result."""
+    delays = [r.delay_abs for r in results]
+    pcts = [r.delay_pct for r in results if r.delay_pct is not None]
+    landed = [r.attack_success for r in results if r.attack_success is not None]
     return MetricsSummary(
-        per_goal=tuple(per_goal),
+        per_goal=tuple(results),
         overall_mean_delay_abs=_mean(delays) if delays else None,
         overall_mean_delay_pct=_mean(pcts) if pcts else None,
         success_rate=100.0 * sum(landed) / len(landed) if landed else None,
@@ -187,21 +165,49 @@ def _fmt(value):
 
 
 def read_csv(path):
-    """Parse a results CSV back into typed row dicts (blank -> None)."""
+    """Parse a results CSV back into typed row dicts (blank -> None).
+
+    A row with the wrong number of fields, a bad number or a bad success
+    value raises ValueError naming its line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header}")
         rows = []
         for raw in reader:
-            record = dict(zip(CSV_HEADER, raw))
-            for key in ("goal_col", "goal_row", "repeat"):
-                record[key] = int(record[key])
-            for key in ("euclidean_m", "time_s", "spawn_time_s", "delay_abs_s", "delay_pct"):
-                record[key] = float(record[key]) if record[key] else None
-            for key in ("obstacle_col", "obstacle_row"):
-                record[key] = int(record[key]) if record[key] else None
-            record["success"] = {"true": True, "false": False, "": None}[record["success"]]
-            rows.append(record)
+            try:
+                rows.append(_typed_row(raw))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
     return rows
+
+
+_SUCCESS = {"true": True, "false": False, "": None}
+
+
+def _typed_row(raw):
+    if len(raw) != len(CSV_HEADER):
+        raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(raw)}")
+    record = dict(zip(CSV_HEADER, raw))
+    for key in ("goal_col", "goal_row", "repeat"):
+        record[key] = _number(key, record[key], int)
+    for key in ("euclidean_m", "time_s", "spawn_time_s", "delay_abs_s", "delay_pct"):
+        record[key] = _number(key, record[key], float) if record[key] else None
+    for key in ("obstacle_col", "obstacle_row"):
+        record[key] = _number(key, record[key], int) if record[key] else None
+    if record["success"] not in _SUCCESS:
+        raise ValueError(f"success must be 'true', 'false' or blank, got {record['success']!r}")
+    record["success"] = _SUCCESS[record["success"]]
+    return record
+
+
+def _number(key, text, kind):
+    try:
+        value = kind(text)
+    except ValueError:
+        raise ValueError(f"{key} expects {'an integer' if kind is int else 'a number'}, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {text!r}")
+    return value

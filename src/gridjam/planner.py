@@ -36,16 +36,14 @@ _MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 @dataclass(frozen=True)
 class Path:
-    """A planned route: cell sequence, step cost, and metric length."""
+    """A planned route: cell sequence and its cost in cell steps."""
 
     cells: tuple
     cost: float
-    metric_length: float
 
     @classmethod
-    def from_cells(cls, cells, cell_size: float) -> "Path":
-        cost = _running_costs(cells)[-1]
-        return cls(tuple(cells), cost, cost * cell_size)
+    def from_cells(cls, cells) -> "Path":
+        return cls(tuple(cells), _running_costs(cells)[-1])
 
 
 def prefix_costs(path: Path) -> tuple:
@@ -87,8 +85,6 @@ def astar(grid: GridMap, start: Cell, goal: Cell) -> Path:
     out-of-bounds endpoints and NoPathError when the goal is unreachable.
     """
     _check_endpoints(grid, start, goal)
-    if start == goal:
-        return Path.from_cells((start,), grid.cell_size)
 
     rows = grid.rows
     width, height = grid.width, grid.height
@@ -118,7 +114,7 @@ def astar(grid: GridMap, start: Cell, goal: Cell) -> Path:
             while chain[-1] in parent:
                 chain.append(parent[chain[-1]])
             chain.reverse()
-            return Path.from_cells(chain, grid.cell_size)
+            return Path.from_cells(chain)
         orth, diag = g_pairs[cur]
         for dc, dr in _MOVES:
             ncol = col + dc

@@ -43,7 +43,6 @@ class Scenario:
     name: str
     map_path: pathlib.Path
     grid: GridMap  # parsed map with the scenario's cell size applied
-    cell_size: float
     start: Cell
     goals: tuple
     speed: float
@@ -127,7 +126,6 @@ def parse_scenario(text: str, base_dir=".") -> Scenario:
         name=name,
         map_path=map_path,
         grid=grid,
-        cell_size=cell_size,
         start=start,
         goals=goals,
         speed=speed,

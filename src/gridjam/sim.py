@@ -7,6 +7,12 @@ obstacle once the last candidate has been scored. The attack lands only if
 the obstacle appears before the robot reaches its footprint; the robot then
 stops at the nearest upcoming cell centre, replans around the obstacle, and
 arrives late by exactly the detour length.
+
+The race has one clock. Paths are planned in cell steps; this module alone
+turns a step cost into seconds (``cost * cell_size / speed``, with the race
+grid's cell size), and every time of a run, from the benign trip to the
+cell the robot has passed when the obstacle lands, is read from one table
+of arrival seconds along the baseline.
 """
 
 import bisect
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 from .attack import AttackPlan
 from .errors import BadEndpointError, NoPathError, ReplanFailedError
 from .gridmap import Cell, GridMap, ObstaclePlacement, apply_obstacle, footprint_cells
-from .planner import Path, astar, euclidean_distance, prefix_costs
+from .planner import astar, euclidean_distance, prefix_costs
 
 
 @dataclass(frozen=True)
@@ -53,28 +59,6 @@ class RunResult:
     delay_pct: float = None
 
 
-def position_at(path: Path, cell_size: float, speed: float, t: float):
-    """Continuous position along the path polyline after t seconds.
-
-    Returns ((x, y) metres from the map's top-left corner, passed_index),
-    where passed_index is the last path index whose cell centre has been
-    reached. Positions clamp to the endpoints outside [0, arrival].
-    """
-    marks = [c * cell_size for c in prefix_costs(path)]
-    travelled = min(max(speed * t, 0.0), marks[-1])
-    passed = bisect.bisect_right(marks, travelled) - 1
-    cx, cy = _center(path.cells[passed], cell_size)
-    if passed == len(marks) - 1 or travelled == marks[passed]:
-        return (cx, cy), passed
-    nx, ny = _center(path.cells[passed + 1], cell_size)
-    frac = (travelled - marks[passed]) / (marks[passed + 1] - marks[passed])
-    return (cx + (nx - cx) * frac, cy + (ny - cy) * frac), passed
-
-
-def _center(cell: Cell, cell_size: float):
-    return (cell.col + 0.5) * cell_size, (cell.row + 0.5) * cell_size
-
-
 def spawn_time_model(plan: AttackPlan, config: SimConfig) -> float:
     """Time at which the obstacle lands, measured from motion start.
 
@@ -93,7 +77,9 @@ def simulate(grid: GridMap, plan: AttackPlan, config: SimConfig) -> RunResult:
     """
     baseline = plan.baseline
     start, goal = baseline.cells[0], baseline.cells[-1]
-    benign_time = baseline.metric_length / config.speed
+    # the race's one clock: the second at which the robot reaches each cell
+    arrival = [c * grid.cell_size / config.speed for c in prefix_costs(baseline)]
+    benign_time = arrival[-1]
     euclid = euclidean_distance(start, goal, grid.cell_size)
     if plan.best is None:
         # nothing to drop: the attacked run is indistinguishable from benign
@@ -105,12 +91,10 @@ def simulate(grid: GridMap, plan: AttackPlan, config: SimConfig) -> RunResult:
         )
 
     spawn = spawn_time_model(plan, config)
-    arrival = [c * grid.cell_size / config.speed for c in prefix_costs(baseline)]
     footprint = footprint_cells(plan.best, grid)
     enter_index = next(i for i, c in enumerate(baseline.cells) if c in footprint)
-    t_pass = arrival[enter_index]
 
-    if not spawn < t_pass:
+    if not spawn < arrival[enter_index]:
         # the robot was already inside (or past) the footprint: no effect
         return RunResult(
             start, goal, euclid, benign_time,
@@ -122,7 +106,8 @@ def simulate(grid: GridMap, plan: AttackPlan, config: SimConfig) -> RunResult:
             delay_pct=0.0 if benign_time > 0 else None,
         )
 
-    _, passed = position_at(baseline, grid.cell_size, config.speed, spawn)
+    # the last centre reached by the spawn; it lies before the footprint
+    passed = bisect.bisect_right(arrival, spawn) - 1
     if spawn == arrival[passed]:
         snap = passed
         t_snap = arrival[snap]
@@ -143,7 +128,7 @@ def simulate(grid: GridMap, plan: AttackPlan, config: SimConfig) -> RunResult:
         raise ReplanFailedError(
             f"replanning from {baseline.cells[snap]} after spawning {plan.best} failed: {exc}"
         ) from exc
-    adversarial_time = t_snap + replanned.metric_length / config.speed
+    adversarial_time = t_snap + replanned.cost * grid.cell_size / config.speed
     delay = adversarial_time - benign_time
     return RunResult(
         start, goal, euclid, benign_time,

@@ -32,7 +32,7 @@ def dijkstra_oracle(grid: GridMap, start: Cell, goal: Cell) -> Path:
         if not grid.is_free(cell):
             raise BadEndpointError(f"{label} {cell} is occupied or outside the map")
     if start == goal:
-        return Path.from_cells((start,), grid.cell_size)
+        return Path.from_cells((start,))
 
     occupied = grid.rows
     width, height = grid.width, grid.height
@@ -52,7 +52,7 @@ def dijkstra_oracle(grid: GridMap, start: Cell, goal: Cell) -> Path:
             while cells[-1] != start:
                 cells.append(via[cells[-1]])
             cells.reverse()
-            return Path.from_cells(cells, grid.cell_size)
+            return Path.from_cells(cells)
         k, m = dist[node]
         for dcol in (-1, 0, 1):
             for drow in (-1, 0, 1):

@@ -1,7 +1,13 @@
 """Command-line behaviour: output shapes and exit codes."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import gridjam
 from gridjam.cli import cli
 from conftest import BRANCH_TEXT, CORRIDOR_TEXT
 
@@ -131,3 +137,21 @@ def test_unknown_subcommand(capsys):
 
 def test_help_exits_zero(capsys):
     assert cli(["--help"]) == 0
+
+
+def test_module_entry_point(workdir):
+    # `python -m gridjam.cli` runs the same CLI as the `gridjam` script
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gridjam.__file__).parent.parent))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "gridjam.cli", *args],
+            cwd=workdir, env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    ok = run("plan", "branch.txt", "1,1", "5,1")
+    assert ok.returncode == 0
+    assert ok.stdout.split("\n")[0] == "cost=4.000000"
+    bad = run("plan", "branch.txt", "onecomma", "5,1")
+    assert bad.returncode == 1
+    assert "error:" in bad.stderr

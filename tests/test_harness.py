@@ -63,10 +63,10 @@ def test_branch_suite_metrics(suite_dir):
     assert summary.success_rate == 100.0
     assert summary.skipped_goals == ()
     assert len(summary.per_goal) == 1
-    goal_metrics = summary.per_goal[0]
-    assert goal_metrics.goal == Cell(5, 1)
-    assert goal_metrics.mean_benign_time == pytest.approx(4.0)
-    assert goal_metrics.mean_adversarial_time == pytest.approx(8.0)
+    goal_result = summary.per_goal[0]
+    assert goal_result.goal == Cell(5, 1)
+    assert goal_result.benign_time == pytest.approx(4.0)
+    assert goal_result.adversarial_time == pytest.approx(8.0)
 
 
 def test_corridor_suite_no_attack_possible(suite_dir):
@@ -181,6 +181,46 @@ def test_csv_bytes_stable(suite_dir, tmp_path):
     runs_again, _ = run_suite(scenario)
     write_csv(runs_again, second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def _csv_with_bad_line(suite_dir, tmp_path, damage):
+    """A suite CSV whose third line (the second run) went through damage(fields)."""
+    runs, _ = run_suite(parse_scenario(BRANCH_SCN, base_dir=suite_dir))
+    out = tmp_path / "runs.csv"
+    write_csv(runs, out)
+    lines = out.read_text().split("\n")
+    lines[2] = ",".join(damage(lines[2].split(",")))
+    out.write_text("\n".join(lines))
+    return out
+
+
+def test_read_csv_rejects_empty_file(tmp_path):
+    out = tmp_path / "runs.csv"
+    out.write_text("")
+    with pytest.raises(ValueError, match="unexpected CSV header"):
+        read_csv(out)
+
+
+def test_read_csv_rejects_short_row(suite_dir, tmp_path):
+    out = _csv_with_bad_line(suite_dir, tmp_path, lambda fields: fields[:6])
+    with pytest.raises(ValueError, match="^line 3: expected 13 fields, got 6"):
+        read_csv(out)
+
+
+@pytest.mark.parametrize("index, text, message", [
+    (4, "two", "repeat expects an integer, got 'two'"),
+    (6, "nan", "time_s must be finite, got 'nan'"),
+])
+def test_read_csv_rejects_bad_number(index, text, message, suite_dir, tmp_path):
+    out = _csv_with_bad_line(suite_dir, tmp_path, lambda fields: fields[:index] + [text] + fields[index + 1:])
+    with pytest.raises(ValueError, match=f"^line 3: {message}"):
+        read_csv(out)
+
+
+def test_read_csv_rejects_bad_success(suite_dir, tmp_path):
+    out = _csv_with_bad_line(suite_dir, tmp_path, lambda fields: fields[:10] + ["maybe"] + fields[11:])
+    with pytest.raises(ValueError, match="^line 3: success must be"):
+        read_csv(out)
 
 
 def _count_calls(monkeypatch, names):

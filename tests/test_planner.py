@@ -44,7 +44,6 @@ def assert_valid_path(grid, path, start, goal):
             assert grid.is_free(Cell(a.col + dc, a.row))
             assert grid.is_free(Cell(a.col, a.row + dr))
     assert path.cost == pytest.approx(path_cost_recomputed(path), abs=1e-9)
-    assert path.metric_length == path.cost * grid.cell_size
 
 
 def test_straight_corridor():
@@ -60,7 +59,6 @@ def test_start_equals_goal():
     path = astar(grid, Cell(1, 1), Cell(1, 1))
     assert path.cost == 0.0
     assert path.cells == (Cell(1, 1),)
-    assert path.metric_length == 0.0
 
 
 def test_branch_map_straight(branch_map):

@@ -1,4 +1,4 @@
-"""Timing race: kinematics, spawn model, and full run outcomes."""
+"""Timing race: spawn model, the one-clock race, and full run outcomes."""
 
 import math
 import random
@@ -17,7 +17,6 @@ from gridjam import (
     brute_force_attack,
     footprint_cells,
     parse_map,
-    position_at,
     prefix_costs,
     simulate,
     spawn_time_model,
@@ -28,30 +27,6 @@ from conftest import random_case
 def straight_path():
     grid = parse_map(".....")
     return astar(grid, Cell(0, 0), Cell(4, 0))
-
-
-def test_position_midway():
-    point, passed = position_at(straight_path(), 1.0, 1.0, 2.0)
-    assert point == (2.5, 0.5)
-    assert passed == 2
-
-
-def test_position_at_start():
-    point, passed = position_at(straight_path(), 1.0, 1.0, 0.0)
-    assert point == (0.5, 0.5)
-    assert passed == 0
-
-
-def test_position_clamps_at_goal():
-    point, passed = position_at(straight_path(), 1.0, 1.0, 99.0)
-    assert point == (4.5, 0.5)
-    assert passed == 4
-
-
-def test_position_between_centres():
-    point, passed = position_at(straight_path(), 1.0, 1.0, 1.25)
-    assert point == (1.75, 0.5)
-    assert passed == 1
 
 
 def _plan_with(outcomes):
@@ -188,12 +163,12 @@ def test_run_invariants_random():
         done += 1
 
 
-def _expected_detour(grid, start, goal, side, cfg):
+def _expected_detour(grid, plan, cfg):
     # mirror of the documented halt rule: stop at the next centre, backing
     # off to the previous one when the next centre is inside the footprint
     from gridjam import apply_obstacle
 
-    plan = brute_force_attack(grid, start, goal, side)
+    goal = plan.baseline.cells[-1]
     spawn = spawn_time_model(plan, cfg)
     footprint = footprint_cells(plan.best, grid)
     arrival = [c * grid.cell_size / cfg.speed for c in prefix_costs(plan.baseline)]
@@ -211,7 +186,7 @@ def _expected_detour(grid, start, goal, side, cfg):
         assert obstructed.is_free(cell)
     for a, b in zip(route, route[1:]):
         assert max(abs(a.col - b.col), abs(a.row - b.row)) == 1
-    return t_snap + tail.metric_length / cfg.speed
+    return t_snap + tail.cost * grid.cell_size / cfg.speed
 
 
 def test_successful_detour_is_walkable(branch_map):
@@ -219,7 +194,7 @@ def test_successful_detour_is_walkable(branch_map):
     cfg = SimConfig(speed=1.0, eval_time_per_candidate=0.2)
     result = simulate(branch_map, _branch_plan(branch_map), cfg)
     assert result.attack_success is True
-    expected = _expected_detour(branch_map, Cell(1, 1), Cell(5, 1), 1, cfg)
+    expected = _expected_detour(branch_map, _branch_plan(branch_map), cfg)
     assert result.adversarial_time == pytest.approx(expected)
     assert result.adversarial_time == pytest.approx(1.2 + 8.0)
 
@@ -228,7 +203,7 @@ def test_successful_detour_snap_at_centre(branch_map):
     cfg = SimConfig(speed=1.0, eval_time_per_candidate=0.0)
     result = simulate(branch_map, _branch_plan(branch_map), cfg)
     assert result.attack_success is True
-    expected = _expected_detour(branch_map, Cell(1, 1), Cell(5, 1), 1, cfg)
+    expected = _expected_detour(branch_map, _branch_plan(branch_map), cfg)
     assert result.adversarial_time == pytest.approx(expected)
 
 
@@ -237,3 +212,55 @@ def test_simulate_deterministic(branch_map):
     first = simulate(branch_map, _branch_plan(branch_map), cfg)
     second = simulate(branch_map, _branch_plan(branch_map), cfg)
     assert first == second
+
+
+def test_spawn_one_ulp_before_the_footprint_lands(branch_map):
+    # the obstacle lands one ulp before the robot reaches its cell: the robot
+    # must back off and detour, not walk through it
+    grid = branch_map.with_cell_size(0.541)
+    cfg = SimConfig(
+        speed=4.608,
+        eval_time_per_candidate=0.0,
+        attack_start_delay=math.nextafter(0.541 / 4.608, 0.0),
+    )
+    plan = _branch_plan(grid)
+    result = simulate(grid, plan, cfg)
+    assert result.attack_success is True
+    assert result.delay_pct == pytest.approx(150.0)
+    assert result.adversarial_time == pytest.approx(_expected_detour(grid, plan, cfg))
+
+
+def test_spawns_at_arrival_marks():
+    # spawn at every arrival second up to the footprint and one ulp either
+    # side, where two clocks of the same race could disagree
+    rng = random.Random(4608)
+    done = 0
+    while done < 12:
+        unit_grid, start, goal = random_case(rng, 12, 12)
+        side = rng.choice((1, 3))
+        try:
+            if brute_force_attack(unit_grid, start, goal, side).best is None:
+                continue
+        except NoBaselineError:
+            continue
+        for cell_size in (0.3, 0.541, 0.7, 1.1):
+            grid = unit_grid.with_cell_size(cell_size)
+            plan = brute_force_attack(grid, start, goal, side)
+            footprint = footprint_cells(plan.best, grid)
+            enter = next(i for i, c in enumerate(plan.baseline.cells) if c in footprint)
+            for speed in (0.4, 0.9, 1.3, 4.608):
+                arrival = [c * cell_size / speed for c in prefix_costs(plan.baseline)]
+                spawns = {
+                    t
+                    for mark in arrival[: enter + 1]
+                    for t in (math.nextafter(mark, -math.inf), mark, math.nextafter(mark, math.inf))
+                    if t >= 0.0
+                }
+                for spawn in sorted(spawns):
+                    cfg = SimConfig(speed=speed, eval_time_per_candidate=0.0, attack_start_delay=spawn)
+                    result = simulate(grid, plan, cfg)
+                    assert result.adversarial_time >= result.benign_time - 1e-9
+                    assert result.attack_success == (spawn < arrival[enter])
+                    if result.attack_success:
+                        assert result.adversarial_time == pytest.approx(_expected_detour(grid, plan, cfg))
+        done += 1

@@ -9,9 +9,9 @@ the goal must stay reachable, only more expensive.
 import enum
 from dataclasses import dataclass
 
-from .errors import BadEndpointError, NoBaselineError, NoPathError
-from .gridmap import Cell, GridMap, ObstaclePlacement, apply_obstacle
-from .planner import Path, astar
+from .errors import BadEndpointError, NoBaselineError
+from .gridmap import Cell, GridMap, ObstaclePlacement, footprint_cells
+from .planner import SQRT2, Path, _blocked, _check_endpoints, _cost, _flatten, _goal_field, _index, _search
 
 # Replanned costs are exact k + m*sqrt(2) sums; the tolerance only absorbs
 # representation noise, not real ties.
@@ -56,30 +56,40 @@ def brute_force_attack(grid: GridMap, start: Cell, goal: Cell, side: int = 3) ->
     the replanned cost. `best` is the earliest candidate whose cost beats
     everything before it by more than COST_TOL; when no candidate gains,
     `best` and `attacked_path` are None and `gain` is 0.
+
+    A candidate is scored by its cost alone, with the unobstructed grid's
+    exact distance to the goal as the heuristic; only the winner is planned
+    as a canonical path.
     """
     try:
-        baseline = astar(grid, start, goal)
-    except (NoPathError, BadEndpointError) as exc:
+        _check_endpoints(grid, start, goal)
+    except BadEndpointError as exc:
         raise NoBaselineError(str(exc)) from exc
+    cells, stride = _flatten(grid)
+    source, target = _index(start, stride), _index(goal, stride)
+    baseline = _search(cells, stride, source, target)
+    if baseline is None:
+        raise NoBaselineError(f"no path from {start} to {goal}")
+    field = _goal_field(cells, stride, target)
 
     ledger = []
     best = None
-    best_path = None
     best_cost = baseline.cost
     for index, step in enumerate(baseline.cells):
         placement = ObstaclePlacement(step, side)
         if placement.covers(start) or placement.covers(goal):
             ledger.append(CandidateEval(index, placement, Outcome.INFEASIBLE))
             continue
-        try:
-            replanned = astar(apply_obstacle(grid, placement), start, goal)
-        except NoPathError:
+        pair = _cost(_blocked(cells, stride, footprint_cells(placement, grid)), stride, source, target, field)
+        if pair is None:
             ledger.append(CandidateEval(index, placement, Outcome.BLOCKING))
             continue
-        ledger.append(CandidateEval(index, placement, Outcome.EVALUATED, replanned.cost))
-        if replanned.cost > best_cost + COST_TOL:
+        cost = pair[0] + pair[1] * SQRT2
+        ledger.append(CandidateEval(index, placement, Outcome.EVALUATED, cost))
+        if cost > best_cost + COST_TOL:
             best = placement
-            best_path = replanned
-            best_cost = replanned.cost
-    gain = best_cost - baseline.cost if best is not None else 0.0
-    return AttackPlan(baseline, best, best_path, tuple(ledger), gain)
+            best_cost = cost
+    if best is None:
+        return AttackPlan(baseline, None, None, tuple(ledger), 0.0)
+    attacked = _search(_blocked(cells, stride, footprint_cells(best, grid)), stride, source, target)
+    return AttackPlan(baseline, best, attacked, tuple(ledger), best_cost - baseline.cost)

@@ -18,6 +18,16 @@ Canonical path construction, shared with the oracle:
 * Each node keeps the optimal parent with the lowest (row, col). The chain
   of those parents from the goal is therefore a pure function of the cost
   field, identical for both planners.
+
+Every search runs on a flat core: the grid becomes one bytearray with a
+blocked border one cell wide, and cell (col, row) becomes the index
+``(row + 1) * (width + 2) + col + 1``. That index sorts exactly like
+(row, col), so A* orders its heap by (f, -h, index) and keeps the parent
+with the lowest index: the same order and the same rule as above, hence
+the same canonical path. Besides the canonical search the core has two
+searches for the attack, which needs each candidate's cost but only the
+winner's path: one Dijkstra field of exact distances to the goal, and a
+cost-only A* that uses that field as its heuristic on an obstructed copy.
 """
 
 import heapq
@@ -77,6 +87,195 @@ def _check_endpoints(grid: GridMap, start: Cell, goal: Cell):
             raise BadEndpointError(f"{label} {cell} is occupied")
 
 
+# ----------------------------------------------------------- flat core
+#
+# A grid of width w and height h is one bytearray of (w + 2) * (h + 2)
+# bytes, non-zero where occupied, with a blocked border one cell wide, so a
+# neighbour index never needs a bounds check. `stride` is w + 2.
+
+
+def _flatten(grid: GridMap) -> tuple:
+    """The grid's flat cells and their stride."""
+    stride = grid.width + 2
+    cells = bytearray(b"\x01") * (stride * (grid.height + 2))
+    for row, occupied in enumerate(grid.rows, 1):
+        cells[row * stride + 1:row * stride + 1 + grid.width] = bytes(occupied)
+    return cells, stride
+
+
+def _index(cell: Cell, stride: int) -> int:
+    return (cell.row + 1) * stride + cell.col + 1
+
+
+def _blocked(cells: bytearray, stride: int, covered) -> bytearray:
+    """A copy of the flat cells with the in-bounds cells `covered` occupied."""
+    out = cells[:]
+    for cell in covered:
+        out[_index(cell, stride)] = 1
+    return out
+
+
+def _cell(index: int, stride: int) -> Cell:
+    row, col = divmod(index, stride)
+    return Cell(col - 1, row - 1)
+
+
+def _moves(stride: int) -> tuple:
+    """(offset, flank, flank) per move in _MOVES order; flanks are 0 for orthogonal moves."""
+    return tuple(
+        (dr * stride + dc, dc, dr * stride) if dc and dr else (dr * stride + dc, 0, 0)
+        for dc, dr in _MOVES
+    )
+
+
+def _search(cells: bytearray, stride: int, start: int, goal: int):
+    """Canonical A* between two free indices; the Path, or None when no route exists."""
+    size = len(cells)
+    orth = [0] * size
+    diag = [0] * size
+    cost = [None] * size  # orth + diag*SQRT2, None until reached
+    parent = [-1] * size
+    closed = bytearray(size)
+    grow, gcol = divmod(goal, stride)
+    push, pop = heapq.heappush, heapq.heappop
+    moves = _moves(stride)
+
+    def heuristic(index):
+        row, col = divmod(index, stride)
+        dc = abs(col - gcol)
+        dr = abs(row - grow)
+        lo, hi = (dc, dr) if dc < dr else (dr, dc)
+        # (orth, diag) pair plus its canonical float value
+        return hi - lo, lo, (hi - lo) + lo * SQRT2
+
+    cost[start] = 0.0
+    hv = heuristic(start)[2]
+    open_heap = [(hv, -hv, start)]
+    while open_heap:
+        cur = pop(open_heap)[2]
+        if closed[cur]:
+            continue
+        closed[cur] = 1
+        if cur == goal:
+            chain = [cur]
+            while parent[chain[-1]] >= 0:
+                chain.append(parent[chain[-1]])
+            chain.reverse()
+            return Path.from_cells([_cell(i, stride) for i in chain])
+        k, m = orth[cur], diag[cur]
+        for offset, flank_a, flank_b in moves:
+            nxt = cur + offset
+            if cells[nxt]:
+                continue
+            if flank_a:
+                # no corner cutting: both orthogonal neighbours must be free
+                if cells[cur + flank_a] or cells[cur + flank_b]:
+                    continue
+                nk, nm = k, m + 1
+            else:
+                nk, nm = k + 1, m
+            value = nk + nm * SQRT2
+            known = cost[nxt]
+            if known is None or value < known:
+                orth[nxt], diag[nxt], cost[nxt] = nk, nm, value
+                parent[nxt] = cur
+                hk, hm, hv = heuristic(nxt)
+                push(open_heap, ((nk + hk) + (nm + hm) * SQRT2, -hv, nxt))
+            elif nk == orth[nxt] and nm == diag[nxt] and not closed[nxt] and cur < parent[nxt]:
+                # same optimal cost via another parent: keep the lowest one
+                parent[nxt] = cur
+    return None
+
+
+def _goal_field(cells: bytearray, stride: int, goal: int) -> tuple:
+    """Exact distance to goal from every free index, by Dijkstra from the goal.
+
+    Returns three lists indexed like `cells`: orthogonal steps, diagonal
+    steps and their canonical float value, None where the goal is out of
+    reach. Moves are symmetric, so distances from the goal are distances to it.
+    """
+    size = len(cells)
+    orth = [0] * size
+    diag = [0] * size
+    cost = [None] * size
+    done = bytearray(size)
+    push, pop = heapq.heappush, heapq.heappop
+    moves = _moves(stride)
+    cost[goal] = 0.0
+    heap = [(0.0, goal)]
+    while heap:
+        cur = pop(heap)[1]
+        if done[cur]:
+            continue
+        done[cur] = 1
+        k, m = orth[cur], diag[cur]
+        for offset, flank_a, flank_b in moves:
+            nxt = cur + offset
+            if cells[nxt] or done[nxt]:
+                continue
+            if flank_a:
+                if cells[cur + flank_a] or cells[cur + flank_b]:
+                    continue
+                nk, nm = k, m + 1
+            else:
+                nk, nm = k + 1, m
+            value = nk + nm * SQRT2
+            known = cost[nxt]
+            if known is None or value < known:
+                orth[nxt], diag[nxt], cost[nxt] = nk, nm, value
+                push(heap, (value, nxt))
+    return orth, diag, cost
+
+
+def _cost(cells: bytearray, stride: int, start: int, goal: int, field: tuple):
+    """Exact (orth, diag) cost of the cheapest route, or None when none exists.
+
+    `field` is the _goal_field of a grid that `cells` only adds occupied
+    cells to. Blocking cells only removes moves, so that exact distance
+    never overestimates on `cells` and stays consistent: it is an A*
+    heuristic, and a cell it cannot reach cannot reach the goal at all.
+    """
+    size = len(cells)
+    orth = [0] * size
+    diag = [0] * size
+    cost = [None] * size
+    closed = bytearray(size)
+    h_orth, h_diag, h_cost = field
+    push, pop = heapq.heappush, heapq.heappop
+    moves = _moves(stride)
+    cost[start] = 0.0
+    # among equal f, the cell nearest the goal first: with an exact
+    # heuristic an unobstructed route is walked straight down
+    open_heap = [(h_cost[start], h_cost[start], start)]
+    while open_heap:
+        cur = pop(open_heap)[2]
+        if closed[cur]:
+            continue
+        if cur == goal:
+            return orth[cur], diag[cur]
+        closed[cur] = 1
+        k, m = orth[cur], diag[cur]
+        for offset, flank_a, flank_b in moves:
+            nxt = cur + offset
+            if cells[nxt] or closed[nxt]:
+                continue
+            hv = h_cost[nxt]
+            if hv is None:
+                continue
+            if flank_a:
+                if cells[cur + flank_a] or cells[cur + flank_b]:
+                    continue
+                nk, nm = k, m + 1
+            else:
+                nk, nm = k + 1, m
+            value = nk + nm * SQRT2
+            known = cost[nxt]
+            if known is None or value < known:
+                orth[nxt], diag[nxt], cost[nxt] = nk, nm, value
+                push(open_heap, ((nk + h_orth[nxt]) + (nm + h_diag[nxt]) * SQRT2, hv, nxt))
+    return None
+
+
 def astar(grid: GridMap, start: Cell, goal: Cell) -> Path:
     """Minimum-cost path from start to goal under 8-connectivity.
 
@@ -85,60 +284,8 @@ def astar(grid: GridMap, start: Cell, goal: Cell) -> Path:
     out-of-bounds endpoints and NoPathError when the goal is unreachable.
     """
     _check_endpoints(grid, start, goal)
-
-    rows = grid.rows
-    width, height = grid.width, grid.height
-    gcol, grow = goal.col, goal.row
-
-    def heuristic(col, row):
-        dc = abs(col - gcol)
-        dr = abs(row - grow)
-        lo, hi = (dc, dr) if dc < dr else (dr, dc)
-        # (orth, diag) pair plus its canonical float value
-        return hi - lo, lo, (hi - lo) + lo * SQRT2
-
-    g_pairs = {start: (0, 0)}
-    parent = {}
-    closed = set()
-    hk, hm, hv = heuristic(start.col, start.row)
-    open_heap = [(hv, -hv, start.row, start.col)]
-
-    while open_heap:
-        _, _, row, col = heapq.heappop(open_heap)
-        cur = Cell(col, row)
-        if cur in closed:
-            continue
-        closed.add(cur)
-        if cur == goal:
-            chain = [cur]
-            while chain[-1] in parent:
-                chain.append(parent[chain[-1]])
-            chain.reverse()
-            return Path.from_cells(chain)
-        orth, diag = g_pairs[cur]
-        for dc, dr in _MOVES:
-            ncol = col + dc
-            nrow = row + dr
-            if not (0 <= ncol < width and 0 <= nrow < height) or rows[nrow][ncol]:
-                continue
-            if dc and dr:
-                # no corner cutting: both orthogonal neighbours must be free
-                if rows[row][ncol] or rows[nrow][col]:
-                    continue
-                npair = (orth, diag + 1)
-            else:
-                npair = (orth + 1, diag)
-            nxt = Cell(ncol, nrow)
-            known = g_pairs.get(nxt)
-            if known is None or npair[0] + npair[1] * SQRT2 < known[0] + known[1] * SQRT2:
-                g_pairs[nxt] = npair
-                parent[nxt] = cur
-                hk, hm, hv = heuristic(ncol, nrow)
-                fv = (npair[0] + hk) + (npair[1] + hm) * SQRT2
-                heapq.heappush(open_heap, (fv, -hv, nrow, ncol))
-            elif npair == known and nxt not in closed:
-                # same optimal cost via another parent: keep the lowest one
-                old = parent[nxt]
-                if (row, col) < (old.row, old.col):
-                    parent[nxt] = cur
-    raise NoPathError(f"no path from {start} to {goal}")
+    cells, stride = _flatten(grid)
+    path = _search(cells, stride, _index(start, stride), _index(goal, stride))
+    if path is None:
+        raise NoPathError(f"no path from {start} to {goal}")
+    return path

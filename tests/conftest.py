@@ -1,8 +1,10 @@
-"""Shared fixtures: small hand-built maps and a seeded random map source."""
+"""Shared fixtures: small hand-built maps, a seeded random map source and a map strategy."""
 
 import random
 
 import pytest
+from hypothesis import assume, settings
+from hypothesis import strategies as st
 
 from gridjam import Cell, GridMap, parse_map
 
@@ -54,3 +56,32 @@ def random_case(rng: random.Random, max_width: int, max_height: int):
         if len(cells) >= 2:
             start, goal = rng.sample(cells, 2)
             return grid, start, goal
+
+
+# Property tests replay a fixed sequence of examples, so every run checks
+# the same maps, and keep no example database on disk.
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+
+@st.composite
+def grid_problems(draw, max_side=14):
+    """A map of up to max_side x max_side cells plus a start and a goal.
+
+    Narrow maps, dense maps and maps walled into bands with one door per
+    wall are drawn often: their corridors give candidates that block. The
+    goal is drawn from the free cells in reverse order, so examples shrink
+    towards a goal far from the start.
+    """
+    width = draw(st.one_of(st.integers(1, 3), st.integers(4, max_side)))
+    height = draw(st.integers(4, max_side))
+    density = draw(st.sampled_from((0, 10, 20, 30)))
+    noise = draw(st.lists(st.integers(0, 99), min_size=width * height, max_size=width * height))
+    rows = [[noise[row * width + col] >= 100 - density for col in range(width)] for row in range(height)]
+    if draw(st.booleans()):
+        for row in range(1, height, 2):
+            door = draw(st.integers(0, width - 1))
+            rows[row] = [col != door for col in range(width)]
+    grid = GridMap(width, height, 1.0, tuple(tuple(r) for r in rows))
+    cells = free_cells(grid)
+    assume(cells)
+    return grid, draw(st.sampled_from(cells)), draw(st.sampled_from(cells[::-1]))

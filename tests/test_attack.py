@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridjam import (
     Cell,
@@ -14,7 +16,7 @@ from gridjam import (
     brute_force_attack,
     parse_map,
 )
-from conftest import random_case
+from conftest import PROPERTY_SETTINGS, grid_problems, random_case
 from oracles import attack_oracle, enumerate_candidates
 
 SQRT2 = math.sqrt(2.0)
@@ -95,9 +97,8 @@ def test_oracle_agrees_on_fixtures(branch_map, corridor_map, open9_map):
     ):
         mine = brute_force_attack(grid, start, goal, side)
         ref = attack_oracle(grid, start, goal, side)
-        assert mine.best == ref.best
-        assert mine.gain == ref.gain
-        assert [e.outcome for e in mine.ledger] == [e.outcome for e in ref.ledger]
+        # the whole plan: baseline, every ledger entry and its cost, attacked path
+        assert mine == ref
 
 
 def test_oracle_equivalence_random():
@@ -111,10 +112,21 @@ def test_oracle_equivalence_random():
             mine = brute_force_attack(grid, start, goal, side)
         except NoBaselineError:
             continue
-        ref = attack_oracle(grid, start, goal, side)
-        assert mine.best == ref.best
-        assert mine.gain == ref.gain
+        assert mine == attack_oracle(grid, start, goal, side)
         done += 1
+
+
+@PROPERTY_SETTINGS
+@given(grid_problems(), st.sampled_from((1, 3, 5)))
+def test_oracle_equivalence_property(problem, side):
+    grid, start, goal = problem
+    try:
+        mine = brute_force_attack(grid, start, goal, side)
+    except NoBaselineError:
+        with pytest.raises(NoBaselineError):
+            attack_oracle(grid, start, goal, side)
+        return
+    assert mine == attack_oracle(grid, start, goal, side)
 
 
 def test_ledger_completeness_and_bounds():

@@ -12,6 +12,7 @@ from gridjam import (
     Cell,
     load_scenario,
     parse_scenario,
+    planner,
     read_csv,
     render_scenario_svgs,
     run_suite,
@@ -223,33 +224,40 @@ def test_read_csv_rejects_bad_success(suite_dir, tmp_path):
         read_csv(out)
 
 
-def _count_calls(monkeypatch, names):
-    """Count calls to the named package functions through every module binding."""
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        original = getattr(gridjam, name)
+def _count_calls(monkeypatch, functions):
+    """Count calls to the given package functions through every module binding."""
+    counts = dict.fromkeys((fn.__name__ for fn in functions), 0)
+    for original in functions:
 
-        def counted(*args, _original=original, _name=name, **kwargs):
+        def counted(*args, _original=original, _name=original.__name__, **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
         for module_name, module in list(sys.modules.items()):
-            if module_name.partition(".")[0] == "gridjam" and vars(module).get(name) is original:
-                monkeypatch.setattr(module, name, counted)
+            if module_name.partition(".")[0] == "gridjam":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
     return counts
 
 
-# Upper bounds: one baseline plus one plan per judged candidate per goal,
-# plus one replan per landed attack. Cheaper candidate evaluation may lower
-# them; nothing should raise them.
-@pytest.mark.parametrize("name, max_astar", [("warehouse", 327), ("turn", 59)])
-def test_each_goal_is_solved_once(name, max_astar, monkeypatch, tmp_path):
-    counts = _count_calls(monkeypatch, ("astar", "brute_force_attack"))
+# Upper bounds on the planner's flat-core searches: canonical ones (each
+# baseline, each winning placement's path and each replan after a landed
+# attack; `astar` is one too) and cost-only ones (one per judged candidate),
+# plus exactly one distance-to-goal field per attack. Tighten these; never
+# loosen them.
+@pytest.mark.parametrize("name, max_canonical, max_cost_only", [("warehouse", 68, 282), ("turn", 3, 57)])
+def test_each_goal_is_solved_once(name, max_canonical, max_cost_only, monkeypatch, tmp_path):
+    counts = _count_calls(
+        monkeypatch, (planner._search, planner._cost, planner._goal_field, gridjam.brute_force_attack)
+    )
     scenario = load_scenario(scenario_path(name))
     _, summary = run_suite(scenario)
     assert not summary.skipped_goals
     assert counts["brute_force_attack"] == len(scenario.goals)
-    assert counts["astar"] <= max_astar
+    assert counts["_goal_field"] == len(scenario.goals)
+    assert counts["_search"] <= max_canonical
+    assert counts["_cost"] <= max_cost_only
     solved = dict(counts)
     render_scenario_svgs(scenario, summary.plans, tmp_path)
     assert counts == solved  # rendering reuses the suite's plans

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridjam import (
     AttackPlan,
@@ -21,7 +23,7 @@ from gridjam import (
     simulate,
     spawn_time_model,
 )
-from conftest import random_case
+from conftest import PROPERTY_SETTINGS, grid_problems, random_case
 
 
 def straight_path():
@@ -161,6 +163,40 @@ def test_run_invariants_random():
         assert result.attack_success == (spawn < t_pass)
         assert result.spawn_time == spawn
         done += 1
+
+
+race_configs = st.builds(
+    SimConfig,
+    speed=st.floats(0.2, 5.0),
+    eval_time_per_candidate=st.floats(0.0, 0.1),
+    attack_start_delay=st.floats(0.0, 1.0),
+)
+
+
+def _race(problem, side, cell_size, cfg):
+    """The raced RunResult of one generated problem, or None without a baseline."""
+    unit_grid, start, goal = problem
+    grid = unit_grid.with_cell_size(cell_size)
+    try:
+        plan = brute_force_attack(grid, start, goal, side)
+    except NoBaselineError:
+        return None
+    return simulate(grid, plan, cfg)
+
+
+@PROPERTY_SETTINGS
+@given(grid_problems(), st.sampled_from((1, 3)), st.floats(0.1, 2.0), race_configs)
+def test_replanning_never_fails_property(problem, side, cell_size, cfg):
+    # ReplanFailedError, or any other exception, fails the test
+    _race(problem, side, cell_size, cfg)
+
+
+@PROPERTY_SETTINGS
+@given(grid_problems(), st.sampled_from((1, 3)), st.floats(0.1, 2.0), race_configs)
+def test_landed_attack_never_shortens_the_trip_property(problem, side, cell_size, cfg):
+    result = _race(problem, side, cell_size, cfg)
+    if result is not None and result.attack_success:
+        assert result.adversarial_time >= result.benign_time
 
 
 def _expected_detour(grid, plan, cfg):

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 from .errors import BadEndpointError, NoBaselineError
 from .gridmap import Cell, GridMap, ObstaclePlacement, footprint_cells
-from .planner import SQRT2, Path, _blocked, _check_endpoints, _cost, _flatten, _goal_field, _index, _search
+from .planner import (
+    SQRT2, DistanceField, Path, _backtrack, _blocked, _check_endpoints, _cost, _index, _search, distance_field,
+)
 
 # Replanned costs are exact k + m*sqrt(2) sums; the tolerance only absorbs
 # representation noise, not real ties.
@@ -48,7 +50,9 @@ class AttackPlan:
         return sum(1 for entry in self.ledger if entry.outcome is not Outcome.INFEASIBLE)
 
 
-def brute_force_attack(grid: GridMap, start: Cell, goal: Cell, side: int = 3) -> AttackPlan:
+def brute_force_attack(
+    grid: GridMap, start: Cell, goal: Cell, side: int = 3, field: DistanceField = None
+) -> AttackPlan:
     """Find the baseline-cell placement that maximises the replanned cost.
 
     Every baseline cell gets a ledger entry: INFEASIBLE placements cover an
@@ -57,20 +61,29 @@ def brute_force_attack(grid: GridMap, start: Cell, goal: Cell, side: int = 3) ->
     everything before it by more than COST_TOL; when no candidate gains,
     `best` and `attacked_path` are None and `gain` is 0.
 
-    A candidate is scored by its cost alone, with the unobstructed grid's
-    exact distance to the goal as the heuristic; only the winner is planned
-    as a canonical path.
+    `field` is the `distance_field(grid, start)` to share between goals
+    planned from one start; without it the attack builds its own, and one
+    made for another grid object or another start raises ValueError. The
+    baseline is backtracked from the field, a candidate is scored by its
+    cost alone from the goal back to the start with the field as the
+    heuristic, and only the winner is planned as a canonical path.
     """
+    if field is not None:
+        if field.grid is not grid:
+            raise ValueError("the distance field was built for another grid")
+        if field.start != start:
+            raise ValueError(f"the distance field starts at {field.start}, not at {start}")
     try:
         _check_endpoints(grid, start, goal)
     except BadEndpointError as exc:
         raise NoBaselineError(str(exc)) from exc
-    cells, stride = _flatten(grid)
+    if field is None:
+        field = distance_field(grid, start)
+    cells, stride = field.cells, field.stride
     source, target = _index(start, stride), _index(goal, stride)
-    baseline = _search(cells, stride, source, target)
+    baseline = _backtrack(field, target)
     if baseline is None:
         raise NoBaselineError(f"no path from {start} to {goal}")
-    field = _goal_field(cells, stride, target)
 
     ledger = []
     best = None
@@ -80,7 +93,7 @@ def brute_force_attack(grid: GridMap, start: Cell, goal: Cell, side: int = 3) ->
         if placement.covers(start) or placement.covers(goal):
             ledger.append(CandidateEval(index, placement, Outcome.INFEASIBLE))
             continue
-        pair = _cost(_blocked(cells, stride, footprint_cells(placement, grid)), stride, source, target, field)
+        pair = _cost(_blocked(cells, stride, footprint_cells(placement, grid)), field, target)
         if pair is None:
             ledger.append(CandidateEval(index, placement, Outcome.BLOCKING))
             continue

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .attack import brute_force_attack
 from .errors import NoBaselineError
 from .gridmap import Cell
+from .planner import distance_field
 from .scenario import Scenario
 from .sim import RunResult, SimConfig, simulate
 
@@ -51,10 +52,11 @@ def run_suite(scenario: Scenario):
     """Run the full protocol; returns (runs, summary).
 
     Each goal is attacked and raced once: the race is deterministic, so every
-    repeat of either condition reports the same RunResult. Runs are ordered
-    by (goal index, condition, repeat) with benign before adversarial. A goal
-    the planner cannot reach is skipped and recorded in the summary instead
-    of aborting the suite.
+    repeat of either condition reports the same RunResult. Every attack
+    shares one distance field from the start. Runs are ordered by (goal
+    index, condition, repeat) with benign before adversarial. A goal the
+    planner cannot reach is skipped and recorded in the summary instead of
+    aborting the suite.
     """
     config = SimConfig(
         speed=scenario.speed,
@@ -65,9 +67,10 @@ def run_suite(scenario: Scenario):
     results = []
     skipped = []
     plans = []
+    field = distance_field(scenario.grid, scenario.start)
     for goal in scenario.goals:
         try:
-            plan = brute_force_attack(scenario.grid, scenario.start, goal, scenario.obstacle_side)
+            plan = brute_force_attack(scenario.grid, scenario.start, goal, scenario.obstacle_side, field)
         except NoBaselineError:
             skipped.append(goal)
             plans.append(None)

@@ -19,15 +19,21 @@ Canonical path construction, shared with the oracle:
   of those parents from the goal is therefore a pure function of the cost
   field, identical for both planners.
 
-Every search runs on a flat core: the grid becomes one bytearray with a
+Every search runs on a flat core: the grid becomes one byte string with a
 blocked border one cell wide, and cell (col, row) becomes the index
 ``(row + 1) * (width + 2) + col + 1``. That index sorts exactly like
 (row, col), so A* orders its heap by (f, -h, index) and keeps the parent
 with the lowest index: the same order and the same rule as above, hence
-the same canonical path. Besides the canonical search the core has two
-searches for the attack, which needs each candidate's cost but only the
-winner's path: one Dijkstra field of exact distances to the goal, and a
-cost-only A* that uses that field as its heuristic on an obstructed copy.
+the same canonical path.
+
+The attack plans many goals from one start and needs each candidate's
+cost but only the winner's path, so the core also offers a
+`distance_field`: one Dijkstra of exact (orth, diag) distances from the
+start, shared by every goal on the same grid. A goal's canonical baseline
+is backtracked from it by the rule above (step to the lowest-index
+neighbour whose pair plus the step equals the cell's pair), and each
+candidate is scored by a cost-only A* from the goal back to the start on
+an obstructed copy, with the field as its heuristic.
 """
 
 import heapq
@@ -80,16 +86,20 @@ def euclidean_distance(a: Cell, b: Cell, cell_size: float) -> float:
 
 
 def _check_endpoints(grid: GridMap, start: Cell, goal: Cell):
-    for label, cell in (("start", start), ("goal", goal)):
-        if not grid.in_bounds(cell):
-            raise BadEndpointError(f"{label} {cell} is outside the {grid.width}x{grid.height} map")
-        if grid.is_occupied(cell):
-            raise BadEndpointError(f"{label} {cell} is occupied")
+    _check_endpoint(grid, "start", start)
+    _check_endpoint(grid, "goal", goal)
+
+
+def _check_endpoint(grid: GridMap, label: str, cell: Cell):
+    if not grid.in_bounds(cell):
+        raise BadEndpointError(f"{label} {cell} is outside the {grid.width}x{grid.height} map")
+    if grid.is_occupied(cell):
+        raise BadEndpointError(f"{label} {cell} is occupied")
 
 
 # ----------------------------------------------------------- flat core
 #
-# A grid of width w and height h is one bytearray of (w + 2) * (h + 2)
+# A grid of width w and height h is one byte string of (w + 2) * (h + 2)
 # bytes, non-zero where occupied, with a blocked border one cell wide, so a
 # neighbour index never needs a bounds check. `stride` is w + 2.
 
@@ -100,16 +110,16 @@ def _flatten(grid: GridMap) -> tuple:
     cells = bytearray(b"\x01") * (stride * (grid.height + 2))
     for row, occupied in enumerate(grid.rows, 1):
         cells[row * stride + 1:row * stride + 1 + grid.width] = bytes(occupied)
-    return cells, stride
+    return bytes(cells), stride
 
 
 def _index(cell: Cell, stride: int) -> int:
     return (cell.row + 1) * stride + cell.col + 1
 
 
-def _blocked(cells: bytearray, stride: int, covered) -> bytearray:
+def _blocked(cells: bytes, stride: int, covered) -> bytearray:
     """A copy of the flat cells with the in-bounds cells `covered` occupied."""
-    out = cells[:]
+    out = bytearray(cells)
     for cell in covered:
         out[_index(cell, stride)] = 1
     return out
@@ -128,7 +138,7 @@ def _moves(stride: int) -> tuple:
     )
 
 
-def _search(cells: bytearray, stride: int, start: int, goal: int):
+def _search(cells: bytes, stride: int, start: int, goal: int):
     """Canonical A* between two free indices; the Path, or None when no route exists."""
     size = len(cells)
     orth = [0] * size
@@ -187,13 +197,33 @@ def _search(cells: bytearray, stride: int, start: int, goal: int):
     return None
 
 
-def _goal_field(cells: bytearray, stride: int, goal: int) -> tuple:
-    """Exact distance to goal from every free index, by Dijkstra from the goal.
+class DistanceField:
+    """Exact distances from `start` over `grid`, shared by every goal planned from it.
 
-    Returns three lists indexed like `cells`: orthogonal steps, diagonal
-    steps and their canonical float value, None where the goal is out of
-    reach. Moves are symmetric, so distances from the goal are distances to it.
+    `cells` and `stride` are the grid's flat core. `orth`, `diag` and `cost`
+    are indexed like `cells`: each reached index's orthogonal and diagonal
+    step counts and their canonical float value, with cost None where the
+    start is out of reach. Moves are symmetric, so these are also the
+    distances back to the start.
     """
+
+    # a plain class: a frozen dataclass builds its methods at import, which
+    # measured about two thirds of this module's own import time
+    __slots__ = ("grid", "start", "cells", "stride", "orth", "diag", "cost")
+
+    def __init__(self, grid: GridMap, start: Cell, cells: bytes, stride: int, orth: list, diag: list, cost: list):
+        self.grid, self.start, self.cells, self.stride = grid, start, cells, stride
+        self.orth, self.diag, self.cost = orth, diag, cost
+
+
+def distance_field(grid: GridMap, start: Cell) -> DistanceField:
+    """Dijkstra from start over the whole of start's component of grid.
+
+    Raises BadEndpointError for an occupied or out-of-bounds start.
+    """
+    _check_endpoint(grid, "start", start)
+    cells, stride = _flatten(grid)
+    source = _index(start, stride)
     size = len(cells)
     orth = [0] * size
     diag = [0] * size
@@ -201,8 +231,8 @@ def _goal_field(cells: bytearray, stride: int, goal: int) -> tuple:
     done = bytearray(size)
     push, pop = heapq.heappush, heapq.heappop
     moves = _moves(stride)
-    cost[goal] = 0.0
-    heap = [(0.0, goal)]
+    cost[source] = 0.0
+    heap = [(0.0, source)]
     while heap:
         cur = pop(heap)[1]
         if done[cur]:
@@ -224,34 +254,70 @@ def _goal_field(cells: bytearray, stride: int, goal: int) -> tuple:
             if known is None or value < known:
                 orth[nxt], diag[nxt], cost[nxt] = nk, nm, value
                 push(heap, (value, nxt))
-    return orth, diag, cost
+    return DistanceField(grid, start, cells, stride, orth, diag, cost)
 
 
-def _cost(cells: bytearray, stride: int, start: int, goal: int, field: tuple):
-    """Exact (orth, diag) cost of the cheapest route, or None when none exists.
+def _backtrack(field: DistanceField, goal: int):
+    """The canonical Path from the field's start to a free index, or None when none exists.
 
-    `field` is the _goal_field of a grid that `cells` only adds occupied
-    cells to. Blocking cells only removes moves, so that exact distance
-    never overestimates on `cells` and stays consistent: it is an A*
-    heuristic, and a cell it cannot reach cannot reach the goal at all.
+    Walks back from the goal, each time to the lowest-index neighbour whose
+    exact pair plus the step equals the current pair: the optimal parent
+    the canonical searches keep.
+    """
+    if field.cost[goal] is None:
+        return None
+    cells, stride, orth, diag = field.cells, field.stride, field.orth, field.diag
+    source = _index(field.start, stride)
+    moves = sorted(_moves(stride))  # lowest neighbour index first
+    chain = [goal]
+    cur = goal
+    while cur != source:
+        k, m = orth[cur], diag[cur]
+        for offset, flank_a, flank_b in moves:
+            prev = cur + offset
+            if cells[prev]:
+                continue
+            if flank_a:
+                if cells[cur + flank_a] or cells[cur + flank_b]:
+                    continue
+                if orth[prev] == k and diag[prev] == m - 1:
+                    break
+            elif orth[prev] == k - 1 and diag[prev] == m:
+                break
+        cur = prev
+        chain.append(cur)
+    chain.reverse()
+    return Path.from_cells([_cell(i, stride) for i in chain])
+
+
+def _cost(cells: bytearray, field: DistanceField, origin: int):
+    """Exact (orth, diag) cost of the cheapest route from origin to the field's start, or None.
+
+    `cells` is the field's grid with occupied cells added. Blocking cells
+    only removes moves, so the field's exact distance to the start never
+    overestimates on `cells` and stays consistent: it is an A* heuristic,
+    and a cell it cannot reach cannot reach the start at all. Moves are
+    symmetric, so the cost is also that of the route from the start to
+    origin.
     """
     size = len(cells)
     orth = [0] * size
     diag = [0] * size
     cost = [None] * size
     closed = bytearray(size)
-    h_orth, h_diag, h_cost = field
+    h_orth, h_diag, h_cost = field.orth, field.diag, field.cost
+    target = _index(field.start, field.stride)
     push, pop = heapq.heappush, heapq.heappop
-    moves = _moves(stride)
-    cost[start] = 0.0
-    # among equal f, the cell nearest the goal first: with an exact
+    moves = _moves(field.stride)
+    cost[origin] = 0.0
+    # among equal f, the cell nearest the start first: with an exact
     # heuristic an unobstructed route is walked straight down
-    open_heap = [(h_cost[start], h_cost[start], start)]
+    open_heap = [(h_cost[origin], h_cost[origin], origin)]
     while open_heap:
         cur = pop(open_heap)[2]
         if closed[cur]:
             continue
-        if cur == goal:
+        if cur == target:
             return orth[cur], diag[cur]
         closed[cur] = 1
         k, m = orth[cur], diag[cur]

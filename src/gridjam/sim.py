@@ -121,13 +121,16 @@ def simulate(grid: GridMap, plan: AttackPlan, config: SimConfig) -> RunResult:
         else:
             t_snap = arrival[snap]
 
-    obstructed = apply_obstacle(grid, plan.best)
-    try:
-        replanned = astar(obstructed, baseline.cells[snap], goal)
-    except (NoPathError, BadEndpointError) as exc:
-        raise ReplanFailedError(
-            f"replanning from {baseline.cells[snap]} after spawning {plan.best} failed: {exc}"
-        ) from exc
+    if snap == 0:
+        # halted at the start: the attack already planned this exact route
+        replanned = plan.attacked_path
+    else:
+        try:
+            replanned = astar(apply_obstacle(grid, plan.best), baseline.cells[snap], goal)
+        except (NoPathError, BadEndpointError) as exc:
+            raise ReplanFailedError(
+                f"replanning from {baseline.cells[snap]} after spawning {plan.best} failed: {exc}"
+            ) from exc
     adversarial_time = t_snap + replanned.cost * grid.cell_size / config.speed
     delay = adversarial_time - benign_time
     return RunResult(

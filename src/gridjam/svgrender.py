@@ -29,69 +29,44 @@ def render_svg(grid, baseline, out_path, attacked=None, obstacle=None):
     `attacked` is the replanned route and `obstacle` the placement that
     produced it; both may be omitted for a benign render.
     """
-    lines = _map_lines(grid)
-    if obstacle is not None:
-        lines.append('<g class="overlay">')
-        for cell in sorted(footprint_cells(obstacle, grid), key=lambda c: (c.row, c.col)):
-            lines.append(
-                f'<rect class="obstacle" x="{cell.col * PX}" y="{cell.row * PX}" '
-                f'width="{PX}" height="{PX}"/>'
-            )
-        lines.append("</g>")
-    lines.append(f'<polyline class="baseline" points="{_points(baseline.cells)}"/>')
-    if attacked is not None:
-        lines.append(f'<polyline class="attacked" points="{_points(attacked.cells)}"/>')
-    lines.append(_marker("start", baseline.cells[0]))
-    lines.append(_marker("goal", baseline.cells[-1]))
-    lines.append("</svg>")
-    _write(out_path, lines)
+    _write(out_path, _map_head(grid), _route_lines(grid, baseline, attacked, obstacle))
 
 
 def render_positions_svg(grid, placements, out_path, start=None, goals=()):
     """Overlay every placement footprint on one map (campaign overview)."""
-    lines = _map_lines(grid)
-    lines.append('<g class="overlay">')
-    for placement in placements:
-        for cell in sorted(footprint_cells(placement, grid), key=lambda c: (c.row, c.col)):
-            lines.append(
-                f'<rect class="obstacle" x="{cell.col * PX}" y="{cell.row * PX}" '
-                f'width="{PX}" height="{PX}"/>'
-            )
-    lines.append("</g>")
-    for goal in goals:
-        lines.append(_marker("goal", goal))
-    if start is not None:
-        lines.append(_marker("start", start))
-    lines.append("</svg>")
-    _write(out_path, lines)
+    _write(out_path, _map_head(grid), _positions_lines(grid, placements, start, goals))
 
 
 def render_scenario_svgs(scenario, plans, out_dir):
     """Render one attacked view per goal plus a placement overview.
 
     `plans` holds one AttackPlan per scenario goal, None for a goal that was
-    skipped, as run_suite's summary does; nothing is planned here. Returns
-    the written paths in order.
+    skipped, as run_suite's summary does; nothing is planned here, and the
+    map layer is drawn once for every file. Returns the written paths in
+    order.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    grid = scenario.grid
+    head = _map_head(grid)
     written = []
     placements = []
     for index, plan in enumerate(plans, start=1):
         if plan is None:
             continue
         path = out / f"{scenario.name}-goal{index:02d}.svg"
-        render_svg(scenario.grid, plan.baseline, path, attacked=plan.attacked_path, obstacle=plan.best)
+        _write(path, head, _route_lines(grid, plan.baseline, plan.attacked_path, plan.best))
         if plan.best is not None:
             placements.append(plan.best)
         written.append(path)
     overview = out / f"{scenario.name}-obstacles.svg"
-    render_positions_svg(scenario.grid, placements, overview, start=scenario.start, goals=scenario.goals)
+    _write(overview, head, _positions_lines(grid, placements, scenario.start, scenario.goals))
     written.append(overview)
     return written
 
 
-def _map_lines(grid):
+def _map_head(grid):
+    """The document's opening and the map layer, one line each, newline-terminated."""
     w = grid.width * PX
     h = grid.height * PX
     lines = [
@@ -108,7 +83,44 @@ def _map_lines(grid):
                     f'width="{PX}" height="{PX}"/>'
                 )
     lines.append("</g>")
+    return "\n".join(lines) + "\n"
+
+
+def _route_lines(grid, baseline, attacked, obstacle):
+    """The layers over the map for one route and, optionally, its attack."""
+    lines = []
+    if obstacle is not None:
+        lines.append('<g class="overlay">')
+        lines.extend(_footprint_rects(grid, obstacle))
+        lines.append("</g>")
+    lines.append(f'<polyline class="baseline" points="{_points(baseline.cells)}"/>')
+    if attacked is not None:
+        lines.append(f'<polyline class="attacked" points="{_points(attacked.cells)}"/>')
+    lines.append(_marker("start", baseline.cells[0]))
+    lines.append(_marker("goal", baseline.cells[-1]))
+    lines.append("</svg>")
     return lines
+
+
+def _positions_lines(grid, placements, start, goals):
+    """The layers over the map for a placement overview."""
+    lines = ['<g class="overlay">']
+    for placement in placements:
+        lines.extend(_footprint_rects(grid, placement))
+    lines.append("</g>")
+    for goal in goals:
+        lines.append(_marker("goal", goal))
+    if start is not None:
+        lines.append(_marker("start", start))
+    lines.append("</svg>")
+    return lines
+
+
+def _footprint_rects(grid, placement):
+    return [
+        f'<rect class="obstacle" x="{cell.col * PX}" y="{cell.row * PX}" width="{PX}" height="{PX}"/>'
+        for cell in sorted(footprint_cells(placement, grid), key=lambda c: (c.row, c.col))
+    ]
 
 
 def _points(cells):
@@ -121,6 +133,6 @@ def _marker(kind, cell):
     return f'<circle class="{kind}" cx="{cx}" cy="{cy}" r="{PX // 3}"/>'
 
 
-def _write(out_path, lines):
+def _write(out_path, head, lines):
     with open(out_path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(head + "\n".join(lines) + "\n")

@@ -16,7 +16,8 @@ from gridjam import (
     brute_force_attack,
     parse_map,
 )
-from conftest import PROPERTY_SETTINGS, grid_problems, random_case
+from gridjam.planner import distance_field
+from conftest import BRANCH_TEXT, PROPERTY_SETTINGS, free_cells, grid_problems, random_case
 from oracles import attack_oracle, enumerate_candidates
 
 SQRT2 = math.sqrt(2.0)
@@ -117,16 +118,35 @@ def test_oracle_equivalence_random():
 
 
 @PROPERTY_SETTINGS
-@given(grid_problems(), st.sampled_from((1, 3, 5)))
-def test_oracle_equivalence_property(problem, side):
+@given(grid_problems(), st.sampled_from((1, 3, 5)), st.data())
+def test_oracle_equivalence_property(problem, side, data):
+    # one field from the start serves the drawn goal and up to three more
     grid, start, goal = problem
-    try:
-        mine = brute_force_attack(grid, start, goal, side)
-    except NoBaselineError:
-        with pytest.raises(NoBaselineError):
-            attack_oracle(grid, start, goal, side)
-        return
-    assert mine == attack_oracle(grid, start, goal, side)
+    goals = [goal, *data.draw(st.lists(st.sampled_from(free_cells(grid)), max_size=3))]
+    field = distance_field(grid, start)
+    for goal in goals:
+        try:
+            shared = brute_force_attack(grid, start, goal, side, field)
+        except NoBaselineError:
+            with pytest.raises(NoBaselineError):
+                brute_force_attack(grid, start, goal, side)
+            with pytest.raises(NoBaselineError):
+                attack_oracle(grid, start, goal, side)
+            continue
+        assert shared == brute_force_attack(grid, start, goal, side)
+        assert shared == attack_oracle(grid, start, goal, side)
+
+
+def test_field_for_another_grid_or_start_is_rejected(branch_map):
+    start, goal = Cell(1, 1), Cell(5, 1)
+    field = distance_field(branch_map, start)
+    assert brute_force_attack(branch_map, start, goal, 1, field) == brute_force_attack(branch_map, start, goal, 1)
+    equal_copy = parse_map(BRANCH_TEXT)
+    assert equal_copy == branch_map
+    with pytest.raises(ValueError, match="another grid"):
+        brute_force_attack(equal_copy, start, goal, 1, field)
+    with pytest.raises(ValueError, match="starts at"):
+        brute_force_attack(branch_map, Cell(1, 3), goal, 1, field)
 
 
 def test_ledger_completeness_and_bounds():

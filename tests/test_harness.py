@@ -241,23 +241,23 @@ def _count_calls(monkeypatch, functions):
     return counts
 
 
-# Upper bounds on the planner's flat-core searches: canonical ones (each
-# baseline, each winning placement's path and each replan after a landed
-# attack; `astar` is one too) and cost-only ones (one per judged candidate),
-# plus exactly one distance-to-goal field per attack. Tighten these; never
-# loosen them.
-@pytest.mark.parametrize("name, max_canonical, max_cost_only", [("warehouse", 68, 282), ("turn", 3, 57)])
-def test_each_goal_is_solved_once(name, max_canonical, max_cost_only, monkeypatch, tmp_path):
+# Exact counts of the planner's flat-core searches: canonical ones (each
+# winning placement's path and each replan from a cell past the start after
+# a landed attack; `astar` is one too) and cost-only ones (one per judged
+# candidate), plus exactly one distance field from the start per scenario,
+# which every baseline is backtracked from. Tighten these; never loosen them.
+@pytest.mark.parametrize("name, canonical, cost_only", [("warehouse", 38, 282), ("turn", 1, 57)])
+def test_each_goal_is_solved_once(name, canonical, cost_only, monkeypatch, tmp_path):
     counts = _count_calls(
-        monkeypatch, (planner._search, planner._cost, planner._goal_field, gridjam.brute_force_attack)
+        monkeypatch, (planner._search, planner._cost, planner.distance_field, gridjam.brute_force_attack)
     )
     scenario = load_scenario(scenario_path(name))
     _, summary = run_suite(scenario)
     assert not summary.skipped_goals
     assert counts["brute_force_attack"] == len(scenario.goals)
-    assert counts["_goal_field"] == len(scenario.goals)
-    assert counts["_search"] <= max_canonical
-    assert counts["_cost"] <= max_cost_only
+    assert counts["distance_field"] == 1
+    assert counts["_search"] == canonical
+    assert counts["_cost"] == cost_only
     solved = dict(counts)
     render_scenario_svgs(scenario, summary.plans, tmp_path)
     assert counts == solved  # rendering reuses the suite's plans

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -197,6 +198,35 @@ def test_landed_attack_never_shortens_the_trip_property(problem, side, cell_size
     result = _race(problem, side, cell_size, cfg)
     if result is not None and result.attack_success:
         assert result.adversarial_time >= result.benign_time
+
+
+@PROPERTY_SETTINGS
+@given(
+    grid_problems(),
+    st.sampled_from((1, 3)),
+    race_configs,
+    st.floats(0.0, 0.1),
+    st.floats(0.0, 1.0),
+)
+def test_slower_attack_never_turns_a_miss_into_a_landing_property(problem, side, cfg, more_eval, more_delay):
+    grid, start, goal = problem
+    try:
+        plan = brute_force_attack(grid, start, goal, side)
+    except NoBaselineError:
+        return
+    base = simulate(grid, plan, cfg).attack_success
+    for slower in (
+        replace(cfg, eval_time_per_candidate=cfg.eval_time_per_candidate + more_eval),
+        replace(cfg, attack_start_delay=cfg.attack_start_delay + more_delay),
+        replace(
+            cfg,
+            eval_time_per_candidate=cfg.eval_time_per_candidate + more_eval,
+            attack_start_delay=cfg.attack_start_delay + more_delay,
+        ),
+    ):
+        outcome = simulate(grid, plan, slower).attack_success
+        assert (outcome is None) == (base is None)
+        assert not (base is False and outcome is True)
 
 
 def _expected_detour(grid, plan, cfg):

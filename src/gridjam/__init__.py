@@ -17,38 +17,27 @@ from .errors import (
     MissingKeyError,
     NoBaselineError,
     NoPathError,
-    OutOfBoundsError,
     RaggedRowsError,
     UnknownKeyError,
 )
-from .gridmap import (
-    Cell,
-    GridMap,
-    ObstaclePlacement,
-    apply_obstacle,
-    footprint_cells,
-    parse_map,
-    serialize_map,
-)
+from .gridmap import Cell, GridMap, ObstaclePlacement, footprint_cells, parse_map
 from .harness import ADVERSARIAL, BENIGN, CSV_HEADER, read_csv, run_suite, write_csv
-from .planner import astar, euclidean_distance, prefix_costs
+from .planner import astar, distance_field, euclidean_distance, prefix_costs
 from .scenario import load_scenario, parse_scenario
 from .sim import SimConfig, simulate, spawn_time_model
-from .svgrender import render_positions_svg, render_scenario_svgs, render_svg
+from .svgrender import render_scenario_svgs, render_svg
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttackPlan", "CandidateEval", "Outcome", "brute_force_attack",
     "BadCharError", "BadEndpointError", "BadValueError", "EmptyMapError", "GridJamError",
-    "MissingKeyError", "NoBaselineError", "NoPathError", "OutOfBoundsError", "RaggedRowsError",
-    "UnknownKeyError",
-    "Cell", "GridMap", "ObstaclePlacement", "apply_obstacle", "footprint_cells",
-    "parse_map", "serialize_map",
+    "MissingKeyError", "NoBaselineError", "NoPathError", "RaggedRowsError", "UnknownKeyError",
+    "Cell", "GridMap", "ObstaclePlacement", "footprint_cells", "parse_map",
     "ADVERSARIAL", "BENIGN", "CSV_HEADER", "read_csv", "run_suite", "write_csv",
-    "astar", "euclidean_distance", "prefix_costs",
+    "astar", "distance_field", "euclidean_distance", "prefix_costs",
     "load_scenario", "parse_scenario",
     "SimConfig", "simulate", "spawn_time_model",
-    "render_positions_svg", "render_scenario_svgs", "render_svg",
+    "render_scenario_svgs", "render_svg",
     "__version__",
 ]

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from .errors import BadEndpointError, NoBaselineError
 from .gridmap import Cell, GridMap, ObstaclePlacement, footprint_cells
 from .planner import (
-    SQRT2, DistanceField, Path, _backtrack, _blocked, _check_endpoints, _cost, _index, _search, distance_field,
+    SQRT2, DistanceField, Path, _backtrack, _blocked, _check_endpoints, _check_field, _cost, _index, _search,
+    distance_field,
 )
 
 # Replanned costs are exact k + m*sqrt(2) sums; the tolerance only absorbs
@@ -69,10 +70,7 @@ def brute_force_attack(
     heuristic, and only the winner is planned as a canonical path.
     """
     if field is not None:
-        if field.grid is not grid:
-            raise ValueError("the distance field was built for another grid")
-        if field.start != start:
-            raise ValueError(f"the distance field starts at {field.start}, not at {start}")
+        _check_field(field, grid, start)
     try:
         _check_endpoints(grid, start, goal)
     except BadEndpointError as exc:
@@ -93,7 +91,7 @@ def brute_force_attack(
         if placement.covers(start) or placement.covers(goal):
             ledger.append(CandidateEval(index, placement, Outcome.INFEASIBLE))
             continue
-        pair = _cost(_blocked(cells, stride, footprint_cells(placement, grid)), field, target)
+        pair = _cost(_blocked(cells, stride, footprint_cells(placement, grid)), field, target, source)
         if pair is None:
             ledger.append(CandidateEval(index, placement, Outcome.BLOCKING))
             continue

@@ -6,7 +6,7 @@ class GridJamError(Exception):
 
 
 class MapError(GridJamError):
-    """Malformed map text or an illegal map operation."""
+    """Malformed map text or grid dimensions."""
 
 
 class EmptyMapError(MapError):
@@ -18,10 +18,6 @@ class RaggedRowsError(MapError):
 
 
 class BadCharError(MapError):
-    pass
-
-
-class OutOfBoundsError(MapError):
     pass
 
 
@@ -39,14 +35,6 @@ class BadEndpointError(PlannerError):
 
 class NoBaselineError(GridJamError):
     """The initial plan failed, so there is nothing to attack or simulate."""
-
-
-class ReplanFailedError(GridJamError):
-    """Replanning after an obstacle spawn failed.
-
-    A chosen placement never seals the map, so this indicates a bug rather
-    than a property of the scenario.
-    """
 
 
 class ScenarioError(GridJamError):

@@ -1,14 +1,14 @@
-"""Occupancy grids: ASCII map parsing, bounds logic, and obstacle overlays.
+"""Occupancy grids: ASCII map parsing, bounds logic, and obstacle footprints.
 
-Grids are immutable values. Overlaying an obstacle returns a new grid, so
-maps can be shared freely between runs without defensive copies.
+Grids are immutable values, so maps can be shared freely between runs
+without defensive copies.
 """
 
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .errors import BadCharError, EmptyMapError, OutOfBoundsError, RaggedRowsError
+from .errors import BadCharError, EmptyMapError, RaggedRowsError
 
 OCCUPIED_CHAR = "#"
 FREE_CHAR = "."
@@ -46,9 +46,6 @@ class GridMap:
 
     def is_occupied(self, cell: Cell) -> bool:
         return bool(self.rows[cell.row][cell.col])
-
-    def is_free(self, cell: Cell) -> bool:
-        return self.in_bounds(cell) and not self.rows[cell.row][cell.col]
 
     def with_cell_size(self, cell_size: float) -> "GridMap":
         return replace(self, cell_size=cell_size)
@@ -104,14 +101,6 @@ def parse_map(text: str) -> GridMap:
     return GridMap(width, len(rows), 1.0, tuple(rows))
 
 
-def serialize_map(grid: GridMap) -> str:
-    """Inverse of parse_map; always emits a trailing newline."""
-    lines = []
-    for row in grid.rows:
-        lines.append("".join(OCCUPIED_CHAR if occ else FREE_CHAR for occ in row))
-    return "\n".join(lines) + "\n"
-
-
 def footprint_cells(placement: ObstaclePlacement, grid: GridMap) -> set:
     """In-bounds cells covered by the placement (clipped at the borders)."""
     r = placement.radius
@@ -125,19 +114,3 @@ def footprint_cells(placement: ObstaclePlacement, grid: GridMap) -> set:
         for col in range(col_lo, col_hi + 1)
     }
 
-
-def apply_obstacle(grid: GridMap, placement: ObstaclePlacement) -> GridMap:
-    """Return a new grid with the footprint marked occupied.
-
-    Footprints may hang over the border (the overlay is clipped), but a
-    placement entirely outside the map is rejected.
-    """
-    covered = footprint_cells(placement, grid)
-    if not covered:
-        raise OutOfBoundsError(
-            f"obstacle at {placement.center} with side {placement.side} lies outside the map"
-        )
-    rows = [list(r) for r in grid.rows]
-    for cell in covered:
-        rows[cell.row][cell.col] = True
-    return replace(grid, rows=tuple(tuple(r) for r in rows))

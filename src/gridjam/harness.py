@@ -52,8 +52,8 @@ def run_suite(scenario: Scenario):
     """Run the full protocol; returns (runs, summary).
 
     Each goal is attacked and raced once: the race is deterministic, so every
-    repeat of either condition reports the same RunResult. Every attack
-    shares one distance field from the start. Runs are ordered by (goal
+    repeat of either condition reports the same RunResult. Every attack and
+    every race shares one distance field from the start. Runs are ordered by (goal
     index, condition, repeat) with benign before adversarial. A goal the
     planner cannot reach is skipped and recorded in the summary instead of
     aborting the suite.
@@ -76,7 +76,7 @@ def run_suite(scenario: Scenario):
             plans.append(None)
             continue
         plans.append(plan)
-        result = simulate(scenario.grid, plan, config)
+        result = simulate(scenario.grid, plan, config, field)
         results.append(result)
         runs.extend(
             SuiteRun(scenario.name, condition, repeat, result)

@@ -33,7 +33,8 @@ start, shared by every goal on the same grid. A goal's canonical baseline
 is backtracked from it by the rule above (step to the lowest-index
 neighbour whose pair plus the step equals the cell's pair), and each
 candidate is scored by a cost-only A* from the goal back to the start on
-an obstructed copy, with the field as its heuristic.
+an obstructed copy, with the field as its heuristic. The race prices the
+robot's replan with the same search, toward the cell where it halted.
 """
 
 import heapq
@@ -257,6 +258,14 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
     return DistanceField(grid, start, cells, stride, orth, diag, cost)
 
 
+def _check_field(field: DistanceField, grid: GridMap, start: Cell):
+    """Raise ValueError unless field was built for this grid object from start."""
+    if field.grid is not grid:
+        raise ValueError("the distance field was built for another grid")
+    if field.start != start:
+        raise ValueError(f"the distance field starts at {field.start}, not at {start}")
+
+
 def _backtrack(field: DistanceField, goal: int):
     """The canonical Path from the field's start to a free index, or None when none exists.
 
@@ -290,15 +299,19 @@ def _backtrack(field: DistanceField, goal: int):
     return Path.from_cells([_cell(i, stride) for i in chain])
 
 
-def _cost(cells: bytearray, field: DistanceField, origin: int):
-    """Exact (orth, diag) cost of the cheapest route from origin to the field's start, or None.
+def _cost(cells: bytearray, field: DistanceField, origin: int, target: int):
+    """Exact (orth, diag) cost of the cheapest route from origin to target, or None.
 
-    `cells` is the field's grid with occupied cells added. Blocking cells
-    only removes moves, so the field's exact distance to the start never
-    overestimates on `cells` and stays consistent: it is an A* heuristic,
-    and a cell it cannot reach cannot reach the start at all. Moves are
-    symmetric, so the cost is also that of the route from the start to
-    origin.
+    `cells` is the field's grid with occupied cells added, and `target` is
+    a free index in the start's component. The heuristic is the field's
+    distance from the start, d_s. Toward any target t that is the same as
+    d_s(x) - d_s(t), shifted by a constant that leaves the pop order
+    unchanged. Blocking cells only removes moves, so by the triangle
+    inequality d_s(x) - d_s(t) never overestimates the distance from x to
+    t on `cells` and stays consistent: it is an A* heuristic, and a cell
+    the field cannot reach cannot reach t at all. For t the start itself
+    it is exact on the unobstructed map. Moves are symmetric, so the cost
+    is also that of the route from target to origin.
     """
     size = len(cells)
     orth = [0] * size
@@ -306,7 +319,6 @@ def _cost(cells: bytearray, field: DistanceField, origin: int):
     cost = [None] * size
     closed = bytearray(size)
     h_orth, h_diag, h_cost = field.orth, field.diag, field.cost
-    target = _index(field.start, field.stride)
     push, pop = heapq.heappush, heapq.heappop
     moves = _moves(field.stride)
     cost[origin] = 0.0

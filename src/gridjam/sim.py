@@ -8,6 +8,15 @@ the obstacle appears before the robot reaches its footprint; the robot then
 stops at the nearest upcoming cell centre, replans around the obstacle, and
 arrives late by exactly the detour length.
 
+The replan cannot fail. The cells from the start to the halt cell all lie
+before the footprint on the baseline, and the footprint is an axis-aligned
+rectangle (a square clipped at the border). A legal diagonal step between
+two cells outside it has at most one flank inside: if both flanks were
+inside, so would be both ends. Its other flank was free before the spawn
+and still is, so the step can be replaced by two orthogonal ones, and the
+halt cell stays connected to the start. The chosen placement was
+evaluated, not blocking, so the start stays connected to the goal.
+
 The race has one clock. Paths are planned in cell steps; this module alone
 turns a step cost into seconds (``cost * cell_size / speed``, with the race
 grid's cell size), and every time of a run, from the benign trip to the
@@ -20,9 +29,8 @@ import math
 from dataclasses import dataclass
 
 from .attack import AttackPlan
-from .errors import BadEndpointError, NoPathError, ReplanFailedError
-from .gridmap import Cell, GridMap, ObstaclePlacement, apply_obstacle, footprint_cells
-from .planner import astar, euclidean_distance, prefix_costs
+from .gridmap import Cell, GridMap, ObstaclePlacement, footprint_cells
+from .planner import SQRT2, DistanceField, _blocked, _check_field, _cost, _index, euclidean_distance, prefix_costs
 
 
 @dataclass(frozen=True)
@@ -69,14 +77,18 @@ def spawn_time_model(plan: AttackPlan, config: SimConfig) -> float:
     return config.attack_start_delay + config.eval_time_per_candidate * plan.planning_rounds
 
 
-def simulate(grid: GridMap, plan: AttackPlan, config: SimConfig) -> RunResult:
+def simulate(grid: GridMap, plan: AttackPlan, config: SimConfig, field: DistanceField) -> RunResult:
     """Drive plan.baseline on grid and race it against the attack behind plan.
 
     The result carries both outcomes: benign_time is the undisturbed trip,
-    the remaining fields describe the attacked one.
+    the remaining fields describe the attacked one. `field` is
+    `distance_field(grid, start)` for the baseline's start; one made for
+    another grid object or another start raises ValueError. A replan is
+    priced by its cost alone, on the field's flat core.
     """
     baseline = plan.baseline
     start, goal = baseline.cells[0], baseline.cells[-1]
+    _check_field(field, grid, start)
     # the race's one clock: the second at which the robot reaches each cell
     arrival = [c * grid.cell_size / config.speed for c in prefix_costs(baseline)]
     benign_time = arrival[-1]
@@ -123,15 +135,14 @@ def simulate(grid: GridMap, plan: AttackPlan, config: SimConfig) -> RunResult:
 
     if snap == 0:
         # halted at the start: the attack already planned this exact route
-        replanned = plan.attacked_path
+        replanned_cost = plan.attacked_path.cost
     else:
-        try:
-            replanned = astar(apply_obstacle(grid, plan.best), baseline.cells[snap], goal)
-        except (NoPathError, BadEndpointError) as exc:
-            raise ReplanFailedError(
-                f"replanning from {baseline.cells[snap]} after spawning {plan.best} failed: {exc}"
-            ) from exc
-    adversarial_time = t_snap + replanned.cost * grid.cell_size / config.speed
+        stride = field.stride
+        obstructed = _blocked(field.cells, stride, footprint)
+        pair = _cost(obstructed, field, _index(goal, stride), _index(baseline.cells[snap], stride))
+        assert pair is not None, "the replan cannot fail (see the module docstring)"
+        replanned_cost = pair[0] + pair[1] * SQRT2
+    adversarial_time = t_snap + replanned_cost * grid.cell_size / config.speed
     delay = adversarial_time - benign_time
     return RunResult(
         start, goal, euclid, benign_time,

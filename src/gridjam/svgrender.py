@@ -32,11 +32,6 @@ def render_svg(grid, baseline, out_path, attacked=None, obstacle=None):
     _write(out_path, _map_head(grid), _route_lines(grid, baseline, attacked, obstacle))
 
 
-def render_positions_svg(grid, placements, out_path, start=None, goals=()):
-    """Overlay every placement footprint on one map (campaign overview)."""
-    _write(out_path, _map_head(grid), _positions_lines(grid, placements, start, goals))
-
-
 def render_scenario_svgs(scenario, plans, out_dir):
     """Render one attacked view per goal plus a placement overview.
 
@@ -110,8 +105,7 @@ def _positions_lines(grid, placements, start, goals):
     lines.append("</g>")
     for goal in goals:
         lines.append(_marker("goal", goal))
-    if start is not None:
-        lines.append(_marker("start", start))
+    lines.append(_marker("start", start))
     lines.append("</svg>")
     return lines
 

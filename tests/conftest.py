@@ -48,6 +48,10 @@ def free_cells(grid: GridMap):
     ]
 
 
+def is_free(grid: GridMap, cell: Cell) -> bool:
+    return grid.in_bounds(cell) and not grid.is_occupied(cell)
+
+
 def random_case(rng: random.Random, max_width: int, max_height: int):
     """A random grid plus two random free cells (regenerates until valid)."""
     while True:

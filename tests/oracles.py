@@ -1,9 +1,9 @@
 """Independent reference implementations that the tests compare against.
 
 None of this runs in the package: the Dijkstra planner cross-checks `astar`,
-the attack oracle cross-checks `brute_force_attack`, and the candidate
-enumeration and octile heuristic pin properties the attack and the planner
-rely on.
+the attack oracle cross-checks `brute_force_attack`, `obstruct` builds the
+map a placement leaves behind, and the candidate enumeration and octile
+heuristic pin properties the attack and the planner rely on.
 """
 
 import heapq
@@ -29,7 +29,7 @@ def dijkstra_oracle(grid: GridMap, start: Cell, goal: Cell) -> Path:
     plumbing is shared, so the two can cross-validate each other.
     """
     for label, cell in (("start", start), ("goal", goal)):
-        if not grid.is_free(cell):
+        if not (0 <= cell.col < grid.width and 0 <= cell.row < grid.height) or grid.rows[cell.row][cell.col]:
             raise BadEndpointError(f"{label} {cell} is occupied or outside the map")
     if start == goal:
         return Path.from_cells((start,))
@@ -102,12 +102,23 @@ def enumerate_candidates(baseline: Path, side: int = 3) -> list:
     return out
 
 
+def obstruct(grid: GridMap, placement: ObstaclePlacement) -> GridMap:
+    """A copy of grid with the placement's square occupied, clipped at the border."""
+    half = placement.side // 2
+    center = placement.center
+    blocked = [list(r) for r in grid.rows]
+    for row in range(max(0, center.row - half), min(grid.height, center.row + half + 1)):
+        for col in range(max(0, center.col - half), min(grid.width, center.col + half + 1)):
+            blocked[row][col] = True
+    return GridMap(grid.width, grid.height, grid.cell_size, tuple(tuple(r) for r in blocked))
+
+
 def attack_oracle(grid: GridMap, start: Cell, goal: Cell, side: int = 3) -> AttackPlan:
     """Planner-independent re-implementation of the attack, for tests.
 
-    Uses dijkstra_oracle for every plan and its own footprint and overlay
-    arithmetic, so agreement with brute_force_attack checks both the attack
-    loop and the planner at once.
+    Uses dijkstra_oracle for every plan and obstruct for every overlay, so
+    agreement with brute_force_attack checks both the attack loop and the
+    planner at once.
     """
     try:
         baseline = dijkstra_oracle(grid, start, goal)
@@ -128,15 +139,8 @@ def attack_oracle(grid: GridMap, start: Cell, goal: Cell, side: int = 3) -> Atta
         if buried:
             ledger.append(CandidateEval(index, placement, Outcome.INFEASIBLE))
             continue
-        blocked = [list(r) for r in grid.rows]
-        for row in range(max(0, step.row - half), min(grid.height, step.row + half + 1)):
-            for col in range(max(0, step.col - half), min(grid.width, step.col + half + 1)):
-                blocked[row][col] = True
-        obstructed = GridMap(
-            grid.width, grid.height, grid.cell_size, tuple(tuple(r) for r in blocked)
-        )
         try:
-            replanned = dijkstra_oracle(obstructed, start, goal)
+            replanned = dijkstra_oracle(obstruct(grid, placement), start, goal)
         except NoPathError:
             ledger.append(CandidateEval(index, placement, Outcome.BLOCKING))
             continue

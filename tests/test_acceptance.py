@@ -89,7 +89,7 @@ def test_criterion_2_attack_agrees_with_slow_oracle():
 
 
 def test_criterion_3_chosen_obstacles_never_seal_the_map():
-    # a raised ReplanFailedError would abort run_suite for that scenario
+    # a failed replan trips the assertion in sim.simulate and aborts run_suite
     total = 0
     for name in scenario_names():
         runs, summary = run_suite(_scenario(name))

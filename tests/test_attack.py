@@ -11,14 +11,13 @@ from gridjam import (
     Cell,
     NoBaselineError,
     Outcome,
-    apply_obstacle,
     astar,
     brute_force_attack,
+    distance_field,
     parse_map,
 )
-from gridjam.planner import distance_field
 from conftest import BRANCH_TEXT, PROPERTY_SETTINGS, free_cells, grid_problems, random_case
-from oracles import attack_oracle, enumerate_candidates
+from oracles import attack_oracle, dijkstra_oracle, enumerate_candidates, obstruct
 
 SQRT2 = math.sqrt(2.0)
 
@@ -185,7 +184,7 @@ def test_best_placement_keeps_map_solvable():
             continue
         if plan.best is None:
             continue
-        rerouted = astar(apply_obstacle(grid, plan.best), start, goal)
+        rerouted = dijkstra_oracle(obstruct(grid, plan.best), start, goal)
         assert rerouted.cost == plan.attacked_path.cost
         found += 1
 

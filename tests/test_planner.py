@@ -10,14 +10,13 @@ from gridjam import (
     Cell,
     NoPathError,
     ObstaclePlacement,
-    apply_obstacle,
     astar,
     euclidean_distance,
     parse_map,
     prefix_costs,
 )
-from conftest import random_case
-from oracles import dijkstra_oracle, octile_distance
+from conftest import is_free, random_case
+from oracles import dijkstra_oracle, obstruct, octile_distance
 
 SQRT2 = math.sqrt(2.0)
 
@@ -35,14 +34,14 @@ def assert_valid_path(grid, path, start, goal):
     assert path.cells[-1] == goal
     assert len(set(path.cells)) == len(path.cells)
     for cell in path.cells:
-        assert grid.is_free(cell)
+        assert is_free(grid, cell)
     for a, b in zip(path.cells, path.cells[1:]):
         dc, dr = b.col - a.col, b.row - a.row
         assert max(abs(dc), abs(dr)) == 1
         if dc and dr:
             # diagonal moves need both flanking cells free
-            assert grid.is_free(Cell(a.col + dc, a.row))
-            assert grid.is_free(Cell(a.col, a.row + dr))
+            assert is_free(grid, Cell(a.col + dc, a.row))
+            assert is_free(grid, Cell(a.col, a.row + dr))
     assert path.cost == pytest.approx(path_cost_recomputed(path), abs=1e-9)
 
 
@@ -68,7 +67,7 @@ def test_branch_map_straight(branch_map):
 
 
 def test_branch_map_detour(branch_map):
-    blocked = apply_obstacle(branch_map, ObstaclePlacement(Cell(3, 1), 1))
+    blocked = obstruct(branch_map, ObstaclePlacement(Cell(3, 1), 1))
     path = astar(blocked, Cell(1, 1), Cell(5, 1))
     # no-corner-cutting forces the full orthogonal detour through row 3
     assert path.cost == 8.0
@@ -163,7 +162,7 @@ def test_blocking_monotonicity_random():
         mid = base.cells[len(base.cells) // 2]
         if mid in (start, goal):
             continue
-        blocked = apply_obstacle(grid, ObstaclePlacement(mid, 1))
+        blocked = obstruct(grid, ObstaclePlacement(mid, 1))
         try:
             rerouted = astar(blocked, start, goal)
         except NoPathError:

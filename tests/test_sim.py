@@ -18,13 +18,15 @@ from gridjam import (
     SimConfig,
     astar,
     brute_force_attack,
+    distance_field,
     footprint_cells,
     parse_map,
     prefix_costs,
     simulate,
     spawn_time_model,
 )
-from conftest import PROPERTY_SETTINGS, grid_problems, random_case
+from conftest import BRANCH_TEXT, PROPERTY_SETTINGS, grid_problems, is_free, random_case
+from oracles import dijkstra_oracle, obstruct
 
 
 def straight_path():
@@ -44,6 +46,11 @@ def _plan_with(outcomes):
 
 def _branch_plan(branch_map):
     return brute_force_attack(branch_map, Cell(1, 1), Cell(5, 1), 1)
+
+
+def _simulate(grid, plan, cfg):
+    """Race plan on grid with a distance field from the baseline's start."""
+    return simulate(grid, plan, cfg, distance_field(grid, plan.baseline.cells[0]))
 
 
 def test_spawn_time_counts_evaluated():
@@ -71,7 +78,7 @@ def test_spawn_time_start_delay():
 
 def test_branch_instant_attack_succeeds(branch_map):
     cfg = SimConfig(speed=1.0, eval_time_per_candidate=0.0)
-    result = simulate(branch_map, _branch_plan(branch_map), cfg)
+    result = _simulate(branch_map, _branch_plan(branch_map), cfg)
     assert result.benign_time == 4.0
     assert result.spawn_time == 0.0
     assert result.attack_success is True
@@ -84,7 +91,7 @@ def test_branch_instant_attack_succeeds(branch_map):
 def test_branch_slow_attack_misses(branch_map):
     # three candidates at 0.5 s each -> spawn 1.5 s, after t_pass 1.0 s
     cfg = SimConfig(speed=1.0, eval_time_per_candidate=0.5)
-    result = simulate(branch_map, _branch_plan(branch_map), cfg)
+    result = _simulate(branch_map, _branch_plan(branch_map), cfg)
     assert result.spawn_time == pytest.approx(1.5)
     assert result.attack_success is False
     assert result.adversarial_time == 4.0
@@ -94,7 +101,7 @@ def test_branch_slow_attack_misses(branch_map):
 
 def test_corridor_attack_finds_nothing(corridor_map):
     cfg = SimConfig(speed=1.0, eval_time_per_candidate=0.0)
-    result = simulate(corridor_map, brute_force_attack(corridor_map, Cell(1, 1), Cell(5, 1), 1), cfg)
+    result = _simulate(corridor_map, brute_force_attack(corridor_map, Cell(1, 1), Cell(5, 1), 1), cfg)
     assert result.adversarial_time == result.benign_time
     assert result.attack_success is None
     assert result.spawn_time is None
@@ -105,9 +112,18 @@ def test_corridor_attack_finds_nothing(corridor_map):
 def test_start_delay_can_save_the_robot(branch_map):
     # instant evaluation but a long head start for the robot
     cfg = SimConfig(speed=1.0, eval_time_per_candidate=0.0, attack_start_delay=3.5)
-    result = simulate(branch_map, _branch_plan(branch_map), cfg)
+    result = _simulate(branch_map, _branch_plan(branch_map), cfg)
     assert result.spawn_time == 3.5
     assert result.attack_success is False
+
+
+def test_field_for_another_grid_or_start_is_rejected(branch_map):
+    plan = _branch_plan(branch_map)
+    cfg = SimConfig(speed=1.0, eval_time_per_candidate=0.0)
+    with pytest.raises(ValueError, match="another grid"):
+        simulate(branch_map, plan, cfg, distance_field(parse_map(BRANCH_TEXT), Cell(1, 1)))
+    with pytest.raises(ValueError, match="starts at"):
+        simulate(branch_map, plan, cfg, distance_field(branch_map, Cell(1, 3)))
 
 
 def test_config_validation():
@@ -139,11 +155,12 @@ def test_run_invariants_random():
             eval_time_per_candidate=rng.choice((0.0, 0.05, 0.3, 1.0)),
         )
         side = rng.choice((1, 3))
+        field = distance_field(grid, start)
         try:
-            plan = brute_force_attack(grid, start, goal, side)
+            plan = brute_force_attack(grid, start, goal, side, field)
         except NoBaselineError:
             continue
-        result = simulate(grid, plan, cfg)
+        result = simulate(grid, plan, cfg, field)
         assert result.benign_time >= result.euclidean / cfg.speed - 1e-9
         assert result.adversarial_time >= result.benign_time - 1e-9
         if result.attack_success is False:
@@ -175,20 +192,24 @@ race_configs = st.builds(
 
 
 def _race(problem, side, cell_size, cfg):
-    """The raced RunResult of one generated problem, or None without a baseline."""
+    """The raced RunResult of one generated problem, or None without a baseline.
+
+    The attack and the race share one distance field, as in run_suite.
+    """
     unit_grid, start, goal = problem
     grid = unit_grid.with_cell_size(cell_size)
+    field = distance_field(grid, start)
     try:
-        plan = brute_force_attack(grid, start, goal, side)
+        plan = brute_force_attack(grid, start, goal, side, field)
     except NoBaselineError:
         return None
-    return simulate(grid, plan, cfg)
+    return simulate(grid, plan, cfg, field)
 
 
 @PROPERTY_SETTINGS
 @given(grid_problems(), st.sampled_from((1, 3)), st.floats(0.1, 2.0), race_configs)
 def test_replanning_never_fails_property(problem, side, cell_size, cfg):
-    # ReplanFailedError, or any other exception, fails the test
+    # the replan's assertion, or any other exception, fails the test
     _race(problem, side, cell_size, cfg)
 
 
@@ -210,11 +231,12 @@ def test_landed_attack_never_shortens_the_trip_property(problem, side, cell_size
 )
 def test_slower_attack_never_turns_a_miss_into_a_landing_property(problem, side, cfg, more_eval, more_delay):
     grid, start, goal = problem
+    field = distance_field(grid, start)
     try:
-        plan = brute_force_attack(grid, start, goal, side)
+        plan = brute_force_attack(grid, start, goal, side, field)
     except NoBaselineError:
         return
-    base = simulate(grid, plan, cfg).attack_success
+    base = simulate(grid, plan, cfg, field).attack_success
     for slower in (
         replace(cfg, eval_time_per_candidate=cfg.eval_time_per_candidate + more_eval),
         replace(cfg, attack_start_delay=cfg.attack_start_delay + more_delay),
@@ -224,41 +246,97 @@ def test_slower_attack_never_turns_a_miss_into_a_landing_property(problem, side,
             attack_start_delay=cfg.attack_start_delay + more_delay,
         ),
     ):
-        outcome = simulate(grid, plan, slower).attack_success
+        outcome = simulate(grid, plan, slower, field).attack_success
         assert (outcome is None) == (base is None)
         assert not (base is False and outcome is True)
 
 
-def _expected_detour(grid, plan, cfg):
-    # mirror of the documented halt rule: stop at the next centre, backing
-    # off to the previous one when the next centre is inside the footprint
-    from gridjam import apply_obstacle
+def _halt(grid, plan, cfg):
+    """(passed, snap, t_snap) of a landed race, by the documented halt rule.
 
-    goal = plan.baseline.cells[-1]
+    `passed` is the last centre reached by the spawn. The robot stops at the
+    next centre, backing off to `passed` when the next centre is inside the
+    footprint, and `t_snap` is when it stands still there.
+    """
     spawn = spawn_time_model(plan, cfg)
     footprint = footprint_cells(plan.best, grid)
     arrival = [c * grid.cell_size / cfg.speed for c in prefix_costs(plan.baseline)]
     passed = max(i for i, mark in enumerate(arrival) if mark <= spawn)
     if spawn == arrival[passed]:
-        snap, t_snap = passed, arrival[passed]
-    elif plan.baseline.cells[passed + 1] in footprint:
-        snap, t_snap = passed, 2.0 * spawn - arrival[passed]
-    else:
-        snap, t_snap = passed + 1, arrival[passed + 1]
-    obstructed = apply_obstacle(grid, plan.best)
-    tail = astar(obstructed, plan.baseline.cells[snap], goal)
+        return passed, passed, arrival[passed]
+    if plan.baseline.cells[passed + 1] in footprint:
+        return passed, passed, 2.0 * spawn - arrival[passed]
+    return passed, passed + 1, arrival[passed + 1]
+
+
+def _expected_detour(grid, plan, cfg):
+    # the halt rule, then the oracle's route around the obstacle
+    _, snap, t_snap = _halt(grid, plan, cfg)
+    obstructed = obstruct(grid, plan.best)
+    tail = dijkstra_oracle(obstructed, plan.baseline.cells[snap], plan.baseline.cells[-1])
     route = plan.baseline.cells[: snap + 1] + tail.cells[1:]
     for cell in route:
-        assert obstructed.is_free(cell)
+        assert is_free(obstructed, cell)
     for a, b in zip(route, route[1:]):
         assert max(abs(a.col - b.col), abs(a.row - b.row)) == 1
     return t_snap + tail.cost * grid.cell_size / cfg.speed
 
 
+def _flanks(a, b):
+    """The orthogonal neighbours a diagonal step from a to b passes between; none for an orthogonal step."""
+    return {Cell(b.col, a.row), Cell(a.col, b.row)} if a.col != b.col and a.row != b.row else set()
+
+
+@PROPERTY_SETTINGS
+@given(
+    grid_problems(),
+    st.sampled_from((1, 3)),
+    st.floats(0.1, 2.0),
+    st.floats(0.2, 5.0),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_robot_keeps_clear_of_the_obstacle_after_the_spawn_property(problem, side, cell_size, speed, when):
+    # the obstacle spawns on every centre before the footprint, at the
+    # fraction `when` of every segment up to it, and one ulp before the
+    # robot would reach it: every such spawn lands
+    unit_grid, start, goal = problem
+    grid = unit_grid.with_cell_size(cell_size)
+    field = distance_field(grid, start)
+    try:
+        plan = brute_force_attack(grid, start, goal, side, field)
+    except NoBaselineError:
+        return
+    if plan.best is None:
+        return
+    cells = plan.baseline.cells
+    footprint = footprint_cells(plan.best, grid)
+    enter = next(i for i, c in enumerate(cells) if c in footprint)
+    arrival = [c * cell_size / speed for c in prefix_costs(plan.baseline)]
+    spawns = {math.nextafter(arrival[enter], 0.0)}
+    for i in range(enter):
+        spawns.update((arrival[i], arrival[i] + when * (arrival[i + 1] - arrival[i])))
+    obstructed = obstruct(grid, plan.best)
+    for spawn in sorted(t for t in spawns if t < arrival[enter]):
+        cfg = SimConfig(speed=speed, eval_time_per_candidate=0.0, attack_start_delay=spawn)
+        result = simulate(grid, plan, cfg, field)
+        assert result.attack_success
+        passed, snap, t_snap = _halt(grid, plan, cfg)
+        tail = dijkstra_oracle(obstructed, cells[snap], goal)
+        assert result.adversarial_time == t_snap + tail.cost * cell_size / speed
+        # every step the robot takes after the spawn: the rest of the segment
+        # it is on (forward, or back when backing off), then the replan
+        steps = list(zip(tail.cells, tail.cells[1:]))
+        if spawn != arrival[passed]:
+            steps.append((cells[passed], cells[passed + 1]) if snap > passed else (cells[passed + 1], cells[passed]))
+        for a, b in steps:
+            assert b not in footprint
+            assert not _flanks(a, b) & footprint
+
+
 def test_successful_detour_is_walkable(branch_map):
     # spawn at 0.6 s lands mid-segment with the obstacle dead ahead
     cfg = SimConfig(speed=1.0, eval_time_per_candidate=0.2)
-    result = simulate(branch_map, _branch_plan(branch_map), cfg)
+    result = _simulate(branch_map, _branch_plan(branch_map), cfg)
     assert result.attack_success is True
     expected = _expected_detour(branch_map, _branch_plan(branch_map), cfg)
     assert result.adversarial_time == pytest.approx(expected)
@@ -267,7 +345,7 @@ def test_successful_detour_is_walkable(branch_map):
 
 def test_successful_detour_snap_at_centre(branch_map):
     cfg = SimConfig(speed=1.0, eval_time_per_candidate=0.0)
-    result = simulate(branch_map, _branch_plan(branch_map), cfg)
+    result = _simulate(branch_map, _branch_plan(branch_map), cfg)
     assert result.attack_success is True
     expected = _expected_detour(branch_map, _branch_plan(branch_map), cfg)
     assert result.adversarial_time == pytest.approx(expected)
@@ -275,8 +353,8 @@ def test_successful_detour_snap_at_centre(branch_map):
 
 def test_simulate_deterministic(branch_map):
     cfg = SimConfig(speed=1.0, eval_time_per_candidate=0.05)
-    first = simulate(branch_map, _branch_plan(branch_map), cfg)
-    second = simulate(branch_map, _branch_plan(branch_map), cfg)
+    first = _simulate(branch_map, _branch_plan(branch_map), cfg)
+    second = _simulate(branch_map, _branch_plan(branch_map), cfg)
     assert first == second
 
 
@@ -290,7 +368,7 @@ def test_spawn_one_ulp_before_the_footprint_lands(branch_map):
         attack_start_delay=math.nextafter(0.541 / 4.608, 0.0),
     )
     plan = _branch_plan(grid)
-    result = simulate(grid, plan, cfg)
+    result = _simulate(grid, plan, cfg)
     assert result.attack_success is True
     assert result.delay_pct == pytest.approx(150.0)
     assert result.adversarial_time == pytest.approx(_expected_detour(grid, plan, cfg))
@@ -311,7 +389,8 @@ def test_spawns_at_arrival_marks():
             continue
         for cell_size in (0.3, 0.541, 0.7, 1.1):
             grid = unit_grid.with_cell_size(cell_size)
-            plan = brute_force_attack(grid, start, goal, side)
+            field = distance_field(grid, start)
+            plan = brute_force_attack(grid, start, goal, side, field)
             footprint = footprint_cells(plan.best, grid)
             enter = next(i for i, c in enumerate(plan.baseline.cells) if c in footprint)
             for speed in (0.4, 0.9, 1.3, 4.608):
@@ -324,7 +403,7 @@ def test_spawns_at_arrival_marks():
                 }
                 for spawn in sorted(spawns):
                     cfg = SimConfig(speed=speed, eval_time_per_candidate=0.0, attack_start_delay=spawn)
-                    result = simulate(grid, plan, cfg)
+                    result = simulate(grid, plan, cfg, field)
                     assert result.adversarial_time >= result.benign_time - 1e-9
                     assert result.attack_success == (spawn < arrival[enter])
                     if result.attack_success:

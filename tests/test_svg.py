@@ -5,7 +5,6 @@ from gridjam import (
     astar,
     brute_force_attack,
     parse_scenario,
-    render_positions_svg,
     render_scenario_svgs,
     render_svg,
     run_suite,
@@ -38,13 +37,16 @@ def test_attacked_render_structure(branch_map, tmp_path):
     assert text.count('class="obstacle"') == 1  # side-1 footprint
 
 
-def test_positions_overlay(branch_map, tmp_path):
-    plan = brute_force_attack(branch_map, Cell(1, 1), Cell(5, 1), 1)
-    out = tmp_path / "overlay.svg"
-    render_positions_svg(
-        branch_map, [plan.best], out, start=Cell(1, 1), goals=[Cell(5, 1)]
+def test_positions_overlay(tmp_path):
+    (tmp_path / "branch.txt").write_text(BRANCH_TEXT)
+    scenario = parse_scenario(
+        "map = branch.txt\ncell_size = 1.0\nstart = 1,1\ngoal = 5,1\n"
+        "speed = 1.0\nobstacle_side = 1\n",
+        base_dir=tmp_path,
     )
-    text = out.read_text()
+    _, summary = run_suite(scenario)
+    render_scenario_svgs(scenario, summary.plans, tmp_path / "svg")
+    text = (tmp_path / "svg" / "branch-obstacles.svg").read_text()
     assert text.count('class="obstacle"') == 1
     assert text.count('class="goal"') == 1
     assert text.count('class="start"') == 1

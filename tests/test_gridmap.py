@@ -14,6 +14,7 @@ from gridjam import (
     footprint_cells,
     parse_map,
 )
+from oracles import obstruct
 
 
 def occupied_cells(grid):
@@ -74,6 +75,14 @@ def test_out_of_bounds_is_not_free():
     assert grid.in_bounds(Cell(1, 1))
     assert not grid.in_bounds(Cell(-1, 0))
     assert not grid.in_bounds(Cell(0, 2))
+
+
+def test_apply_obstacle_single_cell():
+    # a side-1 obstacle laid on the map blocks its centre cell and nothing else
+    grid = parse_map("\n".join(["....."] * 5))
+    placement = ObstaclePlacement(Cell(2, 2), 1)
+    assert occupied_cells(obstruct(grid, placement)) == {Cell(2, 2)}
+    assert footprint_cells(placement, grid) == {Cell(2, 2)}
 
 
 def test_footprint_clipped_at_corner():

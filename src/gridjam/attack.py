@@ -13,7 +13,7 @@ from .errors import BadEndpointError, NoBaselineError
 from .gridmap import Cell, GridMap, ObstaclePlacement, footprint_cells
 from .planner import (
     SQRT2, DistanceField, Path, _backtrack, _blocked, _check_endpoints, _check_field, _cost, _index, _search,
-    distance_field,
+    _separators, distance_field,
 )
 
 # Replanned costs are exact k + m*sqrt(2) sums; the tolerance only absorbs
@@ -67,7 +67,9 @@ def brute_force_attack(
     made for another grid object or another start raises ValueError. The
     baseline is backtracked from the field, a candidate is scored by its
     cost alone from the goal back to the start with the field as the
-    heuristic, and only the winner is planned as a canonical path.
+    heuristic, and only the winner is planned as a canonical path. A side-1
+    candidate that blocks is known from the field's cut vertices without a
+    search (see `planner._separators`); it still costs a planning round.
     """
     if field is not None:
         _check_field(field, grid, start)
@@ -83,6 +85,7 @@ def brute_force_attack(
     if baseline is None:
         raise NoBaselineError(f"no path from {start} to {goal}")
 
+    cuts = _separators(field, target) if side == 1 else ()
     ledger = []
     best = None
     best_cost = baseline.cost
@@ -91,7 +94,10 @@ def brute_force_attack(
         if placement.covers(start) or placement.covers(goal):
             ledger.append(CandidateEval(index, placement, Outcome.INFEASIBLE))
             continue
-        pair = _cost(_blocked(cells, stride, footprint_cells(placement, grid)), field, target, source)
+        if _index(step, stride) in cuts:
+            pair = None
+        else:
+            pair = _cost(_blocked(cells, stride, footprint_cells(placement, grid)), field, target, source)
         if pair is None:
             ledger.append(CandidateEval(index, placement, Outcome.BLOCKING))
             continue

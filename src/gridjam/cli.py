@@ -121,10 +121,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    scenarios = [load_scenario(_scenario_arg(entry)) for entry in args.scenarios]
+    names = set()
+    for scenario in scenarios:
+        # the name keys the CSV rows and the SVG file names
+        if scenario.name in names:
+            raise _UsageError(f"scenario name {scenario.name!r} is used by more than one scenario")
+        names.add(scenario.name)
     all_runs = []
     blocks = []
-    for entry in args.scenarios:
-        scenario = load_scenario(_scenario_arg(entry))
+    for scenario in scenarios:
         runs, summary = run_suite(scenario)
         all_runs.extend(runs)
         if args.svg_dir:

@@ -35,6 +35,14 @@ neighbour whose pair plus the step equals the cell's pair), and each
 candidate is scored by a cost-only A* from the goal back to the start on
 an obstructed copy, with the field as its heuristic. The race prices the
 robot's replan with the same search, toward the cell where it halted.
+
+A side-1 candidate that blocks needs no search at all. Corner cutting is
+forbidden, so a legal diagonal always has both flanks free and can be
+replaced by its two orthogonal steps, on any obstructed copy too: start
+and goal stay connected exactly when they are connected over 4-connected
+free cells. A one-cell obstacle therefore blocks exactly when its cell is
+a cut vertex between them, and one lowpoint DFS from the start, kept with
+the field, names every such cell for every goal (`_separators`).
 """
 
 import heapq
@@ -205,16 +213,18 @@ class DistanceField:
     are indexed like `cells`: each reached index's orthogonal and diagonal
     step counts and their canonical float value, with cost None where the
     start is out of reach. Moves are symmetric, so these are also the
-    distances back to the start.
+    distances back to the start. `lowpoints` is the start's lowpoint DFS
+    (see `_separators`), None until a side-1 attack first needs it.
     """
 
     # a plain class: a frozen dataclass builds its methods at import, which
     # measured about two thirds of this module's own import time
-    __slots__ = ("grid", "start", "cells", "stride", "orth", "diag", "cost")
+    __slots__ = ("grid", "start", "cells", "stride", "orth", "diag", "cost", "lowpoints")
 
     def __init__(self, grid: GridMap, start: Cell, cells: bytes, stride: int, orth: list, diag: list, cost: list):
         self.grid, self.start, self.cells, self.stride = grid, start, cells, stride
         self.orth, self.diag, self.cost = orth, diag, cost
+        self.lowpoints = None
 
 
 def distance_field(grid: GridMap, start: Cell) -> DistanceField:
@@ -297,6 +307,79 @@ def _backtrack(field: DistanceField, goal: int):
         chain.append(cur)
     chain.reverse()
     return Path.from_cells([_cell(i, stride) for i in chain])
+
+
+def _lowpoint_dfs(cells: bytes, stride: int, root: int) -> tuple:
+    """Tarjan's lowpoint DFS over the 4-connected free cells from root.
+
+    Returns (parent, disc, low), indexed like `cells`: the DFS tree parent
+    (-1 at the root and off the tree), the discovery time (from 1; 0 where
+    root's component does not reach) and the lowest discovery time among
+    the cell, its subtree and the cells they reach by one non-tree edge.
+    Iterative, so a long corridor cannot exhaust the recursion limit.
+    """
+    size = len(cells)
+    parent = [-1] * size
+    disc = [0] * size
+    low = [0] * size
+    tried = bytearray(size)  # moves tried so far from each cell on the stack
+    steps = (1, stride, -1, -stride)
+    disc[root] = low[root] = clock = 1
+    stack = [root]
+    while stack:
+        cur = stack[-1]
+        move = tried[cur]
+        if move == 4:
+            stack.pop()
+            up = parent[cur]
+            if up >= 0 and low[cur] < low[up]:
+                low[up] = low[cur]
+            continue
+        tried[cur] = move + 1
+        nxt = cur + steps[move]
+        if cells[nxt]:
+            continue
+        seen = disc[nxt]
+        if not seen:
+            clock += 1
+            disc[nxt] = low[nxt] = clock
+            parent[nxt] = cur
+            stack.append(nxt)
+        elif seen < low[cur]:
+            # the edge back to the parent counts too: it can only lower
+            # low(cur) to disc(parent), which passes the test in _separators
+            low[cur] = seen
+    return parent, disc, low
+
+
+def _separators(field: DistanceField, goal: int):
+    """The free indices whose blocking alone cuts every route from the start to goal.
+
+    None when goal is out of the start's reach, as there is no route to
+    cut; neither the start nor goal is ever in the set. The answer holds
+    for 8-connected moves without corner cutting: a legal diagonal has both
+    flanks free, so it can be replaced by its two orthogonal steps, and
+    blocking cells keeps that true. Two cells are therefore connected on
+    any blocked copy of the grid exactly when they are connected over its
+    4-connected free cells, and a blocked cell cuts the start from goal
+    exactly when it is a cut vertex between them in that graph. On the
+    tree of `_lowpoint_dfs` from the start (built once per field), those
+    are the goal's proper ancestors p below the root whose child a toward
+    goal has low(a) >= disc(p): nothing in a's subtree, which holds goal,
+    reaches above p without passing p (Tarjan 1972; Hopcroft & Tarjan 1973).
+    """
+    if field.lowpoints is None:
+        field.lowpoints = _lowpoint_dfs(field.cells, field.stride, _index(field.start, field.stride))
+    parent, disc, low = field.lowpoints
+    if not disc[goal]:
+        return None
+    cuts = set()
+    child, up = goal, parent[goal]
+    while up >= 0 and parent[up] >= 0:
+        if low[child] >= disc[up]:
+            cuts.add(up)
+        child, up = up, parent[up]
+    return cuts
 
 
 def _cost(cells: bytearray, field: DistanceField, origin: int, target: int):

@@ -11,6 +11,20 @@ from gridjam import Cell, GridMap, parse_map
 BRANCH_TEXT = "#######\n#.....#\n#.###.#\n#.....#\n#######\n"
 CORRIDOR_TEXT = "#######\n#.....#\n#######\n"
 OPEN9_TEXT = "\n".join(["." * 9] * 9) + "\n"
+# One-cell corridors: from (1,1), a goal on the right is reached through
+# the single corridor down column 3, whose cells block a side-1 obstacle,
+# while the loops around it leave detours for the other candidates.
+MAZE_TEXT = (
+    "###########\n"
+    "#.....#...#\n"
+    "#.###.#.#.#\n"
+    "#.....#.#.#\n"
+    "###.###.#.#\n"
+    "#.......#.#\n"
+    "#.#######.#\n"
+    "#.........#\n"
+    "###########\n"
+)
 
 
 @pytest.fixture
@@ -21,6 +35,11 @@ def branch_map():
 @pytest.fixture
 def corridor_map():
     return parse_map(CORRIDOR_TEXT)
+
+
+@pytest.fixture
+def maze_map():
+    return parse_map(MAZE_TEXT)
 
 
 @pytest.fixture

@@ -86,6 +86,24 @@ def test_suite(workdir, capsys, tmp_path):
     assert (svg_dir / "branch-obstacles.svg").exists()
 
 
+def test_suite_rejects_a_repeated_scenario_name(workdir, tmp_path, capsys):
+    # the second file's SVGs would overwrite the first's, and the CSV rows
+    # of both would carry one name
+    (workdir / "corridor.scn").write_text(BRANCH_SCN.replace("branch.txt", "corridor.txt"))
+    csv_path = tmp_path / "out.csv"
+    svg_dir = tmp_path / "svg"
+    code = cli([
+        "suite", str(workdir / "branch.scn"), str(workdir / "corridor.scn"),
+        "--csv", str(csv_path), "--svg-dir", str(svg_dir),
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "scenario name 'branch'" in captured.err
+    assert captured.out == ""
+    assert not csv_path.exists()
+    assert not svg_dir.exists()
+
+
 def test_suite_resolves_bundled_scenarios(tmp_path, capsys):
     code = cli(["suite", "turn", "--csv", str(tmp_path / "turn.csv")])
     out = capsys.readouterr().out

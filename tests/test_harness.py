@@ -10,6 +10,9 @@ from gridjam import (
     BENIGN,
     CSV_HEADER,
     Cell,
+    Outcome,
+    brute_force_attack,
+    distance_field,
     load_scenario,
     parse_scenario,
     planner,
@@ -262,3 +265,24 @@ def test_each_goal_is_solved_once(name, canonical, cost_only, monkeypatch, tmp_p
     solved = dict(counts)
     render_scenario_svgs(scenario, summary.plans, tmp_path)
     assert counts == solved  # rendering reuses the suite's plans
+
+
+# A side-1 candidate that blocks is decided by the start's lowpoint DFS,
+# built once per field, so `_cost` runs only for the evaluated ones; side 3
+# never builds the DFS. Tighten these; never loosen them.
+def test_blocking_side1_candidates_are_not_searched(maze_map, monkeypatch):
+    counts = _count_calls(monkeypatch, (planner._cost, planner._lowpoint_dfs))
+    start = Cell(1, 1)
+    field = distance_field(maze_map, start)
+    plans = [brute_force_attack(maze_map, start, goal, 1, field) for goal in (Cell(9, 1), Cell(7, 1))]
+    outcomes = [[entry.outcome for entry in plan.ledger] for plan in plans]
+    evaluated = sum(row.count(Outcome.EVALUATED) for row in outcomes)
+    blocking = sum(row.count(Outcome.BLOCKING) for row in outcomes)
+    assert (evaluated, blocking) == (22, 6)
+    assert counts == {"_cost": evaluated, "_lowpoint_dfs": 1}
+    assert field.lowpoints is not None
+
+    wide = distance_field(maze_map, start)
+    brute_force_attack(maze_map, start, Cell(9, 1), 3, wide)
+    assert wide.lowpoints is None
+    assert counts["_lowpoint_dfs"] == 1

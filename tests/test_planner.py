@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given
 
 from gridjam import (
     BadEndpointError,
@@ -11,11 +12,13 @@ from gridjam import (
     NoPathError,
     ObstaclePlacement,
     astar,
+    distance_field,
     euclidean_distance,
     parse_map,
     prefix_costs,
 )
-from conftest import is_free, random_case
+from gridjam.planner import _index, _separators
+from conftest import PROPERTY_SETTINGS, free_cells, grid_problems, is_free, random_case
 from oracles import dijkstra_oracle, obstruct, octile_distance
 
 SQRT2 = math.sqrt(2.0)
@@ -170,6 +173,24 @@ def test_blocking_monotonicity_random():
         assert rerouted.cost >= base.cost - 1e-9
         checked += 1
     assert checked > 10
+
+
+@PROPERTY_SETTINGS
+@given(grid_problems())
+def test_separators_match_brute_force_property(problem):
+    # every free cell, not only the baseline's, and goals the start cannot reach
+    grid, start, goal = problem
+    field = distance_field(grid, start)
+    cuts = _separators(field, _index(goal, field.stride))
+    for cell in free_cells(grid):
+        if cell in (start, goal):
+            continue
+        try:
+            dijkstra_oracle(obstruct(grid, ObstaclePlacement(cell, 1)), start, goal)
+            blocks = False
+        except NoPathError:
+            blocks = True
+        assert (cuts is None or _index(cell, field.stride) in cuts) == blocks
 
 
 def test_determinism():

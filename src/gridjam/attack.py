@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from .errors import BadEndpointError, NoBaselineError
 from .gridmap import Cell, GridMap, ObstaclePlacement, footprint_cells
 from .planner import (
-    SQRT2, DistanceField, Path, _backtrack, _blocked, _check_endpoints, _check_field, _cost, _index, _search,
-    _separators, distance_field,
+    SQRT2, DistanceField, Path, _backtrack, _blocked, _check_endpoints, _check_field, _cost, _index, _lowpoint_dfs,
+    _search, _separators, distance_field,
 )
 
 # Replanned costs are exact k + m*sqrt(2) sums; the tolerance only absorbs
@@ -68,8 +68,9 @@ def brute_force_attack(
     baseline is backtracked from the field, a candidate is scored by its
     cost alone from the goal back to the start with the field as the
     heuristic, and only the winner is planned as a canonical path. A side-1
-    candidate that blocks is known from the field's cut vertices without a
-    search (see `planner._separators`); it still costs a planning round.
+    candidate that blocks is known from one lowpoint DFS from the start
+    without a search (see `planner._separators`); it still costs a planning
+    round.
     """
     if field is not None:
         _check_field(field, grid, start)
@@ -85,7 +86,7 @@ def brute_force_attack(
     if baseline is None:
         raise NoBaselineError(f"no path from {start} to {goal}")
 
-    cuts = _separators(field, target) if side == 1 else ()
+    cuts = _separators(_lowpoint_dfs(cells, stride, source), target) if side == 1 else ()
     ledger = []
     best = None
     best_cost = baseline.cost

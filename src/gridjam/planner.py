@@ -41,8 +41,8 @@ forbidden, so a legal diagonal always has both flanks free and can be
 replaced by its two orthogonal steps, on any obstructed copy too: start
 and goal stay connected exactly when they are connected over 4-connected
 free cells. A one-cell obstacle therefore blocks exactly when its cell is
-a cut vertex between them, and one lowpoint DFS from the start, kept with
-the field, names every such cell for every goal (`_separators`).
+a cut vertex between them, and one lowpoint DFS from the start names
+every such cell at once (`_separators`).
 """
 
 import heapq
@@ -213,18 +213,16 @@ class DistanceField:
     are indexed like `cells`: each reached index's orthogonal and diagonal
     step counts and their canonical float value, with cost None where the
     start is out of reach. Moves are symmetric, so these are also the
-    distances back to the start. `lowpoints` is the start's lowpoint DFS
-    (see `_separators`), None until a side-1 attack first needs it.
+    distances back to the start.
     """
 
     # a plain class: a frozen dataclass builds its methods at import, which
     # measured about two thirds of this module's own import time
-    __slots__ = ("grid", "start", "cells", "stride", "orth", "diag", "cost", "lowpoints")
+    __slots__ = ("grid", "start", "cells", "stride", "orth", "diag", "cost")
 
     def __init__(self, grid: GridMap, start: Cell, cells: bytes, stride: int, orth: list, diag: list, cost: list):
         self.grid, self.start, self.cells, self.stride = grid, start, cells, stride
         self.orth, self.diag, self.cost = orth, diag, cost
-        self.lowpoints = None
 
 
 def distance_field(grid: GridMap, start: Cell) -> DistanceField:
@@ -352,27 +350,23 @@ def _lowpoint_dfs(cells: bytes, stride: int, root: int) -> tuple:
     return parent, disc, low
 
 
-def _separators(field: DistanceField, goal: int):
+def _separators(lowpoints: tuple, goal: int) -> set:
     """The free indices whose blocking alone cuts every route from the start to goal.
 
-    None when goal is out of the start's reach, as there is no route to
-    cut; neither the start nor goal is ever in the set. The answer holds
+    `lowpoints` is `_lowpoint_dfs` from the start, and goal must be in its
+    reach; neither the start nor goal is ever in the set. The answer holds
     for 8-connected moves without corner cutting: a legal diagonal has both
     flanks free, so it can be replaced by its two orthogonal steps, and
     blocking cells keeps that true. Two cells are therefore connected on
     any blocked copy of the grid exactly when they are connected over its
     4-connected free cells, and a blocked cell cuts the start from goal
-    exactly when it is a cut vertex between them in that graph. On the
-    tree of `_lowpoint_dfs` from the start (built once per field), those
-    are the goal's proper ancestors p below the root whose child a toward
-    goal has low(a) >= disc(p): nothing in a's subtree, which holds goal,
-    reaches above p without passing p (Tarjan 1972; Hopcroft & Tarjan 1973).
+    exactly when it is a cut vertex between them in that graph. On the DFS
+    tree those are the goal's proper ancestors p below the root whose child
+    a toward goal has low(a) >= disc(p): nothing in a's subtree, which
+    holds goal, reaches above p without passing p (Tarjan 1972; Hopcroft &
+    Tarjan 1973).
     """
-    if field.lowpoints is None:
-        field.lowpoints = _lowpoint_dfs(field.cells, field.stride, _index(field.start, field.stride))
-    parent, disc, low = field.lowpoints
-    if not disc[goal]:
-        return None
+    parent, disc, low = lowpoints
     cuts = set()
     child, up = goal, parent[goal]
     while up >= 0 and parent[up] >= 0:

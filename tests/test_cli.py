@@ -173,3 +173,20 @@ def test_module_entry_point(workdir):
     bad = run("plan", "branch.txt", "onecomma", "5,1")
     assert bad.returncode == 1
     assert "error:" in bad.stderr
+
+
+def test_runtime_imports_only_the_standard_library():
+    # -S keeps site hooks (.pth files) from loading third-party modules first
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import gridjam, gridjam.cli, gridjam.data; "
+        "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))"
+    )
+    src = str(pathlib.Path(gridjam.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe, src], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "gridjam" in loaded
+    assert loaded - {"gridjam"} <= sys.stdlib_module_names

@@ -244,16 +244,18 @@ def _count_calls(monkeypatch, functions):
     return counts
 
 
-# Exact counts of the planner's flat-core searches: one canonical search
-# (`_search`) per winning placement, for its attacked path, and one
-# cost-only search (`_cost`) per judged candidate and per replan from a cell
-# past the start after a landed attack, plus exactly one distance field from
-# the start per scenario, which every baseline is backtracked from and every
-# search uses as its heuristic. Tighten these; never loosen them.
+# Exact counts of the planner's flat-core work: exactly one distance field
+# from the start per scenario, which every search uses as its heuristic; one
+# canonical search (`_search`) per winning placement, for its attacked path;
+# one backtrack (`_backtrack`) per baseline, on the field, and one per winner,
+# on its `_search`'s own pairs; and one cost-only search (`_cost`) per judged
+# candidate and per replan from a cell past the start after a landed attack.
+# Tighten these; never loosen them.
 @pytest.mark.parametrize("name, canonical, cost_only", [("warehouse", 23, 297), ("turn", 1, 57)])
 def test_each_goal_is_solved_once(name, canonical, cost_only, monkeypatch, tmp_path):
     counts = _count_calls(
-        monkeypatch, (planner._search, planner._cost, planner.distance_field, gridjam.brute_force_attack)
+        monkeypatch,
+        (planner._search, planner._backtrack, planner._cost, planner.distance_field, gridjam.brute_force_attack),
     )
     scenario = load_scenario(scenario_path(name))
     _, summary = run_suite(scenario)
@@ -261,6 +263,7 @@ def test_each_goal_is_solved_once(name, canonical, cost_only, monkeypatch, tmp_p
     assert counts["brute_force_attack"] == len(scenario.goals)
     assert counts["distance_field"] == 1
     assert counts["_search"] == canonical == sum(1 for plan in summary.plans if plan.best is not None)
+    assert counts["_backtrack"] == len(scenario.goals) + canonical
     assert counts["_cost"] == cost_only
     solved = dict(counts)
     render_scenario_svgs(scenario, summary.plans, tmp_path)

@@ -108,6 +108,10 @@ def test_diagonal_needs_both_flanks_free():
     # (0,0) -> (1,1) diagonally would cut the corner at (1,0)
     path = astar(grid, Cell(0, 0), Cell(1, 1))
     assert path.cost == 2.0
+    # the goal is one step from the start, next to a neighbour the search never reached
+    path = astar(parse_map(".#.\n...\n"), Cell(1, 1), Cell(2, 1))
+    assert path.cells == (Cell(1, 1), Cell(2, 1))
+    assert path.cost == 1.0
 
 
 def test_octile_admissible_and_consistent_random():

@@ -9,12 +9,9 @@ the goal must stay reachable, only more expensive.
 import enum
 from dataclasses import dataclass
 
-from .errors import BadEndpointError, NoBaselineError
+from .errors import BadEndpointError, NoBaselineError, NoPathError
 from .gridmap import Cell, GridMap, ObstaclePlacement, footprint_cells
-from .planner import (
-    SQRT2, DistanceField, Path, _backtrack, _blocked, _check_endpoints, _check_field, _cost, _index, _lowpoint_dfs,
-    _search, _separators, distance_field,
-)
+from .planner import DistanceField, Path, _check_field, _cost, _route, _search, _separators, distance_field
 
 # Replanned costs are exact k + m*sqrt(2) sums; the tolerance only absorbs
 # representation noise, not real ties.
@@ -75,18 +72,13 @@ def brute_force_attack(
     if field is not None:
         _check_field(field, grid, start)
     try:
-        _check_endpoints(grid, start, goal)
-    except BadEndpointError as exc:
+        if field is None:
+            field = distance_field(grid, start)
+        baseline = _route(field, goal)
+    except (BadEndpointError, NoPathError) as exc:
         raise NoBaselineError(str(exc)) from exc
-    if field is None:
-        field = distance_field(grid, start)
-    cells, stride = field.cells, field.stride
-    source, target = _index(start, stride), _index(goal, stride)
-    if field.cost[target] is None:
-        raise NoBaselineError(f"no path from {start} to {goal}")
-    baseline = _backtrack(cells, stride, field.orth, field.diag, field.cost, source, target)
 
-    cuts = _separators(_lowpoint_dfs(cells, stride, source), target) if side == 1 else ()
+    cuts = _separators(field, goal) if side == 1 else ()
     ledger = []
     best = None
     best_cost = baseline.cost
@@ -95,19 +87,15 @@ def brute_force_attack(
         if placement.covers(start) or placement.covers(goal):
             ledger.append(CandidateEval(index, placement, Outcome.INFEASIBLE))
             continue
-        if _index(step, stride) in cuts:
-            pair = None
-        else:
-            pair = _cost(_blocked(cells, stride, footprint_cells(placement, grid)), field, target, source)
-        if pair is None:
+        cost = None if step in cuts else _cost(field, footprint_cells(placement, grid), goal, start)
+        if cost is None:
             ledger.append(CandidateEval(index, placement, Outcome.BLOCKING))
             continue
-        cost = pair[0] + pair[1] * SQRT2
         ledger.append(CandidateEval(index, placement, Outcome.EVALUATED, cost))
         if cost > best_cost + COST_TOL:
             best = placement
             best_cost = cost
     if best is None:
         return AttackPlan(baseline, None, None, tuple(ledger), 0.0)
-    attacked = _search(_blocked(cells, stride, footprint_cells(best, grid)), stride, source, target)
+    attacked = _search(field, footprint_cells(best, grid), goal)
     return AttackPlan(baseline, best, attacked, tuple(ledger), best_cost - baseline.cost)

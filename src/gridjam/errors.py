@@ -5,31 +5,24 @@ class GridJamError(Exception):
     """Base class for every error raised by this package."""
 
 
-class MapError(GridJamError):
-    """Malformed map text or grid dimensions."""
-
-
-class EmptyMapError(MapError):
+# malformed map text or grid dimensions
+class EmptyMapError(GridJamError):
     pass
 
 
-class RaggedRowsError(MapError):
+class RaggedRowsError(GridJamError):
     pass
 
 
-class BadCharError(MapError):
+class BadCharError(GridJamError):
     pass
 
 
-class PlannerError(GridJamError):
-    pass
-
-
-class NoPathError(PlannerError):
+class NoPathError(GridJamError):
     """The goal is unreachable from the start."""
 
 
-class BadEndpointError(PlannerError):
+class BadEndpointError(GridJamError):
     """Start or goal is occupied or outside the map."""
 
 
@@ -37,17 +30,14 @@ class NoBaselineError(GridJamError):
     """The initial plan failed, so there is nothing to attack or simulate."""
 
 
-class ScenarioError(GridJamError):
+# malformed scenario files
+class MissingKeyError(GridJamError):
     pass
 
 
-class MissingKeyError(ScenarioError):
+class UnknownKeyError(GridJamError):
     pass
 
 
-class UnknownKeyError(ScenarioError):
-    pass
-
-
-class BadValueError(ScenarioError):
+class BadValueError(GridJamError):
     pass

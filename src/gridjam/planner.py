@@ -26,16 +26,23 @@ Every search runs on a flat core: the grid becomes one byte string with a
 blocked border one cell wide, and cell (col, row) becomes the index
 ``(row + 1) * (width + 2) + col + 1``. That index sorts exactly like
 (row, col), so the heap orders and the backtrack's tie-break above use it
-directly.
+directly. The flat core is private to this module: callers pass cells,
+footprints and a `distance_field`, one Dijkstra of exact (orth, diag)
+distances from a start, shared by every goal planned from it on the same
+grid. They ask four questions of it, each answered by one function:
 
-The attack plans many goals from one start and needs each candidate's
-cost but only the winner's path, so the core also offers a
-`distance_field`: one Dijkstra of exact (orth, diag) distances from the
-start, shared by every goal on the same grid. A goal's canonical baseline
-is backtracked from it by the rule above, and each candidate is scored by
-a cost-only A* from the goal back to the start on an obstructed copy,
-with the field as its heuristic. The race prices the robot's replan with
-the same search, toward the cell where it halted.
+* `_route`: the canonical route to a goal, backtracked on the field by the
+  rule above. It is the attack's baseline, and `astar` is the route on a
+  fresh field.
+* `_cost`: the cost alone of the cheapest route between two cells around
+  an obstacle, by an A* on an obstructed copy with the field as its
+  heuristic. The attack scores each candidate with it from the goal back
+  to the start, and the race prices the robot's replan with it, toward the
+  cell where the robot halted.
+* `_search`: the canonical route around the winning obstacle, by an
+  octile A* on the obstructed copy that backtracks on that copy.
+* `_separators`: the cells whose blocking alone cuts the start from a
+  goal (below).
 
 A side-1 candidate that blocks needs no search at all. Corner cutting is
 forbidden, so a legal diagonal always has both flanks free and can be
@@ -43,7 +50,7 @@ replaced by its two orthogonal steps, on any obstructed copy too: start
 and goal stay connected exactly when they are connected over 4-connected
 free cells. A one-cell obstacle therefore blocks exactly when its cell is
 a cut vertex between them, and one lowpoint DFS from the start names
-every such cell at once (`_separators`).
+every such cell at once.
 """
 
 import heapq
@@ -95,11 +102,6 @@ def euclidean_distance(a: Cell, b: Cell, cell_size: float) -> float:
     return cell_size * math.hypot(a.col - b.col, a.row - b.row)
 
 
-def _check_endpoints(grid: GridMap, start: Cell, goal: Cell):
-    _check_endpoint(grid, "start", start)
-    _check_endpoint(grid, "goal", goal)
-
-
 def _check_endpoint(grid: GridMap, label: str, cell: Cell):
     if not grid.in_bounds(cell):
         raise BadEndpointError(f"{label} {cell} is outside the {grid.width}x{grid.height} map")
@@ -148,13 +150,20 @@ def _moves(stride: int) -> tuple:
     )
 
 
-def _search(cells: bytes, stride: int, start: int, goal: int):
-    """Canonical A* between two free indices; the Path, or None when no route exists.
+def _search(field: "DistanceField", covered, goal: Cell):
+    """Canonical A* from the field's start to goal with the cells `covered` occupied.
 
-    The octile heuristic is consistent and the heap pops by (f, -h, index),
-    so every cell on an optimal route to the goal is closed, with its exact
-    pair, before the goal pops; `_backtrack` then builds the path on them.
+    Returns the Path, or None when no route exists; goal must be free. The
+    octile heuristic is consistent and the heap pops by (f, -h, index), so
+    every cell on an optimal route to the goal is closed, with its exact
+    pair, before the goal pops; `_backtrack` then builds the path on them,
+    on the obstructed copy. The field is not its heuristic: toward the goal,
+    d_s(goal) - d_s(x) cancels g on every edge of the start's shortest-path
+    tree, and the search degenerates into a Dijkstra.
     """
+    stride = field.stride
+    cells = _blocked(field.cells, stride, covered)
+    start, goal = _index(field.start, stride), _index(goal, stride)
     size = len(cells)
     orth = [0] * size
     diag = [0] * size
@@ -210,7 +219,8 @@ class DistanceField:
     are indexed like `cells`: each reached index's orthogonal and diagonal
     step counts and their canonical float value, with cost None where the
     start is out of reach. Moves are symmetric, so these are also the
-    distances back to the start.
+    distances back to the start. Only this module reads them; other
+    modules pass the field to its functions whole.
     """
 
     # a plain class: a frozen dataclass builds its methods at import, which
@@ -345,14 +355,14 @@ def _lowpoint_dfs(cells: bytes, stride: int, root: int) -> tuple:
     return parent, disc, low
 
 
-def _separators(lowpoints: tuple, goal: int) -> set:
-    """The free indices whose blocking alone cuts every route from the start to goal.
+def _separators(field: DistanceField, goal: Cell) -> set:
+    """The free cells whose blocking alone cuts every route from the field's start to goal.
 
-    `lowpoints` is `_lowpoint_dfs` from the start, and goal must be in its
-    reach; neither the start nor goal is ever in the set. The answer holds
-    for 8-connected moves without corner cutting: a legal diagonal has both
-    flanks free, so it can be replaced by its two orthogonal steps, and
-    blocking cells keeps that true. Two cells are therefore connected on
+    Runs `_lowpoint_dfs` from the start; goal must be in its reach. Neither
+    the start nor goal is ever in the set. The answer holds for 8-connected
+    moves without corner cutting: a legal diagonal has both flanks free, so
+    it can be replaced by its two orthogonal steps, and blocking cells
+    keeps that true. Two cells are therefore connected on
     any blocked copy of the grid exactly when they are connected over its
     4-connected free cells, and a blocked cell cuts the start from goal
     exactly when it is a cut vertex between them in that graph. On the DFS
@@ -361,30 +371,36 @@ def _separators(lowpoints: tuple, goal: int) -> set:
     holds goal, reaches above p without passing p (Tarjan 1972; Hopcroft &
     Tarjan 1973).
     """
-    parent, disc, low = lowpoints
+    stride = field.stride
+    parent, disc, low = _lowpoint_dfs(field.cells, stride, _index(field.start, stride))
     cuts = set()
-    child, up = goal, parent[goal]
+    child = _index(goal, stride)
+    up = parent[child]
     while up >= 0 and parent[up] >= 0:
         if low[child] >= disc[up]:
-            cuts.add(up)
+            cuts.add(_cell(up, stride))
         child, up = up, parent[up]
     return cuts
 
 
-def _cost(cells: bytearray, field: DistanceField, origin: int, target: int):
-    """Exact (orth, diag) cost of the cheapest route from origin to target, or None.
+def _cost(field: DistanceField, covered, origin: Cell, target: Cell):
+    """Cost of the cheapest route from origin to target with `covered` occupied, or None.
 
-    `cells` is the field's grid with occupied cells added, and `target` is
-    a free index in the start's component. The heuristic is the field's
-    distance from the start, d_s. Toward any target t that is the same as
-    d_s(x) - d_s(t), shifted by a constant that leaves the pop order
-    unchanged. Blocking cells only removes moves, so by the triangle
-    inequality d_s(x) - d_s(t) never overestimates the distance from x to
-    t on `cells` and stays consistent: it is an A* heuristic, and a cell
-    the field cannot reach cannot reach t at all. For t the start itself
-    it is exact on the unobstructed map. Moves are symmetric, so the cost
-    is also that of the route from target to origin.
+    `covered` holds in-bounds cells, and `target` is a free cell in the
+    start's component. The search runs on a copy of the field's grid with
+    `covered` blocked, and its heuristic is the field's distance from the
+    start, d_s. Toward any target t that is the same as d_s(x) - d_s(t),
+    shifted by a constant that leaves the pop order unchanged. Blocking
+    cells only removes moves, so by the triangle inequality d_s(x) - d_s(t)
+    never overestimates the distance from x to t on the copy and stays
+    consistent: it is an A* heuristic, and a cell the field cannot reach
+    cannot reach t at all. For t the start itself it is exact on the
+    unobstructed map. Moves are symmetric, so the cost is also that of the
+    route from target to origin.
     """
+    stride = field.stride
+    cells = _blocked(field.cells, stride, covered)
+    origin, target = _index(origin, stride), _index(target, stride)
     size = len(cells)
     orth = [0] * size
     diag = [0] * size
@@ -392,7 +408,7 @@ def _cost(cells: bytearray, field: DistanceField, origin: int, target: int):
     closed = bytearray(size)
     h_orth, h_diag, h_cost = field.orth, field.diag, field.cost
     push, pop = heapq.heappush, heapq.heappop
-    moves = _moves(field.stride)
+    moves = _moves(stride)
     cost[origin] = 0.0
     # among equal f, the cell nearest the start first: with an exact
     # heuristic an unobstructed route is walked straight down
@@ -402,7 +418,7 @@ def _cost(cells: bytearray, field: DistanceField, origin: int, target: int):
         if closed[cur]:
             continue
         if cur == target:
-            return orth[cur], diag[cur]
+            return cost[cur]
         closed[cur] = 1
         k, m = orth[cur], diag[cur]
         for offset, flank_a, flank_b in moves:
@@ -426,16 +442,26 @@ def _cost(cells: bytearray, field: DistanceField, origin: int, target: int):
     return None
 
 
+def _route(field: DistanceField, goal: Cell) -> Path:
+    """The canonical Path from the field's start to goal, backtracked on the field.
+
+    Raises BadEndpointError for an occupied or out-of-bounds goal and
+    NoPathError when the goal is out of the start's reach.
+    """
+    _check_endpoint(field.grid, "goal", goal)
+    stride = field.stride
+    target = _index(goal, stride)
+    if field.cost[target] is None:
+        raise NoPathError(f"no path from {field.start} to {goal}")
+    return _backtrack(field.cells, stride, field.orth, field.diag, field.cost, _index(field.start, stride), target)
+
+
 def astar(grid: GridMap, start: Cell, goal: Cell) -> Path:
     """Minimum-cost path from start to goal under 8-connectivity.
 
     Diagonal steps cost sqrt(2) and are forbidden when either flanking
     orthogonal cell is occupied. Raises BadEndpointError for occupied or
-    out-of-bounds endpoints and NoPathError when the goal is unreachable.
+    out-of-bounds endpoints, the start's first, and NoPathError when the
+    goal is unreachable.
     """
-    _check_endpoints(grid, start, goal)
-    cells, stride = _flatten(grid)
-    path = _search(cells, stride, _index(start, stride), _index(goal, stride))
-    if path is None:
-        raise NoPathError(f"no path from {start} to {goal}")
-    return path
+    return _route(distance_field(grid, start), goal)

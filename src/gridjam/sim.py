@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from .attack import AttackPlan
 from .gridmap import Cell, GridMap, ObstaclePlacement, footprint_cells
-from .planner import SQRT2, DistanceField, _blocked, _check_field, _cost, _index, euclidean_distance, prefix_costs
+from .planner import DistanceField, _check_field, _cost, euclidean_distance, prefix_costs
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,8 @@ def simulate(grid: GridMap, plan: AttackPlan, config: SimConfig, field: Distance
     the remaining fields describe the attacked one. `field` is
     `distance_field(grid, start)` for the baseline's start; one made for
     another grid object or another start raises ValueError. A replan is
-    priced by its cost alone, on the field's flat core.
+    priced by its cost alone around the obstacle, with the field as the
+    heuristic.
     """
     baseline = plan.baseline
     start, goal = baseline.cells[0], baseline.cells[-1]
@@ -93,63 +94,45 @@ def simulate(grid: GridMap, plan: AttackPlan, config: SimConfig, field: Distance
     arrival = [c * grid.cell_size / config.speed for c in prefix_costs(baseline)]
     benign_time = arrival[-1]
     euclid = euclidean_distance(start, goal, grid.cell_size)
-    if plan.best is None:
-        # nothing to drop: the attacked run is indistinguishable from benign
-        return RunResult(
-            start, goal, euclid, benign_time,
-            adversarial_time=benign_time,
-            delay_abs=0.0,
-            delay_pct=0.0 if benign_time > 0 else None,
-        )
-
-    spawn = spawn_time_model(plan, config)
-    footprint = footprint_cells(plan.best, grid)
-    enter_index = next(i for i, c in enumerate(baseline.cells) if c in footprint)
-
-    if not spawn < arrival[enter_index]:
-        # the robot was already inside (or past) the footprint: no effect
-        return RunResult(
-            start, goal, euclid, benign_time,
-            adversarial_time=benign_time,
-            spawn_time=spawn,
-            obstacle=plan.best,
-            attack_success=False,
-            delay_abs=0.0,
-            delay_pct=0.0 if benign_time > 0 else None,
-        )
-
-    # the last centre reached by the spawn; it lies before the footprint
-    passed = bisect.bisect_right(arrival, spawn) - 1
-    if spawn == arrival[passed]:
-        snap = passed
-        t_snap = arrival[snap]
-    else:
-        snap = passed + 1
-        if baseline.cells[snap] in footprint:
-            # mid-segment heading straight into the spawn: back off to the
-            # last centre instead of stopping inside the obstacle
+    # with nothing dropped, or dropped too late, the attacked run is benign
+    adversarial_time = benign_time
+    spawn = landed = None
+    if plan.best is not None:
+        spawn = spawn_time_model(plan, config)
+        footprint = footprint_cells(plan.best, grid)
+        enter_index = next(i for i, c in enumerate(baseline.cells) if c in footprint)
+        # it lands unless the robot is already inside (or past) the footprint
+        landed = spawn < arrival[enter_index]
+    if landed:
+        # the last centre reached by the spawn; it lies before the footprint
+        passed = bisect.bisect_right(arrival, spawn) - 1
+        if spawn == arrival[passed]:
             snap = passed
-            t_snap = 2.0 * spawn - arrival[passed]
-        else:
             t_snap = arrival[snap]
+        else:
+            snap = passed + 1
+            if baseline.cells[snap] in footprint:
+                # mid-segment heading straight into the spawn: back off to the
+                # last centre instead of stopping inside the obstacle
+                snap = passed
+                t_snap = 2.0 * spawn - arrival[passed]
+            else:
+                t_snap = arrival[snap]
 
-    if snap == 0:
-        # halted at the start: the attack already planned this exact route
-        replanned_cost = plan.attacked_path.cost
-    else:
-        stride = field.stride
-        obstructed = _blocked(field.cells, stride, footprint)
-        pair = _cost(obstructed, field, _index(goal, stride), _index(baseline.cells[snap], stride))
-        assert pair is not None, "the replan cannot fail (see the module docstring)"
-        replanned_cost = pair[0] + pair[1] * SQRT2
-    adversarial_time = t_snap + replanned_cost * grid.cell_size / config.speed
+        if snap == 0:
+            # halted at the start: the attack already planned this exact route
+            replanned_cost = plan.attacked_path.cost
+        else:
+            replanned_cost = _cost(field, footprint, goal, baseline.cells[snap])
+            assert replanned_cost is not None, "the replan cannot fail (see the module docstring)"
+        adversarial_time = t_snap + replanned_cost * grid.cell_size / config.speed
     delay = adversarial_time - benign_time
     return RunResult(
         start, goal, euclid, benign_time,
         adversarial_time=adversarial_time,
         spawn_time=spawn,
         obstacle=plan.best,
-        attack_success=True,
+        attack_success=landed,
         delay_abs=delay,
         delay_pct=100.0 * delay / benign_time if benign_time > 0 else None,
     )

@@ -94,6 +94,9 @@ def test_oracle_agrees_on_fixtures(branch_map, corridor_map, open9_map):
         (corridor_map, Cell(1, 1), Cell(5, 1), 1),
         (open9_map, Cell(1, 1), Cell(7, 7), 1),
         (open9_map, Cell(1, 1), Cell(7, 7), 3),
+        # the winner's route must be backtracked on the obstructed map: on
+        # the open one it cuts the obstacle's corner at (1,1)
+        (parse_map("..#.\n....\n....\n"), Cell(3, 1), Cell(1, 0), 1),
     ):
         mine = brute_force_attack(grid, start, goal, side)
         ref = attack_oracle(grid, start, goal, side)

@@ -9,15 +9,17 @@ from hypothesis import given
 from gridjam import (
     BadEndpointError,
     Cell,
+    NoBaselineError,
     NoPathError,
     ObstaclePlacement,
     astar,
+    brute_force_attack,
     distance_field,
     euclidean_distance,
     parse_map,
     prefix_costs,
 )
-from gridjam.planner import _index, _lowpoint_dfs, _separators
+from gridjam.planner import _separators
 from conftest import PROPERTY_SETTINGS, free_cells, grid_problems, is_free, random_case
 from oracles import dijkstra_oracle, obstruct, octile_distance
 
@@ -79,12 +81,16 @@ def test_branch_map_detour(branch_map):
 
 def test_bad_endpoints():
     grid = parse_map("#.\n..")
-    with pytest.raises(BadEndpointError):
-        astar(grid, Cell(0, 0), Cell(1, 1))
-    with pytest.raises(BadEndpointError):
-        astar(grid, Cell(1, 0), Cell(0, 0))
-    with pytest.raises(BadEndpointError):
-        astar(grid, Cell(5, 5), Cell(1, 1))
+    for start, goal, message in (
+        (Cell(0, 0), Cell(1, 1), "start 0,0 is occupied"),
+        (Cell(1, 0), Cell(0, 0), "goal 0,0 is occupied"),
+        (Cell(5, 5), Cell(1, 1), "start 5,5 is outside the 2x2 map"),
+    ):
+        with pytest.raises(BadEndpointError, match=message):
+            astar(grid, start, goal)
+        # the attack's baseline is the same route, so it fails with the same text
+        with pytest.raises(NoBaselineError, match=message):
+            brute_force_attack(grid, start, goal)
     with pytest.raises(BadEndpointError):
         dijkstra_oracle(grid, Cell(0, 0), Cell(1, 1))
 
@@ -184,13 +190,13 @@ def test_blocking_monotonicity_random():
 def test_separators_match_brute_force_property(problem):
     # every free cell, not only the baseline's, and goals the start cannot reach
     grid, start, goal = problem
-    field = distance_field(grid, start)
-    stride = field.stride
-    target = _index(goal, stride)
-    lowpoints = _lowpoint_dfs(field.cells, stride, _index(start, stride))
+    try:
+        dijkstra_oracle(grid, start, goal)
+        reachable = True
+    except NoPathError:
+        reachable = False
     # with no route to cut, every cell trivially blocks
-    reachable = field.cost[target] is not None
-    cuts = _separators(lowpoints, target) if reachable else None
+    cuts = _separators(distance_field(grid, start), goal) if reachable else None
     for cell in free_cells(grid):
         if cell in (start, goal):
             continue
@@ -199,7 +205,7 @@ def test_separators_match_brute_force_property(problem):
             blocks = False
         except NoPathError:
             blocks = True
-        assert (not reachable or _index(cell, stride) in cuts) == blocks
+        assert (not reachable or cell in cuts) == blocks
 
 
 def test_determinism():

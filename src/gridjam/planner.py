@@ -36,9 +36,12 @@ grid. They ask four questions of it, each answered by one function:
   fresh field.
 * `_cost`: the cost alone of the cheapest route between two cells around
   an obstacle, by an A* on an obstructed copy with the field as its
-  heuristic. The attack scores each candidate with it from the goal back
-  to the start, and the race prices the robot's replan with it, toward the
-  cell where the robot halted.
+  heuristic. It ends at the first cell it pops whose route up the field's
+  shortest-path tree to the target survives the obstacle: there the
+  heuristic is exact, so that cell's f is the optimum. The attack scores
+  each candidate with it from the goal back to the start, and the race
+  prices the robot's replan with it, toward the cell where the robot
+  halted.
 * `_search`: the canonical route around the winning obstacle, by an
   octile A* on the obstructed copy that backtracks on that copy.
 * `_separators`: the cells whose blocking alone cuts the start from a
@@ -129,11 +132,11 @@ def _index(cell: Cell, stride: int) -> int:
     return (cell.row + 1) * stride + cell.col + 1
 
 
-def _blocked(cells: bytes, stride: int, covered) -> bytearray:
-    """A copy of the flat cells with the in-bounds cells `covered` occupied."""
+def _blocked(cells: bytes, covered: list) -> bytearray:
+    """A copy of the flat cells with the indices `covered` occupied."""
     out = bytearray(cells)
-    for cell in covered:
-        out[_index(cell, stride)] = 1
+    for index in covered:
+        out[index] = 1
     return out
 
 
@@ -162,7 +165,7 @@ def _search(field: "DistanceField", covered, goal: Cell):
     tree, and the search degenerates into a Dijkstra.
     """
     stride = field.stride
-    cells = _blocked(field.cells, stride, covered)
+    cells = _blocked(field.cells, [_index(cell, stride) for cell in covered])
     start, goal = _index(field.start, stride), _index(goal, stride)
     size = len(cells)
     orth = [0] * size
@@ -219,17 +222,29 @@ class DistanceField:
     are indexed like `cells`: each reached index's orthogonal and diagonal
     step counts and their canonical float value, with cost None where the
     start is out of reach. Moves are symmetric, so these are also the
-    distances back to the start. Only this module reads them; other
+    distances back to the start.
+
+    `parent`, `first` and `end` are indexed the same way and hold the
+    field's shortest-path tree. `parent` is the index that last improved
+    each reached index: an optimal predecessor, one legal step of 1 or
+    sqrt(2) away, and -1 at the start and out of its reach. `first` numbers
+    the reached indices in preorder of that tree, so the subtree of x is
+    exactly the indices whose `first` lies in [first[x], end[x]). A cell has
+    a route up the tree to x, legal on the grid and of cost
+    d_s(cell) - d_s(x), exactly when it is in that subtree. Both are 0 out
+    of the start's reach. Only this module reads any of these; other
     modules pass the field to its functions whole.
     """
 
     # a plain class: a frozen dataclass builds its methods at import, which
     # measured about two thirds of this module's own import time
-    __slots__ = ("grid", "start", "cells", "stride", "orth", "diag", "cost")
+    __slots__ = ("grid", "start", "cells", "stride", "orth", "diag", "cost", "parent", "first", "end")
 
-    def __init__(self, grid: GridMap, start: Cell, cells: bytes, stride: int, orth: list, diag: list, cost: list):
+    def __init__(self, grid: GridMap, start: Cell, cells: bytes, stride: int, orth: list, diag: list, cost: list,
+                 parent: list, first: list, end: list):
         self.grid, self.start, self.cells, self.stride = grid, start, cells, stride
         self.orth, self.diag, self.cost = orth, diag, cost
+        self.parent, self.first, self.end = parent, first, end
 
 
 def distance_field(grid: GridMap, start: Cell) -> DistanceField:
@@ -244,7 +259,9 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
     orth = [0] * size
     diag = [0] * size
     cost = [None] * size
+    parent = [-1] * size
     done = bytearray(size)
+    order = []  # settle order: every cell after its parent
     push, pop = heapq.heappush, heapq.heappop
     moves = _moves(stride)
     cost[source] = 0.0
@@ -254,6 +271,7 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
         if done[cur]:
             continue
         done[cur] = 1
+        order.append(cur)
         k, m = orth[cur], diag[cur]
         for offset, flank_a, flank_b in moves:
             nxt = cur + offset
@@ -268,9 +286,25 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
             value = nk + nm * SQRT2
             known = cost[nxt]
             if known is None or value < known:
-                orth[nxt], diag[nxt], cost[nxt] = nk, nm, value
+                orth[nxt], diag[nxt], cost[nxt], parent[nxt] = nk, nm, value, cur
                 push(heap, (value, nxt))
-    return DistanceField(grid, start, cells, stride, orth, diag, cost)
+    # number the tree in preorder: count each cell's descendants in reverse
+    # settle order; then, in settle order, each cell takes the slot at its
+    # parent's cursor, moves that cursor past its own subtree and starts its
+    # own cursor after itself. A cell's cursor is kept in `end`, and once
+    # every child has moved it, it is the end of the cell's subtree.
+    end = [0] * size
+    tree = order[1:]
+    for cur in reversed(tree):
+        end[parent[cur]] += end[cur] + 1
+    end[source] = 1
+    first = [0] * size
+    for cur in tree:
+        up = parent[cur]
+        slot = first[cur] = end[up]
+        end[up] = slot + 1 + end[cur]
+        end[cur] = slot + 1
+    return DistanceField(grid, start, cells, stride, orth, diag, cost, parent, first, end)
 
 
 def _check_field(field: DistanceField, grid: GridMap, start: Cell):
@@ -383,23 +417,66 @@ def _separators(field: DistanceField, goal: Cell) -> set:
     return cuts
 
 
+def _exits(field: DistanceField, cells: bytearray, covered: list, target: int) -> bytearray:
+    """A flag per preorder number of the field's tree, set where the tree route to target survives.
+
+    `covered` holds the indices of the blocked cells, `cells` is the field's
+    flat core with them blocked, and `target` is an index the field
+    reached. The flag of cell x is at first[x]. x has a tree route up to
+    target when it is in target's subtree. The route stays legal with
+    `covered` blocked unless it passes a cut root: a blocked cell, or an
+    orthogonal neighbour y of one whose step to parent(y) is a diagonal with
+    that blocked cell as a flank. The flags are target's subtree minus the
+    subtrees of every cut root; each subtree is an interval of preorder
+    numbers, so each is set or cleared with one slice.
+    """
+    parent, first, end = field.parent, field.first, field.end
+    stride = field.stride
+    lo, hi = first[target], end[target]
+    flags = bytearray(end[_index(field.start, stride)])
+    flags[lo:hi] = b"\x01" * (hi - lo)
+    for blocked in covered:
+        # the interval of a cell out of the field's reach is empty
+        flags[first[blocked]:end[blocked]] = bytes(end[blocked] - first[blocked])
+        for root in (blocked + 1, blocked - 1, blocked + stride, blocked - stride):
+            if cells[root]:
+                continue  # a blocked root is cut as a blocked cell, a wall has no tree
+            up = parent[root]
+            # up is next to root and blocked is next to both, so the step is a
+            # diagonal and blocked is one of its flanks
+            if up >= 0 and abs(up - blocked) in (1, stride):
+                flags[first[root]:end[root]] = bytes(end[root] - first[root])
+    return flags
+
+
 def _cost(field: DistanceField, covered, origin: Cell, target: Cell):
     """Cost of the cheapest route from origin to target with `covered` occupied, or None.
 
-    `covered` holds in-bounds cells, and `target` is a free cell in the
-    start's component. The search runs on a copy of the field's grid with
-    `covered` blocked, and its heuristic is the field's distance from the
-    start, d_s. Toward any target t that is the same as d_s(x) - d_s(t),
-    shifted by a constant that leaves the pop order unchanged. Blocking
-    cells only removes moves, so by the triangle inequality d_s(x) - d_s(t)
-    never overestimates the distance from x to t on the copy and stays
-    consistent: it is an A* heuristic, and a cell the field cannot reach
-    cannot reach t at all. For t the start itself it is exact on the
-    unobstructed map. Moves are symmetric, so the cost is also that of the
-    route from target to origin.
+    `covered` holds in-bounds cells; `origin` and `target` are free cells in
+    the start's component, so every move the search takes stays inside it.
+    The search runs on a copy of the field's grid with `covered` blocked,
+    and its heuristic is the field's distance from the start, d_s. Toward
+    any target t that is the same as d_s(x) - d_s(t), shifted by a constant
+    that leaves the pop order unchanged. Blocking cells only removes moves,
+    so by the triangle inequality d_s(x) - d_s(t) never overestimates the
+    distance from x to t on the copy and stays consistent: it is an A*
+    heuristic. Moves are symmetric, so the cost is also that of the route
+    from target to origin.
+
+    The search ends at t or at the first popped cell x whose route up the
+    field's tree to t survives the obstacle (`_exits`), whichever pops
+    first. At such an x the heuristic is exact. g(x) is optimal, since x
+    popped under a consistent heuristic, and origin to x followed by the
+    tree route is a legal route to t of cost f(x) = g(x) + d_s(x) - d_s(t),
+    so f(x) >= C*, the optimum. A* with a consistent heuristic pops no f
+    above C* before t, so f(x) = C*. The optimal (orth, diag) pair is
+    unique, so the float built from x's pair is bitwise the one the search
+    would return at t. When t is out of reach no such x exists, and the
+    search runs until the heap is empty.
     """
     stride = field.stride
-    cells = _blocked(field.cells, stride, covered)
+    covered = [_index(cell, stride) for cell in covered]
+    cells = _blocked(field.cells, covered)
     origin, target = _index(origin, stride), _index(target, stride)
     size = len(cells)
     orth = [0] * size
@@ -407,11 +484,14 @@ def _cost(field: DistanceField, covered, origin: Cell, target: Cell):
     cost = [None] * size
     closed = bytearray(size)
     h_orth, h_diag, h_cost = field.orth, field.diag, field.cost
+    t_orth, t_diag = h_orth[target], h_diag[target]
+    first = field.first
+    exits = _exits(field, cells, covered, target)
     push, pop = heapq.heappush, heapq.heappop
     moves = _moves(stride)
     cost[origin] = 0.0
-    # among equal f, the cell nearest the start first: with an exact
-    # heuristic an unobstructed route is walked straight down
+    # among equal f, the cell nearest the start first: the search heads
+    # down the field, where tree routes to the start end it soonest
     open_heap = [(h_cost[origin], h_cost[origin], origin)]
     while open_heap:
         cur = pop(open_heap)[2]
@@ -419,14 +499,13 @@ def _cost(field: DistanceField, covered, origin: Cell, target: Cell):
             continue
         if cur == target:
             return cost[cur]
-        closed[cur] = 1
         k, m = orth[cur], diag[cur]
+        if exits[first[cur]]:
+            return (k + h_orth[cur] - t_orth) + (m + h_diag[cur] - t_diag) * SQRT2
+        closed[cur] = 1
         for offset, flank_a, flank_b in moves:
             nxt = cur + offset
             if cells[nxt] or closed[nxt]:
-                continue
-            hv = h_cost[nxt]
-            if hv is None:
                 continue
             if flank_a:
                 if cells[cur + flank_a] or cells[cur + flank_b]:
@@ -438,7 +517,7 @@ def _cost(field: DistanceField, covered, origin: Cell, target: Cell):
             known = cost[nxt]
             if known is None or value < known:
                 orth[nxt], diag[nxt], cost[nxt] = nk, nm, value
-                push(open_heap, ((nk + h_orth[nxt]) + (nm + h_diag[nxt]) * SQRT2, hv, nxt))
+                push(open_heap, ((nk + h_orth[nxt]) + (nm + h_diag[nxt]) * SQRT2, h_cost[nxt], nxt))
     return None
 
 

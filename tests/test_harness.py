@@ -1,6 +1,9 @@
 """Suite protocol, metric aggregation, and the CSV report."""
 
+import heapq
 import sys
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -244,19 +247,41 @@ def _count_calls(monkeypatch, functions):
     return counts
 
 
+def _count_pops(monkeypatch):
+    """Count the planner's heap pops by the name of the function that pops."""
+    pops = Counter()
+
+    def heappop(heap):
+        pops[sys._getframe(1).f_code.co_name] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(planner, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
+    return pops
+
+
 # Exact counts of the planner's flat-core work: exactly one distance field
 # from the start per scenario, which every search uses as its heuristic; one
 # canonical search (`_search`) per winning placement, for its attacked path;
 # one backtrack (`_backtrack`) per baseline, on the field, and one per winner,
 # on its `_search`'s own pairs; and one cost-only search (`_cost`) per judged
 # candidate and per replan from a cell past the start after a landed attack.
+# The heap pops of each search are pinned too. Before `_cost` ended at the
+# first cell whose tree route survives the obstacle, its searches made
+# 9,062 pops on the warehouse and 6,095 on `turn`.
 # Tighten these; never loosen them.
+SUITE_POPS = {
+    "warehouse": {"distance_field": 840, "_cost": 5271, "_search": 3544},
+    "turn": {"distance_field": 621, "_cost": 4482, "_search": 486},
+}
+
+
 @pytest.mark.parametrize("name, canonical, cost_only", [("warehouse", 23, 297), ("turn", 1, 57)])
 def test_each_goal_is_solved_once(name, canonical, cost_only, monkeypatch, tmp_path):
     counts = _count_calls(
         monkeypatch,
         (planner._search, planner._backtrack, planner._cost, planner.distance_field, gridjam.brute_force_attack),
     )
+    popped = _count_pops(monkeypatch)
     scenario = load_scenario(scenario_path(name))
     _, summary = run_suite(scenario)
     assert not summary.skipped_goals
@@ -265,6 +290,7 @@ def test_each_goal_is_solved_once(name, canonical, cost_only, monkeypatch, tmp_p
     assert counts["_search"] == canonical == sum(1 for plan in summary.plans if plan.best is not None)
     assert counts["_backtrack"] == len(scenario.goals) + canonical
     assert counts["_cost"] == cost_only
+    assert popped == SUITE_POPS[name]
     solved = dict(counts)
     render_scenario_svgs(scenario, summary.plans, tmp_path)
     assert counts == solved  # rendering reuses the suite's plans
@@ -272,9 +298,12 @@ def test_each_goal_is_solved_once(name, canonical, cost_only, monkeypatch, tmp_p
 
 # A side-1 candidate that blocks is decided by one lowpoint DFS from the
 # start per attack, so `_cost` runs only for the evaluated ones; side 3
-# never builds the DFS. Tighten these; never loosen them.
+# never builds the DFS. The two side-1 attacks' heap pops are pinned too;
+# their `_cost` searches made 609 pops before they ended at the first cell
+# whose tree route survives the obstacle. Tighten these; never loosen them.
 def test_blocking_side1_candidates_are_not_searched(maze_map, monkeypatch):
     counts = _count_calls(monkeypatch, (planner._cost, planner._lowpoint_dfs))
+    popped = _count_pops(monkeypatch)
     start = Cell(1, 1)
     field = distance_field(maze_map, start)
     plans = [brute_force_attack(maze_map, start, goal, 1, field) for goal in (Cell(9, 1), Cell(7, 1))]
@@ -283,6 +312,7 @@ def test_blocking_side1_candidates_are_not_searched(maze_map, monkeypatch):
     blocking = sum(row.count(Outcome.BLOCKING) for row in outcomes)
     assert (evaluated, blocking) == (22, 6)
     assert counts == {"_cost": evaluated, "_lowpoint_dfs": 2}
+    assert popped == {"distance_field": 41, "_cost": 269, "_search": 66}
 
     brute_force_attack(maze_map, start, Cell(9, 1), 3, field)
     assert counts["_lowpoint_dfs"] == 2

@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from gridjam import (
     BadEndpointError,
@@ -19,7 +20,8 @@ from gridjam import (
     parse_map,
     prefix_costs,
 )
-from gridjam.planner import _separators
+from gridjam.gridmap import footprint_cells
+from gridjam.planner import _cost, _index, _separators
 from conftest import PROPERTY_SETTINGS, free_cells, grid_problems, is_free, random_case
 from oracles import dijkstra_oracle, obstruct, octile_distance
 
@@ -218,3 +220,60 @@ def test_determinism():
             continue
         second = astar(grid, start, goal)
         assert first == second
+
+
+def component(grid, start):
+    """The free cells 4-connected to start: the cells the planner can reach from it."""
+    seen = {start}
+    todo = [start]
+    while todo:
+        cell = todo.pop()
+        for dc, dr in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            nxt = Cell(cell.col + dc, cell.row + dr)
+            if nxt not in seen and is_free(grid, nxt):
+                seen.add(nxt)
+                todo.append(nxt)
+    return sorted(seen)
+
+
+@PROPERTY_SETTINGS
+@given(grid_problems(), st.data())
+def test_cost_matches_oracle_property(problem, data):
+    # the attack prices from a goal back to the start and the race toward a
+    # cell the robot halted on; squares of side 3 are clipped at the border
+    grid, start, _ = problem
+    field = distance_field(grid, start)
+    cells = component(grid, start)
+    origin = data.draw(st.sampled_from(cells))
+    for target in dict.fromkeys((start, data.draw(st.sampled_from(cells)))):
+        route = dijkstra_oracle(grid, origin, target).cells
+        for side in (1, 3):
+            centers = data.draw(st.lists(st.sampled_from(route), max_size=4, unique=True))
+            for center in dict.fromkeys((*centers, data.draw(st.sampled_from(free_cells(grid))))):
+                placement = ObstaclePlacement(center, side)
+                if placement.covers(origin) or placement.covers(target):
+                    continue
+                try:
+                    expected = dijkstra_oracle(obstruct(grid, placement), origin, target).cost
+                except NoPathError:
+                    expected = None
+                assert _cost(field, footprint_cells(placement, grid), origin, target) == expected
+
+
+def test_cost_cuts_tree_routes_at_blocked_flanks():
+    # The field's tree takes the goal (3,0) to the start (0,0) by
+    # (3,1), (2,1), (1,1) and then one diagonal step. Blocking either flank
+    # of that step, (1,0) or (0,1), leaves every cell of the tree route free
+    # but the step illegal: the route must go round, by 5 orthogonal steps.
+    grid = parse_map("..#.\n....\n....\n")
+    start, goal = Cell(0, 0), Cell(3, 0)
+    field = distance_field(grid, start)
+    stride = field.stride
+    chain = [_index(goal, stride)]
+    while field.parent[chain[-1]] >= 0:
+        chain.append(field.parent[chain[-1]])
+    assert chain == [_index(cell, stride) for cell in (goal, Cell(3, 1), Cell(2, 1), Cell(1, 1), start)]
+    assert field.cost[chain[0]] == 3.0 + SQRT2
+    for flank in (Cell(1, 0), Cell(0, 1)):
+        assert _cost(field, {flank}, goal, start) == 5.0
+        assert dijkstra_oracle(obstruct(grid, ObstaclePlacement(flank, 1)), goal, start).cost == 5.0

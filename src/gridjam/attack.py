@@ -6,16 +6,27 @@ route the most. Placements that would seal the map entirely are rejected:
 the goal must stay reachable, only more expensive.
 """
 
+import bisect
 import enum
 from dataclasses import dataclass
 
 from .errors import BadEndpointError, NoBaselineError, NoPathError
 from .gridmap import Cell, GridMap, ObstaclePlacement, footprint_cells
-from .planner import DistanceField, Path, _check_field, _cost, _route, _search, _separators, distance_field
+from .planner import DistanceField, Path, _check_field, _cost, _route, _search, _separators, distance_field, prefix_costs
 
 # Replanned costs are exact k + m*sqrt(2) sums; the tolerance only absorbs
 # representation noise, not real ties.
 COST_TOL = 1e-9
+
+# An attack that builds its own field builds a second one from the goal when
+# the baseline holds more than this share of the cells the start reaches. A
+# field costs one Dijkstra over the component, and the searches it shortens
+# save more than that only on long, thin routes. Over 352 problems per
+# benchmark workload (16 each on seeds 0, 7 and 131-150) the share was at
+# most 0.045 on rooms, where a second field cost more than it saved, and at
+# least 0.063 on mazes. On the bundled scenarios it runs from 0.006
+# (warehouse) to 1.0 (corridor).
+_GOAL_FIELD_SHARE = 0.06
 
 
 class Outcome(enum.Enum):
@@ -68,16 +79,30 @@ def brute_force_attack(
     candidate that blocks is known from one lowpoint DFS from the start
     without a search (see `planner._separators`); it still costs a planning
     round.
+
+    An attack that builds its own field and whose baseline is long against
+    the start's component (`_GOAL_FIELD_SHARE`) also builds a field from
+    the goal. A candidate in the first half of the baseline's cost is then
+    scored from the start toward the goal on that field: a search pops the
+    band between its origin and the obstacle, so it runs from the nearer
+    end. The winner's canonical path uses the goal field's exact distances
+    as its heuristic. Both fields give every answer bitwise the same.
     """
-    if field is not None:
+    own_field = field is None
+    if not own_field:
         _check_field(field, grid, start)
     try:
-        if field is None:
+        if own_field:
             field = distance_field(grid, start)
         baseline = _route(field, goal)
     except (BadEndpointError, NoPathError) as exc:
         raise NoBaselineError(str(exc)) from exc
 
+    goal_field = None
+    split = 0  # candidates before this baseline index are scored on the goal field
+    if own_field and len(baseline.cells) / field.reached > _GOAL_FIELD_SHARE:
+        goal_field = distance_field(grid, goal)
+        split = bisect.bisect_left(prefix_costs(baseline), baseline.cost / 2)
     cuts = _separators(field, goal) if side == 1 else ()
     ledger = []
     best = None
@@ -87,7 +112,12 @@ def brute_force_attack(
         if placement.covers(start) or placement.covers(goal):
             ledger.append(CandidateEval(index, placement, Outcome.INFEASIBLE))
             continue
-        cost = None if step in cuts else _cost(field, footprint_cells(placement, grid), goal, start)
+        if step in cuts:
+            cost = None
+        elif index < split:
+            cost = _cost(goal_field, footprint_cells(placement, grid), start, goal)
+        else:
+            cost = _cost(field, footprint_cells(placement, grid), goal, start)
         if cost is None:
             ledger.append(CandidateEval(index, placement, Outcome.BLOCKING))
             continue
@@ -97,5 +127,5 @@ def brute_force_attack(
             best_cost = cost
     if best is None:
         return AttackPlan(baseline, None, None, tuple(ledger), 0.0)
-    attacked = _search(field, footprint_cells(best, grid), goal)
+    attacked = _search(field, footprint_cells(best, grid), goal, goal_field)
     return AttackPlan(baseline, best, attacked, tuple(ledger), best_cost - baseline.cost)

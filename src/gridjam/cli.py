@@ -37,12 +37,12 @@ def cli(argv=None) -> int:
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
+    except OSError as exc:  # before GridJamError: a map a scenario names may be unreadable
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except GridJamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main():

@@ -41,3 +41,7 @@ class UnknownKeyError(GridJamError):
 
 class BadValueError(GridJamError):
     pass
+
+
+class MapReadError(BadValueError, OSError):
+    """A scenario names a map file that cannot be read: an I/O error, so the CLI exits 2."""

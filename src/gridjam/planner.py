@@ -39,11 +39,20 @@ grid. They ask four questions of it, each answered by one function:
   heuristic. It ends at the first cell it pops whose route up the field's
   shortest-path tree to the target survives the obstacle: there the
   heuristic is exact, so that cell's f is the optimum. The attack scores
-  each candidate with it from the goal back to the start, and the race
-  prices the robot's replan with it, toward the cell where the robot
-  halted.
-* `_search`: the canonical route around the winning obstacle, by an
-  octile A* on the obstructed copy that backtracks on that copy.
+  each candidate with it from the goal back to the start on the start's
+  field, and the race prices the robot's replan with it, toward the cell
+  where the robot halted. An attack that builds its own field, on a route
+  that is long against the start's component, also builds a field from
+  the goal. It scores each candidate in the first half of the baseline's
+  cost on that field, from the start toward the goal. A search pops the
+  band between its origin and the obstacle, so each candidate is searched
+  from the nearer end. The answer is bitwise the same on either field:
+  both searches end at the optimum, the optimal (orth, diag) pair is
+  unique, and its float is built from the pair in one expression.
+* `_search`: the canonical route around the winning obstacle, by an A*
+  on the obstructed copy that backtracks on that copy. Its heuristic is
+  the octile distance, or the goal field's exact distance when the attack
+  built one; the canonical rule picks the same path under either.
 * `_separators`: the cells whose blocking alone cuts the start from a
   goal (below).
 
@@ -153,14 +162,18 @@ def _moves(stride: int) -> tuple:
     )
 
 
-def _search(field: "DistanceField", covered, goal: Cell):
+def _search(field: "DistanceField", covered, goal: Cell, toward: "DistanceField" = None):
     """Canonical A* from the field's start to goal with the cells `covered` occupied.
 
     Returns the Path, or None when no route exists; goal must be free. The
-    octile heuristic is consistent and the heap pops by (f, -h, index), so
-    every cell on an optimal route to the goal is closed, with its exact
-    pair, before the goal pops; `_backtrack` then builds the path on them,
-    on the obstructed copy. The field is not its heuristic: toward the goal,
+    heuristic is the octile distance, or, when `toward` is a field rooted at
+    goal on the same grid, its exact distance to goal on the unobstructed
+    map. Blocking cells only removes moves, so both are consistent on the
+    obstructed copy. The heap pops by (f, -h, index), so every cell on an
+    optimal route to the goal, whose f is at most the optimum and whose h is
+    above the goal's 0, is closed with its exact pair before the goal pops;
+    `_backtrack` then builds the path on them, on the obstructed copy. The
+    field itself is not a heuristic here: toward the goal,
     d_s(goal) - d_s(x) cancels g on every edge of the start's shortest-path
     tree, and the search degenerates into a Dijkstra.
     """
@@ -172,17 +185,24 @@ def _search(field: "DistanceField", covered, goal: Cell):
     diag = [0] * size
     cost = [None] * size  # orth + diag*SQRT2, None until reached
     closed = bytearray(size)
-    grow, gcol = divmod(goal, stride)
     push, pop = heapq.heappush, heapq.heappop
     moves = _moves(stride)
 
-    def heuristic(index):
-        row, col = divmod(index, stride)
-        dc = abs(col - gcol)
-        dr = abs(row - grow)
-        lo, hi = (dc, dr) if dc < dr else (dr, dc)
-        # (orth, diag) pair plus its canonical float value
-        return hi - lo, lo, (hi - lo) + lo * SQRT2
+    # each returns an (orth, diag) pair plus its canonical float value
+    if toward is None:
+        grow, gcol = divmod(goal, stride)
+
+        def heuristic(index):
+            row, col = divmod(index, stride)
+            dc = abs(col - gcol)
+            dr = abs(row - grow)
+            lo, hi = (dc, dr) if dc < dr else (dr, dc)
+            return hi - lo, lo, (hi - lo) + lo * SQRT2
+    else:
+        h_orth, h_diag, h_cost = toward.orth, toward.diag, toward.cost
+
+        def heuristic(index):
+            return h_orth[index], h_diag[index], h_cost[index]
 
     cost[start] = 0.0
     hv = heuristic(start)[2]
@@ -245,6 +265,11 @@ class DistanceField:
         self.grid, self.start, self.cells, self.stride = grid, start, cells, stride
         self.orth, self.diag, self.cost = orth, diag, cost
         self.parent, self.first, self.end = parent, first, end
+
+    @property
+    def reached(self) -> int:
+        """The number of cells the start reaches, the start included."""
+        return self.end[_index(self.start, self.stride)]
 
 
 def distance_field(grid: GridMap, start: Cell) -> DistanceField:
@@ -453,21 +478,21 @@ def _cost(field: DistanceField, covered, origin: Cell, target: Cell):
     """Cost of the cheapest route from origin to target with `covered` occupied, or None.
 
     `covered` holds in-bounds cells; `origin` and `target` are free cells in
-    the start's component, so every move the search takes stays inside it.
-    The search runs on a copy of the field's grid with `covered` blocked,
-    and its heuristic is the field's distance from the start, d_s. Toward
-    any target t that is the same as d_s(x) - d_s(t), shifted by a constant
-    that leaves the pop order unchanged. Blocking cells only removes moves,
-    so by the triangle inequality d_s(x) - d_s(t) never overestimates the
-    distance from x to t on the copy and stays consistent: it is an A*
-    heuristic. Moves are symmetric, so the cost is also that of the route
-    from target to origin.
+    the component of the field's root, so every move the search takes stays
+    inside it. The search runs on a copy of the field's grid with `covered`
+    blocked, and its heuristic is the field's distance from its root, d_r.
+    Toward any target t that is the same as d_r(x) - d_r(t), shifted by a
+    constant that leaves the pop order unchanged. Blocking cells only
+    removes moves, so by the triangle inequality d_r(x) - d_r(t) never
+    overestimates the distance from x to t on the copy and stays
+    consistent: it is an A* heuristic. Moves are symmetric, so the cost is
+    also that of the route from target to origin.
 
     The search ends at t or at the first popped cell x whose route up the
     field's tree to t survives the obstacle (`_exits`), whichever pops
     first. At such an x the heuristic is exact. g(x) is optimal, since x
     popped under a consistent heuristic, and origin to x followed by the
-    tree route is a legal route to t of cost f(x) = g(x) + d_s(x) - d_s(t),
+    tree route is a legal route to t of cost f(x) = g(x) + d_r(x) - d_r(t),
     so f(x) >= C*, the optimum. A* with a consistent heuristic pops no f
     above C* before t, so f(x) = C*. The optimal (orth, diag) pair is
     unique, so the float built from x's pair is bitwise the one the search
@@ -490,8 +515,8 @@ def _cost(field: DistanceField, covered, origin: Cell, target: Cell):
     push, pop = heapq.heappush, heapq.heappop
     moves = _moves(stride)
     cost[origin] = 0.0
-    # among equal f, the cell nearest the start first: the search heads
-    # down the field, where tree routes to the start end it soonest
+    # among equal f, the cell nearest the root first: the search heads
+    # down the field, where tree routes to the root end it soonest
     open_heap = [(h_cost[origin], h_cost[origin], origin)]
     while open_heap:
         cur = pop(open_heap)[2]

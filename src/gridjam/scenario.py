@@ -19,7 +19,7 @@ import pathlib
 import re
 from dataclasses import dataclass
 
-from .errors import BadValueError, MissingKeyError, UnknownKeyError
+from .errors import BadValueError, MapReadError, MissingKeyError, UnknownKeyError
 from .gridmap import Cell, GridMap, parse_map
 
 
@@ -132,7 +132,7 @@ def parse_scenario(text: str, base_dir=".") -> Scenario:
     try:
         map_text = map_path.read_text()
     except OSError as exc:
-        raise BadValueError(f"line {map_lineno}: cannot read map {map_value!r}: {exc}") from exc
+        raise MapReadError(f"line {map_lineno}: cannot read map {map_value!r}: {exc}") from exc
     grid = parse_map(map_text).with_cell_size(cell_size)
 
     start = _cell(*scalars["start"], key="start", grid=grid)

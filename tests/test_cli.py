@@ -149,6 +149,18 @@ def test_missing_scenario_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "suite"])
+def test_missing_map_of_scenario_exit_code(command, workdir, capsys):
+    # an unreadable map is an I/O error even when a scenario names it
+    (workdir / "nomap.scn").write_text(BRANCH_SCN.replace("map = branch.txt", "map = nope.txt"))
+    args = [command, str(workdir / "nomap.scn")] + (["--csv", str(workdir / "runs.csv")] if command == "suite" else [])
+    code = cli(args)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: line 2: cannot read map 'nope.txt': ")
+    assert not (workdir / "runs.csv").exists()
+
+
 def test_unknown_subcommand(capsys):
     assert cli(["frobnicate"]) == 1
 

@@ -316,3 +316,36 @@ def test_blocking_side1_candidates_are_not_searched(maze_map, monkeypatch):
 
     brute_force_attack(maze_map, start, Cell(9, 1), 3, field)
     assert counts["_lowpoint_dfs"] == 2
+
+
+# An attack that builds its own field also builds one from the goal when the
+# baseline is long against the start's component (`attack._GOAL_FIELD_SHARE`),
+# and scores the candidates in the first half of the baseline from the start.
+# On the maze the baseline to (9,1) holds 17 of the 41 reached cells; the
+# same attack on a shared field makes 144 `_cost` pops. Tighten these; never
+# loosen them.
+def test_own_field_attack_on_a_long_route_adds_a_goal_field(maze_map, monkeypatch):
+    start, goal = Cell(1, 1), Cell(9, 1)
+    shared = brute_force_attack(maze_map, start, goal, 1, distance_field(maze_map, start))
+    counts = _count_calls(monkeypatch, (planner.distance_field, planner._cost, planner._search))
+    popped = _count_pops(monkeypatch)
+    assert brute_force_attack(maze_map, start, goal, 1) == shared
+    evaluated = sum(1 for entry in shared.ledger if entry.outcome is Outcome.EVALUATED)
+    assert counts == {"distance_field": 2, "_cost": evaluated, "_search": 1}
+    assert popped == {"distance_field": 82, "_cost": 111, "_search": 32}
+
+
+def test_own_field_attack_on_a_wide_map_builds_one_field(monkeypatch):
+    # the warehouse goal whose baseline holds the largest share of the
+    # start's component, 0.031, stays below the gate
+    scenario = load_scenario(scenario_path("warehouse"))
+    grid, start, goal, side = scenario.grid, scenario.start, Cell(37, 27), scenario.obstacle_side
+    assert goal in scenario.goals
+    counts = _count_calls(monkeypatch, (planner.distance_field,))
+    popped = _count_pops(monkeypatch)
+    own = brute_force_attack(grid, start, goal, side)
+    assert counts["distance_field"] == 1
+    own_pops = dict(popped)
+    popped.clear()
+    assert brute_force_attack(grid, start, goal, side, distance_field(grid, start)) == own
+    assert popped == own_pops

@@ -21,7 +21,7 @@ from gridjam import (
     prefix_costs,
 )
 from gridjam.gridmap import footprint_cells
-from gridjam.planner import _cost, _index, _separators
+from gridjam.planner import _cost, _index, _search, _separators
 from conftest import PROPERTY_SETTINGS, free_cells, grid_problems, is_free, random_case
 from oracles import dijkstra_oracle, obstruct, octile_distance
 
@@ -239,13 +239,17 @@ def component(grid, start):
 @PROPERTY_SETTINGS
 @given(grid_problems(), st.data())
 def test_cost_matches_oracle_property(problem, data):
-    # the attack prices from a goal back to the start and the race toward a
-    # cell the robot halted on; squares of side 3 are clipped at the border
-    grid, start, _ = problem
+    # the attack prices from a goal back to the start, and from the start
+    # toward the goal on a field rooted at the goal; the race prices toward
+    # a cell the robot halted on; squares of side 3 are clipped at the border
+    grid, start, goal = problem
     field = distance_field(grid, start)
     cells = component(grid, start)
     origin = data.draw(st.sampled_from(cells))
-    for target in dict.fromkeys((start, data.draw(st.sampled_from(cells)))):
+    searches = [(field, origin, target) for target in dict.fromkeys((start, data.draw(st.sampled_from(cells))))]
+    if goal in cells:
+        searches.append((distance_field(grid, goal), start, goal))
+    for field, origin, target in searches:
         route = dijkstra_oracle(grid, origin, target).cells
         for side in (1, 3):
             centers = data.draw(st.lists(st.sampled_from(route), max_size=4, unique=True))
@@ -258,6 +262,31 @@ def test_cost_matches_oracle_property(problem, data):
                 except NoPathError:
                     expected = None
                 assert _cost(field, footprint_cells(placement, grid), origin, target) == expected
+
+
+@PROPERTY_SETTINGS
+@given(grid_problems(), st.sampled_from((1, 3)), st.data())
+def test_search_with_goal_field_heuristic_property(problem, side, data):
+    # the winner's route: a field rooted at the goal as the heuristic gives
+    # the same canonical path as the octile one, and as the oracle
+    grid, start, goal = problem
+    cells = component(grid, start)
+    if goal not in cells:
+        goal = data.draw(st.sampled_from(cells[::-1]))
+    field = distance_field(grid, start)
+    toward = distance_field(grid, goal)
+    route = dijkstra_oracle(grid, start, goal).cells
+    centers = data.draw(st.lists(st.sampled_from(route), max_size=4, unique=True))
+    for center in dict.fromkeys((*centers, data.draw(st.sampled_from(free_cells(grid))))):
+        placement = ObstaclePlacement(center, side)
+        if placement.covers(start) or placement.covers(goal):
+            continue
+        covered = footprint_cells(placement, grid)
+        try:
+            expected = dijkstra_oracle(obstruct(grid, placement), start, goal)
+        except NoPathError:
+            expected = None
+        assert _search(field, covered, goal, toward) == _search(field, covered, goal) == expected
 
 
 def test_cost_cuts_tree_routes_at_blocked_flanks():

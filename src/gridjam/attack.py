@@ -82,11 +82,12 @@ def brute_force_attack(
 
     An attack that builds its own field and whose baseline is long against
     the start's component (`_GOAL_FIELD_SHARE`) also builds a field from
-    the goal. A candidate in the first half of the baseline's cost is then
-    scored from the start toward the goal on that field: a search pops the
-    band between its origin and the obstacle, so it runs from the nearer
-    end. The winner's canonical path uses the goal field's exact distances
-    as its heuristic. Both fields give every answer bitwise the same.
+    the goal, when the first candidate is scored on it. A candidate in the
+    first half of the baseline's cost is scored from the start toward the
+    goal on that field: a search pops the band between its origin and the
+    obstacle, so it runs from the nearer end. When the goal field was built,
+    the winner's canonical path uses its exact distances as its heuristic.
+    Both fields give every answer bitwise the same.
     """
     own_field = field is None
     if not own_field:
@@ -98,10 +99,9 @@ def brute_force_attack(
     except (BadEndpointError, NoPathError) as exc:
         raise NoBaselineError(str(exc)) from exc
 
-    goal_field = None
+    goal_field = None  # built for the first candidate scored on it
     split = 0  # candidates before this baseline index are scored on the goal field
     if own_field and len(baseline.cells) / field.reached > _GOAL_FIELD_SHARE:
-        goal_field = distance_field(grid, goal)
         split = bisect.bisect_left(prefix_costs(baseline), baseline.cost / 2)
     cuts = _separators(field, goal) if side == 1 else ()
     ledger = []
@@ -115,6 +115,8 @@ def brute_force_attack(
         if step in cuts:
             cost = None
         elif index < split:
+            if goal_field is None:
+                goal_field = distance_field(grid, goal)
             cost = _cost(goal_field, footprint_cells(placement, grid), start, goal)
         else:
             cost = _cost(field, footprint_cells(placement, grid), goal, start)

@@ -79,8 +79,8 @@ def parse_map(text: str) -> GridMap:
 
     One line per row, '#' occupied and '.' free, top row first. A final
     newline is optional; anything else (including trailing whitespace) is
-    rejected. The parsed grid uses a cell size of 1.0 until a scenario
-    overrides it.
+    rejected, with the 1-based line of the map text. The parsed grid uses
+    a cell size of 1.0 until a scenario overrides it.
     """
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -89,14 +89,14 @@ def parse_map(text: str) -> GridMap:
         raise EmptyMapError("map text contains no rows")
     width = len(lines[0])
     rows = []
-    for number, line in enumerate(lines):
+    for number, line in enumerate(lines, 1):
         if not line:
-            raise EmptyMapError(f"row {number} is empty")
+            raise EmptyMapError(f"line {number} is empty")
         if len(line) != width:
-            raise RaggedRowsError(f"row {number} has length {len(line)}, expected {width}")
+            raise RaggedRowsError(f"line {number} has length {len(line)}, expected {width}")
         for ch in line:
             if ch != OCCUPIED_CHAR and ch != FREE_CHAR:
-                raise BadCharError(f"row {number}: unexpected character {ch!r}")
+                raise BadCharError(f"line {number}: unexpected character {ch!r}")
         rows.append(tuple(ch == OCCUPIED_CHAR for ch in line))
     return GridMap(width, len(rows), 1.0, tuple(rows))
 

@@ -8,28 +8,45 @@ The tests cross-check it against a separate Dijkstra oracle
 each cell's optimal parent with the lowest (row, col) instead and builds
 the same canonical path from its chain of parents.
 
-Canonical path construction:
+Every cost inside this module is one exact integer: k orthogonal and m
+diagonal steps cost ``k * _ORTH + m * _DIAG``, with ``_ORTH = 2**52`` and
+``_DIAG = round(SQRT2 * _ORTH) | 1``. That is odd, and
+``eps = _DIAG - sqrt(2) * _ORTH`` is about 0.44, so ``|eps| < 1``.
 
-* Costs are tracked as exact (orthogonal, diagonal) step-count pairs; the
-  float value of a pair is always computed as ``k + m * sqrt(2)`` in one
-  expression, so mathematically equal costs compare bitwise equal. Distinct
-  pairs on desk-scale grids differ by far more than the float error.
-* The canonical path is built by one rule, in `_backtrack` alone: walk back
-  from the goal, each time to the lowest-(row, col) neighbour whose exact
-  pair plus the step equals the current pair. It needs exact pairs only on
-  the goal and every optimal predecessor on the way back. A full distance
-  field has them, and so does `_search` when the goal pops: it orders its
-  heap by (f, -h, row, col), which closes every optimal predecessor of a
-  cell before the cell itself.
+* Equal integers are equal pairs: ``dk * _ORTH == -dm * _DIAG`` needs
+  2**52 to divide dm, since _DIAG is odd, so dk = dm = 0 for any
+  components below 2**52.
+* Integers order exactly like ``k + m * sqrt(2)`` while every component of
+  the compared costs stays below 2**25. Two costs differ by
+  ``_ORTH * (dk + dm*sqrt(2)) + dm * eps``. For dm != 0,
+  ``|dk + dm*sqrt(2)| = |dk**2 - 2*dm**2| / |dk - dm*sqrt(2)|``, whose
+  numerator is a non-zero integer, so it is at least
+  ``1 / (|dk| + sqrt(2)*|dm|)``. With both below 2**25,
+  ``|dm| * (|dk| + sqrt(2)*|dm|) < 2**50 * 2.42 < _ORTH``, so the first
+  term outweighs the second and fixes the sign. A compared cost is at most
+  the sum of two simple routes, so this holds on any map of fewer than
+  2**24 cells (4096 x 4096), far beyond desk scale.
+* An exact cost becomes a float in one place only, `_cost`'s result
+  (`_decode`): m is the cost times the inverse of _DIAG modulo 2**52, k is
+  the rest shifted down, and the float is ``k + m * sqrt(2)``, bitwise the
+  one `Path.from_cells` builds for the same steps.
+
+The canonical path is built by one rule, in `_backtrack` alone: walk back
+from the goal, each time to the lowest-(row, col) neighbour whose exact
+cost plus the step equals the current cost. It needs exact costs only on
+the goal and every optimal predecessor on the way back. A full distance
+field has them, and so does `_search` when the goal pops: it orders its
+heap by (f, -h, row, col), which closes every optimal predecessor of a
+cell before the cell itself.
 
 Every search runs on a flat core: the grid becomes one byte string with a
 blocked border one cell wide, and cell (col, row) becomes the index
 ``(row + 1) * (width + 2) + col + 1``. That index sorts exactly like
 (row, col), so the heap orders and the backtrack's tie-break above use it
 directly. The flat core is private to this module: callers pass cells,
-footprints and a `distance_field`, one Dijkstra of exact (orth, diag)
-distances from a start, shared by every goal planned from it on the same
-grid. They ask four questions of it, each answered by one function:
+footprints and a `distance_field`, one Dijkstra of exact distances from a
+start, shared by every goal planned from it on the same grid. They ask
+four questions of it, each answered by one function:
 
 * `_route`: the canonical route to a goal, backtracked on the field by the
   rule above. It is the attack's baseline, and `astar` is the route on a
@@ -47,8 +64,7 @@ grid. They ask four questions of it, each answered by one function:
   cost on that field, from the start toward the goal. A search pops the
   band between its origin and the obstacle, so each candidate is searched
   from the nearer end. The answer is bitwise the same on either field:
-  both searches end at the optimum, the optimal (orth, diag) pair is
-  unique, and its float is built from the pair in one expression.
+  both searches end at the optimum, whose exact cost is unique.
 * `_search`: the canonical route around the winning obstacle, by an A*
   on the obstructed copy that backtracks on that copy. Its heuristic is
   the octile distance, or the goal field's exact distance when the attack
@@ -73,6 +89,12 @@ from .errors import BadEndpointError, NoPathError
 from .gridmap import Cell, GridMap
 
 SQRT2 = math.sqrt(2.0)
+
+# the exact integer costs of one orthogonal and one diagonal step (see above)
+_BITS = 52
+_ORTH = 1 << _BITS
+_DIAG = round(SQRT2 * _ORTH) | 1
+_DIAG_INVERSE = pow(_DIAG, -1, _ORTH)
 
 # Orthogonal moves first; diagonals are only legal when both flanking
 # orthogonal cells are free (no corner cutting).
@@ -155,11 +177,17 @@ def _cell(index: int, stride: int) -> Cell:
 
 
 def _moves(stride: int) -> tuple:
-    """(offset, flank, flank) per move in _MOVES order; flanks are 0 for orthogonal moves."""
+    """(offset, step cost, flank, flank) per move in _MOVES order; flanks are 0 for orthogonal moves."""
     return tuple(
-        (dr * stride + dc, dc, dr * stride) if dc and dr else (dr * stride + dc, 0, 0)
+        (dr * stride + dc, _DIAG, dc, dr * stride) if dc and dr else (dr * stride + dc, _ORTH, 0, 0)
         for dc, dr in _MOVES
     )
+
+
+def _decode(dist: int) -> float:
+    """The float k + m*sqrt(2) of the exact cost k*_ORTH + m*_DIAG."""
+    m = (dist * _DIAG_INVERSE) & (_ORTH - 1)
+    return ((dist - m * _DIAG) >> _BITS) + m * SQRT2
 
 
 def _search(field: "DistanceField", covered, goal: Cell, toward: "DistanceField" = None):
@@ -171,7 +199,7 @@ def _search(field: "DistanceField", covered, goal: Cell, toward: "DistanceField"
     map. Blocking cells only removes moves, so both are consistent on the
     obstructed copy. The heap pops by (f, -h, index), so every cell on an
     optimal route to the goal, whose f is at most the optimum and whose h is
-    above the goal's 0, is closed with its exact pair before the goal pops;
+    above the goal's 0, is closed with its exact cost before the goal pops;
     `_backtrack` then builds the path on them, on the obstructed copy. The
     field itself is not a heuristic here: toward the goal,
     d_s(goal) - d_s(x) cancels g on every edge of the start's shortest-path
@@ -181,14 +209,11 @@ def _search(field: "DistanceField", covered, goal: Cell, toward: "DistanceField"
     cells = _blocked(field.cells, [_index(cell, stride) for cell in covered])
     start, goal = _index(field.start, stride), _index(goal, stride)
     size = len(cells)
-    orth = [0] * size
-    diag = [0] * size
-    cost = [None] * size  # orth + diag*SQRT2, None until reached
+    dist = [None] * size  # None until reached
     closed = bytearray(size)
     push, pop = heapq.heappush, heapq.heappop
     moves = _moves(stride)
 
-    # each returns an (orth, diag) pair plus its canonical float value
     if toward is None:
         grow, gcol = divmod(goal, stride)
 
@@ -197,52 +222,44 @@ def _search(field: "DistanceField", covered, goal: Cell, toward: "DistanceField"
             dc = abs(col - gcol)
             dr = abs(row - grow)
             lo, hi = (dc, dr) if dc < dr else (dr, dc)
-            return hi - lo, lo, (hi - lo) + lo * SQRT2
+            return (hi - lo) * _ORTH + lo * _DIAG
     else:
-        h_orth, h_diag, h_cost = toward.orth, toward.diag, toward.cost
+        heuristic = toward.dist.__getitem__
 
-        def heuristic(index):
-            return h_orth[index], h_diag[index], h_cost[index]
-
-    cost[start] = 0.0
-    hv = heuristic(start)[2]
-    open_heap = [(hv, -hv, start)]
+    dist[start] = 0
+    h = heuristic(start)
+    open_heap = [(h, -h, start)]
     while open_heap:
         cur = pop(open_heap)[2]
         if closed[cur]:
             continue
         closed[cur] = 1
         if cur == goal:
-            return _backtrack(cells, stride, orth, diag, cost, start, goal)
-        k, m = orth[cur], diag[cur]
-        for offset, flank_a, flank_b in moves:
+            return _backtrack(cells, stride, dist, start, goal)
+        d = dist[cur]
+        for offset, step, flank_a, flank_b in moves:
             nxt = cur + offset
             if cells[nxt]:
                 continue
-            if flank_a:
-                # no corner cutting: both orthogonal neighbours must be free
-                if cells[cur + flank_a] or cells[cur + flank_b]:
-                    continue
-                nk, nm = k, m + 1
-            else:
-                nk, nm = k + 1, m
-            value = nk + nm * SQRT2
-            known = cost[nxt]
+            # no corner cutting: both orthogonal neighbours must be free
+            if flank_a and (cells[cur + flank_a] or cells[cur + flank_b]):
+                continue
+            value = d + step
+            known = dist[nxt]
             if known is None or value < known:
-                orth[nxt], diag[nxt], cost[nxt] = nk, nm, value
-                hk, hm, hv = heuristic(nxt)
-                push(open_heap, ((nk + hk) + (nm + hm) * SQRT2, -hv, nxt))
+                dist[nxt] = value
+                h = heuristic(nxt)
+                push(open_heap, (value + h, -h, nxt))
     return None
 
 
 class DistanceField:
     """Exact distances from `start` over `grid`, shared by every goal planned from it.
 
-    `cells` and `stride` are the grid's flat core. `orth`, `diag` and `cost`
-    are indexed like `cells`: each reached index's orthogonal and diagonal
-    step counts and their canonical float value, with cost None where the
-    start is out of reach. Moves are symmetric, so these are also the
-    distances back to the start.
+    `cells` and `stride` are the grid's flat core. `dist` is indexed like
+    `cells`: each reached index's exact integer cost (see the module
+    docstring), None where the start is out of reach. Moves are symmetric,
+    so these are also the distances back to the start.
 
     `parent`, `first` and `end` are indexed the same way and hold the
     field's shortest-path tree. `parent` is the index that last improved
@@ -258,12 +275,11 @@ class DistanceField:
 
     # a plain class: a frozen dataclass builds its methods at import, which
     # measured about two thirds of this module's own import time
-    __slots__ = ("grid", "start", "cells", "stride", "orth", "diag", "cost", "parent", "first", "end")
+    __slots__ = ("grid", "start", "cells", "stride", "dist", "parent", "first", "end")
 
-    def __init__(self, grid: GridMap, start: Cell, cells: bytes, stride: int, orth: list, diag: list, cost: list,
+    def __init__(self, grid: GridMap, start: Cell, cells: bytes, stride: int, dist: list,
                  parent: list, first: list, end: list):
-        self.grid, self.start, self.cells, self.stride = grid, start, cells, stride
-        self.orth, self.diag, self.cost = orth, diag, cost
+        self.grid, self.start, self.cells, self.stride, self.dist = grid, start, cells, stride, dist
         self.parent, self.first, self.end = parent, first, end
 
     @property
@@ -281,37 +297,31 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
     cells, stride = _flatten(grid)
     source = _index(start, stride)
     size = len(cells)
-    orth = [0] * size
-    diag = [0] * size
-    cost = [None] * size
+    dist = [None] * size
     parent = [-1] * size
     done = bytearray(size)
     order = []  # settle order: every cell after its parent
     push, pop = heapq.heappush, heapq.heappop
     moves = _moves(stride)
-    cost[source] = 0.0
-    heap = [(0.0, source)]
+    dist[source] = 0
+    heap = [(0, source)]
     while heap:
         cur = pop(heap)[1]
         if done[cur]:
             continue
         done[cur] = 1
         order.append(cur)
-        k, m = orth[cur], diag[cur]
-        for offset, flank_a, flank_b in moves:
+        d = dist[cur]
+        for offset, step, flank_a, flank_b in moves:
             nxt = cur + offset
             if cells[nxt] or done[nxt]:
                 continue
-            if flank_a:
-                if cells[cur + flank_a] or cells[cur + flank_b]:
-                    continue
-                nk, nm = k, m + 1
-            else:
-                nk, nm = k + 1, m
-            value = nk + nm * SQRT2
-            known = cost[nxt]
+            if flank_a and (cells[cur + flank_a] or cells[cur + flank_b]):
+                continue
+            value = d + step
+            known = dist[nxt]
             if known is None or value < known:
-                orth[nxt], diag[nxt], cost[nxt], parent[nxt] = nk, nm, value, cur
+                dist[nxt], parent[nxt] = value, cur
                 push(heap, (value, nxt))
     # number the tree in preorder: count each cell's descendants in reverse
     # settle order; then, in settle order, each cell takes the slot at its
@@ -329,7 +339,7 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
         slot = first[cur] = end[up]
         end[up] = slot + 1 + end[cur]
         end[cur] = slot + 1
-    return DistanceField(grid, start, cells, stride, orth, diag, cost, parent, first, end)
+    return DistanceField(grid, start, cells, stride, dist, parent, first, end)
 
 
 def _check_field(field: DistanceField, grid: GridMap, start: Cell):
@@ -340,30 +350,26 @@ def _check_field(field: DistanceField, grid: GridMap, start: Cell):
         raise ValueError(f"the distance field starts at {field.start}, not at {start}")
 
 
-def _backtrack(cells: bytes, stride: int, orth: list, diag: list, cost: list, source: int, goal: int) -> Path:
-    """The canonical Path from source to goal on a search's exact pairs.
+def _backtrack(cells: bytes, stride: int, dist: list, source: int, goal: int) -> Path:
+    """The canonical Path from source to goal on a search's exact costs.
 
-    `orth`, `diag` and `cost` are indexed like `cells` and must hold the
-    exact pair of goal and of every optimal predecessor on the way back;
-    cost is None where the search never reached. Walks back from the goal,
-    each time to the lowest-index reached neighbour whose exact pair plus
-    the step equals the current pair.
+    `dist` is indexed like `cells` and must hold the exact cost of goal and
+    of every optimal predecessor on the way back; it is None where the
+    search never reached. Walks back from the goal, each time to the
+    lowest-index reached neighbour whose exact cost plus the step equals
+    the current cost.
     """
     moves = sorted(_moves(stride))  # lowest neighbour index first
     chain = [goal]
     cur = goal
     while cur != source:
-        k, m = orth[cur], diag[cur]
-        for offset, flank_a, flank_b in moves:
+        d = dist[cur]
+        for offset, step, flank_a, flank_b in moves:
             prev = cur + offset
-            if cells[prev] or cost[prev] is None:
+            known = dist[prev]  # None at a wall, a blocked cell and out of reach
+            if known is None or known + step != d:
                 continue
-            if flank_a:
-                if cells[cur + flank_a] or cells[cur + flank_b]:
-                    continue
-                if orth[prev] == k and diag[prev] == m - 1:
-                    break
-            elif orth[prev] == k - 1 and diag[prev] == m:
+            if not (flank_a and (cells[cur + flank_a] or cells[cur + flank_b])):
                 break
         cur = prev
         chain.append(cur)
@@ -494,55 +500,47 @@ def _cost(field: DistanceField, covered, origin: Cell, target: Cell):
     popped under a consistent heuristic, and origin to x followed by the
     tree route is a legal route to t of cost f(x) = g(x) + d_r(x) - d_r(t),
     so f(x) >= C*, the optimum. A* with a consistent heuristic pops no f
-    above C* before t, so f(x) = C*. The optimal (orth, diag) pair is
-    unique, so the float built from x's pair is bitwise the one the search
-    would return at t. When t is out of reach no such x exists, and the
-    search runs until the heap is empty.
+    above C* before t, so f(x) = C*, exactly, and at t itself f is g(t).
+    The result is the one float built from that exact cost (`_decode`), so
+    it is bitwise the same on any field. When t is out of reach no such x
+    exists, and the search runs until the heap is empty.
     """
     stride = field.stride
     covered = [_index(cell, stride) for cell in covered]
     cells = _blocked(field.cells, covered)
     origin, target = _index(origin, stride), _index(target, stride)
     size = len(cells)
-    orth = [0] * size
-    diag = [0] * size
-    cost = [None] * size
+    dist = [None] * size
     closed = bytearray(size)
-    h_orth, h_diag, h_cost = field.orth, field.diag, field.cost
-    t_orth, t_diag = h_orth[target], h_diag[target]
+    h = field.dist
+    shift = h[target]
     first = field.first
     exits = _exits(field, cells, covered, target)
     push, pop = heapq.heappush, heapq.heappop
     moves = _moves(stride)
-    cost[origin] = 0.0
+    dist[origin] = 0
     # among equal f, the cell nearest the root first: the search heads
     # down the field, where tree routes to the root end it soonest
-    open_heap = [(h_cost[origin], h_cost[origin], origin)]
+    open_heap = [(h[origin], h[origin], origin)]
     while open_heap:
         cur = pop(open_heap)[2]
         if closed[cur]:
             continue
-        if cur == target:
-            return cost[cur]
-        k, m = orth[cur], diag[cur]
-        if exits[first[cur]]:
-            return (k + h_orth[cur] - t_orth) + (m + h_diag[cur] - t_diag) * SQRT2
+        if cur == target or exits[first[cur]]:
+            return _decode(dist[cur] + h[cur] - shift)
         closed[cur] = 1
-        for offset, flank_a, flank_b in moves:
+        d = dist[cur]
+        for offset, step, flank_a, flank_b in moves:
             nxt = cur + offset
             if cells[nxt] or closed[nxt]:
                 continue
-            if flank_a:
-                if cells[cur + flank_a] or cells[cur + flank_b]:
-                    continue
-                nk, nm = k, m + 1
-            else:
-                nk, nm = k + 1, m
-            value = nk + nm * SQRT2
-            known = cost[nxt]
+            if flank_a and (cells[cur + flank_a] or cells[cur + flank_b]):
+                continue
+            value = d + step
+            known = dist[nxt]
             if known is None or value < known:
-                orth[nxt], diag[nxt], cost[nxt] = nk, nm, value
-                push(open_heap, ((nk + h_orth[nxt]) + (nm + h_diag[nxt]) * SQRT2, h_cost[nxt], nxt))
+                dist[nxt] = value
+                push(open_heap, (value + h[nxt], h[nxt], nxt))
     return None
 
 
@@ -555,9 +553,9 @@ def _route(field: DistanceField, goal: Cell) -> Path:
     _check_endpoint(field.grid, "goal", goal)
     stride = field.stride
     target = _index(goal, stride)
-    if field.cost[target] is None:
+    if field.dist[target] is None:
         raise NoPathError(f"no path from {field.start} to {goal}")
-    return _backtrack(field.cells, stride, field.orth, field.diag, field.cost, _index(field.start, stride), target)
+    return _backtrack(field.cells, stride, field.dist, _index(field.start, stride), target)
 
 
 def astar(grid: GridMap, start: Cell, goal: Cell) -> Path:

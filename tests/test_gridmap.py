@@ -42,27 +42,27 @@ def test_parse_free_column():
 
 
 def test_parse_ragged_rows():
-    with pytest.raises(RaggedRowsError):
+    with pytest.raises(RaggedRowsError, match="^line 2 has length 3, expected 2$"):
         parse_map("#.\n#..")
 
 
 def test_parse_empty_text():
-    with pytest.raises(EmptyMapError):
+    with pytest.raises(EmptyMapError, match="^map text contains no rows$"):
         parse_map("")
 
 
 def test_parse_zero_width_row():
-    with pytest.raises(EmptyMapError):
+    with pytest.raises(EmptyMapError, match="^line 2 is empty$"):
         parse_map("##\n\n##")
 
 
 def test_parse_bad_char():
-    with pytest.raises(BadCharError):
+    with pytest.raises(BadCharError, match="^line 1: unexpected character 'x'$"):
         parse_map("#x\n##")
 
 
 def test_parse_rejects_trailing_whitespace():
-    with pytest.raises(BadCharError):
+    with pytest.raises(BadCharError, match="^line 1: unexpected character ' '$"):
         parse_map("#. \n#..")
 
 

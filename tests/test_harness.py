@@ -349,3 +349,20 @@ def test_own_field_attack_on_a_wide_map_builds_one_field(monkeypatch):
     popped.clear()
     assert brute_force_attack(grid, start, goal, side, distance_field(grid, start)) == own
     assert popped == own_pops
+
+
+def test_own_field_attack_builds_no_goal_field_it_never_scores_on(monkeypatch):
+    # the bundled corridor's baseline is its whole component, so the gate
+    # passes, but every side-1 candidate covers an endpoint or is a cut
+    # vertex: none is scored on a goal field, so none is built
+    scenario = load_scenario(scenario_path("corridor"))
+    grid, start, goal = scenario.grid, scenario.start, scenario.goals[0]
+    counts = _count_calls(monkeypatch, (planner.distance_field, planner._cost))
+    popped = _count_pops(monkeypatch)
+    own = brute_force_attack(grid, start, goal, 1)
+    assert {entry.outcome for entry in own.ledger} == {Outcome.INFEASIBLE, Outcome.BLOCKING}
+    assert counts == {"distance_field": 1, "_cost": 0}
+    own_pops = dict(popped)
+    popped.clear()
+    assert brute_force_attack(grid, start, goal, 1, distance_field(grid, start)) == own
+    assert popped == own_pops

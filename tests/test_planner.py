@@ -21,7 +21,7 @@ from gridjam import (
     prefix_costs,
 )
 from gridjam.gridmap import footprint_cells
-from gridjam.planner import _cost, _index, _search, _separators
+from gridjam.planner import _DIAG, _ORTH, _cost, _decode, _index, _search, _separators
 from conftest import PROPERTY_SETTINGS, free_cells, grid_problems, is_free, random_case
 from oracles import dijkstra_oracle, obstruct, octile_distance
 
@@ -289,6 +289,60 @@ def test_search_with_goal_field_heuristic_property(problem, side, data):
         assert _search(field, covered, goal, toward) == _search(field, covered, goal) == expected
 
 
+# The planner's exact costs k*_ORTH + m*_DIAG order exactly like
+# k + m*sqrt(2) while every component stays below this bound (the `planner`
+# module docstring proves it).
+COMPONENT_BOUND = 2**25
+
+
+def sqrt2_convergents(limit):
+    """(p, q) with p/q the continued-fraction convergents of sqrt(2), p below limit.
+
+    p - q*sqrt(2) = ±1 / (p + q*sqrt(2)), the nearest to a tie of any pair
+    up to that size.
+    """
+    p, q = 1, 1
+    while p < limit:
+        yield p, q
+        p, q = p + 2 * q, p + q
+
+
+@st.composite
+def near_tie_costs(draw):
+    """Two (k, m) step counts below COMPONENT_BOUND whose k + m*sqrt(2) nearly tie."""
+    if draw(st.booleans()):
+        # largest first: the closest tie, the one that breaks a short _ORTH
+        p, q = draw(st.sampled_from(list(sqrt2_convergents(COMPONENT_BOUND))[::-1]))
+        dm = draw(st.sampled_from((q, -q)))
+        dk = -p if dm > 0 else p
+    else:
+        reach = int((COMPONENT_BOUND - 2) / SQRT2)  # so that |dk| < COMPONENT_BOUND
+        dm = draw(st.integers(-reach, reach))
+        dk = -round(dm * SQRT2) + draw(st.integers(-1, 1))
+    m2 = draw(st.integers(max(0, -dm), min(COMPONENT_BOUND, COMPONENT_BOUND - dm) - 1))
+    k2 = draw(st.integers(max(0, -dk), min(COMPONENT_BOUND, COMPONENT_BOUND - dk) - 1))
+    return (k2 + dk, m2 + dm), (k2, m2)
+
+
+def exact_sign(dk, dm):
+    """The sign of dk + dm*sqrt(2), decided on integers alone."""
+    if dk * dm >= 0:
+        total = dk + dm
+    else:
+        total = dk if dk * dk > 2 * dm * dm else dm
+    return (total > 0) - (total < 0)
+
+
+@PROPERTY_SETTINGS
+@given(near_tie_costs())
+def test_integer_costs_decode_and_order_exactly_property(pair):
+    (k1, m1), (k2, m2) = pair
+    a, b = k1 * _ORTH + m1 * _DIAG, k2 * _ORTH + m2 * _DIAG
+    assert _decode(a).hex() == (k1 + m1 * SQRT2).hex()
+    assert _decode(b).hex() == (k2 + m2 * SQRT2).hex()
+    assert (a > b) - (a < b) == exact_sign(k1 - k2, m1 - m2)
+
+
 def test_cost_cuts_tree_routes_at_blocked_flanks():
     # The field's tree takes the goal (3,0) to the start (0,0) by
     # (3,1), (2,1), (1,1) and then one diagonal step. Blocking either flank
@@ -302,7 +356,7 @@ def test_cost_cuts_tree_routes_at_blocked_flanks():
     while field.parent[chain[-1]] >= 0:
         chain.append(field.parent[chain[-1]])
     assert chain == [_index(cell, stride) for cell in (goal, Cell(3, 1), Cell(2, 1), Cell(1, 1), start)]
-    assert field.cost[chain[0]] == 3.0 + SQRT2
+    assert field.dist[chain[0]] == 3 * _ORTH + _DIAG and _decode(field.dist[chain[0]]) == 3.0 + SQRT2
     for flank in (Cell(1, 0), Cell(0, 1)):
         assert _cost(field, {flank}, goal, start) == 5.0
         assert dijkstra_oracle(obstruct(grid, ObstaclePlacement(flank, 1)), goal, start).cost == 5.0

@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import BadEndpointError, NoBaselineError, NoPathError
-from .gridmap import Cell, GridMap, ObstaclePlacement, footprint_cells
+from .gridmap import Cell, GridMap, ObstaclePlacement
 from .planner import DistanceField, Path, _check_field, _cost, _route, _search, _separators, distance_field, prefix_costs
 
 # Replanned costs are exact k + m*sqrt(2) sums; the tolerance only absorbs
@@ -117,9 +117,9 @@ def brute_force_attack(
         elif index < split:
             if goal_field is None:
                 goal_field = distance_field(grid, goal)
-            cost = _cost(goal_field, footprint_cells(placement, grid), start, goal)
+            cost = _cost(goal_field, placement, start, goal)
         else:
-            cost = _cost(field, footprint_cells(placement, grid), goal, start)
+            cost = _cost(field, placement, goal, start)
         if cost is None:
             ledger.append(CandidateEval(index, placement, Outcome.BLOCKING))
             continue
@@ -129,5 +129,5 @@ def brute_force_attack(
             best_cost = cost
     if best is None:
         return AttackPlan(baseline, None, None, tuple(ledger), 0.0)
-    attacked = _search(field, footprint_cells(best, grid), goal, goal_field)
+    attacked = _search(field, best, goal, goal_field)
     return AttackPlan(baseline, best, attacked, tuple(ledger), best_cost - baseline.cost)

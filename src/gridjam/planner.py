@@ -44,9 +44,14 @@ blocked border one cell wide, and cell (col, row) becomes the index
 ``(row + 1) * (width + 2) + col + 1``. That index sorts exactly like
 (row, col), so the heap orders and the backtrack's tie-break above use it
 directly. The flat core is private to this module: callers pass cells,
-footprints and a `distance_field`, one Dijkstra of exact distances from a
-start, shared by every goal planned from it on the same grid. They ask
-four questions of it, each answered by one function:
+obstacle placements and a `distance_field`, one Dijkstra of exact
+distances from a start, shared by every goal planned from it on the same
+grid. Moves have two lengths only, so that Dijkstra keeps one FIFO queue
+per length instead of a heap. Every search relaxes a popped cell's 4
+straight moves at one cost and then its 4 diagonals, the only moves with
+flanks to test, at the other; a placement becomes the flat indices of its
+clipped square by range arithmetic. Callers ask four questions of the
+field, each answered by one function:
 
 * `_route`: the canonical route to a goal, backtracked on the field by the
   rule above. It is the attack's baseline, and `astar` is the route on a
@@ -83,10 +88,11 @@ every such cell at once.
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
 
 from .errors import BadEndpointError, NoPathError
-from .gridmap import Cell, GridMap
+from .gridmap import Cell, GridMap, ObstaclePlacement
 
 SQRT2 = math.sqrt(2.0)
 
@@ -163,6 +169,16 @@ def _index(cell: Cell, stride: int) -> int:
     return (cell.row + 1) * stride + cell.col + 1
 
 
+def _covered(placement: ObstaclePlacement, grid: GridMap, stride: int) -> list:
+    """The flat indices of the placement's cells inside the grid, row by row."""
+    r = placement.radius
+    col, row = placement.center
+    # flat rows and columns count from the border, one below the grid's own
+    cols = range(max(0, col - r) + 1, min(grid.width - 1, col + r) + 2)
+    rows = range(max(0, row - r) + 1, min(grid.height - 1, row + r) + 2)
+    return [flat_row * stride + flat_col for flat_row in rows for flat_col in cols]
+
+
 def _blocked(cells: bytes, covered: list) -> bytearray:
     """A copy of the flat cells with the indices `covered` occupied."""
     out = bytearray(cells)
@@ -184,35 +200,42 @@ def _moves(stride: int) -> tuple:
     )
 
 
+def _diagonals(stride: int) -> tuple:
+    """(offset, flank, flank) per diagonal move in _MOVES order."""
+    return tuple((dr * stride + dc, dc, dr * stride) for dc, dr in _MOVES[4:])
+
+
 def _decode(dist: int) -> float:
     """The float k + m*sqrt(2) of the exact cost k*_ORTH + m*_DIAG."""
     m = (dist * _DIAG_INVERSE) & (_ORTH - 1)
     return ((dist - m * _DIAG) >> _BITS) + m * SQRT2
 
 
-def _search(field: "DistanceField", covered, goal: Cell, toward: "DistanceField" = None):
-    """Canonical A* from the field's start to goal with the cells `covered` occupied.
+def _search(field: "DistanceField", placement: ObstaclePlacement, goal: Cell, toward: "DistanceField" = None):
+    """Canonical A* from the field's start to goal with the placement's cells occupied.
 
     Returns the Path, or None when no route exists; goal must be free. The
-    heuristic is the octile distance, or, when `toward` is a field rooted at
-    goal on the same grid, its exact distance to goal on the unobstructed
-    map. Blocking cells only removes moves, so both are consistent on the
-    obstructed copy. The heap pops by (f, -h, index), so every cell on an
-    optimal route to the goal, whose f is at most the optimum and whose h is
-    above the goal's 0, is closed with its exact cost before the goal pops;
-    `_backtrack` then builds the path on them, on the obstructed copy. The
-    field itself is not a heuristic here: toward the goal,
-    d_s(goal) - d_s(x) cancels g on every edge of the start's shortest-path
-    tree, and the search degenerates into a Dijkstra.
+    placement is clipped at the border. The heuristic is the octile
+    distance, or, when `toward` is a field rooted at goal on the same grid,
+    its exact distance to goal on the unobstructed map. Blocking cells only
+    removes moves, so both are consistent on the obstructed copy. The heap
+    pops by (f, -h, index), so every cell on an optimal route to the goal,
+    whose f is at most the optimum and whose h is above the goal's 0, is
+    closed with its exact cost before the goal pops; `_backtrack` then
+    builds the path on them, on the obstructed copy. The field itself is
+    not a heuristic here: toward the goal, d_s(goal) - d_s(x) cancels g on
+    every edge of the start's shortest-path tree, and the search
+    degenerates into a Dijkstra.
     """
     stride = field.stride
-    cells = _blocked(field.cells, [_index(cell, stride) for cell in covered])
+    cells = _blocked(field.cells, _covered(placement, field.grid, stride))
     start, goal = _index(field.start, stride), _index(goal, stride)
     size = len(cells)
     dist = [None] * size  # None until reached
     closed = bytearray(size)
     push, pop = heapq.heappush, heapq.heappop
-    moves = _moves(stride)
+    straight = (1, -1, stride, -stride)
+    diagonals = _diagonals(stride)
 
     if toward is None:
         grow, gcol = divmod(goal, stride)
@@ -237,14 +260,22 @@ def _search(field: "DistanceField", covered, goal: Cell, toward: "DistanceField"
         if cur == goal:
             return _backtrack(cells, stride, dist, start, goal)
         d = dist[cur]
-        for offset, step, flank_a, flank_b in moves:
+        value = d + _ORTH
+        for offset in straight:
             nxt = cur + offset
             if cells[nxt]:
                 continue
+            known = dist[nxt]
+            if known is None or value < known:
+                dist[nxt] = value
+                h = heuristic(nxt)
+                push(open_heap, (value + h, -h, nxt))
+        value = d + _DIAG
+        for offset, flank_a, flank_b in diagonals:
+            nxt = cur + offset
             # no corner cutting: both orthogonal neighbours must be free
-            if flank_a and (cells[cur + flank_a] or cells[cur + flank_b]):
+            if cells[nxt] or cells[cur + flank_a] or cells[cur + flank_b]:
                 continue
-            value = d + step
             known = dist[nxt]
             if known is None or value < known:
                 dist[nxt] = value
@@ -292,6 +323,26 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
     """Dijkstra from start over the whole of start's component of grid.
 
     Raises BadEndpointError for an occupied or out-of-bounds start.
+
+    Moves have two lengths only, so the frontier is two FIFO queues of
+    indices instead of a heap, one per length (Orlin, Madduri, Subramani &
+    Williamson 2010), and each pop takes the head with the smaller `dist`,
+    the straight head on a tie. The source seeds the straight queue.
+
+    Each queue is sorted by the cost it was pushed with: cells settle in
+    non-decreasing cost, and each push costs the settling cell's cost plus
+    the queue's one step. An entry goes stale when a cheaper push for its
+    cell follows. That push comes from a cell settled no earlier, so it is
+    cheaper only with the shorter step: the stale entry is diagonal, the
+    cheaper one straight, and a cell is pushed at most once per queue. So
+    the straight queue holds no stale entry, and a stale diagonal head x
+    has its live entry in the straight queue. Comparing the heads by x's
+    current `dist` is still safe. If that entry has not popped, it sits at
+    or after the straight head, so that head costs at most dist[x] and
+    pops first, on a tie too; every diagonal entry behind x was pushed at
+    no less than x's stale cost, above dist[x]. If it has popped, x is
+    settled, and popping the stale head only discards it. So every pop
+    that settles a cell takes the cheapest live entry, as a heap would.
     """
     _check_endpoint(grid, "start", start)
     cells, stride = _flatten(grid)
@@ -301,28 +352,45 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
     parent = [-1] * size
     done = bytearray(size)
     order = []  # settle order: every cell after its parent
-    push, pop = heapq.heappush, heapq.heappop
-    moves = _moves(stride)
+    straight_queue, diagonal_queue = deque((source,)), deque()
+    pop_straight, pop_diagonal = straight_queue.popleft, diagonal_queue.popleft
+    push_straight, push_diagonal = straight_queue.append, diagonal_queue.append
+    straight = (1, -1, stride, -stride)
+    diagonals = _diagonals(stride)
     dist[source] = 0
-    heap = [(0, source)]
-    while heap:
-        cur = pop(heap)[1]
+    while True:
+        if straight_queue:
+            if diagonal_queue and dist[diagonal_queue[0]] < dist[straight_queue[0]]:
+                cur = pop_diagonal()
+            else:
+                cur = pop_straight()
+        elif diagonal_queue:
+            cur = pop_diagonal()
+        else:
+            break
         if done[cur]:
             continue
         done[cur] = 1
         order.append(cur)
         d = dist[cur]
-        for offset, step, flank_a, flank_b in moves:
+        value = d + _ORTH
+        for offset in straight:
             nxt = cur + offset
             if cells[nxt] or done[nxt]:
                 continue
-            if flank_a and (cells[cur + flank_a] or cells[cur + flank_b]):
-                continue
-            value = d + step
             known = dist[nxt]
             if known is None or value < known:
                 dist[nxt], parent[nxt] = value, cur
-                push(heap, (value, nxt))
+                push_straight(nxt)
+        value = d + _DIAG
+        for offset, flank_a, flank_b in diagonals:
+            nxt = cur + offset
+            if cells[nxt] or done[nxt] or cells[cur + flank_a] or cells[cur + flank_b]:
+                continue
+            known = dist[nxt]
+            if known is None or value < known:
+                dist[nxt], parent[nxt] = value, cur
+                push_diagonal(nxt)
     # number the tree in preorder: count each cell's descendants in reverse
     # settle order; then, in settle order, each cell takes the slot at its
     # parent's cursor, moves that cursor past its own subtree and starts its
@@ -480,19 +548,20 @@ def _exits(field: DistanceField, cells: bytearray, covered: list, target: int) -
     return flags
 
 
-def _cost(field: DistanceField, covered, origin: Cell, target: Cell):
-    """Cost of the cheapest route from origin to target with `covered` occupied, or None.
+def _cost(field: DistanceField, placement: ObstaclePlacement, origin: Cell, target: Cell):
+    """Cost of the cheapest route from origin to target with the placement's cells occupied, or None.
 
-    `covered` holds in-bounds cells; `origin` and `target` are free cells in
-    the component of the field's root, so every move the search takes stays
-    inside it. The search runs on a copy of the field's grid with `covered`
-    blocked, and its heuristic is the field's distance from its root, d_r.
-    Toward any target t that is the same as d_r(x) - d_r(t), shifted by a
-    constant that leaves the pop order unchanged. Blocking cells only
-    removes moves, so by the triangle inequality d_r(x) - d_r(t) never
-    overestimates the distance from x to t on the copy and stays
-    consistent: it is an A* heuristic. Moves are symmetric, so the cost is
-    also that of the route from target to origin.
+    The placement is clipped at the border; `origin` and `target` are free
+    cells in the component of the field's root, outside the placement, so
+    every move the search takes stays inside it. The search runs on a copy
+    of the field's grid with the placement blocked, and its heuristic is
+    the field's distance from its root, d_r. Toward any target t that is
+    the same as d_r(x) - d_r(t), shifted by a constant that leaves the pop
+    order unchanged. Blocking cells only removes moves, so by the triangle
+    inequality d_r(x) - d_r(t) never overestimates the distance from x to t
+    on the copy and stays consistent: it is an A* heuristic. Moves are
+    symmetric, so the cost is also that of the route from target to
+    origin.
 
     The search ends at t or at the first popped cell x whose route up the
     field's tree to t survives the obstacle (`_exits`), whichever pops
@@ -506,7 +575,7 @@ def _cost(field: DistanceField, covered, origin: Cell, target: Cell):
     exists, and the search runs until the heap is empty.
     """
     stride = field.stride
-    covered = [_index(cell, stride) for cell in covered]
+    covered = _covered(placement, field.grid, stride)
     cells = _blocked(field.cells, covered)
     origin, target = _index(origin, stride), _index(target, stride)
     size = len(cells)
@@ -517,7 +586,8 @@ def _cost(field: DistanceField, covered, origin: Cell, target: Cell):
     first = field.first
     exits = _exits(field, cells, covered, target)
     push, pop = heapq.heappush, heapq.heappop
-    moves = _moves(stride)
+    straight = (1, -1, stride, -stride)
+    diagonals = _diagonals(stride)
     dist[origin] = 0
     # among equal f, the cell nearest the root first: the search heads
     # down the field, where tree routes to the root end it soonest
@@ -530,13 +600,20 @@ def _cost(field: DistanceField, covered, origin: Cell, target: Cell):
             return _decode(dist[cur] + h[cur] - shift)
         closed[cur] = 1
         d = dist[cur]
-        for offset, step, flank_a, flank_b in moves:
+        value = d + _ORTH
+        for offset in straight:
             nxt = cur + offset
             if cells[nxt] or closed[nxt]:
                 continue
-            if flank_a and (cells[cur + flank_a] or cells[cur + flank_b]):
+            known = dist[nxt]
+            if known is None or value < known:
+                dist[nxt] = value
+                push(open_heap, (value + h[nxt], h[nxt], nxt))
+        value = d + _DIAG
+        for offset, flank_a, flank_b in diagonals:
+            nxt = cur + offset
+            if cells[nxt] or closed[nxt] or cells[cur + flank_a] or cells[cur + flank_b]:
                 continue
-            value = d + step
             known = dist[nxt]
             if known is None or value < known:
                 dist[nxt] = value

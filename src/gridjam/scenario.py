@@ -19,7 +19,7 @@ import pathlib
 import re
 from dataclasses import dataclass
 
-from .errors import BadValueError, MapReadError, MissingKeyError, UnknownKeyError
+from .errors import BadCharError, BadValueError, EmptyMapError, MapReadError, MissingKeyError, RaggedRowsError, UnknownKeyError
 from .gridmap import Cell, GridMap, parse_map
 
 
@@ -133,7 +133,12 @@ def parse_scenario(text: str, base_dir=".") -> Scenario:
         map_text = map_path.read_text()
     except OSError as exc:
         raise MapReadError(f"line {map_lineno}: cannot read map {map_value!r}: {exc}") from exc
-    grid = parse_map(map_text).with_cell_size(cell_size)
+    try:
+        grid = parse_map(map_text)
+    except (BadCharError, EmptyMapError, RaggedRowsError) as exc:
+        # the map's own line number alone would read as a line of the scenario
+        raise type(exc)(f"line {map_lineno}: map {map_value!r}: {exc}") from exc
+    grid = grid.with_cell_size(cell_size)
 
     start = _cell(*scalars["start"], key="start", grid=grid)
     goals = tuple(_cell(lineno, value, key="goal", grid=grid) for lineno, value in goal_lines)

@@ -123,7 +123,7 @@ def simulate(grid: GridMap, plan: AttackPlan, config: SimConfig, field: Distance
             # halted at the start: the attack already planned this exact route
             replanned_cost = plan.attacked_path.cost
         else:
-            replanned_cost = _cost(field, footprint, goal, baseline.cells[snap])
+            replanned_cost = _cost(field, plan.best, goal, baseline.cells[snap])
             assert replanned_cost is not None, "the replan cannot fail (see the module docstring)"
         adversarial_time = t_snap + replanned_cost * grid.cell_size / config.speed
     delay = adversarial_time - benign_time

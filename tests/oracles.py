@@ -1,9 +1,10 @@
 """Independent reference implementations that the tests compare against.
 
-None of this runs in the package: the Dijkstra planner cross-checks `astar`,
-the attack oracle cross-checks `brute_force_attack`, `obstruct` builds the
-map a placement leaves behind, and the candidate enumeration and octile
-heuristic pin properties the attack and the planner rely on.
+None of this runs in the package: the Dijkstra planner cross-checks `astar`
+and, run over a whole component, `distance_field`; the attack oracle
+cross-checks `brute_force_attack`, `obstruct` builds the map a placement
+leaves behind, and the candidate enumeration and octile heuristic pin
+properties the attack and the planner rely on.
 """
 
 import heapq
@@ -33,7 +34,29 @@ def dijkstra_oracle(grid: GridMap, start: Cell, goal: Cell) -> Path:
             raise BadEndpointError(f"{label} {cell} is occupied or outside the map")
     if start == goal:
         return Path.from_cells((start,))
+    _, via, done = _dijkstra(grid, start, goal)
+    if goal not in done:
+        raise NoPathError(f"no path from {start} to {goal}")
+    cells = [goal]
+    while cells[-1] != start:
+        cells.append(via[cells[-1]])
+    cells.reverse()
+    return Path.from_cells(cells)
 
+
+def oracle_distances(grid: GridMap, start: Cell) -> dict:
+    """The cost of the cheapest route from the free cell start to every cell it reaches."""
+    dist, _, _ = _dijkstra(grid, start, None)
+    return {cell: k + m * SQRT2 for cell, (k, m) in dist.items()}
+
+
+def _dijkstra(grid: GridMap, start: Cell, goal) -> tuple:
+    """(dist, via, done) of a Dijkstra from start that stops once goal settles.
+
+    `dist` holds each reached cell's (orth, diag) step counts, exact for the
+    cells in `done`; `via` holds its optimal parent with the lowest
+    (row, col). With goal None it settles the start's whole component.
+    """
     occupied = grid.rows
     width, height = grid.width, grid.height
     dist = {start: (0, 0)}
@@ -48,11 +71,7 @@ def dijkstra_oracle(grid: GridMap, start: Cell, goal: Cell) -> Path:
             continue
         done.add(node)
         if node == goal:
-            cells = [node]
-            while cells[-1] != start:
-                cells.append(via[cells[-1]])
-            cells.reverse()
-            return Path.from_cells(cells)
+            break
         k, m = dist[node]
         for dcol in (-1, 0, 1):
             for drow in (-1, 0, 1):
@@ -80,7 +99,7 @@ def dijkstra_oracle(grid: GridMap, start: Cell, goal: Cell) -> Path:
                     prev = via[other]
                     if (row, col) < (prev.row, prev.col):
                         via[other] = node
-    raise NoPathError(f"no path from {start} to {goal}")
+    return dist, via, done
 
 
 def enumerate_candidates(baseline: Path, side: int = 3) -> list:

@@ -161,6 +161,14 @@ def test_missing_map_of_scenario_exit_code(command, workdir, capsys):
     assert not (workdir / "runs.csv").exists()
 
 
+def test_bad_map_of_scenario_names_the_map(workdir, capsys):
+    (workdir / "m.txt").write_text("#.\n#x\n")
+    (workdir / "s.scn").write_text(BRANCH_SCN.replace("map = branch.txt", "map = m.txt"))
+    code = cli(["simulate", str(workdir / "s.scn")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: line 2: map 'm.txt': line 2: unexpected character 'x'\n"
+
+
 def test_unknown_subcommand(capsys):
     assert cli(["frobnicate"]) == 1
 

@@ -20,10 +20,9 @@ from gridjam import (
     parse_map,
     prefix_costs,
 )
-from gridjam.gridmap import footprint_cells
-from gridjam.planner import _DIAG, _ORTH, _cost, _decode, _index, _search, _separators
+from gridjam.planner import _DIAG, _ORTH, _cell, _cost, _decode, _index, _search, _separators
 from conftest import PROPERTY_SETTINGS, free_cells, grid_problems, is_free, random_case
-from oracles import dijkstra_oracle, obstruct, octile_distance
+from oracles import dijkstra_oracle, obstruct, octile_distance, oracle_distances
 
 SQRT2 = math.sqrt(2.0)
 
@@ -237,6 +236,40 @@ def component(grid, start):
 
 
 @PROPERTY_SETTINGS
+@given(grid_problems())
+def test_distance_field_matches_oracle_property(problem):
+    # exact distances, a tree of optimal legal steps and its preorder
+    # intervals, on every cell the start reaches
+    grid, start, _ = problem
+    field = distance_field(grid, start)
+    stride, dist, parent, first, end = field.stride, field.dist, field.parent, field.first, field.end
+    expected = oracle_distances(grid, start)
+    reached = {_cell(index, stride): index for index, cost in enumerate(dist) if cost is not None}
+    assert reached.keys() == expected.keys() == set(component(grid, start))
+    assert field.reached == len(reached)
+    for cell, index in reached.items():
+        assert _decode(dist[index]) == expected[cell]
+        if cell == start:
+            assert parent[index] == -1
+            continue
+        up = _cell(parent[index], stride)
+        dc, dr = cell.col - up.col, cell.row - up.row
+        assert max(abs(dc), abs(dr)) == 1
+        if dc and dr:
+            assert is_free(grid, Cell(up.col + dc, up.row)) and is_free(grid, Cell(up.col, up.row + dr))
+        assert dist[parent[index]] + (_DIAG if dc and dr else _ORTH) == dist[index]
+    # every parent is strictly nearer the start, so each chain ends there
+    subtree = {index: set() for index in reached.values()}
+    for index in reached.values():
+        up = index
+        while up >= 0:
+            subtree[up].add(index)
+            up = parent[up]
+    for index, below in subtree.items():
+        assert {other for other in reached.values() if first[index] <= first[other] < end[index]} == below
+
+
+@PROPERTY_SETTINGS
 @given(grid_problems(), st.data())
 def test_cost_matches_oracle_property(problem, data):
     # the attack prices from a goal back to the start, and from the start
@@ -261,7 +294,7 @@ def test_cost_matches_oracle_property(problem, data):
                     expected = dijkstra_oracle(obstruct(grid, placement), origin, target).cost
                 except NoPathError:
                     expected = None
-                assert _cost(field, footprint_cells(placement, grid), origin, target) == expected
+                assert _cost(field, placement, origin, target) == expected
 
 
 @PROPERTY_SETTINGS
@@ -281,12 +314,11 @@ def test_search_with_goal_field_heuristic_property(problem, side, data):
         placement = ObstaclePlacement(center, side)
         if placement.covers(start) or placement.covers(goal):
             continue
-        covered = footprint_cells(placement, grid)
         try:
             expected = dijkstra_oracle(obstruct(grid, placement), start, goal)
         except NoPathError:
             expected = None
-        assert _search(field, covered, goal, toward) == _search(field, covered, goal) == expected
+        assert _search(field, placement, goal, toward) == _search(field, placement, goal) == expected
 
 
 # The planner's exact costs k*_ORTH + m*_DIAG order exactly like
@@ -358,5 +390,5 @@ def test_cost_cuts_tree_routes_at_blocked_flanks():
     assert chain == [_index(cell, stride) for cell in (goal, Cell(3, 1), Cell(2, 1), Cell(1, 1), start)]
     assert field.dist[chain[0]] == 3 * _ORTH + _DIAG and _decode(field.dist[chain[0]]) == 3.0 + SQRT2
     for flank in (Cell(1, 0), Cell(0, 1)):
-        assert _cost(field, {flank}, goal, start) == 5.0
+        assert _cost(field, ObstaclePlacement(flank, 1), goal, start) == 5.0
         assert dijkstra_oracle(obstruct(grid, ObstaclePlacement(flank, 1)), goal, start).cost == 5.0

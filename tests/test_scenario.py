@@ -3,9 +3,12 @@
 import pytest
 
 from gridjam import (
+    BadCharError,
     BadValueError,
     Cell,
+    EmptyMapError,
     MissingKeyError,
+    RaggedRowsError,
     UnknownKeyError,
     load_scenario,
     parse_scenario,
@@ -135,6 +138,23 @@ def test_missing_map_file(tmp_path):
     with pytest.raises(BadValueError) as err:
         parse_scenario(MINIMAL, base_dir=tmp_path)
     assert "cannot read map" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "map_text, error, message",
+    [
+        ("#.\n#x\n", BadCharError, "line 2: unexpected character 'x'"),
+        ("...\n..\n", RaggedRowsError, "line 2 has length 2, expected 3"),
+        ("..\n\n..\n", EmptyMapError, "line 2 is empty"),
+    ],
+)
+def test_map_error_names_the_map_and_its_scenario_line(map_text, error, message, tmp_path):
+    # the map's own line alone would read as a line of the scenario
+    (tmp_path / "m.txt").write_text(map_text)
+    text = "name = jam\n" + MINIMAL.replace("branch.txt", "m.txt")
+    with pytest.raises(error) as err:
+        parse_scenario(text, base_dir=tmp_path)
+    assert str(err.value) == f"line 2: map 'm.txt': {message}"
 
 
 def test_line_without_equals(scenario_dir):

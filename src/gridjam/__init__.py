@@ -20,7 +20,7 @@ from .errors import (
     RaggedRowsError,
     UnknownKeyError,
 )
-from .gridmap import Cell, GridMap, ObstaclePlacement, footprint_cells, parse_map
+from .gridmap import Cell, GridMap, ObstaclePlacement, parse_map
 from .harness import ADVERSARIAL, BENIGN, CSV_HEADER, read_csv, run_suite, write_csv
 from .planner import astar, distance_field, euclidean_distance, prefix_costs
 from .scenario import load_scenario, parse_scenario
@@ -33,7 +33,7 @@ __all__ = [
     "AttackPlan", "CandidateEval", "Outcome", "brute_force_attack",
     "BadCharError", "BadEndpointError", "BadValueError", "EmptyMapError", "GridJamError",
     "MissingKeyError", "NoBaselineError", "NoPathError", "RaggedRowsError", "UnknownKeyError",
-    "Cell", "GridMap", "ObstaclePlacement", "footprint_cells", "parse_map",
+    "Cell", "GridMap", "ObstaclePlacement", "parse_map",
     "ADVERSARIAL", "BENIGN", "CSV_HEADER", "read_csv", "run_suite", "write_csv",
     "astar", "distance_field", "euclidean_distance", "prefix_costs",
     "load_scenario", "parse_scenario",

@@ -14,18 +14,18 @@ from .errors import BadEndpointError, NoBaselineError, NoPathError
 from .gridmap import Cell, GridMap, ObstaclePlacement
 from .planner import DistanceField, Path, _check_field, _cost, _route, _search, _separators, distance_field, prefix_costs
 
-# Replanned costs are exact k + m*sqrt(2) sums; the tolerance only absorbs
-# representation noise, not real ties.
-COST_TOL = 1e-9
-
 # An attack that builds its own field builds a second one from the goal when
 # the baseline holds more than this share of the cells the start reaches. A
 # field costs one Dijkstra over the component, and the searches it shortens
 # save more than that only on long, thin routes. Over 352 problems per
 # benchmark workload (16 each on seeds 0, 7 and 131-150) the share was at
 # most 0.045 on rooms, where a second field cost more than it saved, and at
-# least 0.063 on mazes. On the bundled scenarios it runs from 0.006
-# (warehouse) to 1.0 (corridor).
+# least 0.063 on mazes; over 320 more (seeds 151-170) at most 0.049 and at
+# least 0.063. On the bundled scenarios it runs from 0.006 (warehouse) to
+# 1.0 (corridor). With the two-queue field, 10 alternating 8 s pairs of
+# `attack-rooms` seed 13 (Python 3.11.7, 2 shared cores) without the gate
+# read candidates/s 5,551 -> 5,406 and p50 3.44 -> 3.74 ms, worse in 10 of
+# 10 pairs, but p90 5.78 -> 4.97 ms: the longest rooms routes gain too.
 _GOAL_FIELD_SHARE = 0.06
 
 
@@ -67,8 +67,9 @@ def brute_force_attack(
     Every baseline cell gets a ledger entry: INFEASIBLE placements cover an
     endpoint, BLOCKING ones leave no route at all, and EVALUATED ones carry
     the replanned cost. `best` is the earliest candidate whose cost beats
-    everything before it by more than COST_TOL; when no candidate gains,
-    `best` and `attacked_path` are None and `gain` is 0.
+    everything before it; when no candidate gains, `best` and
+    `attacked_path` are None and `gain` is 0. Equal exact costs decode to
+    bitwise-equal floats (see `planner`), so no tolerance is needed.
 
     `field` is the `distance_field(grid, start)` to share between goals
     planned from one start; without it the attack builds its own, and one
@@ -124,7 +125,7 @@ def brute_force_attack(
             ledger.append(CandidateEval(index, placement, Outcome.BLOCKING))
             continue
         ledger.append(CandidateEval(index, placement, Outcome.EVALUATED, cost))
-        if cost > best_cost + COST_TOL:
+        if cost > best_cost:
             best = placement
             best_cost = cost
     if best is None:

@@ -56,7 +56,7 @@ class ObstaclePlacement:
     """Square obstacle, `side` cells on a side, centred on `center`."""
 
     center: Cell
-    side: int = 3
+    side: int
 
     def __post_init__(self):
         if self.side < 1 or self.side % 2 == 0:
@@ -71,6 +71,15 @@ class ObstaclePlacement:
         return (
             abs(cell.col - self.center.col) <= self.radius
             and abs(cell.row - self.center.row) <= self.radius
+        )
+
+    def extent(self, grid: GridMap) -> tuple:
+        """(cols, rows): the ranges of columns and rows the square covers, clipped at grid's border."""
+        r = self.radius
+        col, row = self.center
+        return (
+            range(max(0, col - r), min(grid.width, col + r + 1)),
+            range(max(0, row - r), min(grid.height, row + r + 1)),
         )
 
 
@@ -99,18 +108,4 @@ def parse_map(text: str) -> GridMap:
                 raise BadCharError(f"line {number}: unexpected character {ch!r}")
         rows.append(tuple(ch == OCCUPIED_CHAR for ch in line))
     return GridMap(width, len(rows), 1.0, tuple(rows))
-
-
-def footprint_cells(placement: ObstaclePlacement, grid: GridMap) -> set:
-    """In-bounds cells covered by the placement (clipped at the borders)."""
-    r = placement.radius
-    col_lo = max(0, placement.center.col - r)
-    col_hi = min(grid.width - 1, placement.center.col + r)
-    row_lo = max(0, placement.center.row - r)
-    row_hi = min(grid.height - 1, placement.center.row + r)
-    return {
-        Cell(col, row)
-        for row in range(row_lo, row_hi + 1)
-        for col in range(col_lo, col_hi + 1)
-    }
 

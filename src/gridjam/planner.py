@@ -47,11 +47,12 @@ directly. The flat core is private to this module: callers pass cells,
 obstacle placements and a `distance_field`, one Dijkstra of exact
 distances from a start, shared by every goal planned from it on the same
 grid. Moves have two lengths only, so that Dijkstra keeps one FIFO queue
-per length instead of a heap. Every search relaxes a popped cell's 4
-straight moves at one cost and then its 4 diagonals, the only moves with
-flanks to test, at the other; a placement becomes the flat indices of its
-clipped square by range arithmetic. Callers ask four questions of the
-field, each answered by one function:
+per length instead of a heap. One function, `_steps`, defines the moves:
+every search relaxes a popped cell's 4 straight moves at one cost and
+then its 4 diagonals, the only moves with flanks to test, at the other.
+A placement becomes the flat indices of the square that
+`ObstaclePlacement.extent` clips at the border. Callers ask four
+questions of the field, each answered by one function:
 
 * `_route`: the canonical route to a goal, backtracked on the field by the
   rule above. It is the attack's baseline, and `astar` is the route on a
@@ -101,10 +102,6 @@ _BITS = 52
 _ORTH = 1 << _BITS
 _DIAG = round(SQRT2 * _ORTH) | 1
 _DIAG_INVERSE = pow(_DIAG, -1, _ORTH)
-
-# Orthogonal moves first; diagonals are only legal when both flanking
-# orthogonal cells are free (no corner cutting).
-_MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 @dataclass(frozen=True)
@@ -171,12 +168,8 @@ def _index(cell: Cell, stride: int) -> int:
 
 def _covered(placement: ObstaclePlacement, grid: GridMap, stride: int) -> list:
     """The flat indices of the placement's cells inside the grid, row by row."""
-    r = placement.radius
-    col, row = placement.center
-    # flat rows and columns count from the border, one below the grid's own
-    cols = range(max(0, col - r) + 1, min(grid.width - 1, col + r) + 2)
-    rows = range(max(0, row - r) + 1, min(grid.height - 1, row + r) + 2)
-    return [flat_row * stride + flat_col for flat_row in rows for flat_col in cols]
+    cols, rows = placement.extent(grid)
+    return [(row + 1) * stride + col + 1 for row in rows for col in cols]
 
 
 def _blocked(cells: bytes, covered: list) -> bytearray:
@@ -192,17 +185,16 @@ def _cell(index: int, stride: int) -> Cell:
     return Cell(col - 1, row - 1)
 
 
-def _moves(stride: int) -> tuple:
-    """(offset, step cost, flank, flank) per move in _MOVES order; flanks are 0 for orthogonal moves."""
-    return tuple(
-        (dr * stride + dc, _DIAG, dc, dr * stride) if dc and dr else (dr * stride + dc, _ORTH, 0, 0)
-        for dc, dr in _MOVES
+def _steps(stride: int) -> tuple:
+    """(straight, diagonals): the 4 straight offsets, and (offset, flank, flank) per diagonal.
+
+    A diagonal's flanks are its two straight parts; it is legal only when
+    both flanking cells are free (no corner cutting). The straight order
+    breaks `distance_field`'s FIFO ties, and so shapes the field's tree.
+    """
+    return (1, -1, stride, -stride), (
+        (stride + 1, 1, stride), (1 - stride, 1, -stride), (stride - 1, -1, stride), (-stride - 1, -1, -stride),
     )
-
-
-def _diagonals(stride: int) -> tuple:
-    """(offset, flank, flank) per diagonal move in _MOVES order."""
-    return tuple((dr * stride + dc, dc, dr * stride) for dc, dr in _MOVES[4:])
 
 
 def _decode(dist: int) -> float:
@@ -234,8 +226,7 @@ def _search(field: "DistanceField", placement: ObstaclePlacement, goal: Cell, to
     dist = [None] * size  # None until reached
     closed = bytearray(size)
     push, pop = heapq.heappush, heapq.heappop
-    straight = (1, -1, stride, -stride)
-    diagonals = _diagonals(stride)
+    straight, diagonals = _steps(stride)
 
     if toward is None:
         grow, gcol = divmod(goal, stride)
@@ -355,8 +346,7 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
     straight_queue, diagonal_queue = deque((source,)), deque()
     pop_straight, pop_diagonal = straight_queue.popleft, diagonal_queue.popleft
     push_straight, push_diagonal = straight_queue.append, diagonal_queue.append
-    straight = (1, -1, stride, -stride)
-    diagonals = _diagonals(stride)
+    straight, diagonals = _steps(stride)
     dist[source] = 0
     while True:
         if straight_queue:
@@ -427,7 +417,10 @@ def _backtrack(cells: bytes, stride: int, dist: list, source: int, goal: int) ->
     lowest-index reached neighbour whose exact cost plus the step equals
     the current cost.
     """
-    moves = sorted(_moves(stride))  # lowest neighbour index first
+    straight, diagonals = _steps(stride)
+    # (offset, step cost, flank, flank), lowest neighbour index first; a
+    # straight move has no flanks
+    moves = sorted([(offset, _ORTH, 0, 0) for offset in straight] + [(offset, _DIAG, a, b) for offset, a, b in diagonals])
     chain = [goal]
     cur = goal
     while cur != source:
@@ -459,7 +452,7 @@ def _lowpoint_dfs(cells: bytes, stride: int, root: int) -> tuple:
     disc = [0] * size
     low = [0] * size
     tried = bytearray(size)  # moves tried so far from each cell on the stack
-    steps = (1, stride, -1, -stride)
+    straight = _steps(stride)[0]
     disc[root] = low[root] = clock = 1
     stack = [root]
     while stack:
@@ -472,7 +465,7 @@ def _lowpoint_dfs(cells: bytes, stride: int, root: int) -> tuple:
                 low[up] = low[cur]
             continue
         tried[cur] = move + 1
-        nxt = cur + steps[move]
+        nxt = cur + straight[move]
         if cells[nxt]:
             continue
         seen = disc[nxt]
@@ -534,10 +527,12 @@ def _exits(field: DistanceField, cells: bytearray, covered: list, target: int) -
     lo, hi = first[target], end[target]
     flags = bytearray(end[_index(field.start, stride)])
     flags[lo:hi] = b"\x01" * (hi - lo)
+    straight = _steps(stride)[0]
     for blocked in covered:
         # the interval of a cell out of the field's reach is empty
         flags[first[blocked]:end[blocked]] = bytes(end[blocked] - first[blocked])
-        for root in (blocked + 1, blocked - 1, blocked + stride, blocked - stride):
+        for offset in straight:
+            root = blocked + offset
             if cells[root]:
                 continue  # a blocked root is cut as a blocked cell, a wall has no tree
             up = parent[root]
@@ -586,8 +581,7 @@ def _cost(field: DistanceField, placement: ObstaclePlacement, origin: Cell, targ
     first = field.first
     exits = _exits(field, cells, covered, target)
     push, pop = heapq.heappush, heapq.heappop
-    straight = (1, -1, stride, -stride)
-    diagonals = _diagonals(stride)
+    straight, diagonals = _steps(stride)
     dist[origin] = 0
     # among equal f, the cell nearest the root first: the search heads
     # down the field, where tree routes to the root end it soonest

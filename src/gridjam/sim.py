@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .attack import AttackPlan
-from .gridmap import Cell, GridMap, ObstaclePlacement, footprint_cells
+from .gridmap import Cell, GridMap, ObstaclePlacement
 from .planner import DistanceField, _check_field, _cost, euclidean_distance, prefix_costs
 
 
@@ -99,8 +99,8 @@ def simulate(grid: GridMap, plan: AttackPlan, config: SimConfig, field: Distance
     spawn = landed = None
     if plan.best is not None:
         spawn = spawn_time_model(plan, config)
-        footprint = footprint_cells(plan.best, grid)
-        enter_index = next(i for i, c in enumerate(baseline.cells) if c in footprint)
+        # baseline cells lie inside the grid, where clipping changes nothing
+        enter_index = next(i for i, c in enumerate(baseline.cells) if plan.best.covers(c))
         # it lands unless the robot is already inside (or past) the footprint
         landed = spawn < arrival[enter_index]
     if landed:
@@ -111,7 +111,7 @@ def simulate(grid: GridMap, plan: AttackPlan, config: SimConfig, field: Distance
             t_snap = arrival[snap]
         else:
             snap = passed + 1
-            if baseline.cells[snap] in footprint:
+            if plan.best.covers(baseline.cells[snap]):
                 # mid-segment heading straight into the spawn: back off to the
                 # last centre instead of stopping inside the obstacle
                 snap = passed

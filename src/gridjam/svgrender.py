@@ -6,8 +6,6 @@ inputs produce byte-identical files and renders can be golden-file tested.
 
 from pathlib import Path
 
-from .gridmap import footprint_cells
-
 PX = 16  # pixels per cell
 
 _STYLE = (
@@ -111,9 +109,11 @@ def _positions_lines(grid, placements, start, goals):
 
 
 def _footprint_rects(grid, placement):
+    cols, rows = placement.extent(grid)
     return [
-        f'<rect class="obstacle" x="{cell.col * PX}" y="{cell.row * PX}" width="{PX}" height="{PX}"/>'
-        for cell in sorted(footprint_cells(placement, grid), key=lambda c: (c.row, c.col))
+        f'<rect class="obstacle" x="{col * PX}" y="{row * PX}" width="{PX}" height="{PX}"/>'
+        for row in rows
+        for col in cols
     ]
 
 

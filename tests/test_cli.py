@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 
 import gridjam
 from gridjam.cli import cli
+from gridjam.data import map_path
 from conftest import BRANCH_TEXT, CORRIDOR_TEXT
 
 BRANCH_SCN = """\
@@ -167,6 +169,31 @@ def test_bad_map_of_scenario_names_the_map(workdir, capsys):
     code = cli(["simulate", str(workdir / "s.scn")])
     assert code == 1
     assert capsys.readouterr().err == "error: line 2: map 'm.txt': line 2: unexpected character 'x'\n"
+
+
+def readme_examples():
+    """(argv, shown lines) per README console command that shows output."""
+    examples = []
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    for block in readme.read_text().split("```console\n")[1:]:
+        for line in block.split("```")[0].splitlines():
+            if line.startswith("$ "):
+                examples.append((shlex.split(line[2:]), []))
+            else:
+                examples[-1][1].append(line)
+    return [(argv, shown) for argv, shown in examples if shown]
+
+
+def test_readme_examples(tmp_path, monkeypatch, capsys):
+    # the commands write files, so they run in a scratch directory that
+    # holds the bundled map the README names
+    (tmp_path / "branch.txt").write_text(map_path("branch").read_text())
+    monkeypatch.chdir(tmp_path)
+    examples = readme_examples()
+    assert [argv[:2] for argv, _ in examples] == [["gridjam", "plan"], ["gridjam", "attack"], ["gridjam", "suite"]]
+    for argv, shown in examples:
+        assert cli(argv[1:]) == 0, argv
+        assert capsys.readouterr().out.splitlines() == shown, argv
 
 
 def test_unknown_subcommand(capsys):

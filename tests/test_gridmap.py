@@ -1,6 +1,7 @@
 """Map parsing, bounds and obstacle footprints."""
 
 import math
+import re
 
 import pytest
 
@@ -11,9 +12,10 @@ from gridjam import (
     GridMap,
     ObstaclePlacement,
     RaggedRowsError,
-    footprint_cells,
     parse_map,
 )
+from gridjam.planner import _cell, _covered
+from gridjam.svgrender import PX, _footprint_rects
 from oracles import obstruct
 
 
@@ -24,6 +26,11 @@ def occupied_cells(grid):
         for col in range(grid.width)
         if grid.rows[row][col]
     }
+
+
+def extent_cells(placement, grid):
+    cols, rows = placement.extent(grid)
+    return {Cell(col, row) for row in rows for col in cols}
 
 
 def test_parse_all_occupied():
@@ -82,28 +89,53 @@ def test_apply_obstacle_single_cell():
     grid = parse_map("\n".join(["....."] * 5))
     placement = ObstaclePlacement(Cell(2, 2), 1)
     assert occupied_cells(obstruct(grid, placement)) == {Cell(2, 2)}
-    assert footprint_cells(placement, grid) == {Cell(2, 2)}
+    assert extent_cells(placement, grid) == {Cell(2, 2)}
 
 
 def test_footprint_clipped_at_corner():
     grid = parse_map("\n".join(["....."] * 5))
-    corner = footprint_cells(ObstaclePlacement(Cell(0, 0), 3), grid)
+    corner = extent_cells(ObstaclePlacement(Cell(0, 0), 3), grid)
     assert corner == {Cell(0, 0), Cell(1, 0), Cell(0, 1), Cell(1, 1)}
 
 
 def test_footprint_hanging_over_border():
     grid = parse_map("..\n..")
     # centre is outside; only the overlap is covered
-    assert footprint_cells(ObstaclePlacement(Cell(2, 1), 3), grid) == {Cell(1, 0), Cell(1, 1)}
+    assert extent_cells(ObstaclePlacement(Cell(2, 1), 3), grid) == {Cell(1, 0), Cell(1, 1)}
 
 
 def test_footprint_examples():
     grid = parse_map("\n".join(["....."] * 5))
-    assert footprint_cells(ObstaclePlacement(Cell(2, 2), 1), grid) == {Cell(2, 2)}
-    big = footprint_cells(ObstaclePlacement(Cell(2, 2), 3), grid)
+    assert extent_cells(ObstaclePlacement(Cell(2, 2), 1), grid) == {Cell(2, 2)}
+    big = extent_cells(ObstaclePlacement(Cell(2, 2), 3), grid)
     assert big == {Cell(c, r) for c in (1, 2, 3) for r in (1, 2, 3)}
-    edge = footprint_cells(ObstaclePlacement(Cell(0, 2), 3), grid)
+    edge = extent_cells(ObstaclePlacement(Cell(0, 2), 3), grid)
     assert edge == {Cell(c, r) for c in (0, 1) for r in (1, 2, 3)}
+
+
+def test_clipped_square_is_the_same_in_every_layer():
+    # every grid up to 4x4, every side in {1, 3, 5} and every centre up to
+    # r + 1 cells outside the grid: the planner's flat indices, the SVG's
+    # obstacle rects, the oracle's overlay and `covers` on the grid's cells
+    # all name the cells of `extent`, and the planner and the SVG go row by row
+    rect = re.compile(rf'<rect class="obstacle" x="(\d+)" y="(\d+)" width="{PX}" height="{PX}"/>')
+    for width in range(1, 5):
+        for height in range(1, 5):
+            grid = parse_map("\n".join(["." * width] * height))
+            stride = width + 2
+            inside = {Cell(col, row) for row in range(height) for col in range(width)}
+            for side in (1, 3, 5):
+                reach = side // 2 + 1
+                for col in range(-reach, width + reach):
+                    for row in range(-reach, height + reach):
+                        placement = ObstaclePlacement(Cell(col, row), side)
+                        expected = extent_cells(placement, grid)
+                        row_major = sorted(expected, key=lambda c: (c.row, c.col))
+                        assert [_cell(i, stride) for i in _covered(placement, grid, stride)] == row_major
+                        rects = [rect.fullmatch(line) for line in _footprint_rects(grid, placement)]
+                        assert [Cell(int(m[1]) // PX, int(m[2]) // PX) for m in rects] == row_major
+                        assert occupied_cells(obstruct(grid, placement)) == expected
+                        assert {c for c in inside if placement.covers(c)} == expected
 
 
 def test_placement_side_must_be_odd_positive():

@@ -19,7 +19,6 @@ from gridjam import (
     astar,
     brute_force_attack,
     distance_field,
-    footprint_cells,
     parse_map,
     prefix_costs,
     simulate,
@@ -27,6 +26,12 @@ from gridjam import (
 )
 from conftest import BRANCH_TEXT, PROPERTY_SETTINGS, grid_problems, is_free, random_case
 from oracles import dijkstra_oracle, obstruct
+
+
+def footprint_cells(placement, grid):
+    """The cells of the placement's square inside grid, as a set."""
+    cols, rows = placement.extent(grid)
+    return {Cell(col, row) for row in rows for col in cols}
 
 
 def straight_path():

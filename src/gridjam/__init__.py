@@ -8,18 +8,7 @@ maps and goals.
 """
 
 from .attack import AttackPlan, CandidateEval, Outcome, brute_force_attack
-from .errors import (
-    BadCharError,
-    BadEndpointError,
-    BadValueError,
-    EmptyMapError,
-    GridJamError,
-    MissingKeyError,
-    NoBaselineError,
-    NoPathError,
-    RaggedRowsError,
-    UnknownKeyError,
-)
+from .errors import BadEndpointError, GridJamError, MapError, NoPathError, ScenarioError
 from .gridmap import Cell, GridMap, ObstaclePlacement, parse_map
 from .harness import ADVERSARIAL, BENIGN, CSV_HEADER, read_csv, run_suite, write_csv
 from .planner import astar, distance_field, euclidean_distance, prefix_costs
@@ -31,8 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackPlan", "CandidateEval", "Outcome", "brute_force_attack",
-    "BadCharError", "BadEndpointError", "BadValueError", "EmptyMapError", "GridJamError",
-    "MissingKeyError", "NoBaselineError", "NoPathError", "RaggedRowsError", "UnknownKeyError",
+    "BadEndpointError", "GridJamError", "MapError", "NoPathError", "ScenarioError",
     "Cell", "GridMap", "ObstaclePlacement", "parse_map",
     "ADVERSARIAL", "BENIGN", "CSV_HEADER", "read_csv", "run_suite", "write_csv",
     "astar", "distance_field", "euclidean_distance", "prefix_costs",

@@ -10,7 +10,6 @@ import bisect
 import enum
 from dataclasses import dataclass
 
-from .errors import BadEndpointError, NoBaselineError, NoPathError
 from .gridmap import Cell, GridMap, ObstaclePlacement
 from .planner import DistanceField, Path, _check_field, _cost, _route, _search, _separators, distance_field, prefix_costs
 
@@ -89,16 +88,17 @@ def brute_force_attack(
     obstacle, so it runs from the nearer end. When the goal field was built,
     the winner's canonical path uses its exact distances as its heuristic.
     Both fields give every answer bitwise the same.
+
+    With no baseline there is nothing to attack: an occupied or off-map
+    start or goal raises BadEndpointError, the start's first, and a goal out
+    of the start's reach raises NoPathError, each with `astar`'s message.
     """
     own_field = field is None
-    if not own_field:
+    if own_field:
+        field = distance_field(grid, start)
+    else:
         _check_field(field, grid, start)
-    try:
-        if own_field:
-            field = distance_field(grid, start)
-        baseline = _route(field, goal)
-    except (BadEndpointError, NoPathError) as exc:
-        raise NoBaselineError(str(exc)) from exc
+    baseline = _route(field, goal)
 
     goal_field = None  # built for the first candidate scored on it
     split = 0  # candidates before this baseline index are scored on the goal field

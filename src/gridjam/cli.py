@@ -37,7 +37,7 @@ def cli(argv=None) -> int:
         return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except OSError as exc:  # before GridJamError: a map a scenario names may be unreadable
+    except OSError as exc:  # a file that cannot be read, a map that a scenario names included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GridJamError as exc:

@@ -1,21 +1,21 @@
-"""Exception hierarchy shared across the toolkit."""
+"""The errors this package raises for input it cannot use.
+
+There is one class per kind of bad input, and the command line exits 1 on
+any of them. An unreadable file is not one of them: it raises `OSError`,
+and the command line exits 2.
+"""
 
 
 class GridJamError(Exception):
     """Base class for every error raised by this package."""
 
 
-# malformed map text or grid dimensions
-class EmptyMapError(GridJamError):
-    pass
+class MapError(GridJamError):
+    """Map text that is empty, ragged or holds a character other than '#' and '.', or a grid under 1x1."""
 
 
-class RaggedRowsError(GridJamError):
-    pass
-
-
-class BadCharError(GridJamError):
-    pass
+class ScenarioError(GridJamError):
+    """A scenario file with a missing, unknown, repeated or unusable key."""
 
 
 class NoPathError(GridJamError):
@@ -24,24 +24,3 @@ class NoPathError(GridJamError):
 
 class BadEndpointError(GridJamError):
     """Start or goal is occupied or outside the map."""
-
-
-class NoBaselineError(GridJamError):
-    """The initial plan failed, so there is nothing to attack or simulate."""
-
-
-# malformed scenario files
-class MissingKeyError(GridJamError):
-    pass
-
-
-class UnknownKeyError(GridJamError):
-    pass
-
-
-class BadValueError(GridJamError):
-    pass
-
-
-class MapReadError(BadValueError, OSError):
-    """A scenario names a map file that cannot be read: an I/O error, so the CLI exits 2."""

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .errors import BadCharError, EmptyMapError, RaggedRowsError
+from .errors import MapError
 
 OCCUPIED_CHAR = "#"
 FREE_CHAR = "."
@@ -35,7 +35,7 @@ class GridMap:
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
-            raise EmptyMapError(f"grid must be at least 1x1, got {self.width}x{self.height}")
+            raise MapError(f"grid must be at least 1x1, got {self.width}x{self.height}")
         if not 0 < self.cell_size < math.inf:  # also rejects NaN
             raise ValueError(f"cell_size must be positive and finite, got {self.cell_size}")
         if len(self.rows) != self.height or any(len(r) != self.width for r in self.rows):
@@ -95,17 +95,17 @@ def parse_map(text: str) -> GridMap:
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
-        raise EmptyMapError("map text contains no rows")
+        raise MapError("map text contains no rows")
     width = len(lines[0])
     rows = []
     for number, line in enumerate(lines, 1):
         if not line:
-            raise EmptyMapError(f"line {number} is empty")
+            raise MapError(f"line {number} is empty")
         if len(line) != width:
-            raise RaggedRowsError(f"line {number} has length {len(line)}, expected {width}")
+            raise MapError(f"line {number} has length {len(line)}, expected {width}")
         for ch in line:
             if ch != OCCUPIED_CHAR and ch != FREE_CHAR:
-                raise BadCharError(f"line {number}: unexpected character {ch!r}")
+                raise MapError(f"line {number}: unexpected character {ch!r}")
         rows.append(tuple(ch == OCCUPIED_CHAR for ch in line))
     return GridMap(width, len(rows), 1.0, tuple(rows))
 

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .attack import brute_force_attack
-from .errors import NoBaselineError
+from .errors import NoPathError
 from .gridmap import Cell
 from .planner import distance_field
 from .scenario import Scenario
@@ -56,7 +56,9 @@ def run_suite(scenario: Scenario):
     every race shares one distance field from the start. Runs are ordered by (goal
     index, condition, repeat) with benign before adversarial. A goal the
     planner cannot reach is skipped and recorded in the summary instead of
-    aborting the suite.
+    aborting the suite. A parsed scenario's start and goals are free cells
+    on its map; a `Scenario` built by hand with an occupied or off-map start
+    or goal raises BadEndpointError.
     """
     config = SimConfig(
         speed=scenario.speed,
@@ -71,7 +73,7 @@ def run_suite(scenario: Scenario):
     for goal in scenario.goals:
         try:
             plan = brute_force_attack(scenario.grid, scenario.start, goal, scenario.obstacle_side, field)
-        except NoBaselineError:
+        except NoPathError:
             skipped.append(goal)
             plans.append(None)
             continue

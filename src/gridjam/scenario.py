@@ -19,48 +19,48 @@ import pathlib
 import re
 from dataclasses import dataclass
 
-from .errors import BadCharError, BadValueError, EmptyMapError, MapReadError, MissingKeyError, RaggedRowsError, UnknownKeyError
+from .errors import MapError, ScenarioError
 from .gridmap import Cell, GridMap, parse_map
 
 
-def _positive_float(lineno, value, key):
-    out = _float(lineno, value, key)
+def _positive_float(value, key):
+    out = _float(value, key)
     if out <= 0:
-        raise BadValueError(f"line {lineno}: {key} must be positive, got {value}")
+        raise ScenarioError(f"{key} must be positive, got {value}")
     return out
 
 
-def _nonnegative_float(lineno, value, key):
-    out = _float(lineno, value, key)
+def _nonnegative_float(value, key):
+    out = _float(value, key)
     if out < 0:
-        raise BadValueError(f"line {lineno}: {key} must be >= 0, got {value}")
+        raise ScenarioError(f"{key} must be >= 0, got {value}")
     return out
 
 
-def _float(lineno, value, key):
+def _float(value, key):
     try:
         out = float(value)
     except ValueError:
-        raise BadValueError(f"line {lineno}: {key} expects a number, got {value!r}") from None
+        raise ScenarioError(f"{key} expects a number, got {value!r}") from None
     if not math.isfinite(out):
-        raise BadValueError(f"line {lineno}: {key} must be finite, got {value!r}")
+        raise ScenarioError(f"{key} must be finite, got {value!r}")
     return out
 
 
-def _positive_int(lineno, value, key):
+def _positive_int(value, key):
     try:
         out = int(value)
     except ValueError:
-        raise BadValueError(f"line {lineno}: {key} expects an integer, got {value!r}") from None
+        raise ScenarioError(f"{key} expects an integer, got {value!r}") from None
     if out < 1:
-        raise BadValueError(f"line {lineno}: {key} must be >= 1, got {out}")
+        raise ScenarioError(f"{key} must be >= 1, got {out}")
     return out
 
 
-def _odd_side(lineno, value, key):
-    side = _positive_int(lineno, value, key)
+def _odd_side(value, key):
+    side = _positive_int(value, key)
     if side % 2 == 0:
-        raise BadValueError(f"line {lineno}: {key} must be odd, got {side}")
+        raise ScenarioError(f"{key} must be odd, got {side}")
     return side
 
 
@@ -94,84 +94,121 @@ class Scenario:
 
 
 def parse_scenario(text: str, base_dir=".") -> Scenario:
-    """Parse scenario text; `base_dir` anchors the relative map path."""
-    base = pathlib.Path(base_dir)
-    scalars = {}
-    goal_lines = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise BadValueError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _KNOWN_KEYS:
-            raise UnknownKeyError(f"line {lineno}: unknown key {key!r}")
-        if not value:
-            raise BadValueError(f"line {lineno}: key {key!r} has no value")
-        if key == "goal":
-            goal_lines.append((lineno, value))
-            continue
-        if key in scalars:
-            raise BadValueError(f"line {lineno}: duplicate key {key!r}")
-        scalars[key] = (lineno, value)
+    """Parse scenario text; `base_dir` anchors the relative map path.
 
-    for key in _REQUIRED_KEYS:
-        if key not in scalars:
-            raise MissingKeyError(f"missing required key {key!r}")
-    if not goal_lines:
-        raise MissingKeyError("missing required key 'goal' (at least one)")
-
-    numbers = {key: read(*scalars[key], key=key) for key, read in _NUMBERS.items() if key in scalars}
-    cell_size = numbers.pop("cell_size")
-
-    map_lineno, map_value = scalars["map"]
-    map_path = base / map_value
-    try:
-        map_text = map_path.read_text()
-    except OSError as exc:
-        raise MapReadError(f"line {map_lineno}: cannot read map {map_value!r}: {exc}") from exc
-    try:
-        grid = parse_map(map_text)
-    except (BadCharError, EmptyMapError, RaggedRowsError) as exc:
-        # the map's own line number alone would read as a line of the scenario
-        raise type(exc)(f"line {map_lineno}: map {map_value!r}: {exc}") from exc
-    grid = grid.with_cell_size(cell_size)
-
-    start = _cell(*scalars["start"], key="start", grid=grid)
-    goals = tuple(_cell(lineno, value, key="goal", grid=grid) for lineno, value in goal_lines)
-
-    if "name" in scalars:
-        name_lineno, name = scalars["name"]
-    else:
-        name_lineno, name = map_lineno, pathlib.Path(map_value).stem
-    if not _NAME.fullmatch(name):
-        # the name becomes part of output file names, so it must not hold a path
-        raise BadValueError(
-            f"line {name_lineno}: scenario name {name!r} may only use letters, digits, '_' and '-'"
-        )
-
-    return Scenario(name=name, map_path=map_path, grid=grid, start=start, goals=goals, **numbers)
+    Raises ScenarioError for a bad key or value and MapError for a bad map,
+    each starting `line N: ` with the scenario line at fault when there is
+    one, and OSError for a map file that cannot be read.
+    """
+    return _parse(text, pathlib.Path(base_dir), lambda lineno: f"line {lineno}: " if lineno else "")
 
 
 def load_scenario(path) -> Scenario:
-    """Read and parse a scenario file; the map path resolves next to it."""
+    """Read and parse a scenario file; the map path resolves next to it.
+
+    Errors read as `parse_scenario`'s, but start `<path>:N: `, or `<path>: `
+    when no line is at fault.
+    """
     p = pathlib.Path(path)
-    return parse_scenario(p.read_text(), base_dir=p.parent)
+    return _parse(p.read_text(), p.parent, lambda lineno: f"{p}:{lineno}: " if lineno else f"{p}: ")
 
 
-def _cell(lineno, value, key, grid):
-    parts = value.split(",")
-    if len(parts) != 2:
-        raise BadValueError(f"line {lineno}: {key} expects 'col,row', got {value!r}")
+def _parse(text, base, where):
+    """parse_scenario's work; `where(lineno)` prefixes every error it raises."""
+    lineno = None  # the scenario line being read, where an error names it
     try:
-        cell = Cell(int(parts[0]), int(parts[1]))
-    except ValueError:
-        raise BadValueError(f"line {lineno}: {key} expects 'col,row', got {value!r}") from None
+        scalars = {}
+        goal_lines = []
+        for lineno, raw in enumerate(text.split("\n"), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ScenarioError(f"expected 'key = value', got {raw.strip()!r}")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            value = value.strip()
+            if key not in _KNOWN_KEYS:
+                raise ScenarioError(f"unknown key {key!r}")
+            if not value:
+                raise ScenarioError(f"key {key!r} has no value")
+            if key == "goal":
+                goal_lines.append((lineno, value))
+                continue
+            if key in scalars:
+                raise ScenarioError(f"duplicate key {key!r}")
+            scalars[key] = (lineno, value)
+
+        lineno = None
+        for key in _REQUIRED_KEYS:
+            if key not in scalars:
+                raise ScenarioError(f"missing required key {key!r}")
+        if not goal_lines:
+            raise ScenarioError("missing required key 'goal' (at least one)")
+
+        numbers = {}
+        for key, read in _NUMBERS.items():
+            if key in scalars:
+                lineno, value = scalars[key]
+                numbers[key] = read(value, key)
+
+        lineno, map_value = scalars["map"]
+        map_path = base / map_value
+        try:
+            map_text = map_path.read_text()
+        except OSError as exc:
+            raise OSError(f"cannot read map {map_value!r}: {exc}") from exc
+        try:
+            grid = parse_map(map_text)
+        except MapError as exc:
+            # the map's own line number alone would read as a line of the scenario
+            raise MapError(f"map {map_value!r}: {exc}") from exc
+        grid = grid.with_cell_size(numbers.pop("cell_size"))
+
+        lineno, value = scalars["start"]
+        start = _cell(value, "start", grid)
+        goals = []
+        for lineno, value in goal_lines:
+            goals.append(_cell(value, "goal", grid))
+
+        lineno, name = scalars.get("name", (scalars["map"][0], pathlib.Path(map_value).stem))
+        if not _NAME.fullmatch(name):
+            # the name becomes part of output file names, so it must not hold a path
+            raise ScenarioError(f"scenario name {name!r} may only use letters, digits, '_' and '-'")
+
+        # A route visits no cell twice, so it costs less than cells * sqrt(2)
+        # steps; an attacked run drives less than two routes, and the
+        # attacker plans at most one candidate per route cell. Bounding the
+        # race's times so, in the order `sim` computes them, keeps every
+        # time and delay in the CSV finite.
+        cells = grid.width * grid.height
+        lineno, value = scalars["speed"]
+        if not math.isfinite(2 * cells * math.sqrt(2) * grid.cell_size / numbers["speed"]):
+            raise ScenarioError(
+                f"speed {value} and cell_size {scalars['cell_size'][1]} let a route on this "
+                f"{grid.width}x{grid.height} map take longer than a float can hold"
+            )
+        if "eval_time_per_candidate" in scalars:
+            lineno, value = scalars["eval_time_per_candidate"]
+            if not math.isfinite(numbers.get("attack_start_delay", 0.0) + numbers["eval_time_per_candidate"] * cells):
+                raise ScenarioError(
+                    f"eval_time_per_candidate {value} lets an attack on this "
+                    f"{grid.width}x{grid.height} map take longer than a float can hold"
+                )
+    except (ScenarioError, MapError, OSError) as exc:
+        raise type(exc)(where(lineno) + str(exc)) from exc.__cause__
+
+    return Scenario(name=name, map_path=map_path, grid=grid, start=start, goals=tuple(goals), **numbers)
+
+
+def _cell(value, key, grid):
+    try:
+        col, row = (int(part) for part in value.split(","))
+    except ValueError:  # also when there are not exactly two parts
+        raise ScenarioError(f"{key} expects 'col,row', got {value!r}") from None
+    cell = Cell(col, row)
     if not grid.in_bounds(cell):
-        raise BadValueError(f"line {lineno}: {key} {cell} is outside the map")
+        raise ScenarioError(f"{key} {cell} is outside the map")
     if grid.is_occupied(cell):
-        raise BadValueError(f"line {lineno}: {key} {cell} is on an occupied cell")
+        raise ScenarioError(f"{key} {cell} is on an occupied cell")
     return cell

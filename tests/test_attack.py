@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gridjam import (
     Cell,
-    NoBaselineError,
+    NoPathError,
     Outcome,
     astar,
     brute_force_attack,
@@ -113,7 +113,7 @@ def test_oracle_equivalence_random():
         side = sides[done % 3]
         try:
             mine = brute_force_attack(grid, start, goal, side)
-        except NoBaselineError:
+        except NoPathError:
             continue
         assert mine == attack_oracle(grid, start, goal, side)
         done += 1
@@ -129,10 +129,10 @@ def test_oracle_equivalence_property(problem, side, data):
     for goal in goals:
         try:
             shared = brute_force_attack(grid, start, goal, side, field)
-        except NoBaselineError:
-            with pytest.raises(NoBaselineError):
+        except NoPathError:
+            with pytest.raises(NoPathError, match="^no path from "):
                 brute_force_attack(grid, start, goal, side)
-            with pytest.raises(NoBaselineError):
+            with pytest.raises(NoPathError, match="^no path from "):
                 attack_oracle(grid, start, goal, side)
             continue
         assert shared == brute_force_attack(grid, start, goal, side)
@@ -158,7 +158,7 @@ def test_ledger_completeness_and_bounds():
         grid, start, goal = random_case(rng, 10, 10)
         try:
             plan = brute_force_attack(grid, start, goal, 3)
-        except NoBaselineError:
+        except NoPathError:
             continue
         assert len(plan.ledger) == len(plan.baseline.cells)
         assert [e.index for e in plan.ledger] == list(range(len(plan.ledger)))
@@ -183,7 +183,7 @@ def test_best_placement_keeps_map_solvable():
         grid, start, goal = random_case(rng, 12, 12)
         try:
             plan = brute_force_attack(grid, start, goal, 3)
-        except NoBaselineError:
+        except NoPathError:
             continue
         if plan.best is None:
             continue
@@ -194,7 +194,7 @@ def test_best_placement_keeps_map_solvable():
 
 def test_attack_requires_baseline():
     grid = parse_map(".#.\n.#.\n.#.")
-    with pytest.raises(NoBaselineError):
+    with pytest.raises(NoPathError, match="^no path from 0,0 to 2,0$"):
         brute_force_attack(grid, Cell(0, 0), Cell(2, 0), 1)
-    with pytest.raises(NoBaselineError):
+    with pytest.raises(NoPathError, match="^no path from 0,0 to 2,0$"):
         attack_oracle(grid, Cell(0, 0), Cell(2, 0), 1)

@@ -128,7 +128,60 @@ def test_validation_error_exit_code(workdir, capsys):
     code = cli(["plan", str(workdir / "branch.txt"), "0,0", "5,1"])
     err = capsys.readouterr().err
     assert code == 1
-    assert "error:" in err
+    assert err == "error: start 0,0 is occupied\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["plan", "bad.txt", "0,0", "1,0"], "line 2: unexpected character 'x'"),
+        (["simulate", "unknown.scn"], "unknown.scn:9: unknown key 'velocity'"),
+        (["simulate", "nospeed.scn"], "nospeed.scn: missing required key 'speed'"),
+        (["plan", "branch.txt", "9,9", "5,1"], "start 9,9 is outside the 7x5 map"),
+        (["plan", "walled.txt", "0,0", "2,0"], "no path from 0,0 to 2,0"),
+    ],
+    ids=["bad-map-char", "unknown-scenario-key", "missing-scenario-key", "off-map-start", "walled-off-goal"],
+)
+def test_input_error_exit_code(argv, message, workdir, monkeypatch, capsys):
+    # every kind of bad input exits 1 with one line naming what is wrong
+    (workdir / "bad.txt").write_text("#.\n#x\n")
+    (workdir / "walled.txt").write_text(".#.\n.#.\n.#.\n")
+    (workdir / "unknown.scn").write_text(BRANCH_SCN + "velocity = 2\n")
+    (workdir / "nospeed.scn").write_text(BRANCH_SCN.replace("speed = 1.0\n", ""))
+    monkeypatch.chdir(workdir)
+    code = cli(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("speed = 1.0", "speed = 1e-310", "6: speed 1e-310 and cell_size 1.0 let a route on this 7x5 map"),
+        (
+            "eval_time_per_candidate = 0",
+            "eval_time_per_candidate = 1e308",
+            "8: eval_time_per_candidate 1e308 lets an attack on this 7x5 map",
+        ),
+    ],
+    ids=["speed", "eval-time"],
+)
+def test_suite_rejects_times_that_overflow(old, new, message, workdir, capsys):
+    # each value is finite, but a race time built from it would not be, and
+    # the CSV would hold inf or nan
+    scn = workdir / "slow.scn"
+    scn.write_text(BRANCH_SCN.replace(old, new))
+    csv_path = workdir / "runs.csv"
+    svg_dir = workdir / "svg"
+    code = cli(["suite", str(scn), "--csv", str(csv_path), "--svg-dir", str(svg_dir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {scn}:{message} take longer than a float can hold\n"
+    assert captured.out == ""
+    assert not csv_path.exists()
+    assert not svg_dir.exists()
 
 
 def test_bad_cell_argument(workdir, capsys):
@@ -144,22 +197,28 @@ def test_even_side_rejected(workdir, capsys):
 def test_missing_file_exit_code(tmp_path, capsys):
     code = cli(["plan", str(tmp_path / "nope.txt"), "0,0", "1,1"])
     assert code == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{tmp_path / 'nope.txt'}'\n"
 
 
 def test_missing_scenario_exit_code(tmp_path, capsys):
     code = cli(["simulate", str(tmp_path / "nope.scn")])
     assert code == 2
+    assert capsys.readouterr().err == f"error: no such scenario file or bundled scenario: {tmp_path / 'nope.scn'}\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "suite"])
 def test_missing_map_of_scenario_exit_code(command, workdir, capsys):
     # an unreadable map is an I/O error even when a scenario names it
-    (workdir / "nomap.scn").write_text(BRANCH_SCN.replace("map = branch.txt", "map = nope.txt"))
-    args = [command, str(workdir / "nomap.scn")] + (["--csv", str(workdir / "runs.csv")] if command == "suite" else [])
+    scn = workdir / "nomap.scn"
+    scn.write_text(BRANCH_SCN.replace("map = branch.txt", "map = nope.txt"))
+    args = [command, str(scn)] + (["--csv", str(workdir / "runs.csv")] if command == "suite" else [])
     code = cli(args)
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: line 2: cannot read map 'nope.txt': ")
+    assert err == (
+        f"error: {scn}:2: cannot read map 'nope.txt': "
+        f"[Errno 2] No such file or directory: '{workdir / 'nope.txt'}'\n"
+    )
     assert not (workdir / "runs.csv").exists()
 
 
@@ -168,7 +227,7 @@ def test_bad_map_of_scenario_names_the_map(workdir, capsys):
     (workdir / "s.scn").write_text(BRANCH_SCN.replace("map = branch.txt", "map = m.txt"))
     code = cli(["simulate", str(workdir / "s.scn")])
     assert code == 1
-    assert capsys.readouterr().err == "error: line 2: map 'm.txt': line 2: unexpected character 'x'\n"
+    assert capsys.readouterr().err == f"error: {workdir / 's.scn'}:2: map 'm.txt': line 2: unexpected character 'x'\n"
 
 
 def readme_examples():

@@ -6,12 +6,10 @@ import re
 import pytest
 
 from gridjam import (
-    BadCharError,
     Cell,
-    EmptyMapError,
     GridMap,
+    MapError,
     ObstaclePlacement,
-    RaggedRowsError,
     parse_map,
 )
 from gridjam.planner import _cell, _covered
@@ -49,27 +47,27 @@ def test_parse_free_column():
 
 
 def test_parse_ragged_rows():
-    with pytest.raises(RaggedRowsError, match="^line 2 has length 3, expected 2$"):
+    with pytest.raises(MapError, match="^line 2 has length 3, expected 2$"):
         parse_map("#.\n#..")
 
 
 def test_parse_empty_text():
-    with pytest.raises(EmptyMapError, match="^map text contains no rows$"):
+    with pytest.raises(MapError, match="^map text contains no rows$"):
         parse_map("")
 
 
 def test_parse_zero_width_row():
-    with pytest.raises(EmptyMapError, match="^line 2 is empty$"):
+    with pytest.raises(MapError, match="^line 2 is empty$"):
         parse_map("##\n\n##")
 
 
 def test_parse_bad_char():
-    with pytest.raises(BadCharError, match="^line 1: unexpected character 'x'$"):
+    with pytest.raises(MapError, match="^line 1: unexpected character 'x'$"):
         parse_map("#x\n##")
 
 
 def test_parse_rejects_trailing_whitespace():
-    with pytest.raises(BadCharError, match="^line 1: unexpected character ' '$"):
+    with pytest.raises(MapError, match="^line 1: unexpected character ' '$"):
         parse_map("#. \n#..")
 
 
@@ -148,7 +146,7 @@ def test_placement_side_must_be_odd_positive():
 
 
 def test_grid_dimension_validation():
-    with pytest.raises(EmptyMapError):
+    with pytest.raises(MapError, match="^grid must be at least 1x1, got 0x2$"):
         GridMap(0, 2, 1.0, ())
     with pytest.raises(ValueError):
         GridMap(2, 1, 0.0, ((False, False),))

@@ -12,7 +12,7 @@ from gridjam import (
     AttackPlan,
     CandidateEval,
     Cell,
-    NoBaselineError,
+    NoPathError,
     ObstaclePlacement,
     Outcome,
     SimConfig,
@@ -163,7 +163,7 @@ def test_run_invariants_random():
         field = distance_field(grid, start)
         try:
             plan = brute_force_attack(grid, start, goal, side, field)
-        except NoBaselineError:
+        except NoPathError:
             continue
         result = simulate(grid, plan, cfg, field)
         assert result.benign_time >= result.euclidean / cfg.speed - 1e-9
@@ -206,7 +206,7 @@ def _race(problem, side, cell_size, cfg):
     field = distance_field(grid, start)
     try:
         plan = brute_force_attack(grid, start, goal, side, field)
-    except NoBaselineError:
+    except NoPathError:
         return None
     return simulate(grid, plan, cfg, field)
 
@@ -239,7 +239,7 @@ def test_slower_attack_never_turns_a_miss_into_a_landing_property(problem, side,
     field = distance_field(grid, start)
     try:
         plan = brute_force_attack(grid, start, goal, side, field)
-    except NoBaselineError:
+    except NoPathError:
         return
     base = simulate(grid, plan, cfg, field).attack_success
     for slower in (
@@ -309,7 +309,7 @@ def test_robot_keeps_clear_of_the_obstacle_after_the_spawn_property(problem, sid
     field = distance_field(grid, start)
     try:
         plan = brute_force_attack(grid, start, goal, side, field)
-    except NoBaselineError:
+    except NoPathError:
         return
     if plan.best is None:
         return
@@ -390,7 +390,7 @@ def test_spawns_at_arrival_marks():
         try:
             if brute_force_attack(unit_grid, start, goal, side).best is None:
                 continue
-        except NoBaselineError:
+        except NoPathError:
             continue
         for cell_size in (0.3, 0.541, 0.7, 1.1):
             grid = unit_grid.with_cell_size(cell_size)

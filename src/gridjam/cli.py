@@ -11,7 +11,7 @@ from pathlib import Path
 from . import data as _data
 from .attack import Outcome, brute_force_attack
 from .errors import GridJamError
-from .gridmap import Cell, parse_map
+from .gridmap import Cell, parse_map, read_text
 from .harness import format_run, run_suite, write_csv
 from .planner import astar
 from .scenario import load_scenario
@@ -87,7 +87,7 @@ def _build_parser():
 
 
 def _cmd_plan(args) -> int:
-    grid = parse_map(Path(args.map).read_text())
+    grid = parse_map(read_text(args.map))
     path = astar(grid, _cell_arg(args.start), _cell_arg(args.goal))
     print(f"cost={path.cost:.6f}")
     print("path=" + " ".join(str(c) for c in path.cells))
@@ -95,7 +95,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    grid = parse_map(Path(args.map).read_text())
+    grid = parse_map(read_text(args.map))
     plan = brute_force_attack(grid, _cell_arg(args.start), _cell_arg(args.goal), _side_arg(args.side))
     print(f"baseline_cost={plan.baseline.cost:.6f}")
     for entry in plan.ledger:
@@ -151,7 +151,7 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    grid = parse_map(Path(args.map).read_text())
+    grid = parse_map(read_text(args.map))
     plan = brute_force_attack(grid, _cell_arg(args.start), _cell_arg(args.goal), _side_arg(args.side))
     render_svg(grid, plan.baseline, args.out, attacked=plan.attacked_path, obstacle=plan.best)
     print(f"wrote {args.out}")

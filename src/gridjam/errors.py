@@ -11,7 +11,12 @@ class GridJamError(Exception):
 
 
 class MapError(GridJamError):
-    """Map text that is empty, ragged or holds a character other than '#' and '.', or a grid under 1x1."""
+    """A bad map.
+
+    A map file that is not UTF-8; map text that is empty, ragged or holds a
+    character other than '#' and '.'; or a grid under 1x1 or of 2**24 cells
+    or more.
+    """
 
 
 class ScenarioError(GridJamError):

@@ -5,6 +5,7 @@ without defensive copies.
 """
 
 import math
+import pathlib
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -12,6 +13,9 @@ from .errors import MapError
 
 OCCUPIED_CHAR = "#"
 FREE_CHAR = "."
+# the planner's exact integer costs order like the real ones only on maps
+# of fewer cells (see `planner`)
+_MAX_CELLS = 1 << 24
 
 
 class Cell(NamedTuple):
@@ -36,6 +40,8 @@ class GridMap:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise MapError(f"grid must be at least 1x1, got {self.width}x{self.height}")
+        if self.width * self.height >= _MAX_CELLS:
+            raise MapError(f"grid must have fewer than {_MAX_CELLS} cells, got {self.width}x{self.height}")
         if not 0 < self.cell_size < math.inf:  # also rejects NaN
             raise ValueError(f"cell_size must be positive and finite, got {self.cell_size}")
         if len(self.rows) != self.height or any(len(r) != self.width for r in self.rows):
@@ -81,6 +87,14 @@ class ObstaclePlacement:
             range(max(0, col - r), min(grid.width, col + r + 1)),
             range(max(0, row - r), min(grid.height, row + r + 1)),
         )
+
+
+def read_text(path, error=MapError) -> str:
+    """The text of the file at path, read as UTF-8; raises `error` naming the file when it is not UTF-8."""
+    try:
+        return pathlib.Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def parse_map(text: str) -> GridMap:

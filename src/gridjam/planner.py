@@ -36,8 +36,8 @@ from the goal, each time to the lowest-(row, col) neighbour whose exact
 cost plus the step equals the current cost. It needs exact costs only on
 the goal and every optimal predecessor on the way back. A full distance
 field has them, and so does `_search` when the goal pops: it orders its
-heap by (f, -h, row, col), which closes every optimal predecessor of a
-cell before the cell itself.
+heap by (f, g, row, col), which among equal f is (f, -h, row, col), and
+that closes every optimal predecessor of a cell before the cell itself.
 
 Every search runs on a flat core: the grid becomes one byte string with a
 blocked border one cell wide, and cell (col, row) becomes the index
@@ -52,16 +52,19 @@ every search relaxes a popped cell's 4 straight moves at one cost and
 then its 4 diagonals, the only moves with flanks to test, at the other.
 A placement becomes the flat indices of the square that
 `ObstaclePlacement.extent` clips at the border. Callers ask four
-questions of the field, each answered by one function:
+questions of the field, each answered by one function. Two of them,
+`_cost` and `_search`, run one A* kernel, `_astar`, on a copy of the
+field's grid with the obstacle blocked; they pass it their own heuristic,
+tie-break and stop flags, and read their own result from its costs.
 
 * `_route`: the canonical route to a goal, backtracked on the field by the
   rule above. It is the attack's baseline, and `astar` is the route on a
   fresh field.
 * `_cost`: the cost alone of the cheapest route between two cells around
-  an obstacle, by an A* on an obstructed copy with the field as its
-  heuristic. It ends at the first cell it pops whose route up the field's
-  shortest-path tree to the target survives the obstacle: there the
-  heuristic is exact, so that cell's f is the optimum. The attack scores
+  an obstacle, with the field as the heuristic. It ends at the target or
+  at the first cell it pops whose route up the field's shortest-path tree
+  to the target survives the obstacle: there the heuristic is exact, so
+  that cell's f is the optimum. The attack scores
   each candidate with it from the goal back to the start on the start's
   field, and the race prices the robot's replan with it, toward the cell
   where the robot halted. An attack that builds its own field, on a route
@@ -71,10 +74,10 @@ questions of the field, each answered by one function:
   band between its origin and the obstacle, so each candidate is searched
   from the nearer end. The answer is bitwise the same on either field:
   both searches end at the optimum, whose exact cost is unique.
-* `_search`: the canonical route around the winning obstacle, by an A*
-  on the obstructed copy that backtracks on that copy. Its heuristic is
-  the octile distance, or the goal field's exact distance when the attack
-  built one; the canonical rule picks the same path under either.
+* `_search`: the canonical route around the winning obstacle, backtracked
+  on the obstructed copy once the goal pops. Its heuristic is the octile
+  distance, or the goal field's exact distance when the attack built one;
+  the canonical rule picks the same path under either.
 * `_separators`: the cells whose blocking alone cuts the start from a
   goal (below).
 
@@ -87,6 +90,7 @@ a cut vertex between them, and one lowpoint DFS from the start names
 every such cell at once.
 """
 
+import functools
 import heapq
 import math
 from collections import deque
@@ -203,6 +207,77 @@ def _decode(dist: int) -> float:
     return ((dist - m * _DIAG) >> _BITS) + m * SQRT2
 
 
+def _astar(cells, stride: int, origin: int, h: list, tie: list, first: list, stop: bytearray, dist: list):
+    """A* over the flat cells from origin: the first popped index x with stop[first[x]] set, or None.
+
+    `h`, `tie`, `first` and `dist` are indexed like `cells`, and `h` is a
+    consistent heuristic in exact costs. The heap pops by (g + h[x], tie[x],
+    x); `tie` may be `dist` itself, and then it is g. `dist` comes in all
+    None and leaves with the best g found for every reached index, exact on
+    every closed one and on the returned one. A closed neighbour is skipped:
+    under a consistent heuristic no later route to it is cheaper.
+    """
+    closed = bytearray(len(cells))
+    push, pop = heapq.heappush, heapq.heappop
+    straight, diagonals = _steps(stride)
+    dist[origin] = 0
+    open_heap = [(h[origin], tie[origin], origin)]
+    while open_heap:
+        cur = pop(open_heap)[2]
+        if closed[cur]:
+            continue
+        if stop[first[cur]]:
+            return cur
+        closed[cur] = 1
+        d = dist[cur]
+        value = d + _ORTH
+        for offset in straight:
+            nxt = cur + offset
+            if cells[nxt] or closed[nxt]:
+                continue
+            known = dist[nxt]
+            if known is None or value < known:
+                dist[nxt] = value
+                push(open_heap, (value + h[nxt], tie[nxt], nxt))
+        value = d + _DIAG
+        for offset, flank_a, flank_b in diagonals:
+            nxt = cur + offset
+            # no corner cutting: both orthogonal neighbours must be free
+            if cells[nxt] or closed[nxt] or cells[cur + flank_a] or cells[cur + flank_b]:
+                continue
+            known = dist[nxt]
+            if known is None or value < known:
+                dist[nxt] = value
+                push(open_heap, (value + h[nxt], tie[nxt], nxt))
+    return None
+
+
+@functools.lru_cache(maxsize=1)
+def _octile_table(stride: int, rows: int) -> tuple:
+    """Per row offset 0..rows-1, the exact octile costs of column offsets 1-stride..stride-1.
+
+    Cached for one shape only: every search of one attack, and of one suite
+    scenario, runs on one map.
+    """
+    table = []
+    for dr in range(rows):
+        half = [abs(dr - dc) * _ORTH + min(dr, dc) * _DIAG for dc in range(stride)]
+        table.append(tuple(half[:0:-1] + half))
+    return tuple(table)
+
+
+def _octile(goal: int, stride: int, size: int) -> list:
+    """The exact octile distance to goal from every index of a flat core of `size` cells."""
+    rows = size // stride
+    table = _octile_table(stride, rows)
+    grow, gcol = divmod(goal, stride)
+    lo = stride - 1 - gcol  # column offset 0 - gcol
+    h = []
+    for row in range(rows):
+        h += table[abs(row - grow)][lo:lo + stride]
+    return h
+
+
 def _search(field: "DistanceField", placement: ObstaclePlacement, goal: Cell, toward: "DistanceField" = None):
     """Canonical A* from the field's start to goal with the placement's cells occupied.
 
@@ -210,69 +285,30 @@ def _search(field: "DistanceField", placement: ObstaclePlacement, goal: Cell, to
     placement is clipped at the border. The heuristic is the octile
     distance, or, when `toward` is a field rooted at goal on the same grid,
     its exact distance to goal on the unobstructed map. Blocking cells only
-    removes moves, so both are consistent on the obstructed copy. The heap
-    pops by (f, -h, index), so every cell on an optimal route to the goal,
-    whose f is at most the optimum and whose h is above the goal's 0, is
-    closed with its exact cost before the goal pops; `_backtrack` then
-    builds the path on them, on the obstructed copy. The field itself is
-    not a heuristic here: toward the goal, d_s(goal) - d_s(x) cancels g on
-    every edge of the start's shortest-path tree, and the search
-    degenerates into a Dijkstra.
+    removes moves, so both are consistent on the obstructed copy. The tie
+    is the search's own g: among equal f a smaller g is a larger h, so the
+    heap pops by (f, -h, index), and every cell on an optimal route to the
+    goal, whose f is at most the optimum and whose h is above the goal's 0,
+    is closed with its exact cost before the goal pops; `_backtrack` then
+    builds the path on them, on the obstructed copy. The search stops at
+    the goal alone: every cell it pops is in the start's component, where
+    `first` is one-to-one, and a goal outside it has no route. The field
+    itself is not a heuristic here: toward the goal, d_s(goal) - d_s(x)
+    cancels g on every edge of the start's shortest-path tree, and the
+    search degenerates into a Dijkstra.
     """
     stride = field.stride
-    cells = _blocked(field.cells, _covered(placement, field.grid, stride))
     start, goal = _index(field.start, stride), _index(goal, stride)
-    size = len(cells)
-    dist = [None] * size  # None until reached
-    closed = bytearray(size)
-    push, pop = heapq.heappush, heapq.heappop
-    straight, diagonals = _steps(stride)
-
-    if toward is None:
-        grow, gcol = divmod(goal, stride)
-
-        def heuristic(index):
-            row, col = divmod(index, stride)
-            dc = abs(col - gcol)
-            dr = abs(row - grow)
-            lo, hi = (dc, dr) if dc < dr else (dr, dc)
-            return (hi - lo) * _ORTH + lo * _DIAG
-    else:
-        heuristic = toward.dist.__getitem__
-
-    dist[start] = 0
-    h = heuristic(start)
-    open_heap = [(h, -h, start)]
-    while open_heap:
-        cur = pop(open_heap)[2]
-        if closed[cur]:
-            continue
-        closed[cur] = 1
-        if cur == goal:
-            return _backtrack(cells, stride, dist, start, goal)
-        d = dist[cur]
-        value = d + _ORTH
-        for offset in straight:
-            nxt = cur + offset
-            if cells[nxt]:
-                continue
-            known = dist[nxt]
-            if known is None or value < known:
-                dist[nxt] = value
-                h = heuristic(nxt)
-                push(open_heap, (value + h, -h, nxt))
-        value = d + _DIAG
-        for offset, flank_a, flank_b in diagonals:
-            nxt = cur + offset
-            # no corner cutting: both orthogonal neighbours must be free
-            if cells[nxt] or cells[cur + flank_a] or cells[cur + flank_b]:
-                continue
-            known = dist[nxt]
-            if known is None or value < known:
-                dist[nxt] = value
-                h = heuristic(nxt)
-                push(open_heap, (value + h, -h, nxt))
-    return None
+    if field.dist[goal] is None:
+        return None
+    cells = _blocked(field.cells, _covered(placement, field.grid, stride))
+    h = _octile(goal, stride, len(cells)) if toward is None else toward.dist
+    stop = bytearray(field.reached)
+    stop[field.first[goal]] = 1
+    dist = [None] * len(cells)
+    if _astar(cells, stride, start, h, dist, field.first, stop, dist) is None:
+        return None
+    return _backtrack(cells, stride, dist, start, goal)
 
 
 class DistanceField:
@@ -520,7 +556,8 @@ def _exits(field: DistanceField, cells: bytearray, covered: list, target: int) -
     orthogonal neighbour y of one whose step to parent(y) is a diagonal with
     that blocked cell as a flank. The flags are target's subtree minus the
     subtrees of every cut root; each subtree is an interval of preorder
-    numbers, so each is set or cleared with one slice.
+    numbers, so each is set or cleared with one slice. Target's own flag is
+    set even when it is cut, so that a search toward it stops there too.
     """
     parent, first, end = field.parent, field.first, field.end
     stride = field.stride
@@ -540,6 +577,7 @@ def _exits(field: DistanceField, cells: bytearray, covered: list, target: int) -
             # diagonal and blocked is one of its flanks
             if up >= 0 and abs(up - blocked) in (1, stride):
                 flags[first[root]:end[root]] = bytes(end[root] - first[root])
+    flags[lo] = 1  # the target itself, even when it is cut
     return flags
 
 
@@ -558,61 +596,28 @@ def _cost(field: DistanceField, placement: ObstaclePlacement, origin: Cell, targ
     symmetric, so the cost is also that of the route from target to
     origin.
 
-    The search ends at t or at the first popped cell x whose route up the
-    field's tree to t survives the obstacle (`_exits`), whichever pops
-    first. At such an x the heuristic is exact. g(x) is optimal, since x
+    The search stops at the first popped cell x whose flag in `_exits` is
+    set: t itself, or a cell whose route up the field's tree to t survives
+    the obstacle. At such an x the heuristic is exact. g(x) is optimal, since x
     popped under a consistent heuristic, and origin to x followed by the
     tree route is a legal route to t of cost f(x) = g(x) + d_r(x) - d_r(t),
     so f(x) >= C*, the optimum. A* with a consistent heuristic pops no f
     above C* before t, so f(x) = C*, exactly, and at t itself f is g(t).
     The result is the one float built from that exact cost (`_decode`), so
     it is bitwise the same on any field. When t is out of reach no such x
-    exists, and the search runs until the heap is empty.
+    exists, and the search runs until the heap is empty. Among equal f the
+    heap pops the cell nearest the root first (the tie is d_r too), so the
+    search heads down the field, where tree routes to the root end it
+    soonest.
     """
     stride = field.stride
     covered = _covered(placement, field.grid, stride)
     cells = _blocked(field.cells, covered)
     origin, target = _index(origin, stride), _index(target, stride)
-    size = len(cells)
-    dist = [None] * size
-    closed = bytearray(size)
     h = field.dist
-    shift = h[target]
-    first = field.first
-    exits = _exits(field, cells, covered, target)
-    push, pop = heapq.heappush, heapq.heappop
-    straight, diagonals = _steps(stride)
-    dist[origin] = 0
-    # among equal f, the cell nearest the root first: the search heads
-    # down the field, where tree routes to the root end it soonest
-    open_heap = [(h[origin], h[origin], origin)]
-    while open_heap:
-        cur = pop(open_heap)[2]
-        if closed[cur]:
-            continue
-        if cur == target or exits[first[cur]]:
-            return _decode(dist[cur] + h[cur] - shift)
-        closed[cur] = 1
-        d = dist[cur]
-        value = d + _ORTH
-        for offset in straight:
-            nxt = cur + offset
-            if cells[nxt] or closed[nxt]:
-                continue
-            known = dist[nxt]
-            if known is None or value < known:
-                dist[nxt] = value
-                push(open_heap, (value + h[nxt], h[nxt], nxt))
-        value = d + _DIAG
-        for offset, flank_a, flank_b in diagonals:
-            nxt = cur + offset
-            if cells[nxt] or closed[nxt] or cells[cur + flank_a] or cells[cur + flank_b]:
-                continue
-            known = dist[nxt]
-            if known is None or value < known:
-                dist[nxt] = value
-                push(open_heap, (value + h[nxt], h[nxt], nxt))
-    return None
+    dist = [None] * len(cells)
+    cur = _astar(cells, stride, origin, h, h, field.first, _exits(field, cells, covered, target), dist)
+    return None if cur is None else _decode(dist[cur] + h[cur] - h[target])
 
 
 def _route(field: DistanceField, goal: Cell) -> Path:

@@ -17,10 +17,11 @@ remaining keys are scalar. Missing optional keys fall back to defaults.
 import math
 import pathlib
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import MapError, ScenarioError
-from .gridmap import Cell, GridMap, parse_map
+from .gridmap import Cell, GridMap, parse_map, read_text
 
 
 def _positive_float(value, key):
@@ -110,7 +111,7 @@ def load_scenario(path) -> Scenario:
     when no line is at fault.
     """
     p = pathlib.Path(path)
-    return _parse(p.read_text(), p.parent, lambda lineno: f"{p}:{lineno}: " if lineno else f"{p}: ")
+    return _parse(read_text(p, ScenarioError), p.parent, lambda lineno: f"{p}:{lineno}: " if lineno else f"{p}: ")
 
 
 def _parse(text, base, where):
@@ -155,7 +156,7 @@ def _parse(text, base, where):
         lineno, map_value = scalars["map"]
         map_path = base / map_value
         try:
-            map_text = map_path.read_text()
+            map_text = read_text(map_path)
         except OSError as exc:
             raise OSError(f"cannot read map {map_value!r}: {exc}") from exc
         try:
@@ -180,13 +181,20 @@ def _parse(text, base, where):
         # steps; an attacked run drives less than two routes, and the
         # attacker plans at most one candidate per route cell. Bounding the
         # race's times so, in the order `sim` computes them, keeps every
-        # time and delay in the CSV finite.
+        # time and delay in the CSV finite. A step that takes less than the
+        # smallest normal float would round the race's times to 0, and the
+        # spawn could never precede the robot's arrival.
         cells = grid.width * grid.height
         lineno, value = scalars["speed"]
         if not math.isfinite(2 * cells * math.sqrt(2) * grid.cell_size / numbers["speed"]):
             raise ScenarioError(
                 f"speed {value} and cell_size {scalars['cell_size'][1]} let a route on this "
                 f"{grid.width}x{grid.height} map take longer than a float can hold"
+            )
+        if grid.cell_size / numbers["speed"] < sys.float_info.min:
+            raise ScenarioError(
+                f"speed {value} and cell_size {scalars['cell_size'][1]} let a step take "
+                "less time than a normal float can hold"
             )
         if "eval_time_per_candidate" in scalars:
             lineno, value = scalars["eval_time_per_candidate"]

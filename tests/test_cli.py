@@ -139,8 +139,14 @@ def test_validation_error_exit_code(workdir, capsys):
         (["simulate", "nospeed.scn"], "nospeed.scn: missing required key 'speed'"),
         (["plan", "branch.txt", "9,9", "5,1"], "start 9,9 is outside the 7x5 map"),
         (["plan", "walled.txt", "0,0", "2,0"], "no path from 0,0 to 2,0"),
+        (["plan", "latin.txt", "0,0", "1,0"], "latin.txt: not UTF-8 text (invalid start byte at byte 0)"),
+        (["simulate", "latin.scn"], "latin.scn: not UTF-8 text (invalid start byte at byte 0)"),
+        (["simulate", "latinmap.scn"], "latinmap.scn:2: latin.txt: not UTF-8 text (invalid start byte at byte 0)"),
     ],
-    ids=["bad-map-char", "unknown-scenario-key", "missing-scenario-key", "off-map-start", "walled-off-goal"],
+    ids=[
+        "bad-map-char", "unknown-scenario-key", "missing-scenario-key", "off-map-start", "walled-off-goal",
+        "non-utf8-map", "non-utf8-scenario", "non-utf8-map-of-scenario",
+    ],
 )
 def test_input_error_exit_code(argv, message, workdir, monkeypatch, capsys):
     # every kind of bad input exits 1 with one line naming what is wrong
@@ -148,6 +154,9 @@ def test_input_error_exit_code(argv, message, workdir, monkeypatch, capsys):
     (workdir / "walled.txt").write_text(".#.\n.#.\n.#.\n")
     (workdir / "unknown.scn").write_text(BRANCH_SCN + "velocity = 2\n")
     (workdir / "nospeed.scn").write_text(BRANCH_SCN.replace("speed = 1.0\n", ""))
+    (workdir / "latin.txt").write_bytes(b"\xff.\n..\n")
+    (workdir / "latin.scn").write_bytes(b"\xff" + BRANCH_SCN.encode())
+    (workdir / "latinmap.scn").write_text(BRANCH_SCN.replace("map = branch.txt", "map = latin.txt"))
     monkeypatch.chdir(workdir)
     code = cli(argv)
     captured = capsys.readouterr()
@@ -182,6 +191,22 @@ def test_suite_rejects_times_that_overflow(old, new, message, workdir, capsys):
     assert captured.out == ""
     assert not csv_path.exists()
     assert not svg_dir.exists()
+
+
+def test_suite_rejects_times_that_underflow(workdir, capsys):
+    # each value is positive, but a step's time rounds to 0, every race time
+    # with it, and the spawn could never precede the robot's arrival
+    scn = workdir / "fast.scn"
+    scn.write_text(BRANCH_SCN.replace("cell_size = 1.0", "cell_size = 1e-200").replace("speed = 1.0", "speed = 1e200"))
+    csv_path = workdir / "runs.csv"
+    code = cli(["suite", str(scn), "--csv", str(csv_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        f"error: {scn}:6: speed 1e200 and cell_size 1e-200 let a step take less time than a normal float can hold\n"
+    )
+    assert captured.out == ""
+    assert not csv_path.exists()
 
 
 def test_bad_cell_argument(workdir, capsys):

@@ -152,6 +152,15 @@ def test_grid_dimension_validation():
         GridMap(2, 1, 0.0, ((False, False),))
 
 
+def test_grid_of_2_24_cells_is_rejected():
+    # the planner's exact costs order correctly only below 2**24 cells; the
+    # size is checked before the rows, so no such map is ever built
+    with pytest.raises(MapError, match="^grid must have fewer than 16777216 cells, got 4096x4096$"):
+        GridMap(4096, 4096, 1.0, ())
+    with pytest.raises(ValueError, match="^occupancy rows do not match"):
+        GridMap(4095, 4096, 1.0, ())
+
+
 def test_cell_size_must_be_finite():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):

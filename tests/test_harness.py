@@ -248,16 +248,28 @@ def _count_calls(monkeypatch, functions):
 
 
 def _count_pops(monkeypatch):
-    """Count the planner's heap and queue pops by the name of the function that pops."""
+    """Count the planner's heap and queue pops by the search they serve.
+
+    A pop is credited to the nearest `distance_field`, `_cost` or `_search`
+    frame up the stack, so the A* kernel that both searches call counts
+    toward its caller.
+    """
     pops = Counter()
+    searches = {"distance_field", "_cost", "_search"}
+
+    def count():
+        frame = sys._getframe(2)
+        while frame.f_code.co_name not in searches:
+            frame = frame.f_back
+        pops[frame.f_code.co_name] += 1
 
     def heappop(heap):
-        pops[sys._getframe(1).f_code.co_name] += 1
+        count()
         return heapq.heappop(heap)
 
     class CountingDeque(deque):
         def popleft(self):
-            pops[sys._getframe(1).f_code.co_name] += 1
+            count()
             return super().popleft()
 
     monkeypatch.setattr(planner, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=heappop))

@@ -296,6 +296,14 @@ def test_cost_matches_oracle_property(problem, data):
                 assert _cost(field, placement, origin, target) == expected
 
 
+def test_search_to_a_goal_out_of_reach_has_no_route():
+    # out of the start's component the field's preorder numbers are all 0,
+    # the start's own, so the search must not reach its stop test at all
+    grid = parse_map(".#.\n.#.\n.#.\n")
+    field = distance_field(grid, Cell(0, 0))
+    assert _search(field, ObstaclePlacement(Cell(0, 2), 1), Cell(2, 0)) is None
+
+
 @PROPERTY_SETTINGS
 @given(grid_problems(), st.sampled_from((1, 3)), st.data())
 def test_search_with_goal_field_heuristic_property(problem, side, data):
@@ -391,3 +399,12 @@ def test_cost_cuts_tree_routes_at_blocked_flanks():
     for flank in (Cell(1, 0), Cell(0, 1)):
         assert _cost(field, ObstaclePlacement(flank, 1), goal, start) == 5.0
         assert dijkstra_oracle(obstruct(grid, ObstaclePlacement(flank, 1)), goal, start).cost == 5.0
+    # A target that is itself a cut root: (1,1)'s tree step is that diagonal,
+    # so with a flank blocked no cell has a surviving tree route to it, yet
+    # the search still ends when it pops (1,1) itself.
+    target = Cell(1, 1)
+    for flank in (Cell(1, 0), Cell(0, 1)):
+        placement = ObstaclePlacement(flank, 1)
+        for origin in (goal, Cell(3, 2), Cell(0, 2)):
+            expected = dijkstra_oracle(obstruct(grid, placement), origin, target).cost
+            assert _cost(field, placement, origin, target) == expected

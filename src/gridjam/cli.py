@@ -128,16 +128,12 @@ def _cmd_suite(args) -> int:
         if scenario.name in names:
             raise _UsageError(f"scenario name {scenario.name!r} is used by more than one scenario")
         names.add(scenario.name)
-    all_runs = []
-    blocks = []
-    for scenario in scenarios:
-        runs, summary = run_suite(scenario)
-        all_runs.extend(runs)
+    blocks = [(scenario, *run_suite(scenario)) for scenario in scenarios]
+    # the CSV first: a CSV path that cannot be written leaves no SVG behind
+    write_csv([run for _, runs, _ in blocks for run in runs], args.csv)
+    for scenario, runs, summary in blocks:
         if args.svg_dir:
             render_scenario_svgs(scenario, summary.plans, args.svg_dir)
-        blocks.append((scenario, runs, summary))
-    write_csv(all_runs, args.csv)
-    for scenario, runs, summary in blocks:
         print(
             f"scenario={scenario.name} goals={len(scenario.goals)} "
             f"skipped={len(summary.skipped_goals)} runs={len(runs)}"

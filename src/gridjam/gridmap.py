@@ -40,8 +40,7 @@ class GridMap:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise MapError(f"grid must be at least 1x1, got {self.width}x{self.height}")
-        if self.width * self.height >= _MAX_CELLS:
-            raise MapError(f"grid must have fewer than {_MAX_CELLS} cells, got {self.width}x{self.height}")
+        _check_cells(self.width, self.height)
         if not 0 < self.cell_size < math.inf:  # also rejects NaN
             raise ValueError(f"cell_size must be positive and finite, got {self.cell_size}")
         if len(self.rows) != self.height or any(len(r) != self.width for r in self.rows):
@@ -89,6 +88,11 @@ class ObstaclePlacement:
         )
 
 
+def _check_cells(width, height):
+    if width * height >= _MAX_CELLS:
+        raise MapError(f"grid must have fewer than {_MAX_CELLS} cells, got {width}x{height}")
+
+
 def read_text(path, error=MapError) -> str:
     """The text of the file at path, read as UTF-8; raises `error` naming the file when it is not UTF-8."""
     try:
@@ -111,6 +115,7 @@ def parse_map(text: str) -> GridMap:
     if not lines:
         raise MapError("map text contains no rows")
     width = len(lines[0])
+    _check_cells(width, len(lines))  # before any row is built
     rows = []
     for number, line in enumerate(lines, 1):
         if not line:

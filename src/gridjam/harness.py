@@ -16,7 +16,7 @@ from .errors import NoPathError
 from .gridmap import Cell
 from .planner import distance_field
 from .scenario import Scenario
-from .sim import RunResult, SimConfig, simulate
+from .sim import RunResult, simulate
 
 BENIGN = "benign"
 ADVERSARIAL = "adversarial"
@@ -53,18 +53,14 @@ def run_suite(scenario: Scenario):
 
     Each goal is attacked and raced once: the race is deterministic, so every
     repeat of either condition reports the same RunResult. Every attack and
-    every race shares one distance field from the start. Runs are ordered by (goal
+    every race shares one distance field from the start, and every race runs
+    with the scenario's own timing, `scenario.race`. Runs are ordered by (goal
     index, condition, repeat) with benign before adversarial. A goal the
     planner cannot reach is skipped and recorded in the summary instead of
     aborting the suite. A parsed scenario's start and goals are free cells
     on its map; a `Scenario` built by hand with an occupied or off-map start
     or goal raises BadEndpointError.
     """
-    config = SimConfig(
-        speed=scenario.speed,
-        eval_time_per_candidate=scenario.eval_time_per_candidate,
-        attack_start_delay=scenario.attack_start_delay,
-    )
     runs = []
     results = []
     skipped = []
@@ -78,7 +74,7 @@ def run_suite(scenario: Scenario):
             plans.append(None)
             continue
         plans.append(plan)
-        result = simulate(scenario.grid, plan, config, field)
+        result = simulate(scenario.grid, plan, scenario.race, field)
         results.append(result)
         runs.extend(
             SuiteRun(scenario.name, condition, repeat, result)

@@ -12,16 +12,20 @@ Example::
 
 `map` is resolved relative to the scenario file. `goal` may repeat; the
 remaining keys are scalar. Missing optional keys fall back to defaults.
+`speed`, `eval_time_per_candidate` and `attack_start_delay` are the race's
+timing; they become the scenario's `race`, a `SimConfig`, whose defaults
+apply to the last two.
 """
 
 import math
 import pathlib
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import MapError, ScenarioError
 from .gridmap import Cell, GridMap, parse_map, read_text
+from .sim import SimConfig
 
 
 def _positive_float(value, key):
@@ -66,7 +70,8 @@ def _odd_side(value, key):
 
 
 # The numeric keys, each with its reader, in the order they are checked.
-# Only the keys present reach `Scenario`, so its defaults apply to the rest.
+# Only the keys present reach `Scenario` and `SimConfig`, so their defaults
+# apply to the rest.
 _NUMBERS = {
     "cell_size": _positive_float,
     "speed": _positive_float,
@@ -77,20 +82,20 @@ _NUMBERS = {
 }
 _KNOWN_KEYS = {"name", "map", "start", "goal", *_NUMBERS}
 _REQUIRED_KEYS = ("map", "cell_size", "start", "speed")
+_RACE_KEYS = tuple(f.name for f in fields(SimConfig))
 _NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
 @dataclass(frozen=True)
 class Scenario:
+    """One experiment: a map, a start, its goals, and the race's timing."""
+
     name: str
-    map_path: pathlib.Path
     grid: GridMap  # parsed map with the scenario's cell size applied
     start: Cell
     goals: tuple
-    speed: float
+    race: SimConfig  # the timing every goal's race runs with
     obstacle_side: int = 3
-    eval_time_per_candidate: float = 0.05
-    attack_start_delay: float = 0.0
     repeats: int = 3
 
 
@@ -152,11 +157,11 @@ def _parse(text, base, where):
             if key in scalars:
                 lineno, value = scalars[key]
                 numbers[key] = read(value, key)
+        race = SimConfig(**{key: numbers.pop(key) for key in _RACE_KEYS if key in numbers})
 
         lineno, map_value = scalars["map"]
-        map_path = base / map_value
         try:
-            map_text = read_text(map_path)
+            map_text = read_text(base / map_value)
         except OSError as exc:
             raise OSError(f"cannot read map {map_value!r}: {exc}") from exc
         try:
@@ -186,19 +191,19 @@ def _parse(text, base, where):
         # spawn could never precede the robot's arrival.
         cells = grid.width * grid.height
         lineno, value = scalars["speed"]
-        if not math.isfinite(2 * cells * math.sqrt(2) * grid.cell_size / numbers["speed"]):
+        if not math.isfinite(2 * cells * math.sqrt(2) * grid.cell_size / race.speed):
             raise ScenarioError(
                 f"speed {value} and cell_size {scalars['cell_size'][1]} let a route on this "
                 f"{grid.width}x{grid.height} map take longer than a float can hold"
             )
-        if grid.cell_size / numbers["speed"] < sys.float_info.min:
+        if grid.cell_size / race.speed < sys.float_info.min:
             raise ScenarioError(
                 f"speed {value} and cell_size {scalars['cell_size'][1]} let a step take "
                 "less time than a normal float can hold"
             )
         if "eval_time_per_candidate" in scalars:
             lineno, value = scalars["eval_time_per_candidate"]
-            if not math.isfinite(numbers.get("attack_start_delay", 0.0) + numbers["eval_time_per_candidate"] * cells):
+            if not math.isfinite(race.attack_start_delay + race.eval_time_per_candidate * cells):
                 raise ScenarioError(
                     f"eval_time_per_candidate {value} lets an attack on this "
                     f"{grid.width}x{grid.height} map take longer than a float can hold"
@@ -206,7 +211,7 @@ def _parse(text, base, where):
     except (ScenarioError, MapError, OSError) as exc:
         raise type(exc)(where(lineno) + str(exc)) from exc.__cause__
 
-    return Scenario(name=name, map_path=map_path, grid=grid, start=start, goals=tuple(goals), **numbers)
+    return Scenario(name=name, grid=grid, start=start, goals=tuple(goals), race=race, **numbers)
 
 
 def _cell(value, key, grid):

@@ -35,7 +35,7 @@ from .planner import DistanceField, _check_field, _cost, euclidean_distance, pre
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Timing knobs for one run."""
+    """The race's timing: the robot's speed and the attacker's clock."""
 
     speed: float  # metres per second, constant along the route
     eval_time_per_candidate: float = 0.05  # seconds of attacker compute per candidate
@@ -55,7 +55,6 @@ class SimConfig:
 class RunResult:
     """One goal's undisturbed trip time plus the outcome of the attacked one."""
 
-    start: Cell
     goal: Cell
     euclidean: float
     benign_time: float
@@ -128,7 +127,7 @@ def simulate(grid: GridMap, plan: AttackPlan, config: SimConfig, field: Distance
         adversarial_time = t_snap + replanned_cost * grid.cell_size / config.speed
     delay = adversarial_time - benign_time
     return RunResult(
-        start, goal, euclid, benign_time,
+        goal, euclid, benign_time,
         adversarial_time=adversarial_time,
         spawn_time=spawn,
         obstacle=plan.best,

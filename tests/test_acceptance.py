@@ -102,7 +102,7 @@ def test_criterion_4_constrained_rooms_rank_by_detour_severity():
     means = {}
     for name in ("tunnel", "twall", "turn"):
         scenario = _scenario(name)
-        assert scenario.eval_time_per_candidate == 0.0
+        assert scenario.race.eval_time_per_candidate == 0.0
         _, summary = run_suite(scenario)
         means[name] = summary.overall_mean_delay_pct
     assert means["tunnel"] > means["twall"] > means["turn"]
@@ -129,14 +129,14 @@ def test_criterion_5_warehouse_mean_delay_band():
 
 def test_criterion_6_success_rate_tracks_planning_speed():
     scenario = _scenario("warehouse")
-    assert scenario.eval_time_per_candidate == 0.05
+    assert scenario.race.eval_time_per_candidate == 0.05
     _, fast_summary = run_suite(scenario)
     assert fast_summary.success_rate is not None
     assert fast_summary.success_rate >= 85.0
 
     # make every spawn land after the whole benign traversal, not just its mean
     slowest = max(r.benign_time for r in fast_summary.per_goal)
-    slow_scenario = replace(scenario, eval_time_per_candidate=slowest)
+    slow_scenario = replace(scenario, race=replace(scenario.race, eval_time_per_candidate=slowest))
     _, slow_summary = run_suite(slow_scenario)
     assert slow_summary.success_rate is not None
     assert slow_summary.success_rate < 50.0

@@ -88,6 +88,29 @@ def test_suite(workdir, capsys, tmp_path):
     assert (svg_dir / "branch-obstacles.svg").exists()
 
 
+def test_suite_start_delay_reaches_the_race(workdir, tmp_path, capsys):
+    # the robot enters the footprint at 2,1 one second in: an attack that
+    # starts at 0.5 s lands, one that starts at 1.5 s comes too late
+    success = {}
+    for delay in ("0.5", "1.5"):
+        (workdir / "branch.scn").write_text(BRANCH_SCN + f"attack_start_delay = {delay}\n")
+        code = cli(["suite", str(workdir / "branch.scn"), "--csv", str(tmp_path / "out.csv")])
+        assert code == 0
+        success[delay] = capsys.readouterr().out.split("success_rate=")[1].strip()
+    assert success == {"0.5": "100.000000", "1.5": "0.000000"}
+
+
+def test_suite_writes_no_svg_when_the_csv_cannot_be_written(workdir, tmp_path, capsys):
+    svg_dir = tmp_path / "svg"
+    code = cli([
+        "suite", str(workdir / "branch.scn"),
+        "--csv", str(tmp_path / "nodir" / "out.csv"), "--svg-dir", str(svg_dir),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not svg_dir.exists()
+
+
 def test_suite_rejects_a_repeated_scenario_name(workdir, tmp_path, capsys):
     # the second file's SVGs would overwrite the first's, and the CSV rows
     # of both would carry one name

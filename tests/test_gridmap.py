@@ -161,6 +161,15 @@ def test_grid_of_2_24_cells_is_rejected():
         GridMap(4095, 4096, 1.0, ())
 
 
+def test_parse_map_checks_the_size_before_the_rows():
+    # a bad character on the last line would be found only after building
+    # every row before it
+    text = "." * 4096 + "\n"
+    text = text * 4095 + "." * 4095 + "x\n"
+    with pytest.raises(MapError, match="^grid must have fewer than 16777216 cells, got 4096x4096$"):
+        parse_map(text)
+
+
 def test_cell_size_must_be_finite():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):

@@ -7,7 +7,9 @@ from gridjam import (
     GridJamError,
     MapError,
     ScenarioError,
+    SimConfig,
     load_scenario,
+    parse_map,
     parse_scenario,
 )
 from conftest import BRANCH_TEXT
@@ -32,21 +34,23 @@ def test_minimal_scenario_defaults(scenario_dir):
     assert scenario.name == "branch"  # defaults to the map stem
     assert scenario.start == Cell(1, 1)
     assert scenario.goals == (Cell(5, 1),)
-    assert scenario.speed == 1.0
+    assert scenario.race.speed == 1.0
     assert scenario.obstacle_side == 3
-    assert scenario.eval_time_per_candidate == 0.05
-    assert scenario.attack_start_delay == 0.0
+    assert scenario.race.eval_time_per_candidate == 0.05
+    assert scenario.race.attack_start_delay == 0.0
+    assert scenario.race == SimConfig(speed=1.0)
     assert scenario.repeats == 3
     assert scenario.grid.cell_size == 1.0
     assert scenario.grid.width == 7
 
 
-def test_load_scenario_resolves_map_next_to_file(scenario_dir):
+def test_load_scenario_resolves_map_next_to_file(scenario_dir, tmp_path_factory, monkeypatch):
     scn = scenario_dir / "demo.scn"
     scn.write_text(MINIMAL + "name = demo\n")
+    monkeypatch.chdir(tmp_path_factory.mktemp("elsewhere"))
     scenario = load_scenario(scn)
     assert scenario.name == "demo"
-    assert scenario.map_path == scenario_dir / "branch.txt"
+    assert scenario.grid.rows == parse_map(BRANCH_TEXT).rows
 
 
 def test_comments_and_blank_lines(scenario_dir):

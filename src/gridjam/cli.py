@@ -11,15 +11,15 @@ from pathlib import Path
 from . import data as _data
 from .attack import Outcome, brute_force_attack
 from .errors import GridJamError
-from .gridmap import Cell, parse_map, read_text
+from .gridmap import Cell, load_map
 from .harness import format_run, run_suite, write_csv
 from .planner import astar
 from .scenario import load_scenario
 from .svgrender import render_scenario_svgs, render_svg
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(GridJamError):
+    """A command line the commands cannot run: bad arguments, a bad cell or side, or a repeated scenario name."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,9 +32,6 @@ def cli(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except OSError as exc:  # a file that cannot be read, a map that a scenario names included
@@ -52,17 +49,14 @@ def main():
 def _build_parser():
     parser = _Parser(prog="gridjam", description="Plan, attack, and race grid navigation runs.")
     sub = parser.add_subparsers(dest="command", required=True)
+    on_map = argparse.ArgumentParser(add_help=False)  # the arguments of every command that takes a map
+    for name in ("map", "start", "goal"):
+        on_map.add_argument(name)
 
-    p = sub.add_parser("plan", help="plan a route on a map")
-    p.add_argument("map")
-    p.add_argument("start")
-    p.add_argument("goal")
+    p = sub.add_parser("plan", parents=[on_map], help="plan a route on a map")
     p.set_defaults(handler=_cmd_plan)
 
-    p = sub.add_parser("attack", help="search the worst obstacle placement for a route")
-    p.add_argument("map")
-    p.add_argument("start")
-    p.add_argument("goal")
+    p = sub.add_parser("attack", parents=[on_map], help="search the worst obstacle placement for a route")
     p.add_argument("--side", type=int, default=3)
     p.set_defaults(handler=_cmd_attack)
 
@@ -76,10 +70,7 @@ def _build_parser():
     p.add_argument("--svg-dir")
     p.set_defaults(handler=_cmd_suite)
 
-    p = sub.add_parser("render", help="render a map, its route, and the attack to SVG")
-    p.add_argument("map")
-    p.add_argument("start")
-    p.add_argument("goal")
+    p = sub.add_parser("render", parents=[on_map], help="render a map, its route, and the attack to SVG")
     p.add_argument("--side", type=int, default=3)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_render)
@@ -87,7 +78,7 @@ def _build_parser():
 
 
 def _cmd_plan(args) -> int:
-    grid = parse_map(read_text(args.map))
+    grid = load_map(args.map)
     path = astar(grid, _cell_arg(args.start), _cell_arg(args.goal))
     print(f"cost={path.cost:.6f}")
     print("path=" + " ".join(str(c) for c in path.cells))
@@ -95,7 +86,7 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    grid = parse_map(read_text(args.map))
+    grid = load_map(args.map)
     plan = brute_force_attack(grid, _cell_arg(args.start), _cell_arg(args.goal), _side_arg(args.side))
     print(f"baseline_cost={plan.baseline.cost:.6f}")
     for entry in plan.ledger:
@@ -147,7 +138,7 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    grid = parse_map(read_text(args.map))
+    grid = load_map(args.map)
     plan = brute_force_attack(grid, _cell_arg(args.start), _cell_arg(args.goal), _side_arg(args.side))
     render_svg(grid, plan.baseline, args.out, attacked=plan.attacked_path, obstacle=plan.best)
     print(f"wrote {args.out}")

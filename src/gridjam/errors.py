@@ -1,8 +1,11 @@
-"""The errors this package raises for input it cannot use.
+"""The errors this package raises for input it cannot use, and where they are.
 
 There is one class per kind of bad input, and the command line exits 1 on
 any of them. An unreadable file is not one of them: it raises `OSError`,
-and the command line exits 2.
+and the command line exits 2. An error about a map, scenario or CSV file
+starts with the place at fault, written by `where` alone: `<path>:<N>: `
+for line N of a file, `<path>: ` for the file as a whole, or `line <N>: `
+for text parsed without a file.
 """
 
 
@@ -29,3 +32,14 @@ class NoPathError(GridJamError):
 
 class BadEndpointError(GridJamError):
     """Start or goal is occupied or outside the map."""
+
+
+def where(path, line=None) -> str:
+    """The location that starts an error message about line `line` of the file at `path`.
+
+    `<path>:<N>: `, or `<path>: ` when no line is at fault; for text parsed
+    without a file (`path` None), `line <N>: `, or '' when no line is at fault.
+    """
+    if path is None:
+        return "" if line is None else f"line {line}: "
+    return f"{path}: " if line is None else f"{path}:{line}: "

@@ -9,7 +9,7 @@ import pathlib
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .errors import MapError
+from .errors import MapError, where
 
 OCCUPIED_CHAR = "#"
 FREE_CHAR = "."
@@ -98,7 +98,7 @@ def read_text(path, error=MapError) -> str:
     try:
         return pathlib.Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise error(f"{where(path)}not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def parse_map(text: str) -> GridMap:
@@ -106,25 +106,43 @@ def parse_map(text: str) -> GridMap:
 
     One line per row, '#' occupied and '.' free, top row first. A final
     newline is optional; anything else (including trailing whitespace) is
-    rejected, with the 1-based line of the map text. The parsed grid uses
-    a cell size of 1.0 until a scenario overrides it.
+    rejected with a MapError that starts `line N: `, the 1-based line of
+    the map text at fault. The parsed grid uses a cell size of 1.0 until a
+    scenario overrides it.
     """
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise MapError("map text contains no rows")
-    width = len(lines[0])
-    _check_cells(width, len(lines))  # before any row is built
-    rows = []
-    for number, line in enumerate(lines, 1):
-        if not line:
-            raise MapError(f"line {number} is empty")
-        if len(line) != width:
-            raise MapError(f"line {number} has length {len(line)}, expected {width}")
-        for ch in line:
-            if ch != OCCUPIED_CHAR and ch != FREE_CHAR:
-                raise MapError(f"line {number}: unexpected character {ch!r}")
-        rows.append(tuple(ch == OCCUPIED_CHAR for ch in line))
-    return GridMap(width, len(rows), 1.0, tuple(rows))
+    return _parse_map(text, None)
 
+
+def load_map(path) -> GridMap:
+    """Read and parse the map file at path, the one way a map file is read.
+
+    Errors read as `parse_map`'s, but start `<path>:N: `, or `<path>: ` when
+    no line is at fault; a file that cannot be read raises OSError.
+    """
+    return _parse_map(read_text(path), path)
+
+
+def _parse_map(text, path):
+    """parse_map's work; `path`, the map file if there is one, and the line at fault locate every error."""
+    number = None  # the map line being read, where an error names it
+    try:
+        lines = text.split("\n")
+        if lines and lines[-1] == "":
+            lines.pop()
+        if not lines:
+            raise MapError("map text contains no rows")
+        width = len(lines[0])
+        _check_cells(width, len(lines))  # before any row is built
+        rows = []
+        for number, line in enumerate(lines, 1):
+            if not line:
+                raise MapError("row is empty")
+            if len(line) != width:
+                raise MapError(f"row has length {len(line)}, expected {width}")
+            for ch in line:
+                if ch != OCCUPIED_CHAR and ch != FREE_CHAR:
+                    raise MapError(f"unexpected character {ch!r}")
+            rows.append(tuple(ch == OCCUPIED_CHAR for ch in line))
+    except MapError as exc:
+        raise MapError(where(path, number) + str(exc)) from None
+    return GridMap(width, len(rows), 1.0, tuple(rows))

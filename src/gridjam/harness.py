@@ -8,12 +8,13 @@ a CSV row or as a text line; one field list decides what either shows.
 """
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
 from .attack import brute_force_attack
-from .errors import NoPathError
-from .gridmap import Cell
+from .errors import NoPathError, where
+from .gridmap import Cell, read_text
 from .planner import distance_field
 from .scenario import Scenario
 from .sim import RunResult, simulate
@@ -44,8 +45,8 @@ class MetricsSummary:
     overall_mean_delay_abs: float
     overall_mean_delay_pct: float
     success_rate: float  # percent of attacked runs that landed; None if none attacked
-    skipped_goals: tuple = ()
-    plans: tuple = ()  # one AttackPlan per scenario goal, None where skipped
+    skipped_goals: tuple
+    plans: tuple  # one AttackPlan per scenario goal, None where skipped
 
 
 def run_suite(scenario: Scenario):
@@ -168,20 +169,21 @@ def _fmt(value):
 def read_csv(path):
     """Parse a results CSV back into typed row dicts (blank -> None).
 
-    A row with the wrong number of fields, a bad number or a bad success
-    value raises ValueError naming its line.
+    The file is read as UTF-8. A bad or missing header, a row with the
+    wrong number of fields, a bad number or a bad success value raises
+    ValueError starting `<path>:N: ` with its line; a file that is not
+    UTF-8 raises one starting `<path>: `.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header: {header}")
-        rows = []
-        for raw in reader:
-            try:
-                rows.append(_typed_row(raw))
-            except ValueError as exc:
-                raise ValueError(f"line {reader.line_num}: {exc}") from None
+    reader = csv.reader(io.StringIO(read_text(path, ValueError)))
+    header = tuple(next(reader, ()))
+    if header != CSV_HEADER:
+        raise ValueError(f"{where(path, 1)}unexpected CSV header: {header}")
+    rows = []
+    for raw in reader:
+        try:
+            rows.append(_typed_row(raw))
+        except ValueError as exc:
+            raise ValueError(where(path, reader.line_num) + str(exc)) from None
     return rows
 
 

@@ -23,8 +23,8 @@ import re
 import sys
 from dataclasses import dataclass, fields
 
-from .errors import MapError, ScenarioError
-from .gridmap import Cell, GridMap, parse_map, read_text
+from .errors import MapError, ScenarioError, where
+from .gridmap import Cell, GridMap, load_map, read_text
 from .sim import SimConfig
 
 
@@ -102,25 +102,28 @@ class Scenario:
 def parse_scenario(text: str, base_dir=".") -> Scenario:
     """Parse scenario text; `base_dir` anchors the relative map path.
 
-    Raises ScenarioError for a bad key or value and MapError for a bad map,
-    each starting `line N: ` with the scenario line at fault when there is
-    one, and OSError for a map file that cannot be read.
+    Raises ScenarioError for a bad key or value, MapError for a bad map and
+    OSError for a map file that cannot be read, each starting `line N: `
+    with the scenario line at fault when there is one. A map's error then
+    reads as `load_map` raised it, as in
+    `line 2: maps/m.txt:2: unexpected character 'x'`.
     """
-    return _parse(text, pathlib.Path(base_dir), lambda lineno: f"line {lineno}: " if lineno else "")
+    return _parse(text, pathlib.Path(base_dir), None)
 
 
 def load_scenario(path) -> Scenario:
     """Read and parse a scenario file; the map path resolves next to it.
 
     Errors read as `parse_scenario`'s, but start `<path>:N: `, or `<path>: `
-    when no line is at fault.
+    when no line is at fault, as in `runs/s.scn:2: runs/m.txt:2: unexpected
+    character 'x'`; a scenario file that is not UTF-8 raises ScenarioError.
     """
     p = pathlib.Path(path)
-    return _parse(read_text(p, ScenarioError), p.parent, lambda lineno: f"{p}:{lineno}: " if lineno else f"{p}: ")
+    return _parse(read_text(p, ScenarioError), p.parent, p)
 
 
-def _parse(text, base, where):
-    """parse_scenario's work; `where(lineno)` prefixes every error it raises."""
+def _parse(text, base, path):
+    """parse_scenario's work; `path`, the scenario file if there is one, and the line at fault locate every error."""
     lineno = None  # the scenario line being read, where an error names it
     try:
         scalars = {}
@@ -160,16 +163,7 @@ def _parse(text, base, where):
         race = SimConfig(**{key: numbers.pop(key) for key in _RACE_KEYS if key in numbers})
 
         lineno, map_value = scalars["map"]
-        try:
-            map_text = read_text(base / map_value)
-        except OSError as exc:
-            raise OSError(f"cannot read map {map_value!r}: {exc}") from exc
-        try:
-            grid = parse_map(map_text)
-        except MapError as exc:
-            # the map's own line number alone would read as a line of the scenario
-            raise MapError(f"map {map_value!r}: {exc}") from exc
-        grid = grid.with_cell_size(numbers.pop("cell_size"))
+        grid = load_map(base / map_value).with_cell_size(numbers.pop("cell_size"))
 
         lineno, value = scalars["start"]
         start = _cell(value, "start", grid)
@@ -209,7 +203,7 @@ def _parse(text, base, where):
                     f"{grid.width}x{grid.height} map take longer than a float can hold"
                 )
     except (ScenarioError, MapError, OSError) as exc:
-        raise type(exc)(where(lineno) + str(exc)) from exc.__cause__
+        raise type(exc)(where(path, lineno) + str(exc)) from exc
 
     return Scenario(name=name, grid=grid, start=start, goals=tuple(goals), race=race, **numbers)
 

@@ -53,17 +53,21 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class RunResult:
-    """One goal's undisturbed trip time plus the outcome of the attacked one."""
+    """One goal's undisturbed trip time plus the outcome of the attacked one.
+
+    `spawn_time`, `obstacle` and `attack_success` are None when the attack
+    found no placement, and `delay_pct` when the benign trip takes no time.
+    """
 
     goal: Cell
     euclidean: float
     benign_time: float
-    adversarial_time: float = None
-    spawn_time: float = None
-    obstacle: ObstaclePlacement = None
-    attack_success: bool = None
-    delay_abs: float = None
-    delay_pct: float = None
+    adversarial_time: float
+    spawn_time: float
+    obstacle: ObstaclePlacement
+    attack_success: bool
+    delay_abs: float
+    delay_pct: float
 
 
 def spawn_time_model(plan: AttackPlan, config: SimConfig) -> float:

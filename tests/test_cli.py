@@ -157,7 +157,10 @@ def test_validation_error_exit_code(workdir, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["plan", "bad.txt", "0,0", "1,0"], "line 2: unexpected character 'x'"),
+        (["plan", "bad.txt", "0,0", "1,0"], "bad.txt:2: unexpected character 'x'"),
+        (["attack", "bad.txt", "0,0", "1,0"], "bad.txt:2: unexpected character 'x'"),
+        (["render", "bad.txt", "0,0", "1,0", "--out", "bad.svg"], "bad.txt:2: unexpected character 'x'"),
+        (["simulate", "badmap.scn"], "badmap.scn:2: bad.txt:2: unexpected character 'x'"),
         (["simulate", "unknown.scn"], "unknown.scn:9: unknown key 'velocity'"),
         (["simulate", "nospeed.scn"], "nospeed.scn: missing required key 'speed'"),
         (["plan", "branch.txt", "9,9", "5,1"], "start 9,9 is outside the 7x5 map"),
@@ -167,7 +170,7 @@ def test_validation_error_exit_code(workdir, capsys):
         (["simulate", "latinmap.scn"], "latinmap.scn:2: latin.txt: not UTF-8 text (invalid start byte at byte 0)"),
     ],
     ids=[
-        "bad-map-char", "unknown-scenario-key", "missing-scenario-key", "off-map-start", "walled-off-goal",
+        "bad-map-char", "bad-map-char-attack", "bad-map-char-render", "bad-map-char-of-scenario", "unknown-scenario-key", "missing-scenario-key", "off-map-start", "walled-off-goal",
         "non-utf8-map", "non-utf8-scenario", "non-utf8-map-of-scenario",
     ],
 )
@@ -175,6 +178,7 @@ def test_input_error_exit_code(argv, message, workdir, monkeypatch, capsys):
     # every kind of bad input exits 1 with one line naming what is wrong
     (workdir / "bad.txt").write_text("#.\n#x\n")
     (workdir / "walled.txt").write_text(".#.\n.#.\n.#.\n")
+    (workdir / "badmap.scn").write_text(BRANCH_SCN.replace("map = branch.txt", "map = bad.txt"))
     (workdir / "unknown.scn").write_text(BRANCH_SCN + "velocity = 2\n")
     (workdir / "nospeed.scn").write_text(BRANCH_SCN.replace("speed = 1.0\n", ""))
     (workdir / "latin.txt").write_bytes(b"\xff.\n..\n")
@@ -264,8 +268,7 @@ def test_missing_map_of_scenario_exit_code(command, workdir, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err == (
-        f"error: {scn}:2: cannot read map 'nope.txt': "
-        f"[Errno 2] No such file or directory: '{workdir / 'nope.txt'}'\n"
+        f"error: {scn}:2: [Errno 2] No such file or directory: '{workdir / 'nope.txt'}'\n"
     )
     assert not (workdir / "runs.csv").exists()
 
@@ -275,7 +278,7 @@ def test_bad_map_of_scenario_names_the_map(workdir, capsys):
     (workdir / "s.scn").write_text(BRANCH_SCN.replace("map = branch.txt", "map = m.txt"))
     code = cli(["simulate", str(workdir / "s.scn")])
     assert code == 1
-    assert capsys.readouterr().err == f"error: {workdir / 's.scn'}:2: map 'm.txt': line 2: unexpected character 'x'\n"
+    assert capsys.readouterr().err == f"error: {workdir / 's.scn'}:2: {workdir / 'm.txt'}:2: unexpected character 'x'\n"
 
 
 def readme_examples():

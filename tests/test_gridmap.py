@@ -12,6 +12,7 @@ from gridjam import (
     ObstaclePlacement,
     parse_map,
 )
+from gridjam.gridmap import load_map
 from gridjam.planner import _cell, _covered
 from gridjam.svgrender import PX, _footprint_rects
 from oracles import obstruct
@@ -47,7 +48,7 @@ def test_parse_free_column():
 
 
 def test_parse_ragged_rows():
-    with pytest.raises(MapError, match="^line 2 has length 3, expected 2$"):
+    with pytest.raises(MapError, match="^line 2: row has length 3, expected 2$"):
         parse_map("#.\n#..")
 
 
@@ -57,7 +58,7 @@ def test_parse_empty_text():
 
 
 def test_parse_zero_width_row():
-    with pytest.raises(MapError, match="^line 2 is empty$"):
+    with pytest.raises(MapError, match="^line 2: row is empty$"):
         parse_map("##\n\n##")
 
 
@@ -168,6 +169,26 @@ def test_parse_map_checks_the_size_before_the_rows():
     text = text * 4095 + "." * 4095 + "x\n"
     with pytest.raises(MapError, match="^grid must have fewer than 16777216 cells, got 4096x4096$"):
         parse_map(text)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"#.\n#x\n", ":2: unexpected character 'x'"),
+        (b"...\n..\n", ":2: row has length 2, expected 3"),
+        (b"..\n\n..\n", ":2: row is empty"),
+        (b"", ": map text contains no rows"),
+        (b"#.\n\xff.\n", ": not UTF-8 text (invalid start byte at byte 3)"),
+    ],
+    ids=["bad-char", "ragged-rows", "empty-line", "no-rows", "non-utf8"],
+)
+def test_load_map_names_the_file(data, message, tmp_path):
+    # a file's line reads `path:N: `, the file as a whole `path: `
+    path = tmp_path / "m.txt"
+    path.write_bytes(data)
+    with pytest.raises(MapError) as err:
+        load_map(path)
+    assert str(err.value) == f"{path}{message}"
 
 
 def test_cell_size_must_be_finite():

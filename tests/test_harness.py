@@ -204,14 +204,32 @@ def _csv_with_bad_line(suite_dir, tmp_path, damage):
 def test_read_csv_rejects_empty_file(tmp_path):
     out = tmp_path / "runs.csv"
     out.write_text("")
-    with pytest.raises(ValueError, match="unexpected CSV header"):
+    with pytest.raises(ValueError) as err:
         read_csv(out)
+    assert str(err.value) == f"{out}:1: unexpected CSV header: ()"
+
+
+def test_read_csv_rejects_bad_header(tmp_path):
+    out = tmp_path / "runs.csv"
+    out.write_text("scenario,goal\n")
+    with pytest.raises(ValueError) as err:
+        read_csv(out)
+    assert str(err.value) == f"{out}:1: unexpected CSV header: ('scenario', 'goal')"
+
+
+def test_read_csv_rejects_non_utf8_file(tmp_path):
+    out = tmp_path / "runs.csv"
+    out.write_bytes(b"\xff" + ",".join(CSV_HEADER).encode() + b"\n")
+    with pytest.raises(ValueError) as err:
+        read_csv(out)
+    assert str(err.value) == f"{out}: not UTF-8 text (invalid start byte at byte 0)"
 
 
 def test_read_csv_rejects_short_row(suite_dir, tmp_path):
     out = _csv_with_bad_line(suite_dir, tmp_path, lambda fields: fields[:6])
-    with pytest.raises(ValueError, match="^line 3: expected 13 fields, got 6"):
+    with pytest.raises(ValueError) as err:
         read_csv(out)
+    assert str(err.value) == f"{out}:3: expected 13 fields, got 6"
 
 
 @pytest.mark.parametrize("index, text, message", [
@@ -220,14 +238,16 @@ def test_read_csv_rejects_short_row(suite_dir, tmp_path):
 ])
 def test_read_csv_rejects_bad_number(index, text, message, suite_dir, tmp_path):
     out = _csv_with_bad_line(suite_dir, tmp_path, lambda fields: fields[:index] + [text] + fields[index + 1:])
-    with pytest.raises(ValueError, match=f"^line 3: {message}"):
+    with pytest.raises(ValueError) as err:
         read_csv(out)
+    assert str(err.value) == f"{out}:3: {message}"
 
 
 def test_read_csv_rejects_bad_success(suite_dir, tmp_path):
     out = _csv_with_bad_line(suite_dir, tmp_path, lambda fields: fields[:10] + ["maybe"] + fields[11:])
-    with pytest.raises(ValueError, match="^line 3: success must be"):
+    with pytest.raises(ValueError) as err:
         read_csv(out)
+    assert str(err.value) == f"{out}:3: success must be 'true', 'false' or blank, got 'maybe'"
 
 
 def _count_calls(monkeypatch, functions):

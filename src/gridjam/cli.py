@@ -11,7 +11,7 @@ from pathlib import Path
 from . import data as _data
 from .attack import Outcome, brute_force_attack
 from .errors import GridJamError
-from .gridmap import Cell, load_map
+from .gridmap import check_side, load_map, read_cell
 from .harness import format_run, run_suite, write_csv
 from .planner import astar
 from .scenario import load_scenario
@@ -79,7 +79,7 @@ def _build_parser():
 
 def _cmd_plan(args) -> int:
     grid = load_map(args.map)
-    path = astar(grid, _cell_arg(args.start), _cell_arg(args.goal))
+    path = astar(grid, *_endpoints(args))
     print(f"cost={path.cost:.6f}")
     print("path=" + " ".join(str(c) for c in path.cells))
     return 0
@@ -87,7 +87,7 @@ def _cmd_plan(args) -> int:
 
 def _cmd_attack(args) -> int:
     grid = load_map(args.map)
-    plan = brute_force_attack(grid, _cell_arg(args.start), _cell_arg(args.goal), _side_arg(args.side))
+    plan = brute_force_attack(grid, *_endpoints(args), check_side(args.side, "--side", _UsageError))
     print(f"baseline_cost={plan.baseline.cost:.6f}")
     for entry in plan.ledger:
         line = f"candidate index={entry.index} center={entry.placement.center} outcome={entry.outcome.value}"
@@ -139,7 +139,7 @@ def _cmd_suite(args) -> int:
 
 def _cmd_render(args) -> int:
     grid = load_map(args.map)
-    plan = brute_force_attack(grid, _cell_arg(args.start), _cell_arg(args.goal), _side_arg(args.side))
+    plan = brute_force_attack(grid, *_endpoints(args), check_side(args.side, "--side", _UsageError))
     render_svg(grid, plan.baseline, args.out, attacked=plan.attacked_path, obstacle=plan.best)
     print(f"wrote {args.out}")
     return 0
@@ -149,20 +149,9 @@ def _num(value):
     return "na" if value is None else f"{value:.6f}"
 
 
-def _cell_arg(text) -> Cell:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise _UsageError(f"expected a cell as 'col,row', got {text!r}")
-    try:
-        return Cell(int(parts[0]), int(parts[1]))
-    except ValueError:
-        raise _UsageError(f"expected a cell as 'col,row', got {text!r}") from None
-
-
-def _side_arg(side) -> int:
-    if side < 1 or side % 2 == 0:
-        raise _UsageError(f"--side must be an odd positive integer, got {side}")
-    return side
+def _endpoints(args):
+    """The start and goal cells a map command names."""
+    return read_cell(args.start, "start", _UsageError), read_cell(args.goal, "goal", _UsageError)
 
 
 def _scenario_arg(entry):

@@ -20,21 +20,25 @@ def scenario_path(name):
     Returns None when nothing matches, so callers can fall back to plain
     filesystem paths.
     """
-    base = data_dir()
-    for candidate in (name, f"{name}.scn"):
-        path = base / candidate
-        if path.suffix == ".scn" and path.is_file():
-            return path
-    return None
+    return _bundled(name, ".scn")
 
 
 def map_path(name) -> Path:
+    """Path of a bundled map by name ('branch') or filename; raises FileNotFoundError when nothing matches."""
+    path = _bundled(name, ".txt")
+    if path is None:
+        raise FileNotFoundError(f"no bundled map named {name!r}")
+    return path
+
+
+def _bundled(name, suffix):
+    """The bundled file named `name`, or `name` plus `suffix`, whose suffix is `suffix`; None when there is none."""
     base = data_dir()
-    for candidate in (name, f"{name}.txt"):
+    for candidate in (name, f"{name}{suffix}"):
         path = base / candidate
-        if path.suffix == ".txt" and path.is_file():
+        if path.suffix == suffix and path.is_file():
             return path
-    raise FileNotFoundError(f"no bundled map named {name!r}")
+    return None
 
 
 def scenario_names():

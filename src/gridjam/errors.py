@@ -5,7 +5,9 @@ any of them. An unreadable file is not one of them: it raises `OSError`,
 and the command line exits 2. An error about a map, scenario or CSV file
 starts with the place at fault, written by `where` alone: `<path>:<N>: `
 for line N of a file, `<path>: ` for the file as a whole, or `line <N>: `
-for text parsed without a file.
+for text parsed without a file. The message after it is written where
+the value is read: a cell, number, obstacle side or endpoint by its reader
+in `gridmap`, whichever front end it came from.
 """
 
 
@@ -23,7 +25,11 @@ class MapError(GridJamError):
 
 
 class ScenarioError(GridJamError):
-    """A scenario file with a missing, unknown, repeated or unusable key."""
+    """A scenario file with a missing, unknown, repeated or unusable key.
+
+    A scenario's start or goal that is occupied or off its map raises
+    BadEndpointError instead, located like any other scenario error.
+    """
 
 
 class NoPathError(GridJamError):
@@ -31,7 +37,11 @@ class NoPathError(GridJamError):
 
 
 class BadEndpointError(GridJamError):
-    """Start or goal is occupied or outside the map."""
+    """Start or goal is occupied or outside the map.
+
+    `gridmap.check_endpoint` alone raises it, for the planner's arguments,
+    a command line's and a scenario's alike.
+    """
 
 
 def where(path, line=None) -> str:

@@ -2,6 +2,14 @@
 
 Grids are immutable values, so maps can be shared freely between runs
 without defensive copies.
+
+Every input value is read here, whichever front end it comes from: a
+scenario file, the command line or a results CSV. `read_text` reads a
+file, `read_cell` a `col,row` cell, `read_number` a finite integer or
+float, `check_side` an obstacle side and `check_endpoint` a start or goal
+on a map. Each raises the error class its caller passes (`check_endpoint`
+always raises BadEndpointError), with a message naming the value but not
+its place: the caller puts the location first.
 """
 
 import math
@@ -9,7 +17,7 @@ import pathlib
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .errors import MapError, where
+from .errors import BadEndpointError, MapError, where
 
 OCCUPIED_CHAR = "#"
 FREE_CHAR = "."
@@ -64,8 +72,7 @@ class ObstaclePlacement:
     side: int
 
     def __post_init__(self):
-        if self.side < 1 or self.side % 2 == 0:
-            raise ValueError(f"obstacle side must be an odd positive integer, got {self.side}")
+        check_side(self.side, "obstacle side", ValueError)
 
     @property
     def radius(self) -> int:
@@ -91,6 +98,42 @@ class ObstaclePlacement:
 def _check_cells(width, height):
     if width * height >= _MAX_CELLS:
         raise MapError(f"grid must have fewer than {_MAX_CELLS} cells, got {width}x{height}")
+
+
+def read_cell(text, label, error) -> Cell:
+    """The cell that `col,row` text names; raises `error` naming `label` when it names none."""
+    try:
+        col, row = (int(part) for part in text.split(","))
+    except ValueError:  # also when there are not exactly two parts
+        raise error(f"{label} expects 'col,row', got {text!r}") from None
+    return Cell(col, row)
+
+
+def read_number(text, label, kind, error):
+    """`text` read as a `kind`, int or float; raises `error` naming `label` unless it reads as a finite one."""
+    try:
+        value = kind(text)
+    except ValueError:
+        raise error(f"{label} expects {'an integer' if kind is int else 'a number'}, got {text!r}") from None
+    if kind is float and not math.isfinite(value):  # every int is finite
+        raise error(f"{label} must be finite, got {text!r}")
+    return value
+
+
+def check_side(side, label, error) -> int:
+    """`side`, the side of an obstacle square; raises `error` naming `label` unless it is odd and positive."""
+    if side < 1 or side % 2 == 0:
+        raise error(f"{label} must be an odd positive integer, got {side}")
+    return side
+
+
+def check_endpoint(grid: GridMap, label: str, cell: Cell) -> Cell:
+    """`cell`, a start or goal; raises BadEndpointError naming `label` unless it is a free cell of grid."""
+    if not grid.in_bounds(cell):
+        raise BadEndpointError(f"{label} {cell} is outside the {grid.width}x{grid.height} map")
+    if grid.is_occupied(cell):
+        raise BadEndpointError(f"{label} {cell} is occupied")
+    return cell
 
 
 def read_text(path, error=MapError) -> str:

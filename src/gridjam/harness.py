@@ -9,12 +9,11 @@ a CSV row or as a text line; one field list decides what either shows.
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 
 from .attack import brute_force_attack
 from .errors import NoPathError, where
-from .gridmap import Cell, read_text
+from .gridmap import Cell, read_number, read_text
 from .planner import distance_field
 from .scenario import Scenario
 from .sim import RunResult, simulate
@@ -60,7 +59,8 @@ def run_suite(scenario: Scenario):
     planner cannot reach is skipped and recorded in the summary instead of
     aborting the suite. A parsed scenario's start and goals are free cells
     on its map; a `Scenario` built by hand with an occupied or off-map start
-    or goal raises BadEndpointError.
+    or goal raises BadEndpointError, the error a scenario file holding it
+    raises, without the location.
     """
     runs = []
     results = []
@@ -170,20 +170,22 @@ def read_csv(path):
     """Parse a results CSV back into typed row dicts (blank -> None).
 
     The file is read as UTF-8. A bad or missing header, a row with the
-    wrong number of fields, a bad number or a bad success value raises
-    ValueError starting `<path>:N: ` with its line; a file that is not
-    UTF-8 raises one starting `<path>: `.
+    wrong number of fields, a bad number, a bad success value or text the
+    csv module cannot split into fields raises ValueError starting
+    `<path>:N: ` with its line; a file that is not UTF-8 raises one
+    starting `<path>: `.
     """
     reader = csv.reader(io.StringIO(read_text(path, ValueError)))
-    header = tuple(next(reader, ()))
-    if header != CSV_HEADER:
-        raise ValueError(f"{where(path, 1)}unexpected CSV header: {header}")
     rows = []
-    for raw in reader:
-        try:
+    try:
+        header = tuple(next(reader, ()))
+        if header != CSV_HEADER:
+            raise ValueError(f"unexpected CSV header: {header}")
+        for raw in reader:
             rows.append(_typed_row(raw))
-        except ValueError as exc:
-            raise ValueError(where(path, reader.line_num) + str(exc)) from None
+    except (ValueError, csv.Error) as exc:
+        # an empty file has read no line, but its missing header is line 1
+        raise ValueError(where(path, max(reader.line_num, 1)) + str(exc)) from None
     return rows
 
 
@@ -195,22 +197,13 @@ def _typed_row(raw):
         raise ValueError(f"expected {len(CSV_HEADER)} fields, got {len(raw)}")
     record = dict(zip(CSV_HEADER, raw))
     for key in ("goal_col", "goal_row", "repeat"):
-        record[key] = _number(key, record[key], int)
+        record[key] = read_number(record[key], key, int, ValueError)
     for key in ("euclidean_m", "time_s", "spawn_time_s", "delay_abs_s", "delay_pct"):
-        record[key] = _number(key, record[key], float) if record[key] else None
+        record[key] = read_number(record[key], key, float, ValueError) if record[key] else None
     for key in ("obstacle_col", "obstacle_row"):
-        record[key] = _number(key, record[key], int) if record[key] else None
+        record[key] = read_number(record[key], key, int, ValueError) if record[key] else None
     if record["success"] not in _SUCCESS:
         raise ValueError(f"success must be 'true', 'false' or blank, got {record['success']!r}")
     record["success"] = _SUCCESS[record["success"]]
     return record
 
-
-def _number(key, text, kind):
-    try:
-        value = kind(text)
-    except ValueError:
-        raise ValueError(f"{key} expects {'an integer' if kind is int else 'a number'}, got {text!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"{key} must be finite, got {text!r}")
-    return value

@@ -96,8 +96,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import BadEndpointError, NoPathError
-from .gridmap import Cell, GridMap, ObstaclePlacement
+from .errors import NoPathError
+from .gridmap import Cell, GridMap, ObstaclePlacement, check_endpoint
 
 SQRT2 = math.sqrt(2.0)
 
@@ -141,13 +141,6 @@ def _running_costs(cells) -> tuple:
 def euclidean_distance(a: Cell, b: Cell, cell_size: float) -> float:
     """Straight-line distance between two cell centres, in metres."""
     return cell_size * math.hypot(a.col - b.col, a.row - b.row)
-
-
-def _check_endpoint(grid: GridMap, label: str, cell: Cell):
-    if not grid.in_bounds(cell):
-        raise BadEndpointError(f"{label} {cell} is outside the {grid.width}x{grid.height} map")
-    if grid.is_occupied(cell):
-        raise BadEndpointError(f"{label} {cell} is occupied")
 
 
 # ----------------------------------------------------------- flat core
@@ -371,7 +364,7 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
     settled, and popping the stale head only discards it. So every pop
     that settles a cell takes the cheapest live entry, as a heap would.
     """
-    _check_endpoint(grid, "start", start)
+    check_endpoint(grid, "start", start)
     cells, stride = _flatten(grid)
     source = _index(start, stride)
     size = len(cells)
@@ -626,7 +619,7 @@ def _route(field: DistanceField, goal: Cell) -> Path:
     Raises BadEndpointError for an occupied or out-of-bounds goal and
     NoPathError when the goal is out of the start's reach.
     """
-    _check_endpoint(field.grid, "goal", goal)
+    check_endpoint(field.grid, "goal", goal)
     stride = field.stride
     target = _index(goal, stride)
     if field.dist[target] is None:

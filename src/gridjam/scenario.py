@@ -23,50 +23,34 @@ import re
 import sys
 from dataclasses import dataclass, fields
 
-from .errors import MapError, ScenarioError, where
-from .gridmap import Cell, GridMap, load_map, read_text
+from .errors import GridJamError, ScenarioError, where
+from .gridmap import Cell, GridMap, check_endpoint, check_side, load_map, read_cell, read_number, read_text
 from .sim import SimConfig
 
 
 def _positive_float(value, key):
-    out = _float(value, key)
+    out = read_number(value, key, float, ScenarioError)
     if out <= 0:
         raise ScenarioError(f"{key} must be positive, got {value}")
     return out
 
 
 def _nonnegative_float(value, key):
-    out = _float(value, key)
+    out = read_number(value, key, float, ScenarioError)
     if out < 0:
         raise ScenarioError(f"{key} must be >= 0, got {value}")
     return out
 
 
-def _float(value, key):
-    try:
-        out = float(value)
-    except ValueError:
-        raise ScenarioError(f"{key} expects a number, got {value!r}") from None
-    if not math.isfinite(out):
-        raise ScenarioError(f"{key} must be finite, got {value!r}")
-    return out
-
-
 def _positive_int(value, key):
-    try:
-        out = int(value)
-    except ValueError:
-        raise ScenarioError(f"{key} expects an integer, got {value!r}") from None
+    out = read_number(value, key, int, ScenarioError)
     if out < 1:
         raise ScenarioError(f"{key} must be >= 1, got {out}")
     return out
 
 
 def _odd_side(value, key):
-    side = _positive_int(value, key)
-    if side % 2 == 0:
-        raise ScenarioError(f"{key} must be odd, got {side}")
-    return side
+    return check_side(read_number(value, key, int, ScenarioError), key, ScenarioError)
 
 
 # The numeric keys, each with its reader, in the order they are checked.
@@ -102,10 +86,12 @@ class Scenario:
 def parse_scenario(text: str, base_dir=".") -> Scenario:
     """Parse scenario text; `base_dir` anchors the relative map path.
 
-    Raises ScenarioError for a bad key or value, MapError for a bad map and
-    OSError for a map file that cannot be read, each starting `line N: `
-    with the scenario line at fault when there is one. A map's error then
-    reads as `load_map` raised it, as in
+    Raises ScenarioError for a bad key or value, BadEndpointError for a
+    start or goal that is occupied or off the map, MapError for a bad map
+    and OSError for a map file that cannot be read, each starting
+    `line N: ` with the scenario line at fault when there is one. The rest
+    reads as the reader in `gridmap` raised it, as in
+    `line 4: goal 50,1 is outside the 7x5 map` or
     `line 2: maps/m.txt:2: unexpected character 'x'`.
     """
     return _parse(text, pathlib.Path(base_dir), None)
@@ -166,10 +152,10 @@ def _parse(text, base, path):
         grid = load_map(base / map_value).with_cell_size(numbers.pop("cell_size"))
 
         lineno, value = scalars["start"]
-        start = _cell(value, "start", grid)
+        start = check_endpoint(grid, "start", read_cell(value, "start", ScenarioError))
         goals = []
         for lineno, value in goal_lines:
-            goals.append(_cell(value, "goal", grid))
+            goals.append(check_endpoint(grid, "goal", read_cell(value, "goal", ScenarioError)))
 
         lineno, name = scalars.get("name", (scalars["map"][0], pathlib.Path(map_value).stem))
         if not _NAME.fullmatch(name):
@@ -202,20 +188,8 @@ def _parse(text, base, path):
                     f"eval_time_per_candidate {value} lets an attack on this "
                     f"{grid.width}x{grid.height} map take longer than a float can hold"
                 )
-    except (ScenarioError, MapError, OSError) as exc:
+    except (GridJamError, OSError) as exc:
         raise type(exc)(where(path, lineno) + str(exc)) from exc
 
     return Scenario(name=name, grid=grid, start=start, goals=tuple(goals), race=race, **numbers)
 
-
-def _cell(value, key, grid):
-    try:
-        col, row = (int(part) for part in value.split(","))
-    except ValueError:  # also when there are not exactly two parts
-        raise ScenarioError(f"{key} expects 'col,row', got {value!r}") from None
-    cell = Cell(col, row)
-    if not grid.in_bounds(cell):
-        raise ScenarioError(f"{key} {cell} is outside the map")
-    if grid.is_occupied(cell):
-        raise ScenarioError(f"{key} {cell} is on an occupied cell")
-    return cell

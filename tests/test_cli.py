@@ -239,11 +239,13 @@ def test_suite_rejects_times_that_underflow(workdir, capsys):
 def test_bad_cell_argument(workdir, capsys):
     code = cli(["plan", str(workdir / "branch.txt"), "onecomma", "5,1"])
     assert code == 1
+    assert capsys.readouterr().err == "error: start expects 'col,row', got 'onecomma'\n"
 
 
 def test_even_side_rejected(workdir, capsys):
     code = cli(["attack", str(workdir / "branch.txt"), "1,1", "5,1", "--side", "2"])
     assert code == 1
+    assert capsys.readouterr().err == "error: --side must be an odd positive integer, got 2\n"
 
 
 def test_missing_file_exit_code(tmp_path, capsys):
@@ -329,7 +331,7 @@ def test_module_entry_point(workdir):
     assert ok.stdout.split("\n")[0] == "cost=4.000000"
     bad = run("plan", "branch.txt", "onecomma", "5,1")
     assert bad.returncode == 1
-    assert "error:" in bad.stderr
+    assert bad.stderr == "error: start expects 'col,row', got 'onecomma'\n"
 
 
 def test_runtime_imports_only_the_standard_library():

@@ -243,6 +243,21 @@ def test_read_csv_rejects_bad_number(index, text, message, suite_dir, tmp_path):
     assert str(err.value) == f"{out}:3: {message}"
 
 
+def test_read_csv_rejects_oversized_field(suite_dir, tmp_path):
+    # the csv module's own error, past its field size limit, names the line too
+    out = _csv_with_bad_line(suite_dir, tmp_path, lambda fields: fields[:5] + ["1" * 140_000] + fields[6:])
+    with pytest.raises(ValueError) as err:
+        read_csv(out)
+    assert str(err.value) == f"{out}:3: field larger than field limit (131072)"
+
+
+def test_read_csv_reads_a_long_integer(suite_dir, tmp_path):
+    # an integer too large for a float is still a finite integer
+    digits = "9" * 400
+    out = _csv_with_bad_line(suite_dir, tmp_path, lambda fields: fields[:1] + [digits] + fields[2:])
+    assert read_csv(out)[1]["goal_col"] == int(digits)
+
+
 def test_read_csv_rejects_bad_success(suite_dir, tmp_path):
     out = _csv_with_bad_line(suite_dir, tmp_path, lambda fields: fields[:10] + ["maybe"] + fields[11:])
     with pytest.raises(ValueError) as err:

@@ -3,6 +3,7 @@
 import pytest
 
 from gridjam import (
+    BadEndpointError,
     Cell,
     GridJamError,
     MapError,
@@ -90,14 +91,23 @@ def test_missing_goal(scenario_dir):
 
 def test_start_on_occupied_cell(scenario_dir):
     text = MINIMAL.replace("start = 1,1", "start = 0,0")
-    with pytest.raises(ScenarioError, match="^line 3: start 0,0 is on an occupied cell$"):
+    with pytest.raises(BadEndpointError) as err:
         parse_scenario(text, base_dir=scenario_dir)
+    assert str(err.value) == "line 3: start 0,0 is occupied"
 
 
 def test_goal_out_of_bounds(scenario_dir):
     text = MINIMAL.replace("goal = 5,1", "goal = 50,1")
-    with pytest.raises(ScenarioError, match="^line 4: goal 50,1 is outside the map$"):
+    with pytest.raises(BadEndpointError) as err:
         parse_scenario(text, base_dir=scenario_dir)
+    assert str(err.value) == "line 4: goal 50,1 is outside the 7x5 map"
+
+
+def test_bad_cell_text(scenario_dir):
+    text = MINIMAL.replace("start = 1,1", "start = 1;1")
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(text, base_dir=scenario_dir)
+    assert str(err.value) == "line 3: start expects 'col,row', got '1;1'"
 
 
 def test_bad_number(scenario_dir):
@@ -110,8 +120,10 @@ def test_bad_number(scenario_dir):
 
 
 def test_even_obstacle_side(scenario_dir):
-    with pytest.raises(ScenarioError, match="^line 6: obstacle_side must be odd, got 2$"):
-        parse_scenario(MINIMAL + "obstacle_side = 2\n", base_dir=scenario_dir)
+    for side in (2, 0):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(MINIMAL + f"obstacle_side = {side}\n", base_dir=scenario_dir)
+        assert str(err.value) == f"line 6: obstacle_side must be an odd positive integer, got {side}"
 
 
 def test_zero_repeats(scenario_dir):

@@ -121,8 +121,13 @@ def read_number(text, label, kind, error):
 
 
 def check_side(side, label, error) -> int:
-    """`side`, the side of an obstacle square; raises `error` naming `label` unless it is odd and positive."""
-    if side < 1 or side % 2 == 0:
+    """`side`, the side of an obstacle square; raises `error` naming `label` unless it is an odd positive int.
+
+    A bool, a float (NaN and inf too) or any other type that is not an int
+    is rejected: the obstacle's footprint is counted in whole cells. Any
+    other int subclass is accepted.
+    """
+    if isinstance(side, bool) or not isinstance(side, int) or side < 1 or side % 2 == 0:
         raise error(f"{label} must be an odd positive integer, got {side}")
     return side
 

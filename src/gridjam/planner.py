@@ -35,9 +35,10 @@ The canonical path is built by one rule, in `_backtrack` alone: walk back
 from the goal, each time to the lowest-(row, col) neighbour whose exact
 cost plus the step equals the current cost. It needs exact costs only on
 the goal and every optimal predecessor on the way back. A full distance
-field has them, and so does `_search` when the goal pops: it orders its
-heap by (f, g, row, col), which among equal f is (f, -h, row, col), and
-that closes every optimal predecessor of a cell before the cell itself.
+field has them, and so does `_search`: it orders its heap by (f, g, row,
+col), which closes every cell of every optimal route before its search
+ends, and, when it searched from the goal, it turns those costs into
+start-side ones in one pass outward from the start.
 
 Every search runs on a flat core: the grid becomes one byte string with a
 blocked border one cell wide, and cell (col, row) becomes the index
@@ -75,9 +76,11 @@ tie-break and stop flags, and read their own result from its costs.
   from the nearer end. The answer is bitwise the same on either field:
   both searches end at the optimum, whose exact cost is unique.
 * `_search`: the canonical route around the winning obstacle, backtracked
-  on the obstructed copy once the goal pops. Its heuristic is the octile
-  distance, or the goal field's exact distance when the attack built one;
-  the canonical rule picks the same path under either.
+  on the obstructed copy. It searches from the goal until the start pops,
+  with the start's field as the heuristic, exact wherever the obstacle
+  casts no shadow; when the attack built a field from the goal, it
+  searches from the start with that one instead. The canonical rule picks
+  the same path either way.
 * `_separators`: the cells whose blocking alone cuts the start from a
   goal (below).
 
@@ -90,7 +93,6 @@ a cut vertex between them, and one lowpoint DFS from the start names
 every such cell at once.
 """
 
-import functools
 import heapq
 import math
 from collections import deque
@@ -245,62 +247,85 @@ def _astar(cells, stride: int, origin: int, h: list, tie: list, first: list, sto
     return None
 
 
-@functools.lru_cache(maxsize=1)
-def _octile_table(stride: int, rows: int) -> tuple:
-    """Per row offset 0..rows-1, the exact octile costs of column offsets 1-stride..stride-1.
-
-    Cached for one shape only: every search of one attack, and of one suite
-    scenario, runs on one map.
-    """
-    table = []
-    for dr in range(rows):
-        half = [abs(dr - dc) * _ORTH + min(dr, dc) * _DIAG for dc in range(stride)]
-        table.append(tuple(half[:0:-1] + half))
-    return tuple(table)
-
-
-def _octile(goal: int, stride: int, size: int) -> list:
-    """The exact octile distance to goal from every index of a flat core of `size` cells."""
-    rows = size // stride
-    table = _octile_table(stride, rows)
-    grow, gcol = divmod(goal, stride)
-    lo = stride - 1 - gcol  # column offset 0 - gcol
-    h = []
-    for row in range(rows):
-        h += table[abs(row - grow)][lo:lo + stride]
-    return h
-
-
 def _search(field: "DistanceField", placement: ObstaclePlacement, goal: Cell, toward: "DistanceField" = None):
-    """Canonical A* from the field's start to goal with the placement's cells occupied.
+    """Canonical route from the field's start to goal with the placement's cells occupied.
 
     Returns the Path, or None when no route exists; goal must be free. The
-    placement is clipped at the border. The heuristic is the octile
-    distance, or, when `toward` is a field rooted at goal on the same grid,
-    its exact distance to goal on the unobstructed map. Blocking cells only
-    removes moves, so both are consistent on the obstructed copy. The tie
-    is the search's own g: among equal f a smaller g is a larger h, so the
+    placement is clipped at the border. Both searches run `_astar` on the
+    obstructed copy with a field as the heuristic. Blocking cells only
+    removes moves, so by the triangle inequality a field's distance from
+    its root is a consistent heuristic toward that root on the copy. Each
+    search heads toward the root of its field: away from it, d(root, x)
+    minus a constant cancels g on every edge of the field's tree, and the
+    search degenerates into a Dijkstra. The tie is the search's own g, and
+    `_backtrack` builds the path on the obstructed copy from start-side
+    costs. Every cell a search pops is in the start's component, where
+    `first` is one-to-one, so the stop flag is set on one cell only; a goal
+    out of that component has no route.
+
+    When `toward` is a field rooted at goal on the same grid, the search
+    runs forward, from the start until the goal pops, and its own costs are
+    already start-side. Among equal f a smaller g is a larger h, so the
     heap pops by (f, -h, index), and every cell on an optimal route to the
     goal, whose f is at most the optimum and whose h is above the goal's 0,
-    is closed with its exact cost before the goal pops; `_backtrack` then
-    builds the path on them, on the obstructed copy. The search stops at
-    the goal alone: every cell it pops is in the start's component, where
-    `first` is one-to-one, and a goal outside it has no route. The field
-    itself is not a heuristic here: toward the goal, d_s(goal) - d_s(x)
-    cancels g on every edge of the start's shortest-path tree, and the
-    search degenerates into a Dijkstra.
+    is closed with its exact cost before the goal pops. The attack builds
+    that field only for long routes through narrow maps, where it guides
+    the search better than the start's field guides the backward one, and
+    no pass is needed.
+
+    Otherwise the search runs backward, from the goal until the start
+    pops, guided by the start's own field d_s, which is exact wherever the
+    obstacle casts no shadow. Its g is b(x), the exact cost from x to the
+    goal on the copy once x closes, and the start pops with b = C*, the
+    optimum. A cell x on an optimal route has a start-side cost F(x) =
+    C* - b(x) at least d_s(x), so f(x) = b(x) + d_s(x) <= C*, and g(x) =
+    b(x) < C* unless x is the start. Until x closes, the first cell not
+    yet closed on its optimal route from the goal sits in the heap with its
+    exact b and such a key, below the start's (C*, C*): so every cell of
+    every optimal route closes with its exact b before the start pops. One
+    pass outward from the start then turns b into start-side costs on
+    exactly those cells: F(start) = 0, and a legal step on the copy from a
+    marked p to x with b(x) + step = b(p) marks x with F(x) = C* - b(x).
+    A search's cost is never below the true one, and the true b(x) + step
+    is at least b(p), so a match means that start..p, x..goal is an optimal
+    route: x is on one, and so closed and exact. By induction from the
+    start every cell of every optimal route is marked, and `_backtrack`
+    walks them to the same path as the forward search. The pass pushes
+    each marked cell once onto a plain list, not a heap.
     """
     stride = field.stride
     start, goal = _index(field.start, stride), _index(goal, stride)
     if field.dist[goal] is None:
         return None
     cells = _blocked(field.cells, _covered(placement, field.grid, stride))
-    h = _octile(goal, stride, len(cells)) if toward is None else toward.dist
+    origin, target, h = (goal, start, field.dist) if toward is None else (start, goal, toward.dist)
     stop = bytearray(field.reached)
-    stop[field.first[goal]] = 1
+    stop[field.first[target]] = 1
     dist = [None] * len(cells)
-    if _astar(cells, stride, start, h, dist, field.first, stop, dist) is None:
+    if _astar(cells, stride, origin, h, dist, field.first, stop, dist) is None:
         return None
+    if toward is None:
+        # the pass outward from the start: dist holds b, forward gets F
+        optimum = dist[start]
+        forward = [None] * len(cells)
+        forward[start] = 0
+        straight, diagonals = _steps(stride)
+        marked = [start]
+        while marked:
+            cur = marked.pop()
+            rest = dist[cur] - _ORTH
+            for offset in straight:
+                nxt = cur + offset
+                if dist[nxt] == rest and forward[nxt] is None:
+                    forward[nxt] = optimum - rest
+                    marked.append(nxt)
+            rest = dist[cur] - _DIAG
+            for offset, flank_a, flank_b in diagonals:
+                nxt = cur + offset
+                if dist[nxt] == rest and forward[nxt] is None and not (cells[cur + flank_a] or cells[cur + flank_b]):
+                    forward[nxt] = optimum - rest
+                    marked.append(nxt)
+        dist = forward
     return _backtrack(cells, stride, dist, start, goal)
 
 

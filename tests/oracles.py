@@ -3,8 +3,9 @@
 None of this runs in the package: the Dijkstra planner cross-checks `astar`
 and, run over a whole component, `distance_field`; the attack oracle
 cross-checks `brute_force_attack`, `obstruct` builds the map a placement
-leaves behind, and the candidate enumeration and octile heuristic pin
-properties the attack and the planner rely on.
+leaves behind, and the candidate enumeration pins properties the attack
+relies on. The octile distance is test-only as well: no package code
+uses it.
 """
 
 import heapq

@@ -151,6 +151,13 @@ def test_field_for_another_grid_or_start_is_rejected(branch_map):
         brute_force_attack(branch_map, Cell(1, 3), goal, 1, field)
 
 
+@pytest.mark.parametrize("side", [float("nan"), float("inf"), 3.0, True])
+def test_attack_side_must_be_an_int(branch_map, side):
+    # a NaN side once returned a plan with gain 0.0
+    with pytest.raises(ValueError, match=f"^obstacle side must be an odd positive integer, got {side}$"):
+        brute_force_attack(branch_map, Cell(1, 1), Cell(5, 1), side)
+
+
 def test_ledger_completeness_and_bounds():
     rng = random.Random(808)
     done = 0

@@ -146,6 +146,21 @@ def test_placement_side_must_be_odd_positive():
         ObstaclePlacement(Cell(1, 1), -3)
 
 
+@pytest.mark.parametrize("side", [float("nan"), float("inf"), 3.0, 1.0, True, "3", None])
+def test_placement_side_must_be_an_int(side):
+    # a NaN side once passed both comparisons: its extent spanned the whole
+    # grid while it covered no cell; 3.0 failed later, inside `extent`
+    with pytest.raises(ValueError, match=f"^obstacle side must be an odd positive integer, got {side}$"):
+        ObstaclePlacement(Cell(1, 1), side)
+
+
+def test_placement_side_may_be_an_int_subclass():
+    class Side(int):
+        pass
+
+    assert ObstaclePlacement(Cell(1, 1), Side(3)).side == 3
+
+
 def test_grid_dimension_validation():
     with pytest.raises(MapError, match="^grid must be at least 1x1, got 0x2$"):
         GridMap(0, 2, 1.0, ())

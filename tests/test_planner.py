@@ -308,7 +308,8 @@ def test_search_to_a_goal_out_of_reach_has_no_route():
 @given(grid_problems(), st.sampled_from((1, 3)), st.data())
 def test_search_with_goal_field_heuristic_property(problem, side, data):
     # the winner's route: a field rooted at the goal as the heuristic gives
-    # the same canonical path as the octile one, and as the oracle
+    # the same canonical path as the backward search on the start field,
+    # and as the oracle
     grid, start, goal = problem
     cells = component(grid, start)
     if goal not in cells:
@@ -326,6 +327,31 @@ def test_search_with_goal_field_heuristic_property(problem, side, data):
         except NoPathError:
             expected = None
         assert _search(field, placement, goal, toward) == _search(field, placement, goal) == expected
+
+
+@pytest.mark.parametrize(
+    "text, start, goal, placement",
+    [
+        # The pass from the start meets (4,1) from (5,2) with b(4,1) + sqrt(2)
+        # = b(5,2), but that diagonal's flank (5,1) is blocked: taking it
+        # anyway gives (4,1) a start-side cost it does not have, and the
+        # backtrack turns there instead of at (4,2).
+        (".......\n.......\n.......\n", Cell(5, 2), Cell(3, 1), ObstaclePlacement(Cell(6, 0), 3)),
+        # the same at (2,0)-(1,1), whose flank (1,0) is a wall: the backtrack
+        # reaches (1,1) on a cost it does not have and finds no legal way on
+        ("##..\n#..#\n....\n....\n", Cell(3, 0), Cell(1, 3), ObstaclePlacement(Cell(0, 3), 1)),
+        # Every cell of the three optimal routes has f = C*. Popping a smaller
+        # g first closes them all before the start; popping the larger g
+        # first pops the start before (3,2) closes, and the backtrack turns
+        # at (3,3) instead.
+        (".....\n.....\n.....\n.....\n", Cell(4, 3), Cell(1, 2), ObstaclePlacement(Cell(0, 0), 1)),
+    ],
+)
+def test_backward_search_marks_every_optimal_cell_and_no_other(text, start, goal, placement):
+    grid = parse_map(text)
+    expected = dijkstra_oracle(obstruct(grid, placement), start, goal)
+    field = distance_field(grid, start)
+    assert _search(field, placement, goal) == _search(field, placement, goal, distance_field(grid, goal)) == expected
 
 
 # The planner's exact costs k*_ORTH + m*_DIAG order exactly like

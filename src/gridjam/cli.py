@@ -52,12 +52,13 @@ def _build_parser():
     on_map = argparse.ArgumentParser(add_help=False)  # the arguments of every command that takes a map
     for name in ("map", "start", "goal"):
         on_map.add_argument(name)
+    sided = argparse.ArgumentParser(add_help=False)  # the obstacle side of every command that attacks
+    sided.add_argument("--side", type=int, default=3)
 
     p = sub.add_parser("plan", parents=[on_map], help="plan a route on a map")
     p.set_defaults(handler=_cmd_plan)
 
-    p = sub.add_parser("attack", parents=[on_map], help="search the worst obstacle placement for a route")
-    p.add_argument("--side", type=int, default=3)
+    p = sub.add_parser("attack", parents=[on_map, sided], help="search the worst obstacle placement for a route")
     p.set_defaults(handler=_cmd_attack)
 
     p = sub.add_parser("simulate", help="run one scenario and print every run")
@@ -70,8 +71,7 @@ def _build_parser():
     p.add_argument("--svg-dir")
     p.set_defaults(handler=_cmd_suite)
 
-    p = sub.add_parser("render", parents=[on_map], help="render a map, its route, and the attack to SVG")
-    p.add_argument("--side", type=int, default=3)
+    p = sub.add_parser("render", parents=[on_map, sided], help="render a map, its route, and the attack to SVG")
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_render)
     return parser

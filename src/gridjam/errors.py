@@ -6,8 +6,9 @@ and the command line exits 2. An error about a map, scenario or CSV file
 starts with the place at fault, written by `where` alone: `<path>:<N>: `
 for line N of a file, `<path>: ` for the file as a whole, or `line <N>: `
 for text parsed without a file. The message after it is written where
-the value is read: a cell, number, obstacle side or endpoint by its reader
-in `gridmap`, whichever front end it came from.
+the value is read: a cell, a number, a positive or non-negative number,
+an obstacle side or an endpoint by its reader in `gridmap`, whichever
+front end or record it came from.
 """
 
 

@@ -4,12 +4,14 @@ Grids are immutable values, so maps can be shared freely between runs
 without defensive copies.
 
 Every input value is read here, whichever front end it comes from: a
-scenario file, the command line or a results CSV. `read_text` reads a
-file, `read_cell` a `col,row` cell, `read_number` a finite integer or
-float, `check_side` an obstacle side and `check_endpoint` a start or goal
-on a map. Each raises the error class its caller passes (`check_endpoint`
-always raises BadEndpointError), with a message naming the value but not
-its place: the caller puts the location first.
+scenario file, the command line, a results CSV or a record built in code.
+`read_text` reads a file, `read_cell` a `col,row` cell, `read_number` a
+finite integer or float, `check_positive` a positive and
+`check_nonnegative` a non-negative finite number, `check_side` an obstacle
+side and `check_endpoint` a start or goal on a map. Each raises the error
+class its caller passes (`check_endpoint` always raises BadEndpointError),
+with a message naming the value but not its place: the caller puts the
+location first.
 """
 
 import math
@@ -49,8 +51,7 @@ class GridMap:
         if self.width < 1 or self.height < 1:
             raise MapError(f"grid must be at least 1x1, got {self.width}x{self.height}")
         _check_cells(self.width, self.height)
-        if not 0 < self.cell_size < math.inf:  # also rejects NaN
-            raise ValueError(f"cell_size must be positive and finite, got {self.cell_size}")
+        check_positive(self.cell_size, "cell_size", ValueError)
         if len(self.rows) != self.height or any(len(r) != self.width for r in self.rows):
             raise ValueError("occupancy rows do not match the declared dimensions")
 
@@ -117,6 +118,20 @@ def read_number(text, label, kind, error):
         raise error(f"{label} expects {'an integer' if kind is int else 'a number'}, got {text!r}") from None
     if kind is float and not math.isfinite(value):  # every int is finite
         raise error(f"{label} must be finite, got {text!r}")
+    return value
+
+
+def check_positive(value, label, error):
+    """`value`; raises `error` naming `label` unless it is a positive finite number (NaN is not)."""
+    if not 0 < value < math.inf:  # written so that NaN fails
+        raise error(f"{label} must be positive and finite, got {value}")
+    return value
+
+
+def check_nonnegative(value, label, error):
+    """`value`; raises `error` naming `label` unless it is a finite number >= 0 (NaN is not)."""
+    if not 0 <= value < math.inf:  # written so that NaN fails
+        raise error(f"{label} must be finite and >= 0, got {value}")
     return value
 
 

@@ -469,7 +469,8 @@ def _backtrack(cells: bytes, stride: int, dist: list, source: int, goal: int) ->
     of every optimal predecessor on the way back; it is None where the
     search never reached. Walks back from the goal, each time to the
     lowest-index reached neighbour whose exact cost plus the step equals
-    the current cost.
+    the current cost. Raises RuntimeError when no neighbour does, which
+    exact costs never allow.
     """
     straight, diagonals = _steps(stride)
     # (offset, step cost, flank, flank), lowest neighbour index first; a
@@ -486,6 +487,8 @@ def _backtrack(cells: bytes, stride: int, dist: list, source: int, goal: int) ->
                 continue
             if not (flank_a and (cells[cur + flank_a] or cells[cur + flank_b])):
                 break
+        else:
+            raise RuntimeError(f"no neighbour of {_cell(cur, stride)} matches its cost: dist is not exact")
         cur = prev
         chain.append(cur)
     chain.reverse()

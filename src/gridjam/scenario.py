@@ -24,45 +24,20 @@ import sys
 from dataclasses import dataclass, fields
 
 from .errors import GridJamError, ScenarioError, where
-from .gridmap import Cell, GridMap, check_endpoint, check_side, load_map, read_cell, read_number, read_text
+from .gridmap import Cell, GridMap, check_endpoint, check_nonnegative, check_positive, check_side, load_map
+from .gridmap import read_cell, read_number, read_text
 from .sim import SimConfig
 
-
-def _positive_float(value, key):
-    out = read_number(value, key, float, ScenarioError)
-    if out <= 0:
-        raise ScenarioError(f"{key} must be positive, got {value}")
-    return out
-
-
-def _nonnegative_float(value, key):
-    out = read_number(value, key, float, ScenarioError)
-    if out < 0:
-        raise ScenarioError(f"{key} must be >= 0, got {value}")
-    return out
-
-
-def _positive_int(value, key):
-    out = read_number(value, key, int, ScenarioError)
-    if out < 1:
-        raise ScenarioError(f"{key} must be >= 1, got {out}")
-    return out
-
-
-def _odd_side(value, key):
-    return check_side(read_number(value, key, int, ScenarioError), key, ScenarioError)
-
-
-# The numeric keys, each with its reader, in the order they are checked.
-# Only the keys present reach `Scenario` and `SimConfig`, so their defaults
-# apply to the rest.
+# The numeric keys, each with the kind it reads as and the range it must
+# lie in, in the order they are checked. Only the keys present reach
+# `Scenario` and `SimConfig`, so their defaults apply to the rest.
 _NUMBERS = {
-    "cell_size": _positive_float,
-    "speed": _positive_float,
-    "eval_time_per_candidate": _nonnegative_float,
-    "attack_start_delay": _nonnegative_float,
-    "repeats": _positive_int,
-    "obstacle_side": _odd_side,
+    "cell_size": (float, check_positive),
+    "speed": (float, check_positive),
+    "eval_time_per_candidate": (float, check_nonnegative),
+    "attack_start_delay": (float, check_nonnegative),
+    "repeats": (int, check_positive),
+    "obstacle_side": (int, check_side),
 }
 _KNOWN_KEYS = {"name", "map", "start", "goal", *_NUMBERS}
 _REQUIRED_KEYS = ("map", "cell_size", "start", "speed")
@@ -72,7 +47,12 @@ _NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 @dataclass(frozen=True)
 class Scenario:
-    """One experiment: a map, a start, its goals, and the race's timing."""
+    """One experiment: a map, a start, its goals, and the race's timing.
+
+    Its obstacle side and repeats are checked by the readers that check a
+    scenario file's, raising ValueError, so one built in code holds no
+    value that a file could not.
+    """
 
     name: str
     grid: GridMap  # parsed map with the scenario's cell size applied
@@ -81,6 +61,10 @@ class Scenario:
     race: SimConfig  # the timing every goal's race runs with
     obstacle_side: int = 3
     repeats: int = 3
+
+    def __post_init__(self):
+        check_side(self.obstacle_side, "obstacle_side", ValueError)
+        check_positive(self.repeats, "repeats", ValueError)
 
 
 def parse_scenario(text: str, base_dir=".") -> Scenario:
@@ -142,10 +126,10 @@ def _parse(text, base, path):
             raise ScenarioError("missing required key 'goal' (at least one)")
 
         numbers = {}
-        for key, read in _NUMBERS.items():
+        for key, (kind, check) in _NUMBERS.items():
             if key in scalars:
                 lineno, value = scalars[key]
-                numbers[key] = read(value, key)
+                numbers[key] = check(read_number(value, key, kind, ScenarioError), key, ScenarioError)
         race = SimConfig(**{key: numbers.pop(key) for key in _RACE_KEYS if key in numbers})
 
         lineno, map_value = scalars["map"]

@@ -25,11 +25,10 @@ of arrival seconds along the baseline.
 """
 
 import bisect
-import math
 from dataclasses import dataclass
 
 from .attack import AttackPlan
-from .gridmap import Cell, GridMap, ObstaclePlacement
+from .gridmap import Cell, GridMap, ObstaclePlacement, check_nonnegative, check_positive
 from .planner import DistanceField, _check_field, _cost, euclidean_distance, prefix_costs
 
 
@@ -42,13 +41,9 @@ class SimConfig:
     attack_start_delay: float = 0.0  # seconds before the attacker starts scoring
 
     def __post_init__(self):
-        # written so that NaN fails every check
-        if not 0 < self.speed < math.inf:
-            raise ValueError(f"speed must be positive and finite, got {self.speed}")
-        if not 0 <= self.eval_time_per_candidate < math.inf:
-            raise ValueError(f"eval_time_per_candidate must be finite and >= 0, got {self.eval_time_per_candidate}")
-        if not 0 <= self.attack_start_delay < math.inf:
-            raise ValueError(f"attack_start_delay must be finite and >= 0, got {self.attack_start_delay}")
+        check_positive(self.speed, "speed", ValueError)
+        check_nonnegative(self.eval_time_per_candidate, "eval_time_per_candidate", ValueError)
+        check_nonnegative(self.attack_start_delay, "attack_start_delay", ValueError)
 
 
 @dataclass(frozen=True)
@@ -127,7 +122,8 @@ def simulate(grid: GridMap, plan: AttackPlan, config: SimConfig, field: Distance
             replanned_cost = plan.attacked_path.cost
         else:
             replanned_cost = _cost(field, plan.best, goal, baseline.cells[snap])
-            assert replanned_cost is not None, "the replan cannot fail (see the module docstring)"
+            if replanned_cost is None:
+                raise RuntimeError("the replan cannot fail (see the module docstring)")
         adversarial_time = t_snap + replanned_cost * grid.cell_size / config.speed
     delay = adversarial_time - benign_time
     return RunResult(

@@ -4,8 +4,7 @@ None of this runs in the package: the Dijkstra planner cross-checks `astar`
 and, run over a whole component, `distance_field`; the attack oracle
 cross-checks `brute_force_attack`, `obstruct` builds the map a placement
 leaves behind, and the candidate enumeration pins properties the attack
-relies on. The octile distance is test-only as well: no package code
-uses it.
+relies on.
 """
 
 import heapq
@@ -18,14 +17,6 @@ from gridjam.planner import SQRT2, Path
 # A replanned cost must beat the best so far by more than this to win. The
 # oracle keeps its own tolerance, independent of the code under test.
 COST_TOL = 1e-9
-
-
-def octile_distance(a: Cell, b: Cell) -> float:
-    """Octile heuristic: admissible and consistent for 1 / sqrt(2) steps."""
-    dc = abs(a.col - b.col)
-    dr = abs(a.row - b.row)
-    lo, hi = (dc, dr) if dc < dr else (dr, dc)
-    return (hi - lo) + lo * SQRT2
 
 
 def dijkstra_oracle(grid: GridMap, start: Cell, goal: Cell) -> Path:

@@ -88,7 +88,7 @@ def test_criterion_2_attack_agrees_with_slow_oracle():
 
 
 def test_criterion_3_chosen_obstacles_never_seal_the_map():
-    # a failed replan trips the assertion in sim.simulate and aborts run_suite
+    # a failed replan raises RuntimeError in sim.simulate and aborts run_suite
     total = 0
     for name in scenario_names():
         runs, summary = run_suite(_scenario(name))

@@ -242,10 +242,13 @@ def test_bad_cell_argument(workdir, capsys):
     assert capsys.readouterr().err == "error: start expects 'col,row', got 'onecomma'\n"
 
 
-def test_even_side_rejected(workdir, capsys):
-    code = cli(["attack", str(workdir / "branch.txt"), "1,1", "5,1", "--side", "2"])
+@pytest.mark.parametrize("command", ["attack", "render"])
+def test_even_side_rejected(command, workdir, capsys):
+    out = ["--out", str(workdir / "route.svg")] if command == "render" else []
+    code = cli([command, str(workdir / "branch.txt"), "1,1", "5,1", "--side", "2", *out])
     assert code == 1
     assert capsys.readouterr().err == "error: --side must be an odd positive integer, got 2\n"
+    assert not (workdir / "route.svg").exists()
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

@@ -19,9 +19,9 @@ from gridjam import (
     parse_map,
     prefix_costs,
 )
-from gridjam.planner import _DIAG, _ORTH, _cell, _cost, _decode, _index, _search, _separators
+from gridjam.planner import _DIAG, _ORTH, _backtrack, _cell, _cost, _decode, _index, _search, _separators
 from conftest import PROPERTY_SETTINGS, free_cells, grid_problems, is_free, random_case
-from oracles import dijkstra_oracle, obstruct, octile_distance, oracle_distances
+from oracles import dijkstra_oracle, obstruct, oracle_distances
 
 SQRT2 = math.sqrt(2.0)
 
@@ -120,15 +120,15 @@ def test_diagonal_needs_both_flanks_free():
     assert path.cost == 1.0
 
 
-def test_octile_admissible_and_consistent_random():
-    rng = random.Random(4242)
-    for _ in range(80):
-        grid, start, goal = random_case(rng, 10, 10)
-        try:
-            optimal = dijkstra_oracle(grid, start, goal).cost
-        except NoPathError:
-            continue
-        assert octile_distance(start, goal) <= optimal + 1e-9
+def test_backtrack_raises_when_no_neighbour_matches_the_cost():
+    # a goal cost one step too high: without the raise, the walk would go on
+    # from the last neighbour tried, off the route
+    field = distance_field(parse_map("...\n"), Cell(0, 0))
+    goal = _index(Cell(2, 0), field.stride)
+    dist = list(field.dist)
+    dist[goal] += _ORTH
+    with pytest.raises(RuntimeError, match="^no neighbour of 2,0 matches its cost"):
+        _backtrack(field.cells, field.stride, dist, _index(Cell(0, 0), field.stride), goal)
 
 
 def test_prefix_costs_match_steps():

@@ -1,5 +1,7 @@
 """Scenario file parsing and validation."""
 
+from dataclasses import replace
+
 import pytest
 
 from gridjam import (
@@ -13,6 +15,7 @@ from gridjam import (
     parse_map,
     parse_scenario,
 )
+from gridjam.data import scenario_path
 from conftest import BRANCH_TEXT
 
 MINIMAL = """\
@@ -113,9 +116,9 @@ def test_bad_cell_text(scenario_dir):
 def test_bad_number(scenario_dir):
     with pytest.raises(ScenarioError, match="^line 5: speed expects a number, got 'fast'$"):
         parse_scenario(MINIMAL.replace("speed = 1.0", "speed = fast"), base_dir=scenario_dir)
-    with pytest.raises(ScenarioError, match="^line 5: speed must be positive, got 0$"):
+    with pytest.raises(ScenarioError, match="^line 5: speed must be positive and finite, got 0.0$"):
         parse_scenario(MINIMAL.replace("speed = 1.0", "speed = 0"), base_dir=scenario_dir)
-    with pytest.raises(ScenarioError, match="^line 2: cell_size must be positive, got -1$"):
+    with pytest.raises(ScenarioError, match="^line 2: cell_size must be positive and finite, got -1.0$"):
         parse_scenario(MINIMAL.replace("cell_size = 1.0", "cell_size = -1"), base_dir=scenario_dir)
 
 
@@ -127,13 +130,23 @@ def test_even_obstacle_side(scenario_dir):
 
 
 def test_zero_repeats(scenario_dir):
-    with pytest.raises(ScenarioError, match="^line 6: repeats must be >= 1, got 0$"):
+    with pytest.raises(ScenarioError, match="^line 6: repeats must be positive and finite, got 0$"):
         parse_scenario(MINIMAL + "repeats = 0\n", base_dir=scenario_dir)
 
 
 def test_negative_eval_time(scenario_dir):
-    with pytest.raises(ScenarioError, match="^line 6: eval_time_per_candidate must be >= 0, got -0.1$"):
+    with pytest.raises(ScenarioError, match="^line 6: eval_time_per_candidate must be finite and >= 0, got -0.1$"):
         parse_scenario(MINIMAL + "eval_time_per_candidate = -0.1\n", base_dir=scenario_dir)
+
+
+def test_hand_built_scenario_checks_its_numbers():
+    # a scenario built in code is held to a scenario file's rules: 0 repeats
+    # would write no run yet report a summary
+    scenario = load_scenario(scenario_path("branch"))
+    with pytest.raises(ValueError, match="^repeats must be positive and finite, got 0$"):
+        replace(scenario, repeats=0)
+    with pytest.raises(ValueError, match="^obstacle_side must be an odd positive integer, got 2$"):
+        replace(scenario, obstacle_side=2)
 
 
 def test_duplicate_scalar_key(scenario_dir):

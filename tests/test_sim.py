@@ -131,6 +131,16 @@ def test_field_for_another_grid_or_start_is_rejected(branch_map):
         simulate(branch_map, plan, cfg, distance_field(branch_map, Cell(1, 3)))
 
 
+def test_failed_replan_raises(open9_map, monkeypatch):
+    # the replan cannot fail; an explicit raise, which `python -O` keeps,
+    # says so if it ever does
+    plan = replace(brute_force_attack(open9_map, Cell(0, 4), Cell(8, 4), 1), best=ObstaclePlacement(Cell(5, 4), 1))
+    cfg = SimConfig(speed=1.0, eval_time_per_candidate=0.0, attack_start_delay=1.0)
+    monkeypatch.setattr("gridjam.sim._cost", lambda *args: None)
+    with pytest.raises(RuntimeError, match="^the replan cannot fail"):
+        _simulate(open9_map, plan, cfg)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(speed=0.0)

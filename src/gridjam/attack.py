@@ -13,15 +13,19 @@ from dataclasses import dataclass
 from .gridmap import Cell, GridMap, ObstaclePlacement
 from .planner import DistanceField, Path, _check_field, _cost, _route, _search, _separators, distance_field, prefix_costs
 
-# An attack that builds its own field builds a second one from the goal when
-# the baseline holds more than this share of the cells the start reaches. A
-# field costs one Dijkstra over the component, and the searches it shortens
-# save more than that only on long, thin routes. Over 352 problems per
-# benchmark workload (16 each on seeds 0, 7 and 131-150) the share was at
-# most 0.045 on rooms, where a second field cost more than it saved, and at
-# least 0.063 on mazes; over 320 more (seeds 151-170) at most 0.049 and at
-# least 0.063. On the bundled scenarios it runs from 0.006 (warehouse) to
-# 1.0 (corridor). With the two-queue field, 10 alternating 8 s pairs of
+# An attack builds a second field, from the goal, when the baseline holds
+# more than this share of the cells the start reaches, whether or not the
+# caller shares the start's field. A field costs one Dijkstra over the
+# component, and the searches it shortens save more than that only on long,
+# thin routes. Over 352 problems per benchmark workload (16 each on seeds 0,
+# 7 and 131-150) the share was at most 0.045 on rooms, where a second field
+# cost more than it saved, and at least 0.063 on mazes; over 320 more (seeds
+# 151-170) at most 0.049 and at least 0.063. On the bundled scenarios it runs
+# from 0.006 (warehouse) to 1.0 (corridor). In `run_suite`'s traffic, `turn`
+# (0.098) and `branch` (0.42) pass the gate, and so does the corridor, whose
+# candidates all block or cover an endpoint, so it builds no goal field;
+# `tunnel` (0.016), `twall` (0.048) and every warehouse goal (at most 0.031)
+# do not. With the two-queue field, 10 alternating 8 s pairs of
 # `attack-rooms` seed 13 (Python 3.11.7, 2 shared cores) without the gate
 # read candidates/s 5,551 -> 5,406 and p50 3.44 -> 3.74 ms, worse in 10 of
 # 10 pairs, but p90 5.78 -> 4.97 ms: the longest rooms routes gain too.
@@ -80,21 +84,21 @@ def brute_force_attack(
     without a search (see `planner._separators`); it still costs a planning
     round.
 
-    An attack that builds its own field and whose baseline is long against
-    the start's component (`_GOAL_FIELD_SHARE`) also builds a field from
-    the goal, when the first candidate is scored on it. A candidate in the
-    first half of the baseline's cost is scored from the start toward the
-    goal on that field: a search pops the band between its origin and the
-    obstacle, so it runs from the nearer end. When the goal field was built,
-    the winner's canonical path uses its exact distances as its heuristic.
-    Both fields give every answer bitwise the same.
+    An attack whose baseline is long against the start's component
+    (`_GOAL_FIELD_SHARE`) also builds a field from the goal, when the first
+    candidate is scored on it. A candidate in the first half of the
+    baseline's cost is scored from the start toward the goal on that field:
+    a search pops the band between its origin and the obstacle, so it runs
+    from the nearer end. The winner's canonical path follows the same rule,
+    guided by the goal field when the winner lies in that first half. Both
+    fields give every answer bitwise the same, and a passed `field` changes
+    only who builds the start's.
 
     With no baseline there is nothing to attack: an occupied or off-map
     start or goal raises BadEndpointError, the start's first, and a goal out
     of the start's reach raises NoPathError, each with `astar`'s message.
     """
-    own_field = field is None
-    if own_field:
+    if field is None:
         field = distance_field(grid, start)
     else:
         _check_field(field, grid, start)
@@ -102,12 +106,11 @@ def brute_force_attack(
 
     goal_field = None  # built for the first candidate scored on it
     split = 0  # candidates before this baseline index are scored on the goal field
-    if own_field and len(baseline.cells) / field.reached > _GOAL_FIELD_SHARE:
+    if len(baseline.cells) / field.reached > _GOAL_FIELD_SHARE:
         split = bisect.bisect_left(prefix_costs(baseline), baseline.cost / 2)
     cuts = _separators(field, goal) if side == 1 else ()
     ledger = []
-    best = None
-    best_cost = baseline.cost
+    best = None  # the ledger entry of the winner so far
     for index, step in enumerate(baseline.cells):
         placement = ObstaclePlacement(step, side)
         if placement.covers(start) or placement.covers(goal):
@@ -125,10 +128,9 @@ def brute_force_attack(
             ledger.append(CandidateEval(index, placement, Outcome.BLOCKING))
             continue
         ledger.append(CandidateEval(index, placement, Outcome.EVALUATED, cost))
-        if cost > best_cost:
-            best = placement
-            best_cost = cost
+        if cost > (baseline.cost if best is None else best.cost):
+            best = ledger[-1]
     if best is None:
         return AttackPlan(baseline, None, None, tuple(ledger), 0.0)
-    attacked = _search(field, best, goal, goal_field)
-    return AttackPlan(baseline, best, attacked, tuple(ledger), best_cost - baseline.cost)
+    attacked = _search(field, best.placement, goal, goal_field if best.index < split else None)
+    return AttackPlan(baseline, best.placement, attacked, tuple(ledger), best.cost - baseline.cost)

@@ -140,7 +140,7 @@ def _cmd_suite(args) -> int:
 def _cmd_render(args) -> int:
     grid = load_map(args.map)
     plan = brute_force_attack(grid, *_endpoints(args), check_side(args.side, "--side", _UsageError))
-    render_svg(grid, plan.baseline, args.out, attacked=plan.attacked_path, obstacle=plan.best)
+    render_svg(grid, plan, args.out)
     print(f"wrote {args.out}")
     return 0
 

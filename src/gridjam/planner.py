@@ -68,19 +68,20 @@ tie-break and stop flags, and read their own result from its costs.
   that cell's f is the optimum. The attack scores
   each candidate with it from the goal back to the start on the start's
   field, and the race prices the robot's replan with it, toward the cell
-  where the robot halted. An attack that builds its own field, on a route
-  that is long against the start's component, also builds a field from
-  the goal. It scores each candidate in the first half of the baseline's
-  cost on that field, from the start toward the goal. A search pops the
-  band between its origin and the obstacle, so each candidate is searched
-  from the nearer end. The answer is bitwise the same on either field:
-  both searches end at the optimum, whose exact cost is unique.
+  where the robot halted. An attack on a route that is long against the
+  start's component also builds a field from the goal. It scores each
+  candidate in the first half of the baseline's cost on that field, from
+  the start toward the goal. A search pops the band between its origin and
+  the obstacle, so each candidate is searched from the nearer end. The
+  answer is bitwise the same on either field: both searches end at the
+  optimum, whose exact cost is unique.
 * `_search`: the canonical route around the winning obstacle, backtracked
   on the obstructed copy. It searches from the goal until the start pops,
   with the start's field as the heuristic, exact wherever the obstacle
-  casts no shadow; when the attack built a field from the goal, it
-  searches from the start with that one instead. The canonical rule picks
-  the same path either way.
+  casts no shadow; for a winner in the first half of a route that got a
+  field from the goal, it searches from the start with that one instead,
+  the candidates' own nearer-end rule. The canonical rule picks the same
+  path either way.
 * `_separators`: the cells whose blocking alone cuts the start from a
   goal (below).
 
@@ -268,10 +269,11 @@ def _search(field: "DistanceField", placement: ObstaclePlacement, goal: Cell, to
     already start-side. Among equal f a smaller g is a larger h, so the
     heap pops by (f, -h, index), and every cell on an optimal route to the
     goal, whose f is at most the optimum and whose h is above the goal's 0,
-    is closed with its exact cost before the goal pops. The attack builds
-    that field only for long routes through narrow maps, where it guides
-    the search better than the start's field guides the backward one, and
-    no pass is needed.
+    is closed with its exact cost before the goal pops. The attack passes
+    that field for a winner in the first half of a long route through a
+    narrow map, nearer the start than the goal, where it guides the search
+    better than the start's field guides the backward one, and no pass is
+    needed.
 
     Otherwise the search runs backward, from the goal until the start
     pops, guided by the start's own field d_s, which is exact wherever the

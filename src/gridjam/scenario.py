@@ -45,13 +45,22 @@ _RACE_KEYS = tuple(f.name for f in fields(SimConfig))
 _NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 
+def _check_name(name, error):
+    """Raise `error` unless `name` is a str of one or more letters, digits, '_' and '-'.
+
+    The name becomes part of output file names, so it must not hold a path.
+    """
+    if not isinstance(name, str) or not _NAME.fullmatch(name):
+        raise error(f"scenario name {name!r} may only use letters, digits, '_' and '-'")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One experiment: a map, a start, its goals, and the race's timing.
 
-    Its obstacle side and repeats are checked by the readers that check a
-    scenario file's, raising ValueError, so one built in code holds no
-    value that a file could not.
+    Its name, obstacle side and repeats are checked by the readers that
+    check a scenario file's, raising ValueError, so one built in code holds
+    no value that a file could not.
     """
 
     name: str
@@ -63,6 +72,7 @@ class Scenario:
     repeats: int = 3
 
     def __post_init__(self):
+        _check_name(self.name, ValueError)
         check_side(self.obstacle_side, "obstacle_side", ValueError)
         check_positive(self.repeats, "repeats", ValueError)
 
@@ -142,9 +152,7 @@ def _parse(text, base, path):
             goals.append(check_endpoint(grid, "goal", read_cell(value, "goal", ScenarioError)))
 
         lineno, name = scalars.get("name", (scalars["map"][0], pathlib.Path(map_value).stem))
-        if not _NAME.fullmatch(name):
-            # the name becomes part of output file names, so it must not hold a path
-            raise ScenarioError(f"scenario name {name!r} may only use letters, digits, '_' and '-'")
+        _check_name(name, ScenarioError)
 
         # A route visits no cell twice, so it costs less than cells * sqrt(2)
         # steps; an attacked run drives less than two routes, and the

@@ -21,13 +21,9 @@ _STYLE = (
 )
 
 
-def render_svg(grid, baseline, out_path, attacked=None, obstacle=None):
-    """Draw the map with a baseline route and, optionally, the attack.
-
-    `attacked` is the replanned route and `obstacle` the placement that
-    produced it; both may be omitted for a benign render.
-    """
-    _write(out_path, _map_head(grid), _route_lines(grid, baseline, attacked, obstacle))
+def render_svg(grid, plan, out_path):
+    """Draw the map with an AttackPlan's baseline route and, when it has a winner, its attack."""
+    _write(out_path, _map_head(grid), _route_lines(grid, plan))
 
 
 def render_scenario_svgs(scenario, plans, out_dir):
@@ -48,7 +44,7 @@ def render_scenario_svgs(scenario, plans, out_dir):
         if plan is None:
             continue
         path = out / f"{scenario.name}-goal{index:02d}.svg"
-        _write(path, head, _route_lines(grid, plan.baseline, plan.attacked_path, plan.best))
+        _write(path, head, _route_lines(grid, plan))
         if plan.best is not None:
             placements.append(plan.best)
         written.append(path)
@@ -79,28 +75,21 @@ def _map_head(grid):
     return "\n".join(lines) + "\n"
 
 
-def _route_lines(grid, baseline, attacked, obstacle):
-    """The layers over the map for one route and, optionally, its attack."""
-    lines = []
-    if obstacle is not None:
-        lines.append('<g class="overlay">')
-        lines.extend(_footprint_rects(grid, obstacle))
-        lines.append("</g>")
-    lines.append(f'<polyline class="baseline" points="{_points(baseline.cells)}"/>')
-    if attacked is not None:
-        lines.append(f'<polyline class="attacked" points="{_points(attacked.cells)}"/>')
-    lines.append(_marker("start", baseline.cells[0]))
-    lines.append(_marker("goal", baseline.cells[-1]))
+def _route_lines(grid, plan):
+    """The layers over the map for one plan's baseline and, when it has a winner, its attack."""
+    lines = _overlay(grid, [plan.best]) if plan.best is not None else []
+    lines.append(f'<polyline class="baseline" points="{_points(plan.baseline.cells)}"/>')
+    if plan.attacked_path is not None:
+        lines.append(f'<polyline class="attacked" points="{_points(plan.attacked_path.cells)}"/>')
+    lines.append(_marker("start", plan.baseline.cells[0]))
+    lines.append(_marker("goal", plan.baseline.cells[-1]))
     lines.append("</svg>")
     return lines
 
 
 def _positions_lines(grid, placements, start, goals):
     """The layers over the map for a placement overview."""
-    lines = ['<g class="overlay">']
-    for placement in placements:
-        lines.extend(_footprint_rects(grid, placement))
-    lines.append("</g>")
+    lines = _overlay(grid, placements)
     for goal in goals:
         lines.append(_marker("goal", goal))
     lines.append(_marker("start", start))
@@ -108,13 +97,18 @@ def _positions_lines(grid, placements, start, goals):
     return lines
 
 
-def _footprint_rects(grid, placement):
-    cols, rows = placement.extent(grid)
-    return [
-        f'<rect class="obstacle" x="{col * PX}" y="{row * PX}" width="{PX}" height="{PX}"/>'
-        for row in rows
-        for col in cols
-    ]
+def _overlay(grid, placements):
+    """The overlay group: each placement's square, clipped at the border, row by row."""
+    lines = ['<g class="overlay">']
+    for placement in placements:
+        cols, rows = placement.extent(grid)
+        lines.extend(
+            f'<rect class="obstacle" x="{col * PX}" y="{row * PX}" width="{PX}" height="{PX}"/>'
+            for row in rows
+            for col in cols
+        )
+    lines.append("</g>")
+    return lines
 
 
 def _points(cells):

@@ -14,7 +14,7 @@ from gridjam import (
 )
 from gridjam.gridmap import load_map
 from gridjam.planner import _cell, _covered
-from gridjam.svgrender import PX, _footprint_rects
+from gridjam.svgrender import PX, _overlay
 from oracles import obstruct
 
 
@@ -131,7 +131,7 @@ def test_clipped_square_is_the_same_in_every_layer():
                         expected = extent_cells(placement, grid)
                         row_major = sorted(expected, key=lambda c: (c.row, c.col))
                         assert [_cell(i, stride) for i in _covered(placement, grid, stride)] == row_major
-                        rects = [rect.fullmatch(line) for line in _footprint_rects(grid, placement)]
+                        rects = [rect.fullmatch(line) for line in _overlay(grid, [placement])[1:-1]]
                         assert [Cell(int(m[1]) // PX, int(m[2]) // PX) for m in rects] == row_major
                         assert occupied_cells(obstruct(grid, placement)) == expected
                         assert {c for c in inside if placement.covers(c)} == expected

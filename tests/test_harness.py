@@ -1,6 +1,7 @@
 """Suite protocol, metric aggregation, and the CSV report."""
 
 import heapq
+import itertools
 import sys
 from collections import Counter, deque
 from types import SimpleNamespace
@@ -24,7 +25,7 @@ from gridjam import (
     run_suite,
     write_csv,
 )
-from gridjam.data import scenario_path
+from gridjam.data import scenario_names, scenario_path
 from conftest import BRANCH_TEXT, CORRIDOR_TEXT
 
 BRANCH_SCN = """\
@@ -282,12 +283,13 @@ def _count_calls(monkeypatch, functions):
     return counts
 
 
-def _count_pops(monkeypatch):
+def _count_pops(monkeypatch, start):
     """Count the planner's heap and queue pops by the search they serve.
 
     A pop is credited to the nearest `distance_field`, `_cost` or `_search`
     frame up the stack, so the A* kernel that both searches call counts
-    toward its caller.
+    toward its caller. A field's pops are credited to its root: "start
+    field" for a field from `start`, "goal field" for one from a goal.
     """
     pops = Counter()
     searches = {"distance_field", "_cost", "_search"}
@@ -296,7 +298,10 @@ def _count_pops(monkeypatch):
         frame = sys._getframe(2)
         while frame.f_code.co_name not in searches:
             frame = frame.f_back
-        pops[frame.f_code.co_name] += 1
+        name = frame.f_code.co_name
+        if name == "distance_field":
+            name = "start field" if frame.f_locals["start"] == start else "goal field"
+        pops[name] += 1
 
     def heappop(heap):
         count()
@@ -313,7 +318,9 @@ def _count_pops(monkeypatch):
 
 
 # Exact counts of the planner's flat-core work: exactly one distance field
-# from the start per scenario, which every search uses as its heuristic; one
+# from the start per scenario, which every search uses as its heuristic, and
+# one from the goal per attack on a long, thin route
+# (`attack._GOAL_FIELD_SHARE`), `turn`'s but no warehouse goal's; one
 # canonical search (`_search`) per winning placement, for its attacked path;
 # one backtrack (`_backtrack`) per baseline, on the field, and one per winner,
 # on its `_search`'s start-side costs; and one cost-only search (`_cost`) per
@@ -324,12 +331,15 @@ def _count_pops(monkeypatch):
 # `_cost` ended at the first cell whose tree route survives the obstacle,
 # its searches made 9,062 pops on the warehouse and 6,095 on `turn`. Before
 # `_search` ran backward from the goal on the start's field, it made 3,544
-# pops on the warehouse and 486 on `turn` with the octile heuristic.
+# pops on the warehouse and 486 on `turn` with the octile heuristic. Before
+# an attack on a shared field scored candidates from the nearer end, `turn`'s
+# `_cost` searches made 4,482 pops.
 # Tighten these; never loosen them.
 SUITE_POPS = {
-    "warehouse": {"distance_field": 840, "_cost": 5271, "_search": 1363},
-    "turn": {"distance_field": 621, "_cost": 4482, "_search": 245},
+    "warehouse": {"start field": 840, "_cost": 5271, "_search": 1363},
+    "turn": {"start field": 621, "goal field": 621, "_cost": 1622, "_search": 245},
 }
+GOAL_FIELDS = {"warehouse": 0, "turn": 1}
 
 
 @pytest.mark.parametrize("name, canonical, cost_only", [("warehouse", 23, 297), ("turn", 1, 57)])
@@ -338,12 +348,12 @@ def test_each_goal_is_solved_once(name, canonical, cost_only, monkeypatch, tmp_p
         monkeypatch,
         (planner._search, planner._backtrack, planner._cost, planner.distance_field, gridjam.brute_force_attack),
     )
-    popped = _count_pops(monkeypatch)
     scenario = load_scenario(scenario_path(name))
+    popped = _count_pops(monkeypatch, scenario.start)
     _, summary = run_suite(scenario)
     assert not summary.skipped_goals
     assert counts["brute_force_attack"] == len(scenario.goals)
-    assert counts["distance_field"] == 1
+    assert counts["distance_field"] == 1 + GOAL_FIELDS[name]
     assert counts["_search"] == canonical == sum(1 for plan in summary.plans if plan.best is not None)
     assert counts["_backtrack"] == len(scenario.goals) + canonical
     assert counts["_cost"] == cost_only
@@ -355,73 +365,86 @@ def test_each_goal_is_solved_once(name, canonical, cost_only, monkeypatch, tmp_p
 
 # A side-1 candidate that blocks is decided by one lowpoint DFS from the
 # start per attack, so `_cost` runs only for the evaluated ones; side 3
-# never builds the DFS. The two side-1 attacks' heap pops are pinned too;
-# their `_cost` searches made 609 pops before they ended at the first cell
-# whose tree route survives the obstacle. Tighten these; never loosen them.
+# never builds the DFS. Both side-1 baselines are long against the maze, so
+# each attack builds a field from its goal. The two side-1 attacks' heap
+# pops are pinned too; their `_cost` searches made 609 pops before they
+# ended at the first cell whose tree route survives the obstacle, and 269
+# before they were scored from the nearer end, when `_search` made 66.
+# Tighten these; never loosen them.
 def test_blocking_side1_candidates_are_not_searched(maze_map, monkeypatch):
-    counts = _count_calls(monkeypatch, (planner._cost, planner._lowpoint_dfs))
-    popped = _count_pops(monkeypatch)
+    counts = _count_calls(monkeypatch, (planner._cost, planner._lowpoint_dfs, planner.distance_field))
     start = Cell(1, 1)
+    popped = _count_pops(monkeypatch, start)
     field = distance_field(maze_map, start)
     plans = [brute_force_attack(maze_map, start, goal, 1, field) for goal in (Cell(9, 1), Cell(7, 1))]
     outcomes = [[entry.outcome for entry in plan.ledger] for plan in plans]
     evaluated = sum(row.count(Outcome.EVALUATED) for row in outcomes)
     blocking = sum(row.count(Outcome.BLOCKING) for row in outcomes)
     assert (evaluated, blocking) == (22, 6)
-    assert counts == {"_cost": evaluated, "_lowpoint_dfs": 2}
-    assert popped == {"distance_field": 41, "_cost": 269, "_search": 66}
+    # one field from each goal; the test's own start field is built through
+    # its own import of `distance_field`, which `_count_calls` leaves alone
+    assert counts == {"_cost": evaluated, "_lowpoint_dfs": 2, "distance_field": 2}
+    assert popped == {"start field": 41, "goal field": 82, "_cost": 197, "_search": 65}
 
     brute_force_attack(maze_map, start, Cell(9, 1), 3, field)
     assert counts["_lowpoint_dfs"] == 2
 
 
-# An attack that builds its own field also builds one from the goal when the
-# baseline is long against the start's component (`attack._GOAL_FIELD_SHARE`),
-# and scores the candidates in the first half of the baseline from the start.
-# On the maze the baseline to (9,1) holds 17 of the 41 reached cells; the
-# same attack on a shared field makes 144 `_cost` pops. The field's FIFO
-# queues pick other tree parents among equal-cost ones than a heap did; on
-# the goal field's tree of a heap the `_cost` searches made 111 pops.
+# Which fields and searches an attack runs depends on its problem alone, not
+# on whether the caller shares the start's field: handed
+# `distance_field(grid, start)`, an attack returns the same plan with the
+# same searches and the same pops, less that field's. Three problems pin
+# their ledger's outcomes and their work too:
+# - the maze's baseline to (9,1) holds 17 of the 41 reached cells, so the
+#   attack builds a field from the goal (`attack._GOAL_FIELD_SHARE`) and
+#   scores the candidates in the first half of the baseline from the start;
+#   on the goal field's tree of a heap the `_cost` searches made 111 pops;
+# - the warehouse goal whose baseline holds the largest share of the start's
+#   component, 0.031, stays below the gate and gets no second field;
+# - the corridor's baseline is its whole component, so the gate passes, but
+#   every side-1 candidate covers an endpoint or is a cut vertex: none is
+#   scored on a goal field, so none is built.
 # Tighten these; never loosen them.
-def test_own_field_attack_on_a_long_route_adds_a_goal_field(maze_map, monkeypatch):
-    start, goal = Cell(1, 1), Cell(9, 1)
-    shared = brute_force_attack(maze_map, start, goal, 1, distance_field(maze_map, start))
+OWN_FIELD_WORK = {
+    ("maze", Cell(9, 1), 1): (
+        {"evaluated": 12, "blocking": 3, "infeasible": 2},
+        {"distance_field": 2, "_cost": 12, "_search": 1},
+        {"start field": 41, "goal field": 41, "_cost": 108, "_search": 32},
+    ),
+    ("warehouse", Cell(37, 27), 3): (
+        {"evaluated": 22, "infeasible": 4},
+        {"distance_field": 1, "_cost": 22, "_search": 1},
+        {"start field": 840, "_cost": 753, "_search": 173},
+    ),
+    ("corridor", Cell(5, 1), 1): (
+        {"blocking": 3, "infeasible": 2},
+        {"distance_field": 1, "_cost": 0, "_search": 0},
+        {"start field": 5},
+    ),
+}
+
+
+def test_an_attack_does_the_same_work_on_a_shared_field(maze_map, monkeypatch):
+    scenarios = [(name, load_scenario(scenario_path(name))) for name in scenario_names()]
+    problems = [(name, s.grid, s.start, s.goals) for name, s in scenarios]
+    problems.append(("maze", maze_map, Cell(1, 1), (Cell(9, 1), Cell(7, 1))))
     counts = _count_calls(monkeypatch, (planner.distance_field, planner._cost, planner._search))
-    popped = _count_pops(monkeypatch)
-    assert brute_force_attack(maze_map, start, goal, 1) == shared
-    evaluated = sum(1 for entry in shared.ledger if entry.outcome is Outcome.EVALUATED)
-    assert counts == {"distance_field": 2, "_cost": evaluated, "_search": 1}
-    assert popped == {"distance_field": 82, "_cost": 108, "_search": 32}
-
-
-def test_own_field_attack_on_a_wide_map_builds_one_field(monkeypatch):
-    # the warehouse goal whose baseline holds the largest share of the
-    # start's component, 0.031, stays below the gate
-    scenario = load_scenario(scenario_path("warehouse"))
-    grid, start, goal, side = scenario.grid, scenario.start, Cell(37, 27), scenario.obstacle_side
-    assert goal in scenario.goals
-    counts = _count_calls(monkeypatch, (planner.distance_field,))
-    popped = _count_pops(monkeypatch)
-    own = brute_force_attack(grid, start, goal, side)
-    assert counts["distance_field"] == 1
-    own_pops = dict(popped)
-    popped.clear()
-    assert brute_force_attack(grid, start, goal, side, distance_field(grid, start)) == own
-    assert popped == own_pops
-
-
-def test_own_field_attack_builds_no_goal_field_it_never_scores_on(monkeypatch):
-    # the bundled corridor's baseline is its whole component, so the gate
-    # passes, but every side-1 candidate covers an endpoint or is a cut
-    # vertex: none is scored on a goal field, so none is built
-    scenario = load_scenario(scenario_path("corridor"))
-    grid, start, goal = scenario.grid, scenario.start, scenario.goals[0]
-    counts = _count_calls(monkeypatch, (planner.distance_field, planner._cost))
-    popped = _count_pops(monkeypatch)
-    own = brute_force_attack(grid, start, goal, 1)
-    assert {entry.outcome for entry in own.ledger} == {Outcome.INFEASIBLE, Outcome.BLOCKING}
-    assert counts == {"distance_field": 1, "_cost": 0}
-    own_pops = dict(popped)
-    popped.clear()
-    assert brute_force_attack(grid, start, goal, 1, distance_field(grid, start)) == own
-    assert popped == own_pops
+    cases = 0
+    for name, grid, start, goals in problems:
+        popped = _count_pops(monkeypatch, start)
+        for goal, side in itertools.product(goals, (1, 3)):
+            field = distance_field(grid, start)
+            work = []
+            for shared in (None, field):
+                counts.update(dict.fromkeys(counts, 0))
+                popped.clear()
+                work.append((brute_force_attack(grid, start, goal, side, shared), dict(counts), +popped))
+            (own, own_calls, own_pops), (plan, calls, pops) = work
+            assert plan == own
+            assert calls == {**own_calls, "distance_field": own_calls["distance_field"] - 1}
+            assert pops + Counter({"start field": field.reached}) == own_pops
+            if (name, goal, side) in OWN_FIELD_WORK:
+                outcomes = Counter(entry.outcome.value for entry in own.ledger)
+                assert (outcomes, own_calls, own_pops) == OWN_FIELD_WORK[name, goal, side]
+            cases += 1
+    assert cases == 60

@@ -1,5 +1,6 @@
 """Scenario file parsing and validation."""
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -147,6 +148,16 @@ def test_hand_built_scenario_checks_its_numbers():
         replace(scenario, repeats=0)
     with pytest.raises(ValueError, match="^obstacle_side must be an odd positive integer, got 2$"):
         replace(scenario, obstacle_side=2)
+
+
+def test_hand_built_scenario_name_cannot_hold_a_path():
+    # the name becomes part of the SVG file names, so one built in code is
+    # held to a scenario file's rule
+    scenario = load_scenario(scenario_path("branch"))
+    for bad in ("../escaped", "", None):
+        message = re.escape(f"scenario name {bad!r} may only use letters, digits, '_' and '-'")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(scenario, name=bad)
 
 
 def test_duplicate_scalar_key(scenario_dir):

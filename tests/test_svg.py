@@ -2,7 +2,6 @@
 
 from gridjam import (
     Cell,
-    astar,
     brute_force_attack,
     parse_scenario,
     render_scenario_svgs,
@@ -13,9 +12,11 @@ from conftest import BRANCH_TEXT
 
 
 def test_benign_render_structure(branch_map, tmp_path):
-    baseline = astar(branch_map, Cell(1, 1), Cell(5, 1))
+    # every side-3 candidate on this short route covers an endpoint
+    plan = brute_force_attack(branch_map, Cell(1, 1), Cell(1, 3), 3)
+    assert plan.best is None
     out = tmp_path / "plain.svg"
-    render_svg(branch_map, baseline, out)
+    render_svg(branch_map, plan, out)
     text = out.read_text()
     assert text.startswith("<svg ")
     assert text.rstrip().endswith("</svg>")
@@ -30,7 +31,7 @@ def test_benign_render_structure(branch_map, tmp_path):
 def test_attacked_render_structure(branch_map, tmp_path):
     plan = brute_force_attack(branch_map, Cell(1, 1), Cell(5, 1), 1)
     out = tmp_path / "attacked.svg"
-    render_svg(branch_map, plan.baseline, out, attacked=plan.attacked_path, obstacle=plan.best)
+    render_svg(branch_map, plan, out)
     text = out.read_text()
     assert text.count("<polyline") == 2
     assert 'class="attacked"' in text
@@ -57,8 +58,8 @@ def test_render_deterministic(branch_map, tmp_path):
     plan = brute_force_attack(branch_map, Cell(1, 1), Cell(5, 1), 1)
     a = tmp_path / "a.svg"
     b = tmp_path / "b.svg"
-    render_svg(branch_map, plan.baseline, a, attacked=plan.attacked_path, obstacle=plan.best)
-    render_svg(branch_map, plan.baseline, b, attacked=plan.attacked_path, obstacle=plan.best)
+    render_svg(branch_map, plan, a)
+    render_svg(branch_map, plan, b)
     assert a.read_bytes() == b.read_bytes()
 
 

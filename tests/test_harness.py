@@ -448,3 +448,50 @@ def test_an_attack_does_the_same_work_on_a_shared_field(maze_map, monkeypatch):
                 assert (outcomes, own_calls, own_pops) == OWN_FIELD_WORK[name, goal, side]
             cases += 1
     assert cases == 60
+
+
+# The same three problems, each attacked on its own field first. On the maze
+# the baseline to (9,1) is long, so the attack adds a field from the goal;
+# on a shared field the attack makes the same searches.
+def test_own_field_attack_on_a_long_route_adds_a_goal_field(maze_map, monkeypatch):
+    start, goal = Cell(1, 1), Cell(9, 1)
+    shared = brute_force_attack(maze_map, start, goal, 1, distance_field(maze_map, start))
+    counts = _count_calls(monkeypatch, (planner.distance_field, planner._cost, planner._search))
+    popped = _count_pops(monkeypatch, start)
+    assert brute_force_attack(maze_map, start, goal, 1) == shared
+    evaluated = sum(1 for entry in shared.ledger if entry.outcome is Outcome.EVALUATED)
+    assert counts == {"distance_field": 2, "_cost": evaluated, "_search": 1}
+    assert popped == {"start field": 41, "goal field": 41, "_cost": 108, "_search": 32}
+
+
+def test_own_field_attack_on_a_wide_map_builds_one_field(monkeypatch):
+    # the warehouse goal whose baseline holds the largest share of the
+    # start's component, 0.031, stays below the gate
+    scenario = load_scenario(scenario_path("warehouse"))
+    grid, start, goal, side = scenario.grid, scenario.start, Cell(37, 27), scenario.obstacle_side
+    assert goal in scenario.goals
+    counts = _count_calls(monkeypatch, (planner.distance_field,))
+    popped = _count_pops(monkeypatch, start)
+    own = brute_force_attack(grid, start, goal, side)
+    assert counts["distance_field"] == 1
+    own_pops = dict(popped)
+    popped.clear()
+    assert brute_force_attack(grid, start, goal, side, distance_field(grid, start)) == own
+    assert popped == own_pops
+
+
+def test_own_field_attack_builds_no_goal_field_it_never_scores_on(monkeypatch):
+    # the bundled corridor's baseline is its whole component, so the gate
+    # passes, but every side-1 candidate covers an endpoint or is a cut
+    # vertex: none is scored on a goal field, so none is built
+    scenario = load_scenario(scenario_path("corridor"))
+    grid, start, goal = scenario.grid, scenario.start, scenario.goals[0]
+    counts = _count_calls(monkeypatch, (planner.distance_field, planner._cost))
+    popped = _count_pops(monkeypatch, start)
+    own = brute_force_attack(grid, start, goal, 1)
+    assert {entry.outcome for entry in own.ledger} == {Outcome.INFEASIBLE, Outcome.BLOCKING}
+    assert counts == {"distance_field": 1, "_cost": 0}
+    own_pops = dict(popped)
+    popped.clear()
+    assert brute_force_attack(grid, start, goal, 1, distance_field(grid, start)) == own
+    assert popped == own_pops

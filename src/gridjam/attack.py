@@ -11,7 +11,9 @@ import enum
 from dataclasses import dataclass
 
 from .gridmap import Cell, GridMap, ObstaclePlacement
-from .planner import DistanceField, Path, _check_field, _cost, _route, _search, _separators, distance_field, prefix_costs
+from .planner import (
+    DistanceField, Path, _check_field, _corridor, _cost, _route, _search, _separators, distance_field, prefix_costs,
+)
 
 # An attack builds a second field, from the goal, when the baseline holds
 # more than this share of the cells the start reaches, whether or not the
@@ -82,7 +84,10 @@ def brute_force_attack(
     heuristic, and only the winner is planned as a canonical path. A side-1
     candidate that blocks is known from one lowpoint DFS from the start
     without a search (see `planner._separators`); it still costs a planning
-    round.
+    round. So does a side-1 candidate in a one-cell corridor: when it and
+    the cell before it both have exactly two legal moves, and that cell was
+    evaluated, it takes that cell's cost without a search, since both force
+    the same detour (see `planner._corridor`).
 
     An attack whose baseline is long against the start's component
     (`_GOAL_FIELD_SHARE`) also builds a field from the goal, when the first
@@ -109,6 +114,7 @@ def brute_force_attack(
     if len(baseline.cells) / field.reached > _GOAL_FIELD_SHARE:
         split = bisect.bisect_left(prefix_costs(baseline), baseline.cost / 2)
     cuts = _separators(field, goal) if side == 1 else ()
+    corridor = _corridor(field, baseline.cells) if side == 1 else None
     ledger = []
     best = None  # the ledger entry of the winner so far
     for index, step in enumerate(baseline.cells):
@@ -118,6 +124,8 @@ def brute_force_attack(
             continue
         if step in cuts:
             cost = None
+        elif side == 1 and corridor[index] and ledger[-1].outcome is Outcome.EVALUATED:
+            cost = ledger[-1].cost
         elif index < split:
             if goal_field is None:
                 goal_field = distance_field(grid, goal)

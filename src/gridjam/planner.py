@@ -52,7 +52,7 @@ per length instead of a heap. One function, `_steps`, defines the moves:
 every search relaxes a popped cell's 4 straight moves at one cost and
 then its 4 diagonals, the only moves with flanks to test, at the other.
 A placement becomes the flat indices of the square that
-`ObstaclePlacement.extent` clips at the border. Callers ask four
+`ObstaclePlacement.extent` clips at the border. Callers ask five
 questions of the field, each answered by one function. Two of them,
 `_cost` and `_search`, run one A* kernel, `_astar`, on a copy of the
 field's grid with the obstacle blocked; they pass it their own heuristic,
@@ -84,6 +84,8 @@ tie-break and stop flags, and read their own result from its costs.
   path either way.
 * `_separators`: the cells whose blocking alone cuts the start from a
   goal (below).
+* `_corridor`: the route cells in one-cell corridors whose side-1 cost
+  equals the cost of the cell before them (below).
 
 A side-1 candidate that blocks needs no search at all. Corner cutting is
 forbidden, so a legal diagonal always has both flanks free and can be
@@ -92,6 +94,26 @@ and goal stay connected exactly when they are connected over 4-connected
 free cells. A one-cell obstacle therefore blocks exactly when its cell is
 a cut vertex between them, and one lowpoint DFS from the start names
 every such cell at once.
+
+A side-1 candidate in a one-cell corridor needs no search either, once
+the candidate before it was evaluated. `_corridor` flags each route cell
+that, like the cell before it, has exactly two legal moves on the
+unobstructed grid; the attack gives such a cell its predecessor's cost.
+
+* A two-move cell flanks no legal diagonal. If c flanked a legal
+  diagonal a -> b, then a, b and the diagonal's other flank would all be
+  legal moves from c: a and b are free straight neighbours, and the other
+  flank is a free diagonal neighbour whose flanks are a and b. That is
+  three moves, not two. So blocking c removes the vertex c and nothing
+  else, and a route that avoids c is legal with c blocked.
+* Adjacent two-move cells share one detour. A simple route through a
+  two-move cell that is not an endpoint uses both of its moves. Take two
+  adjacent such cells c and c', neither the start nor the goal: c' is one
+  of c's two moves, so a shortest route that avoids c' cannot pass c, and
+  the other way round. By the first point, each blocked copy's optimal
+  route is therefore legal on the other, so the two optima are equal:
+  both searches would end on the same exact integer, which decodes to the
+  same float.
 """
 
 import heapq
@@ -566,6 +588,32 @@ def _separators(field: DistanceField, goal: Cell) -> set:
             cuts.add(_cell(up, stride))
         child, up = up, parent[up]
     return cuts
+
+
+def _corridor(field: DistanceField, cells) -> list:
+    """A flag per route cell: set where it and the cell before it both have exactly two legal moves.
+
+    Moves are counted with `_steps` on the field's unobstructed grid. The
+    first cell has no cell before it and is never flagged. A flagged cell's
+    one-cell obstacle forces the same detour as its predecessor's (see the
+    module docstring) when neither is an endpoint.
+    """
+    flat, stride = field.cells, field.stride
+    straight, diagonals = _steps(stride)
+    flags, before = [], False
+    for cell in cells:
+        x = _index(cell, stride)
+        moves = 0
+        for offset in straight:
+            if not flat[x + offset]:
+                moves += 1
+        for offset, flank_a, flank_b in diagonals:
+            if not (flat[x + offset] or flat[x + flank_a] or flat[x + flank_b]):
+                moves += 1
+        two = moves == 2
+        flags.append(before and two)
+        before = two
+    return flags
 
 
 def _exits(field: DistanceField, cells: bytearray, covered: list, target: int) -> bytearray:

@@ -15,7 +15,9 @@ from gridjam import (
     brute_force_attack,
     distance_field,
     parse_map,
+    planner,
 )
+from gridjam import attack as attack_module
 from conftest import BRANCH_TEXT, PROPERTY_SETTINGS, free_cells, grid_problems, random_case
 from oracles import attack_oracle, dijkstra_oracle, enumerate_candidates, obstruct
 
@@ -63,6 +65,49 @@ def test_branch_attack_golden(branch_map):
     assert plan.gain == 4.0
     assert plan.attacked_path.cost == 8.0
     assert plan.planning_rounds == 3
+
+
+# One-cell corridors from 1,1 to 9,5, through an open 2x2 block, with one
+# detour round the bottom. 4,1 and 5,5 are L-bends with two moves each;
+# 4,3 and 5,4, beside the block, have four.
+WINDING_TEXT = (
+    "###########\n"
+    "#....######\n"
+    "#.##.######\n"
+    "#.##..#####\n"
+    "#.##..#####\n"
+    "#.###.....#\n"
+    "#.#######.#\n"
+    "#.........#\n"
+    "###########\n"
+)
+
+
+def test_side1_corridor_is_searched_once(monkeypatch):
+    grid = parse_map(WINDING_TEXT)
+    start, goal = Cell(1, 1), Cell(9, 5)
+    searched = []
+
+    def counted(field, placement, origin, target):
+        searched.append(placement.center)
+        return planner._cost(field, placement, origin, target)
+
+    monkeypatch.setattr(attack_module, "_cost", counted)
+    plan = brute_force_attack(grid, start, goal, 1)
+    cells = plan.baseline.cells
+    assert cells == tuple(Cell(*c) for c in (
+        (1, 1), (2, 1), (3, 1), (4, 1), (4, 2), (4, 3), (5, 4), (5, 5), (6, 5), (7, 5), (8, 5), (9, 5),
+    ))
+    flags = planner._corridor(distance_field(grid, start), cells)
+    assert [cell for cell, flag in zip(cells, flags) if flag] == [
+        Cell(2, 1), Cell(3, 1), Cell(4, 1), Cell(4, 2), Cell(6, 5), Cell(7, 5), Cell(8, 5), Cell(9, 5),
+    ]
+    # every candidate forces the one detour, 16 steps round the bottom
+    assert [(entry.outcome, entry.cost) for entry in plan.ledger[1:-1]] == [(Outcome.EVALUATED, 16.0)] * 10
+    # one search per corridor, whose first cell follows the start or a cell
+    # beside the block, and one per cell beside the block
+    assert searched == [Cell(2, 1), Cell(4, 3), Cell(5, 4), Cell(5, 5)]
+    assert plan == attack_oracle(grid, start, goal, 1)
 
 
 def test_corridor_attack_blocked_everywhere(corridor_map):

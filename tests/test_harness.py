@@ -333,16 +333,20 @@ def _count_pops(monkeypatch, start):
 # `_search` ran backward from the goal on the start's field, it made 3,544
 # pops on the warehouse and 486 on `turn` with the octile heuristic. Before
 # an attack on a shared field scored candidates from the nearer end, `turn`'s
-# `_cost` searches made 4,482 pops.
+# `_cost` searches made 4,482 pops. `branch` is the one side-1 scenario
+# with evaluated candidates: its three lie in one corridor of two-move
+# cells, so one is searched and the other two take its cost
+# (`planner._corridor`); before that, `_cost` ran 3 times.
 # Tighten these; never loosen them.
 SUITE_POPS = {
     "warehouse": {"start field": 840, "_cost": 5271, "_search": 1363},
     "turn": {"start field": 621, "goal field": 621, "_cost": 1622, "_search": 245},
+    "branch": {"start field": 12, "goal field": 12, "_cost": 4, "_search": 9},
 }
-GOAL_FIELDS = {"warehouse": 0, "turn": 1}
+GOAL_FIELDS = {"warehouse": 0, "turn": 1, "branch": 1}
 
 
-@pytest.mark.parametrize("name, canonical, cost_only", [("warehouse", 23, 297), ("turn", 1, 57)])
+@pytest.mark.parametrize("name, canonical, cost_only", [("warehouse", 23, 297), ("turn", 1, 57), ("branch", 1, 1)])
 def test_each_goal_is_solved_once(name, canonical, cost_only, monkeypatch, tmp_path):
     counts = _count_calls(
         monkeypatch,
@@ -365,11 +369,15 @@ def test_each_goal_is_solved_once(name, canonical, cost_only, monkeypatch, tmp_p
 
 # A side-1 candidate that blocks is decided by one lowpoint DFS from the
 # start per attack, so `_cost` runs only for the evaluated ones; side 3
-# never builds the DFS. Both side-1 baselines are long against the maze, so
-# each attack builds a field from its goal. The two side-1 attacks' heap
-# pops are pinned too; their `_cost` searches made 609 pops before they
-# ended at the first cell whose tree route survives the obstacle, and 269
-# before they were scored from the nearer end, when `_search` made 66.
+# never builds the DFS. Of those, a candidate in a one-cell corridor whose
+# predecessor was evaluated takes its cost (`planner._corridor`), so only
+# 4 of the 22 are searched. Both side-1 baselines are long against the
+# maze, so each attack builds a field from its goal. The two side-1
+# attacks' heap pops are pinned too; their `_cost` searches made 609 pops
+# before they ended at the first cell whose tree route survives the
+# obstacle, 269 before they were scored from the nearer end, when
+# `_search` made 66, and 197 in 22 searches before each corridor was
+# searched once.
 # Tighten these; never loosen them.
 def test_blocking_side1_candidates_are_not_searched(maze_map, monkeypatch):
     counts = _count_calls(monkeypatch, (planner._cost, planner._lowpoint_dfs, planner.distance_field))
@@ -381,10 +389,11 @@ def test_blocking_side1_candidates_are_not_searched(maze_map, monkeypatch):
     evaluated = sum(row.count(Outcome.EVALUATED) for row in outcomes)
     blocking = sum(row.count(Outcome.BLOCKING) for row in outcomes)
     assert (evaluated, blocking) == (22, 6)
+    searched = 4
     # one field from each goal; the test's own start field is built through
     # its own import of `distance_field`, which `_count_calls` leaves alone
-    assert counts == {"_cost": evaluated, "_lowpoint_dfs": 2, "distance_field": 2}
-    assert popped == {"start field": 41, "goal field": 82, "_cost": 197, "_search": 65}
+    assert counts == {"_cost": searched, "_lowpoint_dfs": 2, "distance_field": 2}
+    assert popped == {"start field": 41, "goal field": 82, "_cost": 40, "_search": 65}
 
     brute_force_attack(maze_map, start, Cell(9, 1), 3, field)
     assert counts["_lowpoint_dfs"] == 2
@@ -398,7 +407,9 @@ def test_blocking_side1_candidates_are_not_searched(maze_map, monkeypatch):
 # - the maze's baseline to (9,1) holds 17 of the 41 reached cells, so the
 #   attack builds a field from the goal (`attack._GOAL_FIELD_SHARE`) and
 #   scores the candidates in the first half of the baseline from the start;
-#   on the goal field's tree of a heap the `_cost` searches made 111 pops;
+#   its 12 evaluated candidates lie in two one-cell corridors, so 2 are
+#   searched; on the goal field's tree of a heap the `_cost` searches made
+#   111 pops, and 108 in 12 searches before each corridor was searched once;
 # - the warehouse goal whose baseline holds the largest share of the start's
 #   component, 0.031, stays below the gate and gets no second field;
 # - the corridor's baseline is its whole component, so the gate passes, but
@@ -408,8 +419,8 @@ def test_blocking_side1_candidates_are_not_searched(maze_map, monkeypatch):
 OWN_FIELD_WORK = {
     ("maze", Cell(9, 1), 1): (
         {"evaluated": 12, "blocking": 3, "infeasible": 2},
-        {"distance_field": 2, "_cost": 12, "_search": 1},
-        {"start field": 41, "goal field": 41, "_cost": 108, "_search": 32},
+        {"distance_field": 2, "_cost": 2, "_search": 1},
+        {"start field": 41, "goal field": 41, "_cost": 23, "_search": 32},
     ),
     ("warehouse", Cell(37, 27), 3): (
         {"evaluated": 22, "infeasible": 4},
@@ -452,16 +463,19 @@ def test_an_attack_does_the_same_work_on_a_shared_field(maze_map, monkeypatch):
 
 # The same three problems, each attacked on its own field first. On the maze
 # the baseline to (9,1) is long, so the attack adds a field from the goal;
-# on a shared field the attack makes the same searches.
+# on a shared field the attack makes the same searches. Its 12 evaluated
+# candidates lie in two one-cell corridors, so `_cost` runs twice; it ran
+# 12 times, with 108 pops, before each corridor was searched once.
 def test_own_field_attack_on_a_long_route_adds_a_goal_field(maze_map, monkeypatch):
     start, goal = Cell(1, 1), Cell(9, 1)
     shared = brute_force_attack(maze_map, start, goal, 1, distance_field(maze_map, start))
     counts = _count_calls(monkeypatch, (planner.distance_field, planner._cost, planner._search))
     popped = _count_pops(monkeypatch, start)
     assert brute_force_attack(maze_map, start, goal, 1) == shared
-    evaluated = sum(1 for entry in shared.ledger if entry.outcome is Outcome.EVALUATED)
-    assert counts == {"distance_field": 2, "_cost": evaluated, "_search": 1}
-    assert popped == {"start field": 41, "goal field": 41, "_cost": 108, "_search": 32}
+    assert sum(1 for entry in shared.ledger if entry.outcome is Outcome.EVALUATED) == 12
+    searched = 2
+    assert counts == {"distance_field": 2, "_cost": searched, "_search": 1}
+    assert popped == {"start field": 41, "goal field": 41, "_cost": 23, "_search": 32}
 
 
 def test_own_field_attack_on_a_wide_map_builds_one_field(monkeypatch):

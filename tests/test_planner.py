@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gridjam import (
     BadEndpointError,
     Cell,
+    GridMap,
     NoPathError,
     ObstaclePlacement,
     astar,
@@ -19,7 +20,7 @@ from gridjam import (
     parse_map,
     prefix_costs,
 )
-from gridjam.planner import _DIAG, _ORTH, _backtrack, _cell, _cost, _decode, _index, _search, _separators
+from gridjam.planner import _DIAG, _ORTH, _backtrack, _cell, _corridor, _cost, _decode, _index, _search, _separators
 from conftest import PROPERTY_SETTINGS, free_cells, grid_problems, is_free, random_case
 from oracles import dijkstra_oracle, obstruct, oracle_distances
 
@@ -206,6 +207,35 @@ def test_separators_match_brute_force_property(problem):
         except NoPathError:
             blocks = True
         assert (not reachable or cell in cuts) == blocks
+
+
+def test_two_move_cells_flank_no_legal_diagonal():
+    # every occupancy of a free cell's 8 neighbours; a 3x3 map has no other
+    # cell that a move from its centre or a diagonal it flanks can touch
+    centre = Cell(1, 1)
+    around = [Cell(col, row) for row in range(3) for col in range(3) if (col, row) != (1, 1)]
+    straight = [(0, 1), (2, 1), (1, 0), (1, 2)]
+    corners = [(0, 0), (2, 0), (0, 2), (2, 2)]
+    two_move = 0
+    for pattern in range(256):
+        blocked = {cell for bit, cell in enumerate(around) if pattern >> bit & 1}
+        grid = GridMap(3, 3, 1.0, tuple(tuple(Cell(col, row) in blocked for col in range(3)) for row in range(3)))
+
+        def free(col, row):
+            return Cell(col, row) not in blocked
+
+        moves = sum(free(*cell) for cell in straight)
+        moves += sum(free(col, row) and free(col, 1) and free(1, row) for col, row in corners)
+        # the centre twice: its second flag says whether it has two moves
+        assert _corridor(distance_field(grid, centre), (centre, centre))[1] == (moves == 2), sorted(blocked)
+        if moves != 2:
+            continue
+        two_move += 1
+        # the centre flanks the diagonal between its straight neighbours
+        # (col, 1) and (1, row), whose other flank is the corner (col, row)
+        for col, row in corners:
+            assert not (free(col, 1) and free(1, row) and free(col, row)), sorted(blocked)
+    assert two_move == 64
 
 
 def test_determinism():

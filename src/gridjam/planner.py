@@ -51,6 +51,24 @@ grid. Moves have two lengths only, so that Dijkstra keeps one FIFO queue
 per length instead of a heap. One function, `_steps`, defines the moves:
 every search relaxes a popped cell's 4 straight moves at one cost and
 then its 4 diagonals, the only moves with flanks to test, at the other.
+Every cost list holds two sentinels besides costs: `_WALL`, below every
+cost, on each blocked index, the border and an obstacle included, and
+`_FAR`, above every cost, on each free index not reached yet. Each field
+keeps one template, `blank`, with `_WALL` on its blocked indices and `_FAR`
+on the rest, and every search starts from a copy of it. A relaxation is
+then one test, ``value < dist[nxt]``, plus a diagonal's flank test on the
+flat cells:
+
+* a blocked index: no value is below `_WALL`;
+* a settled cell of `distance_field`: cells settle in non-decreasing cost,
+  so its cost is at most the popped cell's d, below d + step;
+* a closed cell of `_astar`: under a consistent heuristic its g is
+  already optimal, so no value is below it.
+
+So every search pushes and pops exactly what explicit blocked, settled and
+closed tests would let it; the settled and closed flags stay at the pop,
+where they discard stale entries.
+
 A placement becomes the flat indices of the square that
 `ObstaclePlacement.extent` clips at the border. Callers ask five
 questions of the field, each answered by one function. Two of them,
@@ -131,6 +149,11 @@ _BITS = 52
 _ORTH = 1 << _BITS
 _DIAG = round(SQRT2 * _ORTH) | 1
 _DIAG_INVERSE = pow(_DIAG, -1, _ORTH)
+# the cost lists' sentinels for a blocked index and an unreached one (see
+# above): every exact cost, below 2**25 * (_ORTH + _DIAG) < 2**79, lies
+# strictly between them
+_WALL = -(1 << 120)
+_FAR = 1 << 120
 
 
 @dataclass(frozen=True)
@@ -194,12 +217,14 @@ def _covered(placement: ObstaclePlacement, grid: GridMap, stride: int) -> list:
     return [(row + 1) * stride + col + 1 for row in rows for col in cols]
 
 
-def _blocked(cells: bytes, covered: list) -> bytearray:
-    """A copy of the flat cells with the indices `covered` occupied."""
-    out = bytearray(cells)
+def _obstructed(field: "DistanceField", covered: list) -> tuple:
+    """(cells, dist): copies of the field's flat cells and of its `blank`, with the indices `covered` blocked."""
+    cells = bytearray(field.cells)
+    dist = field.blank[:]
     for index in covered:
-        out[index] = 1
-    return out
+        cells[index] = 1
+        dist[index] = _WALL
+    return cells, dist
 
 
 def _cell(index: int, stride: int) -> Cell:
@@ -230,10 +255,12 @@ def _astar(cells, stride: int, origin: int, h: list, tie: list, first: list, sto
 
     `h`, `tie`, `first` and `dist` are indexed like `cells`, and `h` is a
     consistent heuristic in exact costs. The heap pops by (g + h[x], tie[x],
-    x); `tie` may be `dist` itself, and then it is g. `dist` comes in all
-    None and leaves with the best g found for every reached index, exact on
-    every closed one and on the returned one. A closed neighbour is skipped:
-    under a consistent heuristic no later route to it is cheaper.
+    x); `tie` may be `dist` itself, and then it is g. `dist` comes in
+    `_WALL` on every blocked index of `cells` and `_FAR` on every other, and
+    leaves with the best g found for every reached index, exact on every
+    closed one and on the returned one. A move is relaxed when its value is
+    below `dist[nxt]`, which no blocked index passes (`_WALL`) and no closed
+    one either: under a consistent heuristic its g is already optimal.
     """
     closed = bytearray(len(cells))
     push, pop = heapq.heappush, heapq.heappop
@@ -251,20 +278,14 @@ def _astar(cells, stride: int, origin: int, h: list, tie: list, first: list, sto
         value = d + _ORTH
         for offset in straight:
             nxt = cur + offset
-            if cells[nxt] or closed[nxt]:
-                continue
-            known = dist[nxt]
-            if known is None or value < known:
+            if value < dist[nxt]:
                 dist[nxt] = value
                 push(open_heap, (value + h[nxt], tie[nxt], nxt))
         value = d + _DIAG
         for offset, flank_a, flank_b in diagonals:
             nxt = cur + offset
             # no corner cutting: both orthogonal neighbours must be free
-            if cells[nxt] or closed[nxt] or cells[cur + flank_a] or cells[cur + flank_b]:
-                continue
-            known = dist[nxt]
-            if known is None or value < known:
+            if value < dist[nxt] and not (cells[cur + flank_a] or cells[cur + flank_b]):
                 dist[nxt] = value
                 push(open_heap, (value + h[nxt], tie[nxt], nxt))
     return None
@@ -319,19 +340,18 @@ def _search(field: "DistanceField", placement: ObstaclePlacement, goal: Cell, to
     """
     stride = field.stride
     start, goal = _index(field.start, stride), _index(goal, stride)
-    if field.dist[goal] is None:
+    if field.dist[goal] == _FAR:
         return None
-    cells = _blocked(field.cells, _covered(placement, field.grid, stride))
+    cells, dist = _obstructed(field, _covered(placement, field.grid, stride))
     origin, target, h = (goal, start, field.dist) if toward is None else (start, goal, toward.dist)
     stop = bytearray(field.reached)
     stop[field.first[target]] = 1
-    dist = [None] * len(cells)
     if _astar(cells, stride, origin, h, dist, field.first, stop, dist) is None:
         return None
     if toward is None:
         # the pass outward from the start: dist holds b, forward gets F
         optimum = dist[start]
-        forward = [None] * len(cells)
+        forward = field.blank[:]
         forward[start] = 0
         straight, diagonals = _steps(stride)
         marked = [start]
@@ -340,13 +360,13 @@ def _search(field: "DistanceField", placement: ObstaclePlacement, goal: Cell, to
             rest = dist[cur] - _ORTH
             for offset in straight:
                 nxt = cur + offset
-                if dist[nxt] == rest and forward[nxt] is None:
+                if dist[nxt] == rest and forward[nxt] == _FAR:
                     forward[nxt] = optimum - rest
                     marked.append(nxt)
             rest = dist[cur] - _DIAG
             for offset, flank_a, flank_b in diagonals:
                 nxt = cur + offset
-                if dist[nxt] == rest and forward[nxt] is None and not (cells[cur + flank_a] or cells[cur + flank_b]):
+                if dist[nxt] == rest and forward[nxt] == _FAR and not (cells[cur + flank_a] or cells[cur + flank_b]):
                     forward[nxt] = optimum - rest
                     marked.append(nxt)
         dist = forward
@@ -358,8 +378,12 @@ class DistanceField:
 
     `cells` and `stride` are the grid's flat core. `dist` is indexed like
     `cells`: each reached index's exact integer cost (see the module
-    docstring), None where the start is out of reach. Moves are symmetric,
-    so these are also the distances back to the start.
+    docstring), `_WALL` on every blocked index, the border included, and
+    `_FAR` on every free one out of the start's reach. Moves are symmetric,
+    so these are also the distances back to the start. `blank` is the
+    template every search on the field copies for its own cost list:
+    `_WALL` where `dist` is, `_FAR` everywhere else. No search writes to
+    either.
 
     `parent`, `first` and `end` are indexed the same way and hold the
     field's shortest-path tree. `parent` is the index that last improved
@@ -375,12 +399,12 @@ class DistanceField:
 
     # a plain class: a frozen dataclass builds its methods at import, which
     # measured about two thirds of this module's own import time
-    __slots__ = ("grid", "start", "cells", "stride", "dist", "parent", "first", "end")
+    __slots__ = ("grid", "start", "cells", "stride", "blank", "dist", "parent", "first", "end")
 
-    def __init__(self, grid: GridMap, start: Cell, cells: bytes, stride: int, dist: list,
+    def __init__(self, grid: GridMap, start: Cell, cells: bytes, stride: int, blank: list, dist: list,
                  parent: list, first: list, end: list):
-        self.grid, self.start, self.cells, self.stride, self.dist = grid, start, cells, stride, dist
-        self.parent, self.first, self.end = parent, first, end
+        self.grid, self.start, self.cells, self.stride = grid, start, cells, stride
+        self.blank, self.dist, self.parent, self.first, self.end = blank, dist, parent, first, end
 
     @property
     def reached(self) -> int:
@@ -412,12 +436,19 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
     no less than x's stale cost, above dist[x]. If it has popped, x is
     settled, and popping the stale head only discards it. So every pop
     that settles a cell takes the cheapest live entry, as a heap would.
+
+    `dist` starts as a copy of the field's `blank`, so a move is relaxed
+    when its value is below `dist[nxt]`: never into a blocked index
+    (`_WALL`), and never into a settled one, whose cost is at most the
+    popped cell's, below the value. Stale entries are still discarded at
+    the pop, by `done`.
     """
     check_endpoint(grid, "start", start)
     cells, stride = _flatten(grid)
     source = _index(start, stride)
     size = len(cells)
-    dist = [None] * size
+    blank = [_WALL if c else _FAR for c in cells]
+    dist = blank[:]
     parent = [-1] * size
     done = bytearray(size)
     order = []  # settle order: every cell after its parent
@@ -444,19 +475,13 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
         value = d + _ORTH
         for offset in straight:
             nxt = cur + offset
-            if cells[nxt] or done[nxt]:
-                continue
-            known = dist[nxt]
-            if known is None or value < known:
+            if value < dist[nxt]:
                 dist[nxt], parent[nxt] = value, cur
                 push_straight(nxt)
         value = d + _DIAG
         for offset, flank_a, flank_b in diagonals:
             nxt = cur + offset
-            if cells[nxt] or done[nxt] or cells[cur + flank_a] or cells[cur + flank_b]:
-                continue
-            known = dist[nxt]
-            if known is None or value < known:
+            if value < dist[nxt] and not (cells[cur + flank_a] or cells[cur + flank_b]):
                 dist[nxt], parent[nxt] = value, cur
                 push_diagonal(nxt)
     # number the tree in preorder: count each cell's descendants in reverse
@@ -475,7 +500,7 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
         slot = first[cur] = end[up]
         end[up] = slot + 1 + end[cur]
         end[cur] = slot + 1
-    return DistanceField(grid, start, cells, stride, dist, parent, first, end)
+    return DistanceField(grid, start, cells, stride, blank, dist, parent, first, end)
 
 
 def _check_field(field: DistanceField, grid: GridMap, start: Cell):
@@ -490,10 +515,11 @@ def _backtrack(cells: bytes, stride: int, dist: list, source: int, goal: int) ->
     """The canonical Path from source to goal on a search's exact costs.
 
     `dist` is indexed like `cells` and must hold the exact cost of goal and
-    of every optimal predecessor on the way back; it is None where the
-    search never reached. Walks back from the goal, each time to the
-    lowest-index reached neighbour whose exact cost plus the step equals
-    the current cost. Raises RuntimeError when no neighbour does, which
+    of every optimal predecessor on the way back; it is `_WALL` on a blocked
+    index and `_FAR` where the search never reached, and neither plus a
+    step equals a cost. Walks back from the goal, each time to the
+    lowest-index neighbour whose exact cost plus the step equals the
+    current cost. Raises RuntimeError when no neighbour does, which
     exact costs never allow.
     """
     straight, diagonals = _steps(stride)
@@ -506,10 +532,7 @@ def _backtrack(cells: bytes, stride: int, dist: list, source: int, goal: int) ->
         d = dist[cur]
         for offset, step, flank_a, flank_b in moves:
             prev = cur + offset
-            known = dist[prev]  # None at a wall, a blocked cell and out of reach
-            if known is None or known + step != d:
-                continue
-            if not (flank_a and (cells[cur + flank_a] or cells[cur + flank_b])):
+            if dist[prev] + step == d and not (flank_a and (cells[cur + flank_a] or cells[cur + flank_b])):
                 break
         else:
             raise RuntimeError(f"no neighbour of {_cell(cur, stride)} matches its cost: dist is not exact")
@@ -683,10 +706,9 @@ def _cost(field: DistanceField, placement: ObstaclePlacement, origin: Cell, targ
     """
     stride = field.stride
     covered = _covered(placement, field.grid, stride)
-    cells = _blocked(field.cells, covered)
+    cells, dist = _obstructed(field, covered)
     origin, target = _index(origin, stride), _index(target, stride)
     h = field.dist
-    dist = [None] * len(cells)
     cur = _astar(cells, stride, origin, h, h, field.first, _exits(field, cells, covered, target), dist)
     return None if cur is None else _decode(dist[cur] + h[cur] - h[target])
 
@@ -700,7 +722,7 @@ def _route(field: DistanceField, goal: Cell) -> Path:
     check_endpoint(field.grid, "goal", goal)
     stride = field.stride
     target = _index(goal, stride)
-    if field.dist[target] is None:
+    if field.dist[target] == _FAR:
         raise NoPathError(f"no path from {field.start} to {goal}")
     return _backtrack(field.cells, stride, field.dist, _index(field.start, stride), target)
 

@@ -283,36 +283,47 @@ def _count_calls(monkeypatch, functions):
     return counts
 
 
-def _count_pops(monkeypatch, start):
+def _count_pops(monkeypatch, start, pushed=None):
     """Count the planner's heap and queue pops by the search they serve.
 
     A pop is credited to the nearest `distance_field`, `_cost` or `_search`
     frame up the stack, so the A* kernel that both searches call counts
     toward its caller. A field's pops are credited to its root: "start
     field" for a field from `start`, "goal field" for one from a goal.
+    Heap pushes and the field's queue appends are credited the same way,
+    into the Counter `pushed` when one is given.
     """
     pops = Counter()
+    pushes = Counter() if pushed is None else pushed
     searches = {"distance_field", "_cost", "_search"}
 
-    def count():
+    def credit(counter):
         frame = sys._getframe(2)
         while frame.f_code.co_name not in searches:
             frame = frame.f_back
         name = frame.f_code.co_name
         if name == "distance_field":
             name = "start field" if frame.f_locals["start"] == start else "goal field"
-        pops[name] += 1
+        counter[name] += 1
 
     def heappop(heap):
-        count()
+        credit(pops)
         return heapq.heappop(heap)
+
+    def heappush(heap, item):
+        credit(pushes)
+        heapq.heappush(heap, item)
 
     class CountingDeque(deque):
         def popleft(self):
-            count()
+            credit(pops)
             return super().popleft()
 
-    monkeypatch.setattr(planner, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=heappop))
+        def append(self, item):
+            credit(pushes)
+            super().append(item)
+
+    monkeypatch.setattr(planner, "heapq", SimpleNamespace(heappush=heappush, heappop=heappop))
     monkeypatch.setattr(planner, "deque", CountingDeque)
     return pops
 
@@ -343,6 +354,18 @@ SUITE_POPS = {
     "turn": {"start field": 621, "goal field": 621, "_cost": 1622, "_search": 245},
     "branch": {"start field": 12, "goal field": 12, "_cost": 4, "_search": 9},
 }
+# The pushes of the same searches: heap pushes, and the field's appends to
+# its two queues (the source seeds one queue without an append). A
+# relaxation pushes exactly when it lowers a cost, so these pin every
+# relaxation, not only every pop. They are the counts of the kernels that
+# tested each move's cell for a wall, a closed or a settled cell before
+# comparing costs, so they show that the sentinel costs alone decide the
+# same relaxations.
+SUITE_PUSHES = {
+    "warehouse": {"start field": 839, "_cost": 9623, "_search": 2109},
+    "turn": {"start field": 620, "goal field": 620, "_cost": 2798, "_search": 368},
+    "branch": {"start field": 11, "goal field": 11, "_cost": 3, "_search": 8},
+}
 GOAL_FIELDS = {"warehouse": 0, "turn": 1, "branch": 1}
 
 
@@ -353,7 +376,8 @@ def test_each_goal_is_solved_once(name, canonical, cost_only, monkeypatch, tmp_p
         (planner._search, planner._backtrack, planner._cost, planner.distance_field, gridjam.brute_force_attack),
     )
     scenario = load_scenario(scenario_path(name))
-    popped = _count_pops(monkeypatch, scenario.start)
+    pushed = Counter()
+    popped = _count_pops(monkeypatch, scenario.start, pushed)
     _, summary = run_suite(scenario)
     assert not summary.skipped_goals
     assert counts["brute_force_attack"] == len(scenario.goals)
@@ -362,6 +386,7 @@ def test_each_goal_is_solved_once(name, canonical, cost_only, monkeypatch, tmp_p
     assert counts["_backtrack"] == len(scenario.goals) + canonical
     assert counts["_cost"] == cost_only
     assert popped == SUITE_POPS[name]
+    assert pushed == SUITE_PUSHES[name]
     solved = dict(counts)
     render_scenario_svgs(scenario, summary.plans, tmp_path)
     assert counts == solved  # rendering reuses the suite's plans

@@ -20,7 +20,20 @@ from gridjam import (
     parse_map,
     prefix_costs,
 )
-from gridjam.planner import _DIAG, _ORTH, _backtrack, _cell, _corridor, _cost, _decode, _index, _search, _separators
+from gridjam.planner import (
+    _DIAG,
+    _FAR,
+    _ORTH,
+    _WALL,
+    _backtrack,
+    _cell,
+    _corridor,
+    _cost,
+    _decode,
+    _index,
+    _search,
+    _separators,
+)
 from conftest import PROPERTY_SETTINGS, free_cells, grid_problems, is_free, random_case
 from oracles import dijkstra_oracle, obstruct, oracle_distances
 
@@ -268,13 +281,20 @@ def component(grid, start):
 @given(grid_problems())
 def test_distance_field_matches_oracle_property(problem):
     # exact distances, a tree of optimal legal steps and its preorder
-    # intervals, on every cell the start reaches
+    # intervals, on every cell the start reaches; `_WALL` on every blocked
+    # index, the border included, and `_FAR` on every free cell out of reach
     grid, start, _ = problem
     field = distance_field(grid, start)
     stride, dist, parent, first, end = field.stride, field.dist, field.parent, field.first, field.end
     expected = oracle_distances(grid, start)
-    reached = {_cell(index, stride): index for index, cost in enumerate(dist) if cost is not None}
+    reached = {_cell(index, stride): index for index, cost in enumerate(dist) if cost not in (_FAR, _WALL)}
     assert reached.keys() == expected.keys() == set(component(grid, start))
+    assert {index for index, cost in enumerate(dist) if cost == _WALL} == {
+        index for index, blocked in enumerate(field.cells) if blocked
+    }
+    assert {index for index, cost in enumerate(dist) if cost == _FAR} == {
+        _index(cell, stride) for cell in free_cells(grid) if cell not in reached
+    }
     assert field.reached == len(reached)
     for cell, index in reached.items():
         assert _decode(dist[index]) == expected[cell]

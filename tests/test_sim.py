@@ -20,6 +20,7 @@ from gridjam import (
     brute_force_attack,
     distance_field,
     parse_map,
+    planner,
     prefix_costs,
     simulate,
     spawn_time_model,
@@ -139,6 +140,31 @@ def test_failed_replan_raises(open9_map, monkeypatch):
     monkeypatch.setattr("gridjam.sim._cost", lambda *args: None)
     with pytest.raises(RuntimeError, match="^the replan cannot fail"):
         _simulate(open9_map, plan, cfg)
+
+
+def test_searches_leave_a_shared_field_as_built(maze_map, monkeypatch):
+    # Every search copies the field's `blank` template for its own cost list
+    # and never writes to the field. The maze's route to (9,1) passes the
+    # goal-field gate, and both winners are searched: side 1's forward on
+    # the goal field, side 3's backward on this one, with the pass outward
+    # from the start. Each replan from (1,2), past the start, is priced on
+    # this field too.
+    start, goal = Cell(1, 1), Cell(9, 1)
+    field = distance_field(maze_map, start)
+    plans = [brute_force_attack(maze_map, start, goal, side, field) for side in (1, 3)]
+    assert all(plan.attacked_path is not None for plan in plans)
+    replans = []
+
+    def counted(*args):
+        replans.append(args[3])
+        return planner._cost(*args)
+
+    monkeypatch.setattr("gridjam.sim._cost", counted)
+    cfg = SimConfig(speed=1.0, eval_time_per_candidate=0.0, attack_start_delay=1.0)
+    assert all(simulate(maze_map, plan, cfg, field).attack_success for plan in plans)
+    assert replans == [Cell(1, 2)] * 2
+    assert field.blank == [planner._WALL if blocked else planner._FAR for blocked in field.cells]
+    assert field.dist == distance_field(maze_map, start).dist
 
 
 def test_config_validation():

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 from .gridmap import Cell, GridMap, ObstaclePlacement
 from .planner import (
-    DistanceField, Path, _check_field, _corridor, _cost, _route, _search, _separators, distance_field, prefix_costs,
+    DistanceField, Path, _check_field, _corridor, _cost, _covered, _route, _search, _separators, _spare, distance_field,
+    prefix_costs,
 )
 
 # An attack builds a second field, from the goal, when the baseline holds
@@ -87,7 +88,12 @@ def brute_force_attack(
     round. So does a side-1 candidate in a one-cell corridor: when it and
     the cell before it both have exactly two legal moves, and that cell was
     evaluated, it takes that cell's cost without a search, since both force
-    the same detour (see `planner._corridor`).
+    the same detour (see `planner._corridor`). Any other candidate whose
+    square misses the spare route, the highest-index optimal route to the
+    goal, with both flanks of its diagonals (`planner._spare`), gains
+    nothing: it takes the baseline's cost without a search, and still costs
+    a planning round. The route is walked once per attack, for the first
+    candidate that would otherwise be searched.
 
     An attack whose baseline is long against the start's component
     (`_GOAL_FIELD_SHARE`) also builds a field from the goal, when the first
@@ -115,6 +121,7 @@ def brute_force_attack(
         split = bisect.bisect_left(prefix_costs(baseline), baseline.cost / 2)
     cuts = _separators(field, goal) if side == 1 else ()
     corridor = _corridor(field, baseline.cells) if side == 1 else None
+    spare = None  # built for the first candidate that would be searched
     ledger = []
     best = None  # the ledger entry of the winner so far
     for index, step in enumerate(baseline.cells):
@@ -126,12 +133,18 @@ def brute_force_attack(
             cost = None
         elif side == 1 and corridor[index] and ledger[-1].outcome is Outcome.EVALUATED:
             cost = ledger[-1].cost
-        elif index < split:
-            if goal_field is None:
-                goal_field = distance_field(grid, goal)
-            cost = _cost(goal_field, placement, start, goal)
         else:
-            cost = _cost(field, placement, goal, start)
+            covered = _covered(placement, grid, field.stride)
+            if spare is None:
+                spare = _spare(field, goal)
+            if not any(map(spare.__getitem__, covered)):
+                cost = baseline.cost
+            elif index < split:
+                if goal_field is None:
+                    goal_field = distance_field(grid, goal)
+                cost = _cost(goal_field, placement, start, goal, covered)
+            else:
+                cost = _cost(field, placement, goal, start, covered)
         if cost is None:
             ledger.append(CandidateEval(index, placement, Outcome.BLOCKING))
             continue

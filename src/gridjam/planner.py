@@ -33,8 +33,10 @@ diagonal steps cost ``k * _ORTH + m * _DIAG``, with ``_ORTH = 2**52`` and
 
 The canonical path is built by one rule, in `_backtrack` alone: walk back
 from the goal, each time to the lowest-(row, col) neighbour whose exact
-cost plus the step equals the current cost. It needs exact costs only on
-the goal and every optimal predecessor on the way back. A full distance
+cost plus the step equals the current cost. `_walk` takes that walk for
+it, and in the reverse neighbour order for `_spare`'s route. It needs
+exact costs only on the goal and every optimal predecessor on the way
+back. A full distance
 field has them, and so does `_search`: it orders its heap by (f, g, row,
 col), which closes every cell of every optimal route before its search
 ends, and, when it searched from the goal, it turns those costs into
@@ -70,7 +72,7 @@ closed tests would let it; the settled and closed flags stay at the pop,
 where they discard stale entries.
 
 A placement becomes the flat indices of the square that
-`ObstaclePlacement.extent` clips at the border. Callers ask five
+`ObstaclePlacement.extent` clips at the border. Callers ask six
 questions of the field, each answered by one function. Two of them,
 `_cost` and `_search`, run one A* kernel, `_astar`, on a copy of the
 field's grid with the obstacle blocked; they pass it their own heuristic,
@@ -104,6 +106,8 @@ tie-break and stop flags, and read their own result from its costs.
   goal (below).
 * `_corridor`: the route cells in one-cell corridors whose side-1 cost
   equals the cost of the cell before them (below).
+* `_spare`: the cells of a second optimal route to a goal; an obstacle
+  that misses them gains nothing (below).
 
 A side-1 candidate that blocks needs no search at all. Corner cutting is
 forbidden, so a legal diagonal always has both flanks free and can be
@@ -132,6 +136,25 @@ unobstructed grid; the attack gives such a cell its predecessor's cost.
   route is therefore legal on the other, so the two optima are equal:
   both searches would end on the same exact integer, which decodes to the
   same float.
+
+A candidate that misses the spare route needs no search either. `_spare`
+walks back from the goal on the start's field like `_backtrack`, but each
+time to the highest-index matching neighbour, and flags the route's cells
+and both flanks of each of its diagonal steps. The baseline takes the
+lowest-index optimal step back at every cell and this route the highest,
+so on open floors, where equally short steps abound, the two part early
+and most squares along the baseline miss this one. Take an obstacle that
+covers no flagged index, and let C0 be the baseline's exact cost.
+
+* Blocking cells only removes moves, so the optimum around the obstacle
+  is at least C0.
+* Every cell of the spare route and both flanks of each of its diagonals
+  stay free, so the route stays legal on the obstructed copy, and the
+  optimum is at most C0.
+* So the optimum is C0 exactly, and it decodes to the same float as the
+  baseline's cost (above): the attack records `baseline.cost` bitwise.
+* A cut vertex between the start and the goal lies on every route, the
+  spare one included, so no blocking candidate is ever decided this way.
 """
 
 import heapq
@@ -511,21 +534,23 @@ def _check_field(field: DistanceField, grid: GridMap, start: Cell):
         raise ValueError(f"the distance field starts at {field.start}, not at {start}")
 
 
-def _backtrack(cells: bytes, stride: int, dist: list, source: int, goal: int) -> Path:
-    """The canonical Path from source to goal on a search's exact costs.
+def _walk(cells: bytes, stride: int, dist: list, source: int, goal: int, highest: bool = False) -> list:
+    """The indices of an optimal route on a search's exact costs, from goal back to source.
 
     `dist` is indexed like `cells` and must hold the exact cost of goal and
     of every optimal predecessor on the way back; it is `_WALL` on a blocked
     index and `_FAR` where the search never reached, and neither plus a
     step equals a cost. Walks back from the goal, each time to the
     lowest-index neighbour whose exact cost plus the step equals the
-    current cost. Raises RuntimeError when no neighbour does, which
-    exact costs never allow.
+    current cost, or to the highest-index one when `highest` is set.
+    Raises RuntimeError when no neighbour does, which exact costs never
+    allow.
     """
     straight, diagonals = _steps(stride)
-    # (offset, step cost, flank, flank), lowest neighbour index first; a
+    # (offset, step cost, flank, flank) in the walk's neighbour order; a
     # straight move has no flanks
-    moves = sorted([(offset, _ORTH, 0, 0) for offset in straight] + [(offset, _DIAG, a, b) for offset, a, b in diagonals])
+    moves = sorted([(offset, _ORTH, 0, 0) for offset in straight] + [(offset, _DIAG, a, b) for offset, a, b in diagonals],
+                   reverse=highest)
     chain = [goal]
     cur = goal
     while cur != source:
@@ -538,8 +563,37 @@ def _backtrack(cells: bytes, stride: int, dist: list, source: int, goal: int) ->
             raise RuntimeError(f"no neighbour of {_cell(cur, stride)} matches its cost: dist is not exact")
         cur = prev
         chain.append(cur)
+    return chain
+
+
+def _backtrack(cells: bytes, stride: int, dist: list, source: int, goal: int) -> Path:
+    """The canonical Path from source to goal on a search's exact costs: `_walk`'s lowest-index route."""
+    chain = _walk(cells, stride, dist, source, goal)
     chain.reverse()
     return Path.from_cells([_cell(i, stride) for i in chain])
+
+
+def _spare(field: DistanceField, goal: Cell) -> bytearray:
+    """A flag per flat index, set on the spare route to goal and on both flanks of each of its diagonals.
+
+    The spare route is `_walk`'s highest-index route on the field, the
+    canonical rule with its neighbour order reversed, so it parts from the
+    baseline, the lowest-index route, wherever another optimal step
+    exists. An obstacle that covers no flagged index leaves the optimum
+    unchanged (see the module docstring). goal must be in the start's
+    reach.
+    """
+    stride = field.stride
+    chain = _walk(field.cells, stride, field.dist, _index(field.start, stride), _index(goal, stride), True)
+    flanks = {offset: (a, b) for offset, a, b in _steps(stride)[1]}
+    flags = bytearray(len(field.cells))
+    for cur, prev in zip(chain, chain[1:]):
+        flags[cur] = 1
+        if prev - cur in flanks:
+            flank_a, flank_b = flanks[prev - cur]
+            flags[cur + flank_a] = flags[cur + flank_b] = 1
+    flags[chain[-1]] = 1
+    return flags
 
 
 def _lowpoint_dfs(cells: bytes, stride: int, root: int) -> tuple:
@@ -675,10 +729,11 @@ def _exits(field: DistanceField, cells: bytearray, covered: list, target: int) -
     return flags
 
 
-def _cost(field: DistanceField, placement: ObstaclePlacement, origin: Cell, target: Cell):
+def _cost(field: DistanceField, placement: ObstaclePlacement, origin: Cell, target: Cell, covered: list = None):
     """Cost of the cheapest route from origin to target with the placement's cells occupied, or None.
 
-    The placement is clipped at the border; `origin` and `target` are free
+    The placement is clipped at the border, and `covered` is its `_covered`
+    list when the caller has built it already; `origin` and `target` are free
     cells in the component of the field's root, outside the placement, so
     every move the search takes stays inside it. The search runs on a copy
     of the field's grid with the placement blocked, and its heuristic is
@@ -705,7 +760,8 @@ def _cost(field: DistanceField, placement: ObstaclePlacement, origin: Cell, targ
     soonest.
     """
     stride = field.stride
-    covered = _covered(placement, field.grid, stride)
+    if covered is None:
+        covered = _covered(placement, field.grid, stride)
     cells, dist = _obstructed(field, covered)
     origin, target = _index(origin, stride), _index(target, stride)
     h = field.dist

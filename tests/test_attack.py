@@ -88,9 +88,9 @@ def test_side1_corridor_is_searched_once(monkeypatch):
     start, goal = Cell(1, 1), Cell(9, 5)
     searched = []
 
-    def counted(field, placement, origin, target):
+    def counted(field, placement, origin, target, covered=None):
         searched.append(placement.center)
-        return planner._cost(field, placement, origin, target)
+        return planner._cost(field, placement, origin, target, covered)
 
     monkeypatch.setattr(attack_module, "_cost", counted)
     plan = brute_force_attack(grid, start, goal, 1)

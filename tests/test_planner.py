@@ -17,22 +17,28 @@ from gridjam import (
     brute_force_attack,
     distance_field,
     euclidean_distance,
+    load_scenario,
     parse_map,
     prefix_costs,
 )
+from gridjam.data import scenario_names, scenario_path
 from gridjam.planner import (
     _DIAG,
     _FAR,
     _ORTH,
     _WALL,
+    Path,
     _backtrack,
     _cell,
     _corridor,
     _cost,
+    _covered,
     _decode,
     _index,
     _search,
     _separators,
+    _spare,
+    _walk,
 )
 from conftest import PROPERTY_SETTINGS, free_cells, grid_problems, is_free, random_case
 from oracles import dijkstra_oracle, obstruct, oracle_distances
@@ -143,6 +149,44 @@ def test_backtrack_raises_when_no_neighbour_matches_the_cost():
     dist[goal] += _ORTH
     with pytest.raises(RuntimeError, match="^no neighbour of 2,0 matches its cost"):
         _backtrack(field.cells, field.stride, dist, _index(Cell(0, 0), field.stride), goal)
+
+
+def test_highest_first_walk_raises_when_no_neighbour_matches_the_cost():
+    # the spare route's walk shares the loop and its raise
+    field = distance_field(parse_map("...\n"), Cell(0, 0))
+    goal = _index(Cell(2, 0), field.stride)
+    dist = list(field.dist)
+    dist[goal] += _ORTH
+    with pytest.raises(RuntimeError, match="^no neighbour of 2,0 matches its cost"):
+        _walk(field.cells, field.stride, dist, _index(Cell(0, 0), field.stride), goal, True)
+
+
+def spare_route(field, goal):
+    """The cells of the spare route from the field's start to goal."""
+    stride = field.stride
+    chain = _walk(field.cells, stride, field.dist, _index(field.start, stride), _index(goal, stride), True)
+    return [_cell(i, stride) for i in reversed(chain)]
+
+
+def test_spare_route_is_the_canonical_route_on_the_turned_map(maze_map):
+    # turning a map by 180 degrees reverses the flat index order, so the
+    # highest-index route is the canonical route on the turned map
+    scenarios = [load_scenario(scenario_path(name)) for name in scenario_names()]
+    problems = [(s.grid, s.start, s.goals) for s in scenarios] + [(maze_map, Cell(1, 1), free_cells(maze_map))]
+    checked = 0
+    for grid, start, goals in problems:
+        width, height = grid.width, grid.height
+        turned = GridMap(width, height, grid.cell_size, tuple(row[::-1] for row in reversed(grid.rows)))
+
+        def turn(cell):
+            return Cell(width - 1 - cell.col, height - 1 - cell.row)
+
+        field = distance_field(grid, start)
+        for goal in goals:
+            expected = [turn(cell) for cell in astar(turned, turn(start), turn(goal)).cells]
+            assert spare_route(field, goal) == expected
+            checked += 1
+    assert checked == 69
 
 
 def test_prefix_costs_match_steps():
@@ -344,6 +388,35 @@ def test_cost_matches_oracle_property(problem, data):
                 except NoPathError:
                     expected = None
                 assert _cost(field, placement, origin, target) == expected
+
+
+@PROPERTY_SETTINGS
+@given(grid_problems())
+def test_spare_route_decides_exact_costs_property(problem):
+    # every candidate along the baseline whose square misses the spare route
+    # and the flanks of its diagonals keeps the optimum, bitwise
+    grid, start, goal = problem
+    field = distance_field(grid, start)
+    if goal not in component(grid, start):
+        return
+    baseline = astar(grid, start, goal)
+    route = spare_route(field, goal)
+    spare = Path.from_cells(route)
+    assert_valid_path(grid, spare, start, goal)
+    assert spare.cost == baseline.cost
+    flagged = set(route)
+    for a, b in zip(route, route[1:]):
+        if a.col != b.col and a.row != b.row:
+            flagged |= {Cell(b.col, a.row), Cell(a.col, b.row)}
+    flags = _spare(field, goal)
+    assert {_cell(i, field.stride) for i, flag in enumerate(flags) if flag} == flagged
+    for side in (1, 3):
+        for center in baseline.cells:
+            placement = ObstaclePlacement(center, side)
+            if placement.covers(start) or placement.covers(goal):
+                continue
+            if not any(flags[i] for i in _covered(placement, grid, field.stride)):
+                assert dijkstra_oracle(obstruct(grid, placement), start, goal).cost == baseline.cost
 
 
 def test_search_to_a_goal_out_of_reach_has_no_route():

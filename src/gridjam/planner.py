@@ -8,28 +8,54 @@ The tests cross-check it against a separate Dijkstra oracle
 each cell's optimal parent with the lowest (row, col) instead and builds
 the same canonical path from its chain of parents.
 
-Every cost inside this module is one exact integer: k orthogonal and m
-diagonal steps cost ``k * _ORTH + m * _DIAG``, with ``_ORTH = 2**52`` and
-``_DIAG = round(SQRT2 * _ORTH) | 1``. That is odd, and
-``eps = _DIAG - sqrt(2) * _ORTH`` is about 0.44, so ``|eps| < 1``.
+Every cost inside this module is exact: k orthogonal and m diagonal steps
+cost ``k * orth + m * diag``, with ``orth = 2**S`` and ``diag =
+round(SQRT2 * orth) | 1``. That is odd, and ``eps = diag - sqrt(2) * orth``
+is below 1.39 in absolute value. There are two tiers of these, `_Costs`,
+and a field picks one from the size n of its flat core alone (``len(cells)``,
+below), so every field on one grid picks the same:
 
-* Equal integers are equal pairs: ``dk * _ORTH == -dm * _DIAG`` needs
-  2**52 to divide dm, since _DIAG is odd, so dk = dm = 0 for any
-  components below 2**52.
-* Integers order exactly like ``k + m * sqrt(2)`` while every component of
-  the compared costs stays below 2**25. Two costs differ by
-  ``_ORTH * (dk + dm*sqrt(2)) + dm * eps``. For dm != 0,
-  ``|dk + dm*sqrt(2)| = |dk**2 - 2*dm**2| / |dk - dm*sqrt(2)|``, whose
-  numerator is a non-zero integer, so it is at least
-  ``1 / (|dk| + sqrt(2)*|dm|)``. With both below 2**25,
-  ``|dm| * (|dk| + sqrt(2)*|dm|) < 2**50 * 2.42 < _ORTH``, so the first
-  term outweighs the second and fixes the sign. A compared cost is at most
-  the sum of two simple routes, so this holds on any map of fewer than
-  2**24 cells (4096 x 4096), far beyond desk scale.
+* the float tier, on a core of fewer than `_FLOAT_CELLS` = 59,000 cells
+  (about 240 x 240): S = 35, eps about 1.38, C doubles, and the sentinels
+  (below) are -inf and inf;
+* the int tier, on any larger map: S = 52, eps about 0.44, Python ints,
+  and the sentinels are -2**120 and 2**120.
+
+The tier changes the number type, not the code: the field carries its
+`_Costs`, and every kernel reads the constants from it.
+
+* Every value a search forms has fewer than 2n steps. A cost is that of a
+  simple route, over fewer than n free cells; a relaxed value adds one step
+  to such a cost, and a heap key adds a field's cost to that. So every
+  component of a value, and of a difference of two, is below 2n in absolute
+  value.
+* Equal values are equal pairs: ``dk * orth == -dm * diag`` needs 2**S to
+  divide dm, since diag is odd, so dk = dm = 0 for any components below
+  2**S.
+* Values order exactly like ``k + m * sqrt(2)``. Two of them differ by
+  ``orth * t + dm * eps`` with ``t = dk + dm*sqrt(2)``. For dm = 0 that is
+  ``orth * dk``. Otherwise ``|t| = |dk**2 - 2*dm**2| / |dk - dm*sqrt(2)|``,
+  whose numerator is a non-zero integer, so ``|t| >= 1 / (|dk| +
+  sqrt(2)*|dm|)``, and the first term outweighs the second, and fixes the
+  sign, when ``|dm| * |eps| * (|dk| + sqrt(2)*|dm|) < orth``. In the int
+  tier every component is below 2**25 on any map of fewer than 2**24 cells
+  (4096 x 4096), far beyond desk scale, and the left side is below 2**50 *
+  1.07 < 2**52. `GridMap` rejects larger maps. In the float tier only near
+  ties need the bound: when ``|t| >= 1`` the first term is at least orth,
+  above ``|dm| * |eps| < 2**18``. When ``|t| < 1``, dk and dm have opposite
+  signs and ``sqrt(2)*|dm| < |dk| + 1 <= 2n``, so the left side is below
+  ``sqrt(2)*n * 1.39 * (4n + 1)``, under 2.8 * 10**10 < 2**35 for n <
+  59,000.
+* Every float is exact: a value has fewer than 2n < 118,000 steps, each of
+  at most diag < 1.4143 * 2**35, so it is an integer below 2**52.35, and
+  doubles hold every integer below 2**53. Each sum or difference a kernel
+  takes is such a value too, so no operation rounds, and every comparison
+  decides as it would on `k + m * sqrt(2)`: the searches pop and push the
+  same cells in either tier.
 * An exact cost becomes a float in one place only, `_cost`'s result
-  (`_decode`): m is the cost times the inverse of _DIAG modulo 2**52, k is
-  the rest shifted down, and the float is ``k + m * sqrt(2)``, bitwise the
-  one `Path.from_cells` builds for the same steps.
+  (`_decode`): m is the cost, as an int, times the inverse of diag modulo
+  2**S, k is the rest shifted down, and the float is ``k + m * sqrt(2)``,
+  bitwise the one `Path.from_cells` builds for the same steps.
 
 The canonical path is built by one rule, in `_backtrack` alone: walk back
 from the goal, each time to the lowest-(row, col) neighbour whose exact
@@ -53,15 +79,15 @@ grid. Moves have two lengths only, so that Dijkstra keeps one FIFO queue
 per length instead of a heap. One function, `_steps`, defines the moves:
 every search relaxes a popped cell's 4 straight moves at one cost and
 then its 4 diagonals, the only moves with flanks to test, at the other.
-Every cost list holds two sentinels besides costs: `_WALL`, below every
-cost, on each blocked index, the border and an obstacle included, and
-`_FAR`, above every cost, on each free index not reached yet. Each field
-keeps one template, `blank`, with `_WALL` on its blocked indices and `_FAR`
-on the rest, and every search starts from a copy of it. A relaxation is
-then one test, ``value < dist[nxt]``, plus a diagonal's flank test on the
-flat cells:
+Every cost list holds its tier's two sentinels besides costs: `wall`,
+below every cost, on each blocked index, the border and an obstacle
+included, and `far`, above every cost, on each free index not reached
+yet. Each field keeps one template, `blank`, with `wall` on its blocked
+indices and `far` on the rest, and every search starts from a copy of it.
+A relaxation is then one test, ``value < dist[nxt]``, plus a diagonal's
+flank test on the flat cells:
 
-* a blocked index: no value is below `_WALL`;
+* a blocked index: no value is below `wall`;
 * a settled cell of `distance_field`: cells settle in non-decreasing cost,
   so its cost is at most the popped cell's d, below d + step;
 * a closed cell of `_astar`: under a consistent heuristic its g is
@@ -167,16 +193,31 @@ from .gridmap import Cell, GridMap, ObstaclePlacement, check_endpoint
 
 SQRT2 = math.sqrt(2.0)
 
-# the exact integer costs of one orthogonal and one diagonal step (see above)
-_BITS = 52
-_ORTH = 1 << _BITS
-_DIAG = round(SQRT2 * _ORTH) | 1
-_DIAG_INVERSE = pow(_DIAG, -1, _ORTH)
-# the cost lists' sentinels for a blocked index and an unreached one (see
-# above): every exact cost, below 2**25 * (_ORTH + _DIAG) < 2**79, lies
-# strictly between them
-_WALL = -(1 << 120)
-_FAR = 1 << 120
+
+class _Costs:
+    """One tier of exact costs (see above): its step costs, in its number type, and its sentinels.
+
+    `orth` and `diag` cost one orthogonal and one diagonal step, 2**bits and
+    round(sqrt(2) * 2**bits) | 1; `inverse` is diag's inverse modulo
+    2**bits, for `_decode`. `wall` lies below every exact cost and `far`
+    above it: every cost list holds them on blocked and unreached indices.
+    """
+
+    __slots__ = ("bits", "orth", "diag", "inverse", "wall", "far")
+
+    def __init__(self, bits: int, number: type, wall, far):
+        orth = 1 << bits
+        diag = round(SQRT2 * orth) | 1
+        self.bits, self.orth, self.diag, self.inverse = bits, number(orth), number(diag), pow(diag, -1, orth)
+        self.wall, self.far = wall, far
+
+
+# a flat core of fewer cells than this holds its exact costs in doubles
+_FLOAT_CELLS = 59_000
+_FLOAT_COSTS = _Costs(35, float, -math.inf, math.inf)
+# every exact cost of the int tier, below 2**25 * (orth + diag) < 2**79,
+# lies strictly between its sentinels
+_INT_COSTS = _Costs(52, int, -(1 << 120), 1 << 120)
 
 
 @dataclass(frozen=True)
@@ -244,9 +285,10 @@ def _obstructed(field: "DistanceField", covered: list) -> tuple:
     """(cells, dist): copies of the field's flat cells and of its `blank`, with the indices `covered` blocked."""
     cells = bytearray(field.cells)
     dist = field.blank[:]
+    wall = field.costs.wall
     for index in covered:
         cells[index] = 1
-        dist[index] = _WALL
+        dist[index] = wall
     return cells, dist
 
 
@@ -267,26 +309,30 @@ def _steps(stride: int) -> tuple:
     )
 
 
-def _decode(dist: int) -> float:
-    """The float k + m*sqrt(2) of the exact cost k*_ORTH + m*_DIAG."""
-    m = (dist * _DIAG_INVERSE) & (_ORTH - 1)
-    return ((dist - m * _DIAG) >> _BITS) + m * SQRT2
+def _decode(cost, costs: _Costs) -> float:
+    """The float k + m*sqrt(2) of the exact cost k*orth + m*diag in the tier `costs`."""
+    cost = int(cost)
+    m = (cost * costs.inverse) & ((1 << costs.bits) - 1)
+    return ((cost - m * int(costs.diag)) >> costs.bits) + m * SQRT2
 
 
-def _astar(cells, stride: int, origin: int, h: list, tie: list, first: list, stop: bytearray, dist: list):
-    """A* over the flat cells from origin: the first popped index x with stop[first[x]] set, or None.
+def _astar(field: "DistanceField", cells, origin: int, h: list, tie: list, stop: bytearray, dist: list):
+    """A* over flat cells like the field's from origin: the first popped index x with stop[first[x]] set, or None.
 
-    `h`, `tie`, `first` and `dist` are indexed like `cells`, and `h` is a
-    consistent heuristic in exact costs. The heap pops by (g + h[x], tie[x],
-    x); `tie` may be `dist` itself, and then it is g. `dist` comes in
-    `_WALL` on every blocked index of `cells` and `_FAR` on every other, and
-    leaves with the best g found for every reached index, exact on every
-    closed one and on the returned one. A move is relaxed when its value is
-    below `dist[nxt]`, which no blocked index passes (`_WALL`) and no closed
-    one either: under a consistent heuristic its g is already optimal.
+    `h`, `tie` and `dist` are indexed like `cells`, and `h` is a consistent
+    heuristic in the field's exact costs; `first` is the field's. The heap
+    pops by (g + h[x], tie[x], x); `tie` may be `dist` itself, and then it
+    is g. `dist` comes in the field's `wall` on every blocked index of
+    `cells` and its `far` on every other, and leaves with the best g found
+    for every reached index, exact on every closed one and on the returned
+    one. A move is relaxed when its value is below `dist[nxt]`, which no
+    blocked index passes (`wall`) and no closed one either: under a
+    consistent heuristic its g is already optimal.
     """
     closed = bytearray(len(cells))
     push, pop = heapq.heappush, heapq.heappop
+    stride, first = field.stride, field.first
+    orth, diag = field.costs.orth, field.costs.diag
     straight, diagonals = _steps(stride)
     dist[origin] = 0
     open_heap = [(h[origin], tie[origin], origin)]
@@ -298,13 +344,13 @@ def _astar(cells, stride: int, origin: int, h: list, tie: list, first: list, sto
             return cur
         closed[cur] = 1
         d = dist[cur]
-        value = d + _ORTH
+        value = d + orth
         for offset in straight:
             nxt = cur + offset
             if value < dist[nxt]:
                 dist[nxt] = value
                 push(open_heap, (value + h[nxt], tie[nxt], nxt))
-        value = d + _DIAG
+        value = d + diag
         for offset, flank_a, flank_b in diagonals:
             nxt = cur + offset
             # no corner cutting: both orthogonal neighbours must be free
@@ -361,51 +407,53 @@ def _search(field: "DistanceField", placement: ObstaclePlacement, goal: Cell, to
     walks them to the same path as the forward search. The pass pushes
     each marked cell once onto a plain list, not a heap.
     """
-    stride = field.stride
+    stride, costs = field.stride, field.costs
     start, goal = _index(field.start, stride), _index(goal, stride)
-    if field.dist[goal] == _FAR:
+    if field.dist[goal] == costs.far:
         return None
     cells, dist = _obstructed(field, _covered(placement, field.grid, stride))
     origin, target, h = (goal, start, field.dist) if toward is None else (start, goal, toward.dist)
     stop = bytearray(field.reached)
     stop[field.first[target]] = 1
-    if _astar(cells, stride, origin, h, dist, field.first, stop, dist) is None:
+    if _astar(field, cells, origin, h, dist, stop, dist) is None:
         return None
     if toward is None:
         # the pass outward from the start: dist holds b, forward gets F
         optimum = dist[start]
         forward = field.blank[:]
         forward[start] = 0
+        orth, diag, far = costs.orth, costs.diag, costs.far
         straight, diagonals = _steps(stride)
         marked = [start]
         while marked:
             cur = marked.pop()
-            rest = dist[cur] - _ORTH
+            rest = dist[cur] - orth
             for offset in straight:
                 nxt = cur + offset
-                if dist[nxt] == rest and forward[nxt] == _FAR:
+                if dist[nxt] == rest and forward[nxt] == far:
                     forward[nxt] = optimum - rest
                     marked.append(nxt)
-            rest = dist[cur] - _DIAG
+            rest = dist[cur] - diag
             for offset, flank_a, flank_b in diagonals:
                 nxt = cur + offset
-                if dist[nxt] == rest and forward[nxt] == _FAR and not (cells[cur + flank_a] or cells[cur + flank_b]):
+                if dist[nxt] == rest and forward[nxt] == far and not (cells[cur + flank_a] or cells[cur + flank_b]):
                     forward[nxt] = optimum - rest
                     marked.append(nxt)
         dist = forward
-    return _backtrack(cells, stride, dist, start, goal)
+    return _backtrack(field, cells, dist, start, goal)
 
 
 class DistanceField:
     """Exact distances from `start` over `grid`, shared by every goal planned from it.
 
-    `cells` and `stride` are the grid's flat core. `dist` is indexed like
-    `cells`: each reached index's exact integer cost (see the module
-    docstring), `_WALL` on every blocked index, the border included, and
-    `_FAR` on every free one out of the start's reach. Moves are symmetric,
-    so these are also the distances back to the start. `blank` is the
-    template every search on the field copies for its own cost list:
-    `_WALL` where `dist` is, `_FAR` everywhere else. No search writes to
+    `cells` and `stride` are the grid's flat core, and `costs` is the tier
+    of exact costs that its size picks (see the module docstring). `dist` is
+    indexed like `cells`: each reached index's exact cost in that tier,
+    `costs.wall` on every blocked index, the border included, and
+    `costs.far` on every free one out of the start's reach. Moves are
+    symmetric, so these are also the distances back to the start. `blank`
+    is the template every search on the field copies for its own cost list:
+    `wall` where `dist` is, `far` everywhere else. No search writes to
     either.
 
     `parent`, `first` and `end` are indexed the same way and hold the
@@ -422,11 +470,11 @@ class DistanceField:
 
     # a plain class: a frozen dataclass builds its methods at import, which
     # measured about two thirds of this module's own import time
-    __slots__ = ("grid", "start", "cells", "stride", "blank", "dist", "parent", "first", "end")
+    __slots__ = ("grid", "start", "cells", "stride", "costs", "blank", "dist", "parent", "first", "end")
 
-    def __init__(self, grid: GridMap, start: Cell, cells: bytes, stride: int, blank: list, dist: list,
-                 parent: list, first: list, end: list):
-        self.grid, self.start, self.cells, self.stride = grid, start, cells, stride
+    def __init__(self, grid: GridMap, start: Cell, cells: bytes, stride: int, costs: _Costs, blank: list,
+                 dist: list, parent: list, first: list, end: list):
+        self.grid, self.start, self.cells, self.stride, self.costs = grid, start, cells, stride, costs
         self.blank, self.dist, self.parent, self.first, self.end = blank, dist, parent, first, end
 
     @property
@@ -462,7 +510,7 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
 
     `dist` starts as a copy of the field's `blank`, so a move is relaxed
     when its value is below `dist[nxt]`: never into a blocked index
-    (`_WALL`), and never into a settled one, whose cost is at most the
+    (`wall`), and never into a settled one, whose cost is at most the
     popped cell's, below the value. Stale entries are still discarded at
     the pop, by `done`.
     """
@@ -470,7 +518,10 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
     cells, stride = _flatten(grid)
     source = _index(start, stride)
     size = len(cells)
-    blank = [_WALL if c else _FAR for c in cells]
+    # the core's size alone picks the tier, so every field on the grid agrees
+    costs = _FLOAT_COSTS if size < _FLOAT_CELLS else _INT_COSTS
+    orth, diag, wall, far = costs.orth, costs.diag, costs.wall, costs.far
+    blank = [wall if c else far for c in cells]
     dist = blank[:]
     parent = [-1] * size
     done = bytearray(size)
@@ -495,13 +546,13 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
         done[cur] = 1
         order.append(cur)
         d = dist[cur]
-        value = d + _ORTH
+        value = d + orth
         for offset in straight:
             nxt = cur + offset
             if value < dist[nxt]:
                 dist[nxt], parent[nxt] = value, cur
                 push_straight(nxt)
-        value = d + _DIAG
+        value = d + diag
         for offset, flank_a, flank_b in diagonals:
             nxt = cur + offset
             if value < dist[nxt] and not (cells[cur + flank_a] or cells[cur + flank_b]):
@@ -523,7 +574,7 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
         slot = first[cur] = end[up]
         end[up] = slot + 1 + end[cur]
         end[cur] = slot + 1
-    return DistanceField(grid, start, cells, stride, blank, dist, parent, first, end)
+    return DistanceField(grid, start, cells, stride, costs, blank, dist, parent, first, end)
 
 
 def _check_field(field: DistanceField, grid: GridMap, start: Cell):
@@ -534,23 +585,25 @@ def _check_field(field: DistanceField, grid: GridMap, start: Cell):
         raise ValueError(f"the distance field starts at {field.start}, not at {start}")
 
 
-def _walk(cells: bytes, stride: int, dist: list, source: int, goal: int, highest: bool = False) -> list:
+def _walk(field: DistanceField, cells, dist: list, source: int, goal: int, highest: bool = False) -> list:
     """The indices of an optimal route on a search's exact costs, from goal back to source.
 
-    `dist` is indexed like `cells` and must hold the exact cost of goal and
-    of every optimal predecessor on the way back; it is `_WALL` on a blocked
-    index and `_FAR` where the search never reached, and neither plus a
-    step equals a cost. Walks back from the goal, each time to the
-    lowest-index neighbour whose exact cost plus the step equals the
-    current cost, or to the highest-index one when `highest` is set.
+    `cells` is the field's flat core or an obstructed copy of it, and `dist`
+    is indexed like it and must hold the exact cost, in the field's tier, of
+    goal and of every optimal predecessor on the way back; it is the tier's
+    `wall` on a blocked index and its `far` where the search never reached,
+    and neither plus a step equals a cost. Walks back from the goal, each
+    time to the lowest-index neighbour whose exact cost plus the step equals
+    the current cost, or to the highest-index one when `highest` is set.
     Raises RuntimeError when no neighbour does, which exact costs never
     allow.
     """
+    stride, costs = field.stride, field.costs
     straight, diagonals = _steps(stride)
     # (offset, step cost, flank, flank) in the walk's neighbour order; a
     # straight move has no flanks
-    moves = sorted([(offset, _ORTH, 0, 0) for offset in straight] + [(offset, _DIAG, a, b) for offset, a, b in diagonals],
-                   reverse=highest)
+    moves = sorted([(offset, costs.orth, 0, 0) for offset in straight]
+                   + [(offset, costs.diag, a, b) for offset, a, b in diagonals], reverse=highest)
     chain = [goal]
     cur = goal
     while cur != source:
@@ -566,10 +619,11 @@ def _walk(cells: bytes, stride: int, dist: list, source: int, goal: int, highest
     return chain
 
 
-def _backtrack(cells: bytes, stride: int, dist: list, source: int, goal: int) -> Path:
+def _backtrack(field: DistanceField, cells, dist: list, source: int, goal: int) -> Path:
     """The canonical Path from source to goal on a search's exact costs: `_walk`'s lowest-index route."""
-    chain = _walk(cells, stride, dist, source, goal)
+    chain = _walk(field, cells, dist, source, goal)
     chain.reverse()
+    stride = field.stride
     return Path.from_cells([_cell(i, stride) for i in chain])
 
 
@@ -584,7 +638,7 @@ def _spare(field: DistanceField, goal: Cell) -> bytearray:
     reach.
     """
     stride = field.stride
-    chain = _walk(field.cells, stride, field.dist, _index(field.start, stride), _index(goal, stride), True)
+    chain = _walk(field, field.cells, field.dist, _index(field.start, stride), _index(goal, stride), True)
     flanks = {offset: (a, b) for offset, a, b in _steps(stride)[1]}
     flags = bytearray(len(field.cells))
     for cur, prev in zip(chain, chain[1:]):
@@ -765,8 +819,8 @@ def _cost(field: DistanceField, placement: ObstaclePlacement, origin: Cell, targ
     cells, dist = _obstructed(field, covered)
     origin, target = _index(origin, stride), _index(target, stride)
     h = field.dist
-    cur = _astar(cells, stride, origin, h, h, field.first, _exits(field, cells, covered, target), dist)
-    return None if cur is None else _decode(dist[cur] + h[cur] - h[target])
+    cur = _astar(field, cells, origin, h, h, _exits(field, cells, covered, target), dist)
+    return None if cur is None else _decode(dist[cur] + h[cur] - h[target], field.costs)
 
 
 def _route(field: DistanceField, goal: Cell) -> Path:
@@ -778,9 +832,9 @@ def _route(field: DistanceField, goal: Cell) -> Path:
     check_endpoint(field.grid, "goal", goal)
     stride = field.stride
     target = _index(goal, stride)
-    if field.dist[target] == _FAR:
+    if field.dist[target] == field.costs.far:
         raise NoPathError(f"no path from {field.start} to {goal}")
-    return _backtrack(field.cells, stride, field.dist, _index(field.start, stride), target)
+    return _backtrack(field, field.cells, field.dist, _index(field.start, stride), target)
 
 
 def astar(grid: GridMap, start: Cell, goal: Cell) -> Path:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from gridjam import (
     Cell,
+    GridMap,
     NoPathError,
     Outcome,
     astar,
@@ -18,8 +19,10 @@ from gridjam import (
     planner,
 )
 from gridjam import attack as attack_module
-from conftest import BRANCH_TEXT, PROPERTY_SETTINGS, free_cells, grid_problems, random_case
+from gridjam.planner import _FLOAT_CELLS, _FLOAT_COSTS, _INT_COSTS
+from conftest import BRANCH_TEXT, MAZE_TEXT, PROPERTY_SETTINGS, free_cells, grid_problems, random_case
 from oracles import attack_oracle, dijkstra_oracle, enumerate_candidates, obstruct
+from sweep import attack_sweep
 
 SQRT2 = math.sqrt(2.0)
 
@@ -147,6 +150,38 @@ def test_oracle_agrees_on_fixtures(branch_map, corridor_map, open9_map):
         ref = attack_oracle(grid, start, goal, side)
         # the whole plan: baseline, every ledger entry and its cost, attacked path
         assert mine == ref
+
+
+def test_attacks_on_either_side_of_the_float_bound_match_the_oracle():
+    # A flat core of `_FLOAT_CELLS` cells or more keeps its exact costs in
+    # Python ints, a smaller one in doubles. The two maps below straddle
+    # that bound by one row: the test maze in the top-left corner, walls
+    # everywhere else, so that every search stays small. Both tiers give the
+    # oracle's plan, side 1 and side 3 alike.
+    corner = [[ch == "#" for ch in line] for line in MAZE_TEXT.split()]
+    width = 234
+    height = -(-_FLOAT_CELLS // (width + 2)) - 2  # the fewest rows that reach the bound
+    for rows, tier in ((height, _INT_COSTS), (height - 1, _FLOAT_COSTS)):
+        grid = GridMap(width, rows, 1.0, tuple(
+            tuple(corner[row] + [True] * (width - len(corner[row]))) if row < len(corner) else (True,) * width
+            for row in range(rows)
+        ))
+        field = distance_field(grid, Cell(1, 1))
+        assert field.costs is tier
+        if tier is _INT_COSTS:
+            assert (width + 2) * (rows + 2) >= _FLOAT_CELLS
+            assert all(type(cost) is int for cost in field.dist)
+        for side in (1, 3):
+            plan = brute_force_attack(grid, Cell(1, 1), Cell(9, 1), side, field)
+            assert plan == attack_oracle(grid, Cell(1, 1), Cell(9, 1), side)
+            assert plan.gain == 8.0
+
+
+def test_every_attack_on_every_3x3_map_matches_the_oracle():
+    # the exhaustive sweep of `tests/sweep.py`: all 512 maps, every ordered
+    # pair of free cells with a route, sides 1 and 3; CI sweeps the 4 x 3
+    # maps too (180,644 attacks)
+    assert attack_sweep(3, 3) == 13584
 
 
 def test_oracle_equivalence_random():

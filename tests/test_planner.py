@@ -23,10 +23,9 @@ from gridjam import (
 )
 from gridjam.data import scenario_names, scenario_path
 from gridjam.planner import (
-    _DIAG,
-    _FAR,
-    _ORTH,
-    _WALL,
+    _FLOAT_CELLS,
+    _FLOAT_COSTS,
+    _INT_COSTS,
     Path,
     _backtrack,
     _cell,
@@ -146,9 +145,9 @@ def test_backtrack_raises_when_no_neighbour_matches_the_cost():
     field = distance_field(parse_map("...\n"), Cell(0, 0))
     goal = _index(Cell(2, 0), field.stride)
     dist = list(field.dist)
-    dist[goal] += _ORTH
+    dist[goal] += field.costs.orth
     with pytest.raises(RuntimeError, match="^no neighbour of 2,0 matches its cost"):
-        _backtrack(field.cells, field.stride, dist, _index(Cell(0, 0), field.stride), goal)
+        _backtrack(field, field.cells, dist, _index(Cell(0, 0), field.stride), goal)
 
 
 def test_highest_first_walk_raises_when_no_neighbour_matches_the_cost():
@@ -156,15 +155,15 @@ def test_highest_first_walk_raises_when_no_neighbour_matches_the_cost():
     field = distance_field(parse_map("...\n"), Cell(0, 0))
     goal = _index(Cell(2, 0), field.stride)
     dist = list(field.dist)
-    dist[goal] += _ORTH
+    dist[goal] += field.costs.orth
     with pytest.raises(RuntimeError, match="^no neighbour of 2,0 matches its cost"):
-        _walk(field.cells, field.stride, dist, _index(Cell(0, 0), field.stride), goal, True)
+        _walk(field, field.cells, dist, _index(Cell(0, 0), field.stride), goal, True)
 
 
 def spare_route(field, goal):
     """The cells of the spare route from the field's start to goal."""
     stride = field.stride
-    chain = _walk(field.cells, stride, field.dist, _index(field.start, stride), _index(goal, stride), True)
+    chain = _walk(field, field.cells, field.dist, _index(field.start, stride), _index(goal, stride), True)
     return [_cell(i, stride) for i in reversed(chain)]
 
 
@@ -325,23 +324,25 @@ def component(grid, start):
 @given(grid_problems())
 def test_distance_field_matches_oracle_property(problem):
     # exact distances, a tree of optimal legal steps and its preorder
-    # intervals, on every cell the start reaches; `_WALL` on every blocked
-    # index, the border included, and `_FAR` on every free cell out of reach
+    # intervals, on every cell the start reaches; the tier's `wall` on every
+    # blocked index, the border included, and its `far` on every free cell
+    # out of reach
     grid, start, _ = problem
     field = distance_field(grid, start)
     stride, dist, parent, first, end = field.stride, field.dist, field.parent, field.first, field.end
+    costs = field.costs
     expected = oracle_distances(grid, start)
-    reached = {_cell(index, stride): index for index, cost in enumerate(dist) if cost not in (_FAR, _WALL)}
+    reached = {_cell(index, stride): index for index, cost in enumerate(dist) if cost not in (costs.far, costs.wall)}
     assert reached.keys() == expected.keys() == set(component(grid, start))
-    assert {index for index, cost in enumerate(dist) if cost == _WALL} == {
+    assert {index for index, cost in enumerate(dist) if cost == costs.wall} == {
         index for index, blocked in enumerate(field.cells) if blocked
     }
-    assert {index for index, cost in enumerate(dist) if cost == _FAR} == {
+    assert {index for index, cost in enumerate(dist) if cost == costs.far} == {
         _index(cell, stride) for cell in free_cells(grid) if cell not in reached
     }
     assert field.reached == len(reached)
     for cell, index in reached.items():
-        assert _decode(dist[index]) == expected[cell]
+        assert _decode(dist[index], costs) == expected[cell]
         if cell == start:
             assert parent[index] == -1
             continue
@@ -350,7 +351,7 @@ def test_distance_field_matches_oracle_property(problem):
         assert max(abs(dc), abs(dr)) == 1
         if dc and dr:
             assert is_free(grid, Cell(up.col + dc, up.row)) and is_free(grid, Cell(up.col, up.row + dr))
-        assert dist[parent[index]] + (_DIAG if dc and dr else _ORTH) == dist[index]
+        assert dist[parent[index]] + (costs.diag if dc and dr else costs.orth) == dist[index]
     # every parent is strictly nearer the start, so each chain ends there
     subtree = {index: set() for index in reached.values()}
     for index in reached.values():
@@ -477,10 +478,12 @@ def test_backward_search_marks_every_optimal_cell_and_no_other(text, start, goal
     assert _search(field, placement, goal) == _search(field, placement, goal, distance_field(grid, goal)) == expected
 
 
-# The planner's exact costs k*_ORTH + m*_DIAG order exactly like
-# k + m*sqrt(2) while every component stays below this bound (the `planner`
-# module docstring proves it).
-COMPONENT_BOUND = 2**25
+# The planner's exact costs k*orth + m*diag order exactly like
+# k + m*sqrt(2), and the float tier's doubles hold them exactly, while every
+# value has fewer steps k + m than its tier's bound: twice the cells of the
+# largest flat core the tier serves (the `planner` module docstring proves
+# both).
+TIER_BOUNDS = {"float": (_FLOAT_COSTS, 2 * _FLOAT_CELLS), "int": (_INT_COSTS, 2**25)}
 
 
 def sqrt2_convergents(limit):
@@ -496,19 +499,22 @@ def sqrt2_convergents(limit):
 
 
 @st.composite
-def near_tie_costs(draw):
-    """Two (k, m) step counts below COMPONENT_BOUND whose k + m*sqrt(2) nearly tie."""
+def near_tie_costs(draw, bound):
+    """Two (k, m) step counts, each of fewer than bound steps, whose k + m*sqrt(2) nearly tie."""
     if draw(st.booleans()):
-        # largest first: the closest tie, the one that breaks a short _ORTH
-        p, q = draw(st.sampled_from(list(sqrt2_convergents(COMPONENT_BOUND))[::-1]))
+        # largest first: the closest tie, the one that breaks a short orth
+        p, q = draw(st.sampled_from(list(sqrt2_convergents(bound))[::-1]))
         dm = draw(st.sampled_from((q, -q)))
         dk = -p if dm > 0 else p
     else:
-        reach = int((COMPONENT_BOUND - 2) / SQRT2)  # so that |dk| < COMPONENT_BOUND
+        reach = int((bound - 2) / SQRT2)  # so that |dk| < bound
         dm = draw(st.integers(-reach, reach))
         dk = -round(dm * SQRT2) + draw(st.integers(-1, 1))
-    m2 = draw(st.integers(max(0, -dm), min(COMPONENT_BOUND, COMPONENT_BOUND - dm) - 1))
-    k2 = draw(st.integers(max(0, -dk), min(COMPONENT_BOUND, COMPONENT_BOUND - dk) - 1))
+    # (k2, m2) and (k2 + dk, m2 + dm) both non-negative, with fewer than
+    # `room` steps in (k2, m2)
+    low_k, low_m, room = max(0, -dk), max(0, -dm), bound - max(0, dk + dm)
+    m2 = draw(st.integers(low_m, room - low_k - 1))
+    k2 = draw(st.integers(low_k, room - m2 - 1))
     return (k2 + dk, m2 + dm), (k2, m2)
 
 
@@ -521,13 +527,20 @@ def exact_sign(dk, dm):
     return (total > 0) - (total < 0)
 
 
+@pytest.mark.parametrize("tier", TIER_BOUNDS)
 @PROPERTY_SETTINGS
-@given(near_tie_costs())
-def test_integer_costs_decode_and_order_exactly_property(pair):
-    (k1, m1), (k2, m2) = pair
-    a, b = k1 * _ORTH + m1 * _DIAG, k2 * _ORTH + m2 * _DIAG
-    assert _decode(a).hex() == (k1 + m1 * SQRT2).hex()
-    assert _decode(b).hex() == (k2 + m2 * SQRT2).hex()
+@given(data=st.data())
+def test_integer_costs_decode_and_order_exactly_property(tier, data):
+    costs, bound = TIER_BOUNDS[tier]
+    (k1, m1), (k2, m2) = data.draw(near_tie_costs(bound))
+    assert max(k1 + m1, k2 + m2) < bound
+    a, b = k1 * costs.orth + m1 * costs.diag, k2 * costs.orth + m2 * costs.diag
+    # formed in the tier's own number type, each is the exact integer
+    assert a == k1 * int(costs.orth) + m1 * int(costs.diag) and b == k2 * int(costs.orth) + m2 * int(costs.diag)
+    if costs is _FLOAT_COSTS:
+        assert type(a) is type(b) is float and max(a, b) < 2**53
+    assert _decode(a, costs).hex() == (k1 + m1 * SQRT2).hex()
+    assert _decode(b, costs).hex() == (k2 + m2 * SQRT2).hex()
     assert (a > b) - (a < b) == exact_sign(k1 - k2, m1 - m2)
 
 
@@ -544,7 +557,8 @@ def test_cost_cuts_tree_routes_at_blocked_flanks():
     while field.parent[chain[-1]] >= 0:
         chain.append(field.parent[chain[-1]])
     assert chain == [_index(cell, stride) for cell in (goal, Cell(3, 1), Cell(2, 1), Cell(1, 1), start)]
-    assert field.dist[chain[0]] == 3 * _ORTH + _DIAG and _decode(field.dist[chain[0]]) == 3.0 + SQRT2
+    costs = field.costs
+    assert field.dist[chain[0]] == 3 * costs.orth + costs.diag and _decode(field.dist[chain[0]], costs) == 3.0 + SQRT2
     for flank in (Cell(1, 0), Cell(0, 1)):
         assert _cost(field, ObstaclePlacement(flank, 1), goal, start) == 5.0
         assert dijkstra_oracle(obstruct(grid, ObstaclePlacement(flank, 1)), goal, start).cost == 5.0

@@ -28,10 +28,16 @@ from .planner import (
 # (0.098) and `branch` (0.42) pass the gate, and so does the corridor, whose
 # candidates all block or cover an endpoint, so it builds no goal field;
 # `tunnel` (0.016), `twall` (0.048) and every warehouse goal (at most 0.031)
-# do not. With the two-queue field, 10 alternating 8 s pairs of
-# `attack-rooms` seed 13 (Python 3.11.7, 2 shared cores) without the gate
-# read candidates/s 5,551 -> 5,406 and p50 3.44 -> 3.74 ms, worse in 10 of
-# 10 pairs, but p90 5.78 -> 4.97 ms: the longest rooms routes gain too.
+# do not. Measured in-process (Python 3.11.7, 2 shared cores) by setting
+# this share to inf (never), 0.06 (the gate) and -1 (always), over the
+# first 64 problems of seeds 3 and 11 of each attack workload, each
+# problem's fastest of 15 interleaved runs per setting, and over one
+# `run_suite` pass through the seven scenarios of perfbench's `suite` (the
+# six bundled ones and the seeded one), against the gate: never cost
+# `attack-mazes` 0.6-2.3% of candidates/s and 6-9% of p90. Always made
+# `attack-rooms` p50 3-4% slower and the suite pass 66-67% slower, though
+# rooms candidates/s rose 5-6% and p90 fell 21-27%: the longest rooms
+# routes gain too.
 _GOAL_FIELD_SHARE = 0.06
 
 

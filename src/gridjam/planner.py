@@ -12,8 +12,8 @@ Every cost inside this module is exact: k orthogonal and m diagonal steps
 cost ``k * orth + m * diag``, with ``orth = 2**S`` and ``diag =
 round(SQRT2 * orth) | 1``. That is odd, and ``eps = diag - sqrt(2) * orth``
 is below 1.39 in absolute value. There are two tiers of these, `_Costs`,
-and a field picks one from the size n of its flat core alone (``len(cells)``,
-below), so every field on one grid picks the same:
+and a field picks one from the size n of its flat core alone (its number
+of indices, below), so every field on one grid picks the same:
 
 * the float tier, on a core of fewer than `_FLOAT_CELLS` = 59,000 cells
   (about 240 x 240): S = 35, eps about 1.38, C doubles, and the sentinels
@@ -68,7 +68,7 @@ col), which closes every cell of every optimal route before its search
 ends, and, when it searched from the goal, it turns those costs into
 start-side ones in one pass outward from the start.
 
-Every search runs on a flat core: the grid becomes one byte string with a
+Every search runs on a flat core: the grid becomes one list with a
 blocked border one cell wide, and cell (col, row) becomes the index
 ``(row + 1) * (width + 2) + col + 1``. That index sorts exactly like
 (row, col), so the heap orders and the backtrack's tie-break above use it
@@ -79,29 +79,33 @@ grid. Moves have two lengths only, so that Dijkstra keeps one FIFO queue
 per length instead of a heap. One function, `_steps`, defines the moves:
 every search relaxes a popped cell's 4 straight moves at one cost and
 then its 4 diagonals, the only moves with flanks to test, at the other.
-Every cost list holds its tier's two sentinels besides costs: `wall`,
-below every cost, on each blocked index, the border and an obstacle
-included, and `far`, above every cost, on each free index not reached
-yet. Each field keeps one template, `blank`, with `wall` on its blocked
-indices and `far` on the rest, and every search starts from a copy of it.
-A relaxation is then one test, ``value < dist[nxt]``, plus a diagonal's
-flank test on the flat cells:
+
+Each search's cost list is its only record of the map. Besides costs it
+holds its tier's two sentinels: `wall`, below every cost, on each blocked
+index, the border and an obstacle included, and `far`, above every cost,
+on each free index not reached yet. Each field keeps one template,
+`blank`, the grid itself: `wall` on its blocked indices and `far` on the
+rest. Every search starts from a copy of it, with its obstacle's indices
+set to `wall`, and nothing ever lowers a `wall`, so a flank is free
+exactly when its entry is not `wall`. A relaxation is then one test,
+``value < dist[nxt]``, plus a diagonal's two flank tests on the same list:
 
 * a blocked index: no value is below `wall`;
 * a settled cell of `distance_field`: cells settle in non-decreasing cost,
   so its cost is at most the popped cell's d, below d + step;
-* a closed cell of `_astar`: under a consistent heuristic its g is
+* a cell `_astar` has popped: under a consistent heuristic its g is
   already optimal, so no value is below it.
 
 So every search pushes and pops exactly what explicit blocked, settled and
-closed tests would let it; the settled and closed flags stay at the pop,
-where they discard stale entries.
+closed tests would let it. Stale entries are discarded at the pop: by
+`distance_field`'s settled flags, and by `_astar` when an entry's key is
+not the cell's current g + h, which exact keys decide exactly.
 
 A placement becomes the flat indices of the square that
 `ObstaclePlacement.extent` clips at the border. Callers ask six
 questions of the field, each answered by one function. Two of them,
 `_cost` and `_search`, run one A* kernel, `_astar`, on a copy of the
-field's grid with the obstacle blocked; they pass it their own heuristic,
+field's `blank` with the obstacle blocked; they pass it their own heuristic,
 tie-break and stop flags, and read their own result from its costs.
 
 * `_route`: the canonical route to a goal, backtracked on the field by the
@@ -257,18 +261,9 @@ def euclidean_distance(a: Cell, b: Cell, cell_size: float) -> float:
 
 # ----------------------------------------------------------- flat core
 #
-# A grid of width w and height h is one byte string of (w + 2) * (h + 2)
-# bytes, non-zero where occupied, with a blocked border one cell wide, so a
+# A grid of width w and height h is one cost list of (w + 2) * (h + 2)
+# entries, `wall` where occupied, with a blocked border one cell wide, so a
 # neighbour index never needs a bounds check. `stride` is w + 2.
-
-
-def _flatten(grid: GridMap) -> tuple:
-    """The grid's flat cells and their stride."""
-    stride = grid.width + 2
-    cells = bytearray(b"\x01") * (stride * (grid.height + 2))
-    for row, occupied in enumerate(grid.rows, 1):
-        cells[row * stride + 1:row * stride + 1 + grid.width] = bytes(occupied)
-    return bytes(cells), stride
 
 
 def _index(cell: Cell, stride: int) -> int:
@@ -281,15 +276,13 @@ def _covered(placement: ObstaclePlacement, grid: GridMap, stride: int) -> list:
     return [(row + 1) * stride + col + 1 for row in rows for col in cols]
 
 
-def _obstructed(field: "DistanceField", covered: list) -> tuple:
-    """(cells, dist): copies of the field's flat cells and of its `blank`, with the indices `covered` blocked."""
-    cells = bytearray(field.cells)
+def _obstructed(field: "DistanceField", covered: list) -> list:
+    """A copy of the field's `blank` with the indices `covered` blocked: `wall` on them too."""
     dist = field.blank[:]
     wall = field.costs.wall
     for index in covered:
-        cells[index] = 1
         dist[index] = wall
-    return cells, dist
+    return dist
 
 
 def _cell(index: int, stride: int) -> Cell:
@@ -309,6 +302,17 @@ def _steps(stride: int) -> tuple:
     )
 
 
+def _moves(field: "DistanceField") -> list:
+    """(offset, step cost, flank, flank) per move, by offset; a straight move's flanks are 0, the cell itself.
+
+    A move from a free cell is legal when neither flank holds `wall`, so
+    one test serves both kinds of move.
+    """
+    straight, diagonals = _steps(field.stride)
+    orth, diag = field.costs.orth, field.costs.diag
+    return sorted([(offset, orth, 0, 0) for offset in straight] + [(offset, diag, a, b) for offset, a, b in diagonals])
+
+
 def _decode(cost, costs: _Costs) -> float:
     """The float k + m*sqrt(2) of the exact cost k*orth + m*diag in the tier `costs`."""
     cost = int(cost)
@@ -316,34 +320,35 @@ def _decode(cost, costs: _Costs) -> float:
     return ((cost - m * int(costs.diag)) >> costs.bits) + m * SQRT2
 
 
-def _astar(field: "DistanceField", cells, origin: int, h: list, tie: list, stop: bytearray, dist: list):
-    """A* over flat cells like the field's from origin: the first popped index x with stop[first[x]] set, or None.
+def _astar(field: "DistanceField", origin: int, h: list, tie: list, stop: bytearray, dist: list):
+    """A* over the cost list `dist` from origin: the first popped index x with stop[first[x]] set, or None.
 
-    `h`, `tie` and `dist` are indexed like `cells`, and `h` is a consistent
-    heuristic in the field's exact costs; `first` is the field's. The heap
-    pops by (g + h[x], tie[x], x); `tie` may be `dist` itself, and then it
-    is g. `dist` comes in the field's `wall` on every blocked index of
-    `cells` and its `far` on every other, and leaves with the best g found
-    for every reached index, exact on every closed one and on the returned
-    one. A move is relaxed when its value is below `dist[nxt]`, which no
-    blocked index passes (`wall`) and no closed one either: under a
-    consistent heuristic its g is already optimal.
+    `h`, `tie` and `dist` are indexed like the field's flat core, and `h` is
+    a consistent heuristic in the field's exact costs; `first` is the
+    field's. The heap pops by (g + h[x], tie[x], x); `tie` may be `dist`
+    itself, and then it is g. `dist` comes in as the search's map: the
+    field's `wall` on every blocked index and its `far` on every other. It
+    leaves with the best g found for every reached index, exact on every
+    popped one and on the returned one. A move is relaxed when its value is
+    below `dist[nxt]`, which no blocked index passes (`wall`) and no popped
+    one either: under a consistent heuristic its g is already optimal. A
+    popped entry is stale when its key is not the cell's g + h: every push
+    lowers g, so only the cell's last entry matches, and it pops before any
+    older one. Keys are exact, so the test is too.
     """
-    closed = bytearray(len(cells))
     push, pop = heapq.heappush, heapq.heappop
     stride, first = field.stride, field.first
-    orth, diag = field.costs.orth, field.costs.diag
+    orth, diag, wall = field.costs.orth, field.costs.diag, field.costs.wall
     straight, diagonals = _steps(stride)
     dist[origin] = 0
     open_heap = [(h[origin], tie[origin], origin)]
     while open_heap:
-        cur = pop(open_heap)[2]
-        if closed[cur]:
+        key, _, cur = pop(open_heap)
+        d = dist[cur]
+        if key != d + h[cur]:
             continue
         if stop[first[cur]]:
             return cur
-        closed[cur] = 1
-        d = dist[cur]
         value = d + orth
         for offset in straight:
             nxt = cur + offset
@@ -354,7 +359,7 @@ def _astar(field: "DistanceField", cells, origin: int, h: list, tie: list, stop:
         for offset, flank_a, flank_b in diagonals:
             nxt = cur + offset
             # no corner cutting: both orthogonal neighbours must be free
-            if value < dist[nxt] and not (cells[cur + flank_a] or cells[cur + flank_b]):
+            if value < dist[nxt] and dist[cur + flank_a] != wall and dist[cur + flank_b] != wall:
                 dist[nxt] = value
                 push(open_heap, (value + h[nxt], tie[nxt], nxt))
     return None
@@ -411,50 +416,47 @@ def _search(field: "DistanceField", placement: ObstaclePlacement, goal: Cell, to
     start, goal = _index(field.start, stride), _index(goal, stride)
     if field.dist[goal] == costs.far:
         return None
-    cells, dist = _obstructed(field, _covered(placement, field.grid, stride))
+    covered = _covered(placement, field.grid, stride)
+    dist = _obstructed(field, covered)
     origin, target, h = (goal, start, field.dist) if toward is None else (start, goal, toward.dist)
     stop = bytearray(field.reached)
     stop[field.first[target]] = 1
-    if _astar(field, cells, origin, h, dist, stop, dist) is None:
+    if _astar(field, origin, h, dist, stop, dist) is None:
         return None
     if toward is None:
-        # the pass outward from the start: dist holds b, forward gets F
+        # the pass outward from the start: dist holds b, forward gets F on
+        # the same map
         optimum = dist[start]
-        forward = field.blank[:]
+        forward = _obstructed(field, covered)
         forward[start] = 0
-        orth, diag, far = costs.orth, costs.diag, costs.far
-        straight, diagonals = _steps(stride)
+        wall, far = costs.wall, costs.far
+        moves = _moves(field)
         marked = [start]
         while marked:
             cur = marked.pop()
-            rest = dist[cur] - orth
-            for offset in straight:
+            b = dist[cur]
+            for offset, step, flank_a, flank_b in moves:
                 nxt = cur + offset
-                if dist[nxt] == rest and forward[nxt] == far:
-                    forward[nxt] = optimum - rest
-                    marked.append(nxt)
-            rest = dist[cur] - diag
-            for offset, flank_a, flank_b in diagonals:
-                nxt = cur + offset
-                if dist[nxt] == rest and forward[nxt] == far and not (cells[cur + flank_a] or cells[cur + flank_b]):
-                    forward[nxt] = optimum - rest
+                if (dist[nxt] + step == b and forward[nxt] == far
+                        and dist[cur + flank_a] != wall and dist[cur + flank_b] != wall):
+                    forward[nxt] = optimum - dist[nxt]
                     marked.append(nxt)
         dist = forward
-    return _backtrack(field, cells, dist, start, goal)
+    return _backtrack(field, dist, start, goal)
 
 
 class DistanceField:
     """Exact distances from `start` over `grid`, shared by every goal planned from it.
 
-    `cells` and `stride` are the grid's flat core, and `costs` is the tier
-    of exact costs that its size picks (see the module docstring). `dist` is
-    indexed like `cells`: each reached index's exact cost in that tier,
-    `costs.wall` on every blocked index, the border included, and
-    `costs.far` on every free one out of the start's reach. Moves are
-    symmetric, so these are also the distances back to the start. `blank`
-    is the template every search on the field copies for its own cost list:
-    `wall` where `dist` is, `far` everywhere else. No search writes to
-    either.
+    `stride` is the width of the grid's flat core, and `costs` is the tier
+    of exact costs that its size picks (see the module docstring). `blank`
+    is the flat core itself, the only record of the map every search
+    reads: `costs.wall` on every blocked index, the border included, and
+    `costs.far` on every free one. Every search on the field copies it for
+    its own cost list. `dist` is indexed the same way: each reached index's
+    exact cost in that tier, `wall` where `blank` is, and `far` on every
+    free index out of the start's reach. Moves are symmetric, so these are
+    also the distances back to the start. No search writes to either.
 
     `parent`, `first` and `end` are indexed the same way and hold the
     field's shortest-path tree. `parent` is the index that last improved
@@ -470,11 +472,11 @@ class DistanceField:
 
     # a plain class: a frozen dataclass builds its methods at import, which
     # measured about two thirds of this module's own import time
-    __slots__ = ("grid", "start", "cells", "stride", "costs", "blank", "dist", "parent", "first", "end")
+    __slots__ = ("grid", "start", "stride", "costs", "blank", "dist", "parent", "first", "end")
 
-    def __init__(self, grid: GridMap, start: Cell, cells: bytes, stride: int, costs: _Costs, blank: list,
+    def __init__(self, grid: GridMap, start: Cell, stride: int, costs: _Costs, blank: list,
                  dist: list, parent: list, first: list, end: list):
-        self.grid, self.start, self.cells, self.stride, self.costs = grid, start, cells, stride, costs
+        self.grid, self.start, self.stride, self.costs = grid, start, stride, costs
         self.blank, self.dist, self.parent, self.first, self.end = blank, dist, parent, first, end
 
     @property
@@ -508,20 +510,27 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
     settled, and popping the stale head only discards it. So every pop
     that settles a cell takes the cheapest live entry, as a heap would.
 
-    `dist` starts as a copy of the field's `blank`, so a move is relaxed
-    when its value is below `dist[nxt]`: never into a blocked index
-    (`wall`), and never into a settled one, whose cost is at most the
-    popped cell's, below the value. Stale entries are still discarded at
-    the pop, by `done`.
+    The grid goes straight into the field's `blank`, and `dist` starts as a
+    copy of it, so a move is relaxed when its value is below `dist[nxt]`:
+    never into a blocked index (`wall`), and never into a settled one, whose
+    cost is at most the popped cell's, below the value. A diagonal's flanks
+    are tested against `wall` on the same list. Stale entries are still
+    discarded at the pop, by `done`.
     """
     check_endpoint(grid, "start", start)
-    cells, stride = _flatten(grid)
+    stride = grid.width + 2
     source = _index(start, stride)
-    size = len(cells)
+    size = stride * (grid.height + 2)
     # the core's size alone picks the tier, so every field on the grid agrees
     costs = _FLOAT_COSTS if size < _FLOAT_CELLS else _INT_COSTS
     orth, diag, wall, far = costs.orth, costs.diag, costs.wall, costs.far
-    blank = [wall if c else far for c in cells]
+    # the top border and the first row's left one, then each row with its
+    # right border and the next row's left one, then the rest of the bottom
+    blank = [wall] * (stride + 1)
+    for occupied in grid.rows:
+        blank += [wall if c else far for c in occupied]
+        blank += (wall, wall)
+    blank += [wall] * (stride - 1)
     dist = blank[:]
     parent = [-1] * size
     done = bytearray(size)
@@ -555,7 +564,7 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
         value = d + diag
         for offset, flank_a, flank_b in diagonals:
             nxt = cur + offset
-            if value < dist[nxt] and not (cells[cur + flank_a] or cells[cur + flank_b]):
+            if value < dist[nxt] and dist[cur + flank_a] != wall and dist[cur + flank_b] != wall:
                 dist[nxt], parent[nxt] = value, cur
                 push_diagonal(nxt)
     # number the tree in preorder: count each cell's descendants in reverse
@@ -574,7 +583,7 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
         slot = first[cur] = end[up]
         end[up] = slot + 1 + end[cur]
         end[cur] = slot + 1
-    return DistanceField(grid, start, cells, stride, costs, blank, dist, parent, first, end)
+    return DistanceField(grid, start, stride, costs, blank, dist, parent, first, end)
 
 
 def _check_field(field: DistanceField, grid: GridMap, start: Cell):
@@ -585,32 +594,30 @@ def _check_field(field: DistanceField, grid: GridMap, start: Cell):
         raise ValueError(f"the distance field starts at {field.start}, not at {start}")
 
 
-def _walk(field: DistanceField, cells, dist: list, source: int, goal: int, highest: bool = False) -> list:
+def _walk(field: DistanceField, dist: list, source: int, goal: int, highest: bool = False) -> list:
     """The indices of an optimal route on a search's exact costs, from goal back to source.
 
-    `cells` is the field's flat core or an obstructed copy of it, and `dist`
-    is indexed like it and must hold the exact cost, in the field's tier, of
-    goal and of every optimal predecessor on the way back; it is the tier's
-    `wall` on a blocked index and its `far` where the search never reached,
-    and neither plus a step equals a cost. Walks back from the goal, each
-    time to the lowest-index neighbour whose exact cost plus the step equals
-    the current cost, or to the highest-index one when `highest` is set.
-    Raises RuntimeError when no neighbour does, which exact costs never
-    allow.
+    `dist` is the field's `dist` or a search's cost list, indexed like the
+    field's flat core. It must hold the exact cost, in the field's tier, of
+    goal and of every optimal predecessor on the way back, and it is the
+    search's map too: the tier's `wall` on each blocked index, which every
+    flank test reads, and its `far` where the search never reached. Neither
+    sentinel plus a step equals a cost. Walks back from the goal, each time
+    to the lowest-index neighbour whose exact cost plus the step equals the
+    current cost, or to the highest-index one when `highest` is set. Raises
+    RuntimeError when no neighbour does, which exact costs never allow.
     """
-    stride, costs = field.stride, field.costs
-    straight, diagonals = _steps(stride)
-    # (offset, step cost, flank, flank) in the walk's neighbour order; a
-    # straight move has no flanks
-    moves = sorted([(offset, costs.orth, 0, 0) for offset in straight]
-                   + [(offset, costs.diag, a, b) for offset, a, b in diagonals], reverse=highest)
+    stride, wall = field.stride, field.costs.wall
+    moves = _moves(field)
+    if highest:
+        moves.reverse()
     chain = [goal]
     cur = goal
     while cur != source:
         d = dist[cur]
         for offset, step, flank_a, flank_b in moves:
             prev = cur + offset
-            if dist[prev] + step == d and not (flank_a and (cells[cur + flank_a] or cells[cur + flank_b])):
+            if dist[prev] + step == d and dist[cur + flank_a] != wall and dist[cur + flank_b] != wall:
                 break
         else:
             raise RuntimeError(f"no neighbour of {_cell(cur, stride)} matches its cost: dist is not exact")
@@ -619,9 +626,9 @@ def _walk(field: DistanceField, cells, dist: list, source: int, goal: int, highe
     return chain
 
 
-def _backtrack(field: DistanceField, cells, dist: list, source: int, goal: int) -> Path:
+def _backtrack(field: DistanceField, dist: list, source: int, goal: int) -> Path:
     """The canonical Path from source to goal on a search's exact costs: `_walk`'s lowest-index route."""
-    chain = _walk(field, cells, dist, source, goal)
+    chain = _walk(field, dist, source, goal)
     chain.reverse()
     stride = field.stride
     return Path.from_cells([_cell(i, stride) for i in chain])
@@ -638,33 +645,34 @@ def _spare(field: DistanceField, goal: Cell) -> bytearray:
     reach.
     """
     stride = field.stride
-    chain = _walk(field, field.cells, field.dist, _index(field.start, stride), _index(goal, stride), True)
-    flanks = {offset: (a, b) for offset, a, b in _steps(stride)[1]}
-    flags = bytearray(len(field.cells))
+    chain = _walk(field, field.dist, _index(field.start, stride), _index(goal, stride), True)
+    # a straight move's flanks are the cell itself
+    flanks = {offset: (a, b) for offset, _, a, b in _moves(field)}
+    flags = bytearray(len(field.dist))
     for cur, prev in zip(chain, chain[1:]):
-        flags[cur] = 1
-        if prev - cur in flanks:
-            flank_a, flank_b = flanks[prev - cur]
-            flags[cur + flank_a] = flags[cur + flank_b] = 1
+        flank_a, flank_b = flanks[prev - cur]
+        flags[cur] = flags[cur + flank_a] = flags[cur + flank_b] = 1
     flags[chain[-1]] = 1
     return flags
 
 
-def _lowpoint_dfs(cells: bytes, stride: int, root: int) -> tuple:
-    """Tarjan's lowpoint DFS over the 4-connected free cells from root.
+def _lowpoint_dfs(field: DistanceField, root: int) -> tuple:
+    """Tarjan's lowpoint DFS over the 4-connected free cells of the field's grid from root.
 
-    Returns (parent, disc, low), indexed like `cells`: the DFS tree parent
+    A cell is free where the field's `blank` is not `wall`. Returns (parent,
+    disc, low), indexed like `blank`: the DFS tree parent
     (-1 at the root and off the tree), the discovery time (from 1; 0 where
     root's component does not reach) and the lowest discovery time among
     the cell, its subtree and the cells they reach by one non-tree edge.
     Iterative, so a long corridor cannot exhaust the recursion limit.
     """
-    size = len(cells)
+    blank, wall = field.blank, field.costs.wall
+    size = len(blank)
     parent = [-1] * size
     disc = [0] * size
     low = [0] * size
     tried = bytearray(size)  # moves tried so far from each cell on the stack
-    straight = _steps(stride)[0]
+    straight = _steps(field.stride)[0]
     disc[root] = low[root] = clock = 1
     stack = [root]
     while stack:
@@ -678,7 +686,7 @@ def _lowpoint_dfs(cells: bytes, stride: int, root: int) -> tuple:
             continue
         tried[cur] = move + 1
         nxt = cur + straight[move]
-        if cells[nxt]:
+        if blank[nxt] == wall:
             continue
         seen = disc[nxt]
         if not seen:
@@ -710,7 +718,7 @@ def _separators(field: DistanceField, goal: Cell) -> set:
     Tarjan 1973).
     """
     stride = field.stride
-    parent, disc, low = _lowpoint_dfs(field.cells, stride, _index(field.start, stride))
+    parent, disc, low = _lowpoint_dfs(field, _index(field.start, stride))
     cuts = set()
     child = _index(goal, stride)
     up = parent[child]
@@ -724,22 +732,22 @@ def _separators(field: DistanceField, goal: Cell) -> set:
 def _corridor(field: DistanceField, cells) -> list:
     """A flag per route cell: set where it and the cell before it both have exactly two legal moves.
 
-    Moves are counted with `_steps` on the field's unobstructed grid. The
-    first cell has no cell before it and is never flagged. A flagged cell's
-    one-cell obstacle forces the same detour as its predecessor's (see the
-    module docstring) when neither is an endpoint.
+    Moves are counted with `_steps` on the field's `blank`, the unobstructed
+    grid. The first cell has no cell before it and is never flagged. A
+    flagged cell's one-cell obstacle forces the same detour as its
+    predecessor's (see the module docstring) when neither is an endpoint.
     """
-    flat, stride = field.cells, field.stride
+    blank, stride, wall = field.blank, field.stride, field.costs.wall
     straight, diagonals = _steps(stride)
     flags, before = [], False
     for cell in cells:
         x = _index(cell, stride)
         moves = 0
         for offset in straight:
-            if not flat[x + offset]:
+            if blank[x + offset] != wall:
                 moves += 1
         for offset, flank_a, flank_b in diagonals:
-            if not (flat[x + offset] or flat[x + flank_a] or flat[x + flank_b]):
+            if blank[x + offset] != wall and blank[x + flank_a] != wall and blank[x + flank_b] != wall:
                 moves += 1
         two = moves == 2
         flags.append(before and two)
@@ -747,12 +755,12 @@ def _corridor(field: DistanceField, cells) -> list:
     return flags
 
 
-def _exits(field: DistanceField, cells: bytearray, covered: list, target: int) -> bytearray:
+def _exits(field: DistanceField, dist: list, covered: list, target: int) -> bytearray:
     """A flag per preorder number of the field's tree, set where the tree route to target survives.
 
-    `covered` holds the indices of the blocked cells, `cells` is the field's
-    flat core with them blocked, and `target` is an index the field
-    reached. The flag of cell x is at first[x]. x has a tree route up to
+    `covered` holds the indices of the blocked cells, `dist` is a search's
+    cost list with them blocked (`_obstructed`), read for its `wall` alone,
+    and `target` is an index the field reached. The flag of cell x is at first[x]. x has a tree route up to
     target when it is in target's subtree. The route stays legal with
     `covered` blocked unless it passes a cut root: a blocked cell, or an
     orthogonal neighbour y of one whose step to parent(y) is a diagonal with
@@ -766,13 +774,13 @@ def _exits(field: DistanceField, cells: bytearray, covered: list, target: int) -
     lo, hi = first[target], end[target]
     flags = bytearray(end[_index(field.start, stride)])
     flags[lo:hi] = b"\x01" * (hi - lo)
-    straight = _steps(stride)[0]
+    straight, wall = _steps(stride)[0], field.costs.wall
     for blocked in covered:
         # the interval of a cell out of the field's reach is empty
         flags[first[blocked]:end[blocked]] = bytes(end[blocked] - first[blocked])
         for offset in straight:
             root = blocked + offset
-            if cells[root]:
+            if dist[root] == wall:
                 continue  # a blocked root is cut as a blocked cell, a wall has no tree
             up = parent[root]
             # up is next to root and blocked is next to both, so the step is a
@@ -790,7 +798,7 @@ def _cost(field: DistanceField, placement: ObstaclePlacement, origin: Cell, targ
     list when the caller has built it already; `origin` and `target` are free
     cells in the component of the field's root, outside the placement, so
     every move the search takes stays inside it. The search runs on a copy
-    of the field's grid with the placement blocked, and its heuristic is
+    of the field's `blank` with the placement blocked, and its heuristic is
     the field's distance from its root, d_r. Toward any target t that is
     the same as d_r(x) - d_r(t), shifted by a constant that leaves the pop
     order unchanged. Blocking cells only removes moves, so by the triangle
@@ -816,10 +824,10 @@ def _cost(field: DistanceField, placement: ObstaclePlacement, origin: Cell, targ
     stride = field.stride
     if covered is None:
         covered = _covered(placement, field.grid, stride)
-    cells, dist = _obstructed(field, covered)
+    dist = _obstructed(field, covered)
     origin, target = _index(origin, stride), _index(target, stride)
     h = field.dist
-    cur = _astar(field, cells, origin, h, h, _exits(field, cells, covered, target), dist)
+    cur = _astar(field, origin, h, h, _exits(field, dist, covered, target), dist)
     return None if cur is None else _decode(dist[cur] + h[cur] - h[target], field.costs)
 
 
@@ -834,7 +842,7 @@ def _route(field: DistanceField, goal: Cell) -> Path:
     target = _index(goal, stride)
     if field.dist[target] == field.costs.far:
         raise NoPathError(f"no path from {field.start} to {goal}")
-    return _backtrack(field, field.cells, field.dist, _index(field.start, stride), target)
+    return _backtrack(field, field.dist, _index(field.start, stride), target)
 
 
 def astar(grid: GridMap, start: Cell, goal: Cell) -> Path:

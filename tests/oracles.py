@@ -8,11 +8,14 @@ relies on.
 """
 
 import heapq
+import math
 
 from gridjam.attack import AttackPlan, CandidateEval, Outcome
 from gridjam.errors import BadEndpointError, NoPathError
 from gridjam.gridmap import Cell, GridMap, ObstaclePlacement
-from gridjam.planner import SQRT2, Path
+from gridjam.planner import Path
+
+SQRT2 = math.sqrt(2.0)
 
 # A replanned cost must beat the best so far by more than this to win. The
 # oracle keeps its own tolerance, independent of the code under test.
@@ -29,7 +32,7 @@ def dijkstra_oracle(grid: GridMap, start: Cell, goal: Cell) -> Path:
         if not (0 <= cell.col < grid.width and 0 <= cell.row < grid.height) or grid.rows[cell.row][cell.col]:
             raise BadEndpointError(f"{label} {cell} is occupied or outside the map")
     if start == goal:
-        return Path.from_cells((start,))
+        return priced_path((start,))
     _, via, done = _dijkstra(grid, start, goal)
     if goal not in done:
         raise NoPathError(f"no path from {start} to {goal}")
@@ -37,7 +40,17 @@ def dijkstra_oracle(grid: GridMap, start: Cell, goal: Cell) -> Path:
     while cells[-1] != start:
         cells.append(via[cells[-1]])
     cells.reverse()
-    return Path.from_cells(cells)
+    return priced_path(cells)
+
+
+def priced_path(cells) -> Path:
+    """A Path of these cells priced by counting its steps: k straight and m diagonal ones cost k + m * SQRT2.
+
+    The planner prices its own paths; this arithmetic is the oracle's, so
+    a comparison of costs checks the planner's against it.
+    """
+    diagonal = sum(1 for a, b in zip(cells, cells[1:]) if a.col != b.col and a.row != b.row)
+    return Path(tuple(cells), len(cells) - 1 - diagonal + diagonal * SQRT2)
 
 
 def oracle_distances(grid: GridMap, start: Cell) -> dict:

@@ -374,7 +374,9 @@ SUITE_POPS = {
 # comparing costs, so they show that the sentinel costs alone decide the
 # same relaxations. They were also the counts of the kernels that held
 # every cost as a Python int, before maps of this size took the float tier
-# (`planner._FLOAT_CELLS`), so they show that doubles decide them too.
+# (`planner._FLOAT_CELLS`), so they show that doubles decide them too, and
+# of the kernels that tested flanks on a byte grid and kept closed flags,
+# so they show that each search's cost list alone decides them.
 SUITE_PUSHES = {
     "warehouse": {"start field": 839, "_cost": 6488, "_search": 2109},
     "turn": {"start field": 620, "goal field": 620, "_cost": 1467, "_search": 368},

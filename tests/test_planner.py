@@ -26,7 +26,6 @@ from gridjam.planner import (
     _FLOAT_CELLS,
     _FLOAT_COSTS,
     _INT_COSTS,
-    Path,
     _backtrack,
     _cell,
     _corridor,
@@ -40,7 +39,7 @@ from gridjam.planner import (
     _walk,
 )
 from conftest import PROPERTY_SETTINGS, free_cells, grid_problems, is_free, random_case
-from oracles import dijkstra_oracle, obstruct, oracle_distances
+from oracles import dijkstra_oracle, obstruct, oracle_distances, priced_path
 
 SQRT2 = math.sqrt(2.0)
 
@@ -147,7 +146,7 @@ def test_backtrack_raises_when_no_neighbour_matches_the_cost():
     dist = list(field.dist)
     dist[goal] += field.costs.orth
     with pytest.raises(RuntimeError, match="^no neighbour of 2,0 matches its cost"):
-        _backtrack(field, field.cells, dist, _index(Cell(0, 0), field.stride), goal)
+        _backtrack(field, dist, _index(Cell(0, 0), field.stride), goal)
 
 
 def test_highest_first_walk_raises_when_no_neighbour_matches_the_cost():
@@ -157,13 +156,13 @@ def test_highest_first_walk_raises_when_no_neighbour_matches_the_cost():
     dist = list(field.dist)
     dist[goal] += field.costs.orth
     with pytest.raises(RuntimeError, match="^no neighbour of 2,0 matches its cost"):
-        _walk(field, field.cells, dist, _index(Cell(0, 0), field.stride), goal, True)
+        _walk(field, dist, _index(Cell(0, 0), field.stride), goal, True)
 
 
 def spare_route(field, goal):
     """The cells of the spare route from the field's start to goal."""
     stride = field.stride
-    chain = _walk(field, field.cells, field.dist, _index(field.start, stride), _index(goal, stride), True)
+    chain = _walk(field, field.dist, _index(field.start, stride), _index(goal, stride), True)
     return [_cell(i, stride) for i in reversed(chain)]
 
 
@@ -324,9 +323,10 @@ def component(grid, start):
 @given(grid_problems())
 def test_distance_field_matches_oracle_property(problem):
     # exact distances, a tree of optimal legal steps and its preorder
-    # intervals, on every cell the start reaches; the tier's `wall` on every
-    # blocked index, the border included, and its `far` on every free cell
-    # out of reach
+    # intervals, on every cell the start reaches; `blank` is the grid itself,
+    # the tier's `wall` on every blocked index, the border included, and its
+    # `far` on every free one; `dist` keeps `wall` there and `far` on every
+    # free cell out of reach
     grid, start, _ = problem
     field = distance_field(grid, start)
     stride, dist, parent, first, end = field.stride, field.dist, field.parent, field.first, field.end
@@ -334,8 +334,11 @@ def test_distance_field_matches_oracle_property(problem):
     expected = oracle_distances(grid, start)
     reached = {_cell(index, stride): index for index, cost in enumerate(dist) if cost not in (costs.far, costs.wall)}
     assert reached.keys() == expected.keys() == set(component(grid, start))
+    assert (stride, len(dist)) == (grid.width + 2, (grid.width + 2) * (grid.height + 2))
+    free = {_index(cell, stride) for cell in free_cells(grid)}
+    assert field.blank == [costs.far if index in free else costs.wall for index in range(len(dist))]
     assert {index for index, cost in enumerate(dist) if cost == costs.wall} == {
-        index for index, blocked in enumerate(field.cells) if blocked
+        index for index in range(len(dist)) if index not in free
     }
     assert {index for index, cost in enumerate(dist) if cost == costs.far} == {
         _index(cell, stride) for cell in free_cells(grid) if cell not in reached
@@ -402,7 +405,7 @@ def test_spare_route_decides_exact_costs_property(problem):
         return
     baseline = astar(grid, start, goal)
     route = spare_route(field, goal)
-    spare = Path.from_cells(route)
+    spare = priced_path(route)
     assert_valid_path(grid, spare, start, goal)
     assert spare.cost == baseline.cost
     flagged = set(route)

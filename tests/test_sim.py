@@ -163,7 +163,7 @@ def test_searches_leave_a_shared_field_as_built(maze_map, monkeypatch):
     cfg = SimConfig(speed=1.0, eval_time_per_candidate=0.0, attack_start_delay=1.0)
     assert all(simulate(maze_map, plan, cfg, field).attack_success for plan in plans)
     assert replans == [Cell(1, 2)] * 2
-    assert field.blank == [field.costs.wall if blocked else field.costs.far for blocked in field.cells]
+    assert field.blank == distance_field(maze_map, start).blank
     assert field.dist == distance_field(maze_map, start).dist
 
 

@@ -101,6 +101,19 @@ closed tests would let it. Stale entries are discarded at the pop: by
 `distance_field`'s settled flags, and by `_astar` when an entry's key is
 not the cell's current g + h, which exact keys decide exactly.
 
+One private counter, `_work`, keeps the searches' work: a fixed list of
+ints. Each search kind, `distance_field`, `_cost` and `_search`, has three
+slots from its base (`_FIELD`, `_COST`, `_SEARCH`): its searches, pops and
+pushes; `_BACKTRACK` and `_LOWPOINT` count the calls of `_backtrack` and
+`_lowpoint_dfs`. A pop is one entry taken off a search's heap or queues,
+stale entries included, and a push is one entry put on them other than the
+origin's seed. Each kernel counts its pops in a local int and adds to the
+counter once, at its end; `_astar` adds to the kind its caller names. Each
+derives its pushes: `_astar`'s are its pops plus what its heap still
+holds, less the seed, and `distance_field`'s queues drain, so its pushes
+are its pops less the seed. `_search`'s pass outward from the start pushes
+onto a plain list, not a heap, and is not counted.
+
 A placement becomes the flat indices of the square that
 `ObstaclePlacement.extent` clips at the border. Callers ask six
 questions of the field, each answered by one function. Two of them,
@@ -223,6 +236,10 @@ _FLOAT_COSTS = _Costs(35, float, -math.inf, math.inf)
 # lies strictly between its sentinels
 _INT_COSTS = _Costs(52, int, -(1 << 120), 1 << 120)
 
+# the work counter (see above): three slots from each search kind's base
+_FIELD, _COST, _SEARCH, _BACKTRACK, _LOWPOINT = 0, 3, 6, 9, 10
+_work = [0] * 11
+
 
 @dataclass(frozen=True)
 class Path:
@@ -320,7 +337,7 @@ def _decode(cost, costs: _Costs) -> float:
     return ((cost - m * int(costs.diag)) >> costs.bits) + m * SQRT2
 
 
-def _astar(field: "DistanceField", origin: int, h: list, tie: list, stop: bytearray, dist: list):
+def _astar(field: "DistanceField", origin: int, h: list, tie: list, stop: bytearray, dist: list, kind: int):
     """A* over the cost list `dist` from origin: the first popped index x with stop[first[x]] set, or None.
 
     `h`, `tie` and `dist` are indexed like the field's flat core, and `h` is
@@ -334,7 +351,8 @@ def _astar(field: "DistanceField", origin: int, h: list, tie: list, stop: bytear
     one either: under a consistent heuristic its g is already optimal. A
     popped entry is stale when its key is not the cell's g + h: every push
     lowers g, so only the cell's last entry matches, and it pops before any
-    older one. Keys are exact, so the test is too.
+    older one. Keys are exact, so the test is too. The search's work goes
+    to the counter's slots from `kind`, its caller's.
     """
     push, pop = heapq.heappush, heapq.heappop
     stride, first = field.stride, field.first
@@ -342,13 +360,15 @@ def _astar(field: "DistanceField", origin: int, h: list, tie: list, stop: bytear
     straight, diagonals = _steps(stride)
     dist[origin] = 0
     open_heap = [(h[origin], tie[origin], origin)]
+    pops = 0
     while open_heap:
         key, _, cur = pop(open_heap)
+        pops += 1
         d = dist[cur]
         if key != d + h[cur]:
             continue
         if stop[first[cur]]:
-            return cur
+            break
         value = d + orth
         for offset in straight:
             nxt = cur + offset
@@ -362,7 +382,12 @@ def _astar(field: "DistanceField", origin: int, h: list, tie: list, stop: bytear
             if value < dist[nxt] and dist[cur + flank_a] != wall and dist[cur + flank_b] != wall:
                 dist[nxt] = value
                 push(open_heap, (value + h[nxt], tie[nxt], nxt))
-    return None
+    else:
+        cur = None
+    _work[kind] += 1
+    _work[kind + 1] += pops
+    _work[kind + 2] += pops + len(open_heap) - 1
+    return cur
 
 
 def _search(field: "DistanceField", placement: ObstaclePlacement, goal: Cell, toward: "DistanceField" = None):
@@ -421,7 +446,7 @@ def _search(field: "DistanceField", placement: ObstaclePlacement, goal: Cell, to
     origin, target, h = (goal, start, field.dist) if toward is None else (start, goal, toward.dist)
     stop = bytearray(field.reached)
     stop[field.first[target]] = 1
-    if _astar(field, origin, h, dist, stop, dist) is None:
+    if _astar(field, origin, h, dist, stop, dist, _SEARCH) is None:
         return None
     if toward is None:
         # the pass outward from the start: dist holds b, forward gets F on
@@ -535,6 +560,7 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
     parent = [-1] * size
     done = bytearray(size)
     order = []  # settle order: every cell after its parent
+    stale = 0
     straight_queue, diagonal_queue = deque((source,)), deque()
     pop_straight, pop_diagonal = straight_queue.popleft, diagonal_queue.popleft
     push_straight, push_diagonal = straight_queue.append, diagonal_queue.append
@@ -551,6 +577,7 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
         else:
             break
         if done[cur]:
+            stale += 1
             continue
         done[cur] = 1
         order.append(cur)
@@ -567,6 +594,10 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
             if value < dist[nxt] and dist[cur + flank_a] != wall and dist[cur + flank_b] != wall:
                 dist[nxt], parent[nxt] = value, cur
                 push_diagonal(nxt)
+    pops = len(order) + stale
+    _work[_FIELD] += 1
+    _work[_FIELD + 1] += pops
+    _work[_FIELD + 2] += pops - 1
     # number the tree in preorder: count each cell's descendants in reverse
     # settle order; then, in settle order, each cell takes the slot at its
     # parent's cursor, moves that cursor past its own subtree and starts its
@@ -628,6 +659,7 @@ def _walk(field: DistanceField, dist: list, source: int, goal: int, highest: boo
 
 def _backtrack(field: DistanceField, dist: list, source: int, goal: int) -> Path:
     """The canonical Path from source to goal on a search's exact costs: `_walk`'s lowest-index route."""
+    _work[_BACKTRACK] += 1
     chain = _walk(field, dist, source, goal)
     chain.reverse()
     stride = field.stride
@@ -666,6 +698,7 @@ def _lowpoint_dfs(field: DistanceField, root: int) -> tuple:
     the cell, its subtree and the cells they reach by one non-tree edge.
     Iterative, so a long corridor cannot exhaust the recursion limit.
     """
+    _work[_LOWPOINT] += 1
     blank, wall = field.blank, field.costs.wall
     size = len(blank)
     parent = [-1] * size
@@ -732,21 +765,19 @@ def _separators(field: DistanceField, goal: Cell) -> set:
 def _corridor(field: DistanceField, cells) -> list:
     """A flag per route cell: set where it and the cell before it both have exactly two legal moves.
 
-    Moves are counted with `_steps` on the field's `blank`, the unobstructed
-    grid. The first cell has no cell before it and is never flagged. A
+    Moves are counted over `_moves` on the field's `blank`, the unobstructed
+    grid; a straight move's flanks are the cell itself, which is free on a
+    route. The first cell has no cell before it and is never flagged. A
     flagged cell's one-cell obstacle forces the same detour as its
     predecessor's (see the module docstring) when neither is an endpoint.
     """
     blank, stride, wall = field.blank, field.stride, field.costs.wall
-    straight, diagonals = _steps(stride)
+    table = _moves(field)
     flags, before = [], False
     for cell in cells:
         x = _index(cell, stride)
         moves = 0
-        for offset in straight:
-            if blank[x + offset] != wall:
-                moves += 1
-        for offset, flank_a, flank_b in diagonals:
+        for offset, _, flank_a, flank_b in table:
             if blank[x + offset] != wall and blank[x + flank_a] != wall and blank[x + flank_b] != wall:
                 moves += 1
         two = moves == 2
@@ -827,7 +858,7 @@ def _cost(field: DistanceField, placement: ObstaclePlacement, origin: Cell, targ
     dist = _obstructed(field, covered)
     origin, target = _index(origin, stride), _index(target, stride)
     h = field.dist
-    cur = _astar(field, origin, h, h, _exits(field, dist, covered, target), dist)
+    cur = _astar(field, origin, h, h, _exits(field, dist, covered, target), dist, _COST)
     return None if cur is None else _decode(dist[cur] + h[cur] - h[target], field.costs)
 
 

@@ -59,8 +59,9 @@ class Scenario:
     """One experiment: a map, a start, its goals, and the race's timing.
 
     Its name, obstacle side and repeats are checked by the readers that
-    check a scenario file's, raising ValueError, so one built in code holds
-    no value that a file could not.
+    check a scenario file's, raising ValueError, and its repeats must be an
+    int, bools excluded, as a file's are read: so one built in code holds no
+    value that a file could not.
     """
 
     name: str
@@ -74,6 +75,8 @@ class Scenario:
     def __post_init__(self):
         _check_name(self.name, ValueError)
         check_side(self.obstacle_side, "obstacle_side", ValueError)
+        if isinstance(self.repeats, bool) or not isinstance(self.repeats, int):  # `check_side`'s type rule
+            raise ValueError(f"repeats must be an integer, got {self.repeats!r}")
         check_positive(self.repeats, "repeats", ValueError)
 
 

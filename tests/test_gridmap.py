@@ -83,7 +83,7 @@ def test_out_of_bounds_is_not_free():
     assert not grid.in_bounds(Cell(0, 2))
 
 
-def test_apply_obstacle_single_cell():
+def test_side1_square_covers_its_centre_cell_only():
     # a side-1 obstacle laid on the map blocks its centre cell and nothing else
     grid = parse_map("\n".join(["....."] * 5))
     placement = ObstaclePlacement(Cell(2, 2), 1)

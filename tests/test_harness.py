@@ -1,14 +1,10 @@
 """Suite protocol, metric aggregation, and the CSV report."""
 
-import heapq
 import itertools
-import sys
-from collections import Counter, deque
-from types import SimpleNamespace
+from collections import Counter
 
 import pytest
 
-import gridjam
 from gridjam import (
     ADVERSARIAL,
     BENIGN,
@@ -266,66 +262,40 @@ def test_read_csv_rejects_bad_success(suite_dir, tmp_path):
     assert str(err.value) == f"{out}:3: success must be 'true', 'false' or blank, got 'maybe'"
 
 
-def _count_calls(monkeypatch, functions):
-    """Count calls to the given package functions through every module binding."""
-    counts = dict.fromkeys((fn.__name__ for fn in functions), 0)
-    for original in functions:
-
-        def counted(*args, _original=original, _name=original.__name__, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        for module_name, module in list(sys.modules.items()):
-            if module_name.partition(".")[0] == "gridjam":
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counted)
-    return counts
+# The planner's work counter, `planner._work`, keeps three slots from each
+# search kind's base: its searches, pops and pushes.
+KINDS = {"distance_field": planner._FIELD, "_cost": planner._COST, "_search": planner._SEARCH}
 
 
-def _count_pops(monkeypatch, start, pushed=None):
-    """Count the planner's heap and queue pops by the search they serve.
+def _since(before):
+    """The planner's work since its counter read `before`, one int per slot."""
+    return [now - then for now, then in zip(planner._work, before)]
 
-    A pop is credited to the nearest `distance_field`, `_cost` or `_search`
-    frame up the stack, so the A* kernel that both searches call counts
-    toward its caller. A field's pops are credited to its root: "start
-    field" for a field from `start`, "goal field" for one from a goal.
-    Heap pushes and the field's queue appends are credited the same way,
-    into the Counter `pushed` when one is given.
+
+def _by_kind(work, start_field=None):
+    """`work` in the pins' form: (searches, pops, pushes), each by search kind.
+
+    Searches count every kind, zeros included. Pops and pushes leave zeros
+    out and credit a field's to its root: `start_field` is the work of one
+    field from the start, built alone, which `work` includes; the rest of
+    the fields' goes to "goal field".
     """
-    pops = Counter()
-    pushes = Counter() if pushed is None else pushed
-    searches = {"distance_field", "_cost", "_search"}
+    searches = {name: work[slot] for name, slot in KINDS.items()}
+    parts = []
+    for part in (1, 2):  # pops, then pushes
+        own = start_field[planner._FIELD + part] if start_field else 0
+        counts = {
+            "start field": own, "goal field": work[planner._FIELD + part] - own,
+            "_cost": work[planner._COST + part], "_search": work[planner._SEARCH + part],
+        }
+        parts.append({name: n for name, n in counts.items() if n})
+    return searches, *parts
 
-    def credit(counter):
-        frame = sys._getframe(2)
-        while frame.f_code.co_name not in searches:
-            frame = frame.f_back
-        name = frame.f_code.co_name
-        if name == "distance_field":
-            name = "start field" if frame.f_locals["start"] == start else "goal field"
-        counter[name] += 1
 
-    def heappop(heap):
-        credit(pops)
-        return heapq.heappop(heap)
-
-    def heappush(heap, item):
-        credit(pushes)
-        heapq.heappush(heap, item)
-
-    class CountingDeque(deque):
-        def popleft(self):
-            credit(pops)
-            return super().popleft()
-
-        def append(self, item):
-            credit(pushes)
-            super().append(item)
-
-    monkeypatch.setattr(planner, "heapq", SimpleNamespace(heappush=heappush, heappop=heappop))
-    monkeypatch.setattr(planner, "deque", CountingDeque)
-    return pops
+def _start_field(grid, start):
+    """A field from start, built alone, and its work."""
+    before = planner._work[:]
+    return distance_field(grid, start), _since(before)
 
 
 # Exact counts of the planner's flat-core work: exactly one distance field
@@ -386,27 +356,26 @@ GOAL_FIELDS = {"warehouse": 0, "turn": 1, "branch": 1}
 
 
 @pytest.mark.parametrize("name", SUITE_CALLS)
-def test_each_goal_is_solved_once(name, monkeypatch, tmp_path):
-    counts = _count_calls(
-        monkeypatch,
-        (planner._search, planner._backtrack, planner._cost, planner.distance_field, gridjam.brute_force_attack),
-    )
+def test_each_goal_is_solved_once(name, tmp_path):
     scenario = load_scenario(scenario_path(name))
-    pushed = Counter()
-    popped = _count_pops(monkeypatch, scenario.start, pushed)
+    _, start_field = _start_field(scenario.grid, scenario.start)
+    before = planner._work[:]
     _, summary = run_suite(scenario)
+    work = _since(before)
+    searches, pops, pushes = _by_kind(work, start_field)
     assert not summary.skipped_goals
-    assert counts["brute_force_attack"] == len(scenario.goals)
-    assert counts["distance_field"] == 1 + GOAL_FIELDS[name]
+    assert searches["distance_field"] == 1 + GOAL_FIELDS[name]
     canonical = SUITE_CALLS[name]["_search"]
-    assert counts["_search"] == canonical == sum(1 for plan in summary.plans if plan.best is not None)
-    assert counts["_backtrack"] == len(scenario.goals) + canonical
-    assert counts["_cost"] == SUITE_CALLS[name]["_cost"]
-    assert popped == SUITE_POPS[name]
-    assert pushed == SUITE_PUSHES[name]
-    solved = dict(counts)
+    assert searches["_search"] == canonical == sum(1 for plan in summary.plans if plan.best is not None)
+    # every attack backtracks its baseline once, so this pins one attack per
+    # goal; each side-1 attack runs one lowpoint DFS
+    assert work[planner._BACKTRACK] == len(scenario.goals) + canonical
+    assert work[planner._LOWPOINT] == (len(scenario.goals) if scenario.obstacle_side == 1 else 0)
+    assert searches["_cost"] == SUITE_CALLS[name]["_cost"]
+    assert pops == SUITE_POPS[name]
+    assert pushes == SUITE_PUSHES[name]
     render_scenario_svgs(scenario, summary.plans, tmp_path)
-    assert counts == solved  # rendering reuses the suite's plans
+    assert _since(before) == work  # rendering reuses the suite's plans
 
 
 # The evaluated candidates that the spare route (`planner._spare`) decides
@@ -417,14 +386,14 @@ def test_each_goal_is_solved_once(name, monkeypatch, tmp_path):
 SPARED = {"branch": 0, "corridor": 0, "tunnel": 0, "turn": 50, "twall": 0, "warehouse": 149}
 
 
-def test_the_spare_route_decides_zero_gain_candidates(monkeypatch):
-    counts = _count_calls(monkeypatch, (planner._cost,))
+def test_the_spare_route_decides_zero_gain_candidates():
     spared = {}
     for name in scenario_names():
         scenario = load_scenario(scenario_path(name))
         grid, start, side = scenario.grid, scenario.start, scenario.obstacle_side
         field = distance_field(grid, start)
-        counts["_cost"] = searched = spared[name] = 0
+        before = planner._work[planner._COST]
+        searched = spared[name] = 0
         for goal in scenario.goals:
             plan = brute_force_attack(grid, start, goal, side, field)
             flags = planner._spare(field, goal)
@@ -441,7 +410,7 @@ def test_the_spare_route_decides_zero_gain_candidates(monkeypatch):
                 else:
                     assert entry.cost == plan.baseline.cost
                     spared[name] += 1
-        assert counts["_cost"] == searched
+        assert planner._work[planner._COST] - before == searched
     assert spared == SPARED
 
 
@@ -457,31 +426,33 @@ def test_the_spare_route_decides_zero_gain_candidates(monkeypatch):
 # `_search` made 66, and 197 in 22 searches before each corridor was
 # searched once.
 # Tighten these; never loosen them.
-def test_blocking_side1_candidates_are_not_searched(maze_map, monkeypatch):
-    counts = _count_calls(monkeypatch, (planner._cost, planner._lowpoint_dfs, planner.distance_field))
+def test_blocking_side1_candidates_are_not_searched(maze_map):
     start = Cell(1, 1)
-    popped = _count_pops(monkeypatch, start)
-    field = distance_field(maze_map, start)
+    before = planner._work[:]
+    field, start_field = _start_field(maze_map, start)
     plans = [brute_force_attack(maze_map, start, goal, 1, field) for goal in (Cell(9, 1), Cell(7, 1))]
+    work = _since(before)
     outcomes = [[entry.outcome for entry in plan.ledger] for plan in plans]
     evaluated = sum(row.count(Outcome.EVALUATED) for row in outcomes)
     blocking = sum(row.count(Outcome.BLOCKING) for row in outcomes)
     assert (evaluated, blocking) == (22, 6)
     searched = 4
-    # one field from each goal; the test's own start field is built through
-    # its own import of `distance_field`, which `_count_calls` leaves alone
-    assert counts == {"_cost": searched, "_lowpoint_dfs": 2, "distance_field": 2}
-    assert popped == {"start field": 41, "goal field": 82, "_cost": 40, "_search": 65}
+    searches, pops, _ = _by_kind(work, start_field)
+    # the test's own start field and one field from each goal
+    assert (searches["distance_field"], searches["_cost"], work[planner._LOWPOINT]) == (3, searched, 2)
+    assert pops == {"start field": 41, "goal field": 82, "_cost": 40, "_search": 65}
 
+    before = planner._work[:]
     brute_force_attack(maze_map, start, Cell(9, 1), 3, field)
-    assert counts["_lowpoint_dfs"] == 2
+    assert _since(before)[planner._LOWPOINT] == 0
 
 
 # Which fields and searches an attack runs depends on its problem alone, not
 # on whether the caller shares the start's field: handed
 # `distance_field(grid, start)`, an attack returns the same plan with the
-# same searches and the same pops, less that field's. Three problems pin
-# their ledger's outcomes and their work too:
+# same work in every slot of the planner's counter, less that field's. Three
+# problems, each attacked on its own field, pin their ledger's outcomes and
+# their work too:
 # - the maze's baseline to (9,1) holds 17 of the 41 reached cells, so the
 #   attack builds a field from the goal (`attack._GOAL_FIELD_SHARE`) and
 #   scores the candidates in the first half of the baseline from the start;
@@ -516,77 +487,25 @@ OWN_FIELD_WORK = {
 }
 
 
-def test_an_attack_does_the_same_work_on_a_shared_field(maze_map, monkeypatch):
+def test_an_attack_does_the_same_work_on_a_shared_field(maze_map):
     scenarios = [(name, load_scenario(scenario_path(name))) for name in scenario_names()]
     problems = [(name, s.grid, s.start, s.goals) for name, s in scenarios]
     problems.append(("maze", maze_map, Cell(1, 1), (Cell(9, 1), Cell(7, 1))))
-    counts = _count_calls(monkeypatch, (planner.distance_field, planner._cost, planner._search))
-    cases = 0
+    cases, pinned = 0, set()
     for name, grid, start, goals in problems:
-        popped = _count_pops(monkeypatch, start)
         for goal, side in itertools.product(goals, (1, 3)):
-            field = distance_field(grid, start)
-            work = []
-            for shared in (None, field):
-                counts.update(dict.fromkeys(counts, 0))
-                popped.clear()
-                work.append((brute_force_attack(grid, start, goal, side, shared), dict(counts), +popped))
-            (own, own_calls, own_pops), (plan, calls, pops) = work
-            assert plan == own
-            assert calls == {**own_calls, "distance_field": own_calls["distance_field"] - 1}
-            assert pops + Counter({"start field": field.reached}) == own_pops
+            field, start_field = _start_field(grid, start)
+            assert start_field[planner._FIELD + 1] == field.reached
+            before = planner._work[:]
+            own = brute_force_attack(grid, start, goal, side)
+            own_work = _since(before)
+            before = planner._work[:]
+            assert brute_force_attack(grid, start, goal, side, field) == own
+            assert [alone + shared for alone, shared in zip(start_field, _since(before))] == own_work
             if (name, goal, side) in OWN_FIELD_WORK:
                 outcomes = Counter(entry.outcome.value for entry in own.ledger)
-                assert (outcomes, own_calls, own_pops) == OWN_FIELD_WORK[name, goal, side]
+                assert (outcomes, *_by_kind(own_work, start_field)[:2]) == OWN_FIELD_WORK[name, goal, side]
+                pinned.add((name, goal, side))
             cases += 1
     assert cases == 60
-
-
-# The same three problems, each attacked on its own field first. On the maze
-# the baseline to (9,1) is long, so the attack adds a field from the goal;
-# on a shared field the attack makes the same searches. Its 12 evaluated
-# candidates lie in two one-cell corridors, so `_cost` runs twice; it ran
-# 12 times, with 108 pops, before each corridor was searched once.
-def test_own_field_attack_on_a_long_route_adds_a_goal_field(maze_map, monkeypatch):
-    start, goal = Cell(1, 1), Cell(9, 1)
-    shared = brute_force_attack(maze_map, start, goal, 1, distance_field(maze_map, start))
-    counts = _count_calls(monkeypatch, (planner.distance_field, planner._cost, planner._search))
-    popped = _count_pops(monkeypatch, start)
-    assert brute_force_attack(maze_map, start, goal, 1) == shared
-    assert sum(1 for entry in shared.ledger if entry.outcome is Outcome.EVALUATED) == 12
-    searched = 2
-    assert counts == {"distance_field": 2, "_cost": searched, "_search": 1}
-    assert popped == {"start field": 41, "goal field": 41, "_cost": 23, "_search": 32}
-
-
-def test_own_field_attack_on_a_wide_map_builds_one_field(monkeypatch):
-    # the warehouse goal whose baseline holds the largest share of the
-    # start's component, 0.031, stays below the gate
-    scenario = load_scenario(scenario_path("warehouse"))
-    grid, start, goal, side = scenario.grid, scenario.start, Cell(37, 27), scenario.obstacle_side
-    assert goal in scenario.goals
-    counts = _count_calls(monkeypatch, (planner.distance_field,))
-    popped = _count_pops(monkeypatch, start)
-    own = brute_force_attack(grid, start, goal, side)
-    assert counts["distance_field"] == 1
-    own_pops = dict(popped)
-    popped.clear()
-    assert brute_force_attack(grid, start, goal, side, distance_field(grid, start)) == own
-    assert popped == own_pops
-
-
-def test_own_field_attack_builds_no_goal_field_it_never_scores_on(monkeypatch):
-    # the bundled corridor's baseline is its whole component, so the gate
-    # passes, but every side-1 candidate covers an endpoint or is a cut
-    # vertex: none is scored on a goal field, so none is built
-    scenario = load_scenario(scenario_path("corridor"))
-    grid, start, goal = scenario.grid, scenario.start, scenario.goals[0]
-    counts = _count_calls(monkeypatch, (planner.distance_field, planner._cost))
-    popped = _count_pops(monkeypatch, start)
-    own = brute_force_attack(grid, start, goal, 1)
-    assert {entry.outcome for entry in own.ledger} == {Outcome.INFEASIBLE, Outcome.BLOCKING}
-    assert counts == {"distance_field": 1, "_cost": 0}
-    own_pops = dict(popped)
-    popped.clear()
-    assert brute_force_attack(grid, start, goal, 1, distance_field(grid, start)) == own
-    assert popped == own_pops
+    assert pinned == set(OWN_FIELD_WORK)

@@ -21,6 +21,7 @@ from gridjam import (
     parse_map,
     prefix_costs,
 )
+from gridjam import planner
 from gridjam.data import scenario_names, scenario_path
 from gridjam.planner import (
     _FLOAT_CELLS,
@@ -317,6 +318,38 @@ def component(grid, start):
                 seen.add(nxt)
                 todo.append(nxt)
     return sorted(seen)
+
+
+def test_the_work_counter_keeps_its_slots():
+    # the counter is a fixed list of ints, with no slot per map, root or
+    # cell that would grow over a long run of attacks
+    slots = len(planner._work)
+    before = planner._work[:]
+    rng = random.Random(0)
+    sizes = set()
+    while len(sizes) < 20:
+        grid, start, goal = random_case(rng, 16, 12)
+        if (grid.width, grid.height) in sizes:
+            continue
+        try:
+            brute_force_attack(grid, start, goal, rng.choice((1, 3)))
+        except NoPathError:
+            continue
+        sizes.add((grid.width, grid.height))
+    assert planner._work[planner._FIELD] - before[planner._FIELD] >= 20
+    assert len(planner._work) == slots
+    assert all(type(count) is int for count in planner._work)
+
+
+def test_a_field_counts_its_stale_pops():
+    # a small map on which the field pops stale diagonal entries: 19 cells
+    # settle and 2 stale entries pop, as a count of the queues' own pops and
+    # appends agreed; the queues drain, so every entry but the seed was
+    # pushed
+    grid = parse_map("...\n...\n...\n.#.\n...\n#..\n...\n")
+    before = planner._work[:]
+    assert distance_field(grid, Cell(0, 0)).reached == 19
+    assert [now - then for now, then in zip(planner._work[:3], before)] == [1, 21, 20]
 
 
 @PROPERTY_SETTINGS

@@ -142,10 +142,14 @@ def test_negative_eval_time(scenario_dir):
 
 def test_hand_built_scenario_checks_its_numbers():
     # a scenario built in code is held to a scenario file's rules: 0 repeats
-    # would write no run yet report a summary
+    # would write no run yet report a summary; a file's repeats reads as an
+    # int, and a float would fail in `run_suite` and True run one repeat
     scenario = load_scenario(scenario_path("branch"))
     with pytest.raises(ValueError, match="^repeats must be positive and finite, got 0$"):
         replace(scenario, repeats=0)
+    for repeats in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match=f"^repeats must be an integer, got {repeats}$"):
+            replace(scenario, repeats=repeats)
     with pytest.raises(ValueError, match="^obstacle_side must be an odd positive integer, got 2$"):
         replace(scenario, obstacle_side=2)
 

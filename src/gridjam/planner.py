@@ -97,9 +97,10 @@ exactly when its entry is not `wall`. A relaxation is then one test,
   already optimal, so no value is below it.
 
 So every search pushes and pops exactly what explicit blocked, settled and
-closed tests would let it. Stale entries are discarded at the pop: by
-`distance_field`'s settled flags, and by `_astar` when an entry's key is
-not the cell's current g + h, which exact keys decide exactly.
+closed tests would let it. Each kernel discards stale entries at the pop
+by its own rule, which exact costs decide exactly: `distance_field` a
+diagonal entry whose cell's tree parent is a straight step away, and
+`_astar` an entry whose key is not the cell's current g + h.
 
 One private counter, `_work`, keeps the searches' work: a fixed list of
 ints. Each search kind, `distance_field`, `_cost` and `_search`, has three
@@ -539,8 +540,17 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
     copy of it, so a move is relaxed when its value is below `dist[nxt]`:
     never into a blocked index (`wall`), and never into a settled one, whose
     cost is at most the popped cell's, below the value. A diagonal's flanks
-    are tested against `wall` on the same list. Stale entries are still
-    discarded at the pop, by `done`.
+    are tested against `wall` on the same list.
+
+    Stale entries are still discarded at the pop, and the tree tells them
+    without settled flags. A popped straight entry is live, by the above.
+    A popped diagonal entry of x is stale exactly when a straight push has
+    replaced it: a diagonal push never follows a straight one, since a
+    cell settled later costs d' >= d and d' + diag > d + orth, and a cell
+    has one entry per queue, so that straight push is x's last
+    improvement. So the entry is stale exactly when x's `parent` step is
+    straight, when dist[x] - dist[parent[x]] is `orth`: a diagonal parent
+    differs by `diag`, and exact costs decide it exactly in either tier.
     """
     check_endpoint(grid, "start", start)
     stride = grid.width + 2
@@ -558,7 +568,6 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
     blank += [wall] * (stride - 1)
     dist = blank[:]
     parent = [-1] * size
-    done = bytearray(size)
     order = []  # settle order: every cell after its parent
     stale = 0
     straight_queue, diagonal_queue = deque((source,)), deque()
@@ -566,20 +575,15 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
     push_straight, push_diagonal = straight_queue.append, diagonal_queue.append
     straight, diagonals = _steps(stride)
     dist[source] = 0
-    while True:
-        if straight_queue:
-            if diagonal_queue and dist[diagonal_queue[0]] < dist[straight_queue[0]]:
-                cur = pop_diagonal()
-            else:
-                cur = pop_straight()
-        elif diagonal_queue:
-            cur = pop_diagonal()
+    while straight_queue or diagonal_queue:
+        if straight_queue and not (diagonal_queue and dist[diagonal_queue[0]] < dist[straight_queue[0]]):
+            cur = pop_straight()
         else:
-            break
-        if done[cur]:
-            stale += 1
-            continue
-        done[cur] = 1
+            cur = pop_diagonal()
+            # stale exactly when a straight push has replaced it since
+            if dist[cur] - dist[parent[cur]] == orth:
+                stale += 1
+                continue
         order.append(cur)
         d = dist[cur]
         value = d + orth
@@ -688,34 +692,38 @@ def _spare(field: DistanceField, goal: Cell) -> bytearray:
     return flags
 
 
-def _lowpoint_dfs(field: DistanceField, root: int) -> tuple:
+def _lowpoint_dfs(field: DistanceField, root: int, goal: int) -> tuple:
     """Tarjan's lowpoint DFS over the 4-connected free cells of the field's grid from root.
 
-    A cell is free where the field's `blank` is not `wall`. Returns (parent,
-    disc, low), indexed like `blank`: the DFS tree parent
-    (-1 at the root and off the tree), the discovery time (from 1; 0 where
-    root's component does not reach) and the lowest discovery time among
-    the cell, its subtree and the cells they reach by one non-tree edge.
+    A cell is free where the field's `blank` is not `wall`. The stack is
+    always the tree path from root to the cell on top, so it gives each
+    finished cell's parent, the new top after its pop, and goal's chain of
+    ancestors, a copy taken when goal is pushed. Returns (chain, disc,
+    low): that chain, from root to goal ([root] when goal is root), and,
+    indexed like `blank`, the discovery time (from 1; 0 where root's
+    component does not reach) and the lowest discovery time among the
+    cell, its subtree and the cells they reach by one non-tree edge.
     Iterative, so a long corridor cannot exhaust the recursion limit.
     """
     _work[_LOWPOINT] += 1
     blank, wall = field.blank, field.costs.wall
     size = len(blank)
-    parent = [-1] * size
     disc = [0] * size
     low = [0] * size
     tried = bytearray(size)  # moves tried so far from each cell on the stack
     straight = _steps(field.stride)[0]
     disc[root] = low[root] = clock = 1
     stack = [root]
+    chain = [root]
     while stack:
         cur = stack[-1]
         move = tried[cur]
         if move == 4:
             stack.pop()
-            up = parent[cur]
-            if up >= 0 and low[cur] < low[up]:
-                low[up] = low[cur]
+            if stack:
+                up = stack[-1]
+                if low[cur] < low[up]:
+                    low[up] = low[cur]
             continue
         tried[cur] = move + 1
         nxt = cur + straight[move]
@@ -725,13 +733,14 @@ def _lowpoint_dfs(field: DistanceField, root: int) -> tuple:
         if not seen:
             clock += 1
             disc[nxt] = low[nxt] = clock
-            parent[nxt] = cur
             stack.append(nxt)
+            if nxt == goal:
+                chain = stack[:]
         elif seen < low[cur]:
             # the edge back to the parent counts too: it can only lower
             # low(cur) to disc(parent), which passes the test in _separators
             low[cur] = seen
-    return parent, disc, low
+    return chain, disc, low
 
 
 def _separators(field: DistanceField, goal: Cell) -> set:
@@ -748,18 +757,12 @@ def _separators(field: DistanceField, goal: Cell) -> set:
     tree those are the goal's proper ancestors p below the root whose child
     a toward goal has low(a) >= disc(p): nothing in a's subtree, which
     holds goal, reaches above p without passing p (Tarjan 1972; Hopcroft &
-    Tarjan 1973).
+    Tarjan 1973). Each such pair (p, a) is consecutive on the DFS's chain
+    from the root to goal.
     """
     stride = field.stride
-    parent, disc, low = _lowpoint_dfs(field, _index(field.start, stride))
-    cuts = set()
-    child = _index(goal, stride)
-    up = parent[child]
-    while up >= 0 and parent[up] >= 0:
-        if low[child] >= disc[up]:
-            cuts.add(_cell(up, stride))
-        child, up = up, parent[up]
-    return cuts
+    chain, disc, low = _lowpoint_dfs(field, _index(field.start, stride), _index(goal, stride))
+    return {_cell(up, stride) for up, child in zip(chain[1:], chain[2:]) if low[child] >= disc[up]}
 
 
 def _corridor(field: DistanceField, cells) -> list:

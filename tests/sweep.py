@@ -21,13 +21,13 @@ from oracles import attack_oracle
 def attack_sweep(width: int, height: int, sides=(1, 3)) -> int:
     """Compare every attack on every width x height map with `attack_oracle`; return how many were compared.
 
-    Each of the 2**(width * height) maps takes every ordered pair of
-    distinct free cells as its start and goal, with each obstacle side in
-    `sides`, and one field per start serves all of its goals. A pair with
-    no route must raise NoPathError in both and is not counted; any other
-    pair must give the oracle's whole plan: baseline, every ledger entry
-    and the attacked path. Raises AssertionError naming the first case
-    that differs.
+    Each of the 2**(width * height) maps takes every ordered pair of free
+    cells as its start and goal, a cell paired with itself included, with
+    each obstacle side in `sides`, and one field per start serves all of
+    its goals. A pair with no route must raise NoPathError in both and is
+    not counted; any other pair must give the oracle's whole plan:
+    baseline, every ledger entry and the attacked path. Raises
+    AssertionError naming the first case that differs.
     """
     cells = [Cell(col, row) for row in range(height) for col in range(width)]
     compared = 0
@@ -38,8 +38,6 @@ def attack_sweep(width: int, height: int, sides=(1, 3)) -> int:
         for start in free:
             field = distance_field(grid, start)
             for goal in free:
-                if goal == start:
-                    continue
                 for side in sides:
                     case = f"map {bits:0{width * height}b}, start {start}, goal {goal}, side {side}"
                     try:

@@ -179,9 +179,9 @@ def test_attacks_on_either_side_of_the_float_bound_match_the_oracle():
 
 def test_every_attack_on_every_3x3_map_matches_the_oracle():
     # the exhaustive sweep of `tests/sweep.py`: all 512 maps, every ordered
-    # pair of free cells with a route, sides 1 and 3; CI sweeps the 4 x 3
-    # maps too (180,644 attacks)
-    assert attack_sweep(3, 3) == 13584
+    # pair of free cells with a route, start == goal included, sides 1 and
+    # 3; CI sweeps the 4 x 3 maps too (229,796 attacks)
+    assert attack_sweep(3, 3) == 18192
 
 
 def test_every_attack_on_every_3x3_map_matches_the_oracle_in_the_int_tier(monkeypatch):
@@ -192,7 +192,7 @@ def test_every_attack_on_every_3x3_map_matches_the_oracle_in_the_int_tier(monkey
     # meets an int `wall`; CI sweeps the 4 x 3 maps in this tier too
     monkeypatch.setattr(planner, "_FLOAT_CELLS", 0)
     assert distance_field(parse_map("...\n"), Cell(0, 0)).costs is _INT_COSTS
-    assert attack_sweep(3, 3) == 13584
+    assert attack_sweep(3, 3) == 18192
 
 
 def test_oracle_equivalence_random():

@@ -89,12 +89,13 @@ def brute_force_attack(
     baseline is backtracked from the field, a candidate is scored by its
     cost alone from the goal back to the start with the field as the
     heuristic, and only the winner is planned as a canonical path. A side-1
-    candidate that blocks is known from one lowpoint DFS from the start
-    without a search (see `planner._separators`); it still costs a planning
-    round. So does a side-1 candidate in a one-cell corridor: when it and
-    the cell before it both have exactly two legal moves, and that cell was
-    evaluated, it takes that cell's cost without a search, since both force
-    the same detour (see `planner._corridor`). Any other candidate whose
+    candidate that blocks is known without a search from one flood fill
+    beside the field's tree route to the goal (see `planner._separators`);
+    it still costs a planning round. So does a side-1 candidate in a
+    one-cell corridor: when it and the cell before it both have exactly two
+    legal moves, and that cell was evaluated, it takes that cell's cost
+    without a search, since both force the same detour (see
+    `planner._corridor`). Any other candidate whose
     square misses the spare route, the highest-index optimal route to the
     goal, with both flanks of its diagonals (`planner._spare`), gains
     nothing: it takes the baseline's cost without a search, and still costs

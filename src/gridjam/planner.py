@@ -52,10 +52,12 @@ The tier changes the number type, not the code: the field carries its
   takes is such a value too, so no operation rounds, and every comparison
   decides as it would on `k + m * sqrt(2)`: the searches pop and push the
   same cells in either tier.
-* An exact cost becomes a float in one place only, `_cost`'s result
-  (`_decode`): m is the cost, as an int, times the inverse of diag modulo
-  2**S, k is the rest shifted down, and the float is ``k + m * sqrt(2)``,
-  bitwise the one `Path.from_cells` builds for the same steps.
+* An exact cost becomes a float in one place only, `_decode`: m is the
+  cost, as an int, times the inverse of diag modulo 2**S, k is the rest
+  shifted down, and the float is ``k + m * sqrt(2)``, bitwise the last of
+  `prefix_costs` for the same steps. Every cost the module returns, a
+  candidate's score from `_cost` and a route's cost from `_backtrack`, is
+  that float of an exact cost.
 
 The canonical path is built by one rule, in `_backtrack` alone: walk back
 from the goal, each time to the lowest-(row, col) neighbour whose exact
@@ -105,15 +107,15 @@ diagonal entry whose cell's tree parent is a straight step away, and
 One private counter, `_work`, keeps the searches' work: a fixed list of
 ints. Each search kind, `distance_field`, `_cost` and `_search`, has three
 slots from its base (`_FIELD`, `_COST`, `_SEARCH`): its searches, pops and
-pushes; `_BACKTRACK` and `_LOWPOINT` count the calls of `_backtrack` and
-`_lowpoint_dfs`. A pop is one entry taken off a search's heap or queues,
+pushes; `_BACKTRACK` and `_SEPARATORS` count the calls of `_backtrack` and
+`_separators`. A pop is one entry taken off a search's heap or queues,
 stale entries included, and a push is one entry put on them other than the
 origin's seed. Each kernel counts its pops in a local int and adds to the
 counter once, at its end; `_astar` adds to the kind its caller names. Each
 derives its pushes: `_astar`'s are its pops plus what its heap still
 holds, less the seed, and `distance_field`'s queues drain, so its pushes
-are its pops less the seed. `_search`'s pass outward from the start pushes
-onto a plain list, not a heap, and is not counted.
+are its pops less the seed. `_search`'s pass outward from the start and
+`_separators`' flood push onto plain lists, not heaps, and are not counted.
 
 A placement becomes the flat indices of the square that
 `ObstaclePlacement.extent` clips at the border. Callers ask six
@@ -158,8 +160,9 @@ forbidden, so a legal diagonal always has both flanks free and can be
 replaced by its two orthogonal steps, on any obstructed copy too: start
 and goal stay connected exactly when they are connected over 4-connected
 free cells. A one-cell obstacle therefore blocks exactly when its cell is
-a cut vertex between them, and one lowpoint DFS from the start names
-every such cell at once.
+a cut vertex between them. Such a cell lies on every route, the field's
+tree route to the goal too, and one flood fill of the free cells beside
+that route names every such cell at once.
 
 A side-1 candidate in a one-cell corridor needs no search either, once
 the candidate before it was evaluated. `_corridor` flags each route cell
@@ -238,7 +241,7 @@ _FLOAT_COSTS = _Costs(35, float, -math.inf, math.inf)
 _INT_COSTS = _Costs(52, int, -(1 << 120), 1 << 120)
 
 # the work counter (see above): three slots from each search kind's base
-_FIELD, _COST, _SEARCH, _BACKTRACK, _LOWPOINT = 0, 3, 6, 9, 10
+_FIELD, _COST, _SEARCH, _BACKTRACK, _SEPARATORS = 0, 3, 6, 9, 10
 _work = [0] * 11
 
 
@@ -249,18 +252,10 @@ class Path:
     cells: tuple
     cost: float
 
-    @classmethod
-    def from_cells(cls, cells) -> "Path":
-        return cls(tuple(cells), _running_costs(cells)[-1])
-
 
 def prefix_costs(path: Path) -> tuple:
-    """Cumulative step cost at every path index; the last one is path.cost."""
-    return _running_costs(path.cells)
-
-
-def _running_costs(cells) -> tuple:
-    """Cumulative step cost at every index, each in exact k + m*sqrt(2) form."""
+    """Cumulative step cost at every path index, each in exact k + m*sqrt(2) form; the last one is path.cost."""
+    cells = path.cells
     out = [0.0]
     orth = diag = 0
     for a, b in zip(cells, cells[1:]):
@@ -665,9 +660,8 @@ def _backtrack(field: DistanceField, dist: list, source: int, goal: int) -> Path
     """The canonical Path from source to goal on a search's exact costs: `_walk`'s lowest-index route."""
     _work[_BACKTRACK] += 1
     chain = _walk(field, dist, source, goal)
-    chain.reverse()
     stride = field.stride
-    return Path.from_cells([_cell(i, stride) for i in chain])
+    return Path(tuple(_cell(i, stride) for i in reversed(chain)), _decode(dist[goal], field.costs))
 
 
 def _spare(field: DistanceField, goal: Cell) -> bytearray:
@@ -692,77 +686,63 @@ def _spare(field: DistanceField, goal: Cell) -> bytearray:
     return flags
 
 
-def _lowpoint_dfs(field: DistanceField, root: int, goal: int) -> tuple:
-    """Tarjan's lowpoint DFS over the 4-connected free cells of the field's grid from root.
-
-    A cell is free where the field's `blank` is not `wall`. The stack is
-    always the tree path from root to the cell on top, so it gives each
-    finished cell's parent, the new top after its pop, and goal's chain of
-    ancestors, a copy taken when goal is pushed. Returns (chain, disc,
-    low): that chain, from root to goal ([root] when goal is root), and,
-    indexed like `blank`, the discovery time (from 1; 0 where root's
-    component does not reach) and the lowest discovery time among the
-    cell, its subtree and the cells they reach by one non-tree edge.
-    Iterative, so a long corridor cannot exhaust the recursion limit.
-    """
-    _work[_LOWPOINT] += 1
-    blank, wall = field.blank, field.costs.wall
-    size = len(blank)
-    disc = [0] * size
-    low = [0] * size
-    tried = bytearray(size)  # moves tried so far from each cell on the stack
-    straight = _steps(field.stride)[0]
-    disc[root] = low[root] = clock = 1
-    stack = [root]
-    chain = [root]
-    while stack:
-        cur = stack[-1]
-        move = tried[cur]
-        if move == 4:
-            stack.pop()
-            if stack:
-                up = stack[-1]
-                if low[cur] < low[up]:
-                    low[up] = low[cur]
-            continue
-        tried[cur] = move + 1
-        nxt = cur + straight[move]
-        if blank[nxt] == wall:
-            continue
-        seen = disc[nxt]
-        if not seen:
-            clock += 1
-            disc[nxt] = low[nxt] = clock
-            stack.append(nxt)
-            if nxt == goal:
-                chain = stack[:]
-        elif seen < low[cur]:
-            # the edge back to the parent counts too: it can only lower
-            # low(cur) to disc(parent), which passes the test in _separators
-            low[cur] = seen
-    return chain, disc, low
-
-
 def _separators(field: DistanceField, goal: Cell) -> set:
     """The free cells whose blocking alone cuts every route from the field's start to goal.
 
-    Runs `_lowpoint_dfs` from the start; goal must be in its reach. Neither
-    the start nor goal is ever in the set. The answer holds for 8-connected
-    moves without corner cutting: a legal diagonal has both flanks free, so
-    it can be replaced by its two orthogonal steps, and blocking cells
-    keeps that true. Two cells are therefore connected on
-    any blocked copy of the grid exactly when they are connected over its
-    4-connected free cells, and a blocked cell cuts the start from goal
-    exactly when it is a cut vertex between them in that graph. On the DFS
-    tree those are the goal's proper ancestors p below the root whose child
-    a toward goal has low(a) >= disc(p): nothing in a's subtree, which
-    holds goal, reaches above p without passing p (Tarjan 1972; Hopcroft &
-    Tarjan 1973). Each such pair (p, a) is consecutive on the DFS's chain
-    from the root to goal.
+    goal must be in the start's reach. Neither the start nor goal is ever
+    in the set. The answer holds for 8-connected moves without corner
+    cutting: a legal diagonal has both flanks free, so it can be replaced
+    by its two orthogonal steps, and blocking cells keeps that true. Two
+    cells are therefore connected on any blocked copy of the grid exactly
+    when they are connected over its 4-connected free cells.
+
+    A cut lies on every route, so the cells of one are the only ones to
+    test: the field's tree route, walked through `parent` from goal, place
+    0, back to the start, the last place. Block route cell i, neither end.
+    Each diagonal step of the route keeps a free flank that is not i, so
+    the route cells before i stay connected, and so do those after it. The
+    ends are then connected exactly when a 4-connected path that avoids i
+    joins a route cell before i to one after it, with every inner cell off
+    the route. Such a path is either one step between two 4-adjacent route
+    cells, or it runs through one 4-connected component of the free cells
+    off the route that touches both.
+
+    One pass decides every i. It walks the route in order and, from each
+    route cell in turn, floods the free cells off the route, with one list
+    `at` over the flat core: each route cell's place, -2 on a flooded cell
+    and -1 on every other index. `far` is the highest place seen next to a
+    route cell or a flooded cell. Each component is flooded whole from the
+    lowest place it touches, so at cell i's turn `far` is the highest place
+    joined to a cell before i by one step or through one component.
+    Consecutive route cells are 4-adjacent or share a free flank, so `far
+    >= i` then, and i is a cut exactly when `far == i`.
     """
-    stride = field.stride
-    chain, disc, low = _lowpoint_dfs(field, _index(field.start, stride), _index(goal, stride))
-    return {_cell(up, stride) for up, child in zip(chain[1:], chain[2:]) if low[child] >= disc[up]}
+    _work[_SEPARATORS] += 1
+    blank, parent, stride, wall = field.blank, field.parent, field.stride, field.costs.wall
+    at = [-1] * len(blank)
+    route = []
+    cur = _index(goal, stride)
+    while cur >= 0:
+        at[cur] = len(route)
+        route.append(cur)
+        cur = parent[cur]
+    straight = _steps(stride)[0]
+    cuts, far = set(), 0
+    for place, index in enumerate(route):
+        if far == place and 0 < place < len(route) - 1:
+            cuts.add(_cell(index, stride))
+        stack = [index]
+        while stack:
+            cur = stack.pop()
+            for offset in straight:
+                nxt = cur + offset
+                mark = at[nxt]
+                if mark > far:
+                    far = mark
+                elif mark == -1 and blank[nxt] != wall:
+                    at[nxt] = -2
+                    stack.append(nxt)
+    return cuts
 
 
 def _corridor(field: DistanceField, cells) -> list:

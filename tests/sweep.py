@@ -1,21 +1,32 @@
-"""Exhaustive attack sweeps: every map of a few cells, checked against the oracle.
+"""Exhaustive sweeps: every map of a few cells, checked against the oracles.
 
 The property tests draw derandomized examples, which can miss a case for
 good; a sweep over every map of a given size has no such blind spot. This
-module is not collected by pytest: `tests/test_attack.py` runs the 3 x 3
-sweep, and a larger one runs from the command line, for example
+module is not collected by pytest: `tests/test_attack.py` and
+`tests/test_planner.py` run the 3 x 3 sweeps, and a larger one runs from
+the command line, for example
 
     PYTHONPATH=src python tests/sweep.py 4 3
+    PYTHONPATH=src python tests/sweep.py 4 3 separators
 
-which prints the number of attacks compared, or fails with an
-AssertionError, exit status 1, on the first plan that differs from
-`attack_oracle`'s.
+which print the number of attacks, or of (start, goal) pairs whose cut
+cells were compared, or fail with an AssertionError, exit status 1, on the
+first case that differs from the oracle.
 """
 
 import sys
 
-from gridjam import Cell, GridMap, NoPathError, brute_force_attack, distance_field
-from oracles import attack_oracle
+from gridjam import Cell, GridMap, NoPathError, ObstaclePlacement, brute_force_attack, distance_field
+from gridjam.planner import _separators
+from oracles import attack_oracle, obstruct, oracle_distances
+
+
+def _maps(width: int, height: int):
+    """(bits, grid, free cells) for each of the 2**(width * height) maps, bit i set where cell i is blocked."""
+    cells = [Cell(col, row) for row in range(height) for col in range(width)]
+    for bits in range(1 << (width * height)):
+        rows = tuple(tuple(bool(bits >> (row * width + col) & 1) for col in range(width)) for row in range(height))
+        yield bits, GridMap(width, height, 1.0, rows), [cell for cell in cells if not rows[cell.row][cell.col]]
 
 
 def attack_sweep(width: int, height: int, sides=(1, 3)) -> int:
@@ -29,12 +40,8 @@ def attack_sweep(width: int, height: int, sides=(1, 3)) -> int:
     baseline, every ledger entry and the attacked path. Raises
     AssertionError naming the first case that differs.
     """
-    cells = [Cell(col, row) for row in range(height) for col in range(width)]
     compared = 0
-    for bits in range(1 << (width * height)):
-        rows = tuple(tuple(bool(bits >> (row * width + col) & 1) for col in range(width)) for row in range(height))
-        grid = GridMap(width, height, 1.0, rows)
-        free = [cell for cell in cells if not rows[cell.row][cell.col]]
+    for bits, grid, free in _maps(width, height):
         for start in free:
             field = distance_field(grid, start)
             for goal in free:
@@ -54,6 +61,35 @@ def attack_sweep(width: int, height: int, sides=(1, 3)) -> int:
     return compared
 
 
+def separator_sweep(width: int, height: int) -> int:
+    """Compare `_separators` with the oracle on every width x height map; return the number of start-goal pairs.
+
+    Each of the 2**(width * height) maps takes every free cell as its start
+    and every cell the start reaches as its goal, the start itself
+    included. The cuts must be exactly the free cells, neither the start
+    nor the goal, whose one-cell obstacle leaves the goal out of
+    `oracle_distances` from the start. Raises AssertionError naming the
+    first case that differs.
+    """
+    compared = 0
+    for bits, grid, free in _maps(width, height):
+        blocked = {cell: obstruct(grid, ObstaclePlacement(cell, 1)) for cell in free}
+        for start in free:
+            field = distance_field(grid, start)
+            reach = {cell: oracle_distances(blocked[cell], start) for cell in free if cell != start}
+            for goal in oracle_distances(grid, start):
+                cuts = {cell for cell, seen in reach.items() if cell != goal and goal not in seen}
+                if _separators(field, goal) != cuts:
+                    case = f"map {bits:0{width * height}b}, start {start}, goal {goal}"
+                    raise AssertionError(f"{case}: the cut cells differ from the oracle's")
+                compared += 1
+    return compared
+
+
 if __name__ == "__main__":
-    width, height = map(int, sys.argv[1:])
-    print(f"{attack_sweep(width, height)} attacks on every {width}x{height} map match the oracle")
+    width, height = map(int, sys.argv[1:3])
+    if sys.argv[3:] == ["separators"]:
+        pairs = separator_sweep(width, height)
+        print(f"{pairs} start-goal pairs on every {width}x{height} map have the oracle's cut cells")
+    else:
+        print(f"{attack_sweep(width, height)} attacks on every {width}x{height} map match the oracle")

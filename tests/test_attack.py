@@ -188,7 +188,7 @@ def test_every_attack_on_every_3x3_map_matches_the_oracle_in_the_int_tier(monkey
     # the same sweep with every field in the int tier, whose sentinels are
     # the ints -2**120 and 2**120, not -inf and inf: every bundled and
     # generated test map is in the float tier, so this is where every wall
-    # and flank test of the kernels, the walk, the DFS and the move counts
+    # and flank test of the kernels, the walk, the cut pass and the move counts
     # meets an int `wall`; CI sweeps the 4 x 3 maps in this tier too
     monkeypatch.setattr(planner, "_FLOAT_CELLS", 0)
     assert distance_field(parse_map("...\n"), Cell(0, 0)).costs is _INT_COSTS

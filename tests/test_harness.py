@@ -368,9 +368,9 @@ def test_each_goal_is_solved_once(name, tmp_path):
     canonical = SUITE_CALLS[name]["_search"]
     assert searches["_search"] == canonical == sum(1 for plan in summary.plans if plan.best is not None)
     # every attack backtracks its baseline once, so this pins one attack per
-    # goal; each side-1 attack runs one lowpoint DFS
+    # goal; each side-1 attack runs one `_separators` pass
     assert work[planner._BACKTRACK] == len(scenario.goals) + canonical
-    assert work[planner._LOWPOINT] == (len(scenario.goals) if scenario.obstacle_side == 1 else 0)
+    assert work[planner._SEPARATORS] == (len(scenario.goals) if scenario.obstacle_side == 1 else 0)
     assert searches["_cost"] == SUITE_CALLS[name]["_cost"]
     assert pops == SUITE_POPS[name]
     assert pushes == SUITE_PUSHES[name]
@@ -414,9 +414,9 @@ def test_the_spare_route_decides_zero_gain_candidates():
     assert spared == SPARED
 
 
-# A side-1 candidate that blocks is decided by one lowpoint DFS from the
-# start per attack, so `_cost` runs only for the evaluated ones; side 3
-# never builds the DFS. Of those, a candidate in a one-cell corridor whose
+# A side-1 candidate that blocks is decided by one `_separators` pass per
+# attack, so `_cost` runs only for the evaluated ones; side 3 never runs
+# the pass. Of those, a candidate in a one-cell corridor whose
 # predecessor was evaluated takes its cost (`planner._corridor`), so only
 # 4 of the 22 are searched. Both side-1 baselines are long against the
 # maze, so each attack builds a field from its goal. The two side-1
@@ -439,12 +439,12 @@ def test_blocking_side1_candidates_are_not_searched(maze_map):
     searched = 4
     searches, pops, _ = _by_kind(work, start_field)
     # the test's own start field and one field from each goal
-    assert (searches["distance_field"], searches["_cost"], work[planner._LOWPOINT]) == (3, searched, 2)
+    assert (searches["distance_field"], searches["_cost"], work[planner._SEPARATORS]) == (3, searched, 2)
     assert pops == {"start field": 41, "goal field": 82, "_cost": 40, "_search": 65}
 
     before = planner._work[:]
     brute_force_attack(maze_map, start, Cell(9, 1), 3, field)
-    assert _since(before)[planner._LOWPOINT] == 0
+    assert _since(before)[planner._SEPARATORS] == 0
 
 
 # Which fields and searches an attack runs depends on its problem alone, not

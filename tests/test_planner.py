@@ -41,6 +41,7 @@ from gridjam.planner import (
 )
 from conftest import PROPERTY_SETTINGS, free_cells, grid_problems, is_free, random_case
 from oracles import dijkstra_oracle, obstruct, oracle_distances, priced_path
+from sweep import separator_sweep
 
 SQRT2 = math.sqrt(2.0)
 
@@ -193,7 +194,7 @@ def test_prefix_costs_match_steps():
     path = astar(grid, Cell(0, 0), Cell(2, 2))
     marks = prefix_costs(path)
     assert marks[0] == 0.0
-    assert marks[-1] == path.cost  # one counter behind both, so bitwise equal
+    assert marks[-1] == path.cost  # both are k + m*sqrt(2) of the same steps, so bitwise equal
     assert all(b > a for a, b in zip(marks, marks[1:]))
 
 
@@ -263,6 +264,15 @@ def test_separators_match_brute_force_property(problem):
         except NoPathError:
             blocks = True
         assert (not reachable or cell in cuts) == blocks
+
+
+def test_separators_on_every_3x3_map_match_the_oracle():
+    # the exhaustive sweep of `tests/sweep.py`: all 512 maps, every start and
+    # every goal it reaches, start == goal included, against every one-cell
+    # obstacle; unlike the property test and the attack sweep, it also checks
+    # that neither endpoint, nor any cell off the attack's baseline, is ever
+    # called a cut. CI sweeps the 4 x 3 maps too (114,898 pairs)
+    assert separator_sweep(3, 3) == 9096
 
 
 def test_two_move_cells_flank_no_legal_diagonal():

@@ -28,16 +28,20 @@ from .planner import (
 # (0.098) and `branch` (0.42) pass the gate, and so does the corridor, whose
 # candidates all block or cover an endpoint, so it builds no goal field;
 # `tunnel` (0.016), `twall` (0.048) and every warehouse goal (at most 0.031)
-# do not. Measured in-process (Python 3.11.7, 2 shared cores) by setting
-# this share to inf (never), 0.06 (the gate) and -1 (always), over the
-# first 64 problems of seeds 3 and 11 of each attack workload, each
-# problem's fastest of 15 interleaved runs per setting, and over one
-# `run_suite` pass through the seven scenarios of perfbench's `suite` (the
-# six bundled ones and the seeded one), against the gate: never cost
-# `attack-mazes` 0.6-2.3% of candidates/s and 6-9% of p90. Always made
-# `attack-rooms` p50 3-4% slower and the suite pass 66-67% slower, though
-# rooms candidates/s rose 5-6% and p90 fell 21-27%: the longest rooms
-# routes gain too.
+# do not. Measured with perfbench (`run.py --seed 0 --seconds 10`, Python
+# 3.11.7, 2 shared cores) over 8 rounds of three runs in rotating order:
+# this gate, never (a share of inf) and the winner's `_search` always run
+# backward, each tree compiled with `python -m compileall` first. Against
+# the gate, never cost `attack-mazes` 9.1% of candidates/s (lower in 8 of
+# 8 rounds), 20% of p90 and 8% of p50 (higher in 8 of 8), and the backward
+# winner search cost it 4.6% of candidates/s (lower in 7 of 8), so both
+# the goal field and the forward `_search` on it pay. On `suite`, whose
+# candidates/s spread by 9% between the gate's own runs, never read -2.8%
+# and backward -3.2%. Earlier in-process runs, setting this share to -1
+# (always), made `attack-rooms` p50 3-4% slower and a `run_suite` pass
+# through perfbench's seven `suite` scenarios 66-67% slower, though rooms
+# candidates/s rose 5-6% and p90 fell 21-27%: the longest rooms routes
+# gain too.
 _GOAL_FIELD_SHARE = 0.06
 
 

@@ -1,10 +1,11 @@
 """Exhaustive sweeps: every map of a few cells, checked against the oracles.
 
-The property tests draw derandomized examples, which can miss a case for
-good; a sweep over every map of a given size has no such blind spot. This
-module is not collected by pytest: `tests/test_attack.py` and
-`tests/test_planner.py` run the 3 x 3 sweeps, and a larger one runs from
-the command line, for example
+The property tests check a fixed set of seeded random examples, 200 maps
+each, which can miss a case for good, and they do not shrink a failing map.
+A sweep over every map of a given size has neither gap: it finds the
+smallest maps on which a check fails. This module is not collected by
+pytest: `tests/test_attack.py` and `tests/test_planner.py` run the 3 x 3
+sweeps, and a larger one runs from the command line, for example
 
     PYTHONPATH=src python tests/sweep.py 4 3
     PYTHONPATH=src python tests/sweep.py 4 3 separators

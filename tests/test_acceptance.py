@@ -27,7 +27,7 @@ from gridjam.cli import cli
 from gridjam.data import map_path, scenario_names, scenario_path
 from gridjam.harness import ADVERSARIAL, read_csv, run_suite, write_csv
 
-from conftest import random_case
+from conftest import random_problem
 from oracles import attack_oracle, dijkstra_oracle
 
 
@@ -41,7 +41,7 @@ def test_criterion_1_planner_agrees_with_slow_oracle():
     started = time.monotonic()
     solved = blocked = 0
     for _ in range(500):
-        grid, start, goal = random_case(rng, 12, 12)
+        grid, start, goal = random_problem(rng, 12, 12)
         try:
             fast = astar(grid, start, goal)
         except NoPathError:
@@ -65,7 +65,7 @@ def test_criterion_2_attack_agrees_with_slow_oracle():
     started = time.monotonic()
     compared = 0
     for i in range(50):
-        grid, start, goal = random_case(rng, 16, 16)
+        grid, start, goal = random_problem(rng, 16, 16)
         side = (1, 3, 5)[i % 3]
         try:
             fast = brute_force_attack(grid, start, goal, side)

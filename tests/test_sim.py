@@ -25,7 +25,7 @@ from gridjam import (
     simulate,
     spawn_time_model,
 )
-from conftest import BRANCH_TEXT, PROPERTY_SETTINGS, grid_problems, is_free, random_case
+from conftest import BRANCH_TEXT, PROPERTY_SETTINGS, grid_problems, is_free, random_problem, seeded_problems, uniform
 from oracles import dijkstra_oracle, obstruct
 
 
@@ -190,7 +190,7 @@ def test_run_invariants_random():
     rng = random.Random(20202)
     done = 0
     while done < 40:
-        grid, start, goal = random_case(rng, 12, 12)
+        grid, start, goal = random_problem(rng, 12, 12)
         cfg = SimConfig(
             speed=rng.choice((0.5, 1.0, 2.0)),
             eval_time_per_candidate=rng.choice((0.0, 0.05, 0.3, 1.0)),
@@ -224,21 +224,24 @@ def test_run_invariants_random():
         done += 1
 
 
-race_configs = st.builds(
-    SimConfig,
-    speed=st.floats(0.2, 5.0),
-    eval_time_per_candidate=st.floats(0.0, 0.1),
-    attack_start_delay=st.floats(0.0, 1.0),
-)
+def race_config(rng):
+    """A SimConfig with speed in [0.2, 5], evaluation in [0, 0.1] s and start delay in [0, 1] s."""
+    return SimConfig(
+        speed=uniform(rng, 0.2, 5.0),
+        eval_time_per_candidate=uniform(rng, 0.0, 0.1),
+        attack_start_delay=uniform(rng, 0.0, 1.0),
+    )
 
 
-def _race(problem, side, cell_size, cfg):
+def _race(rng, unit_grid, start, goal):
     """The raced RunResult of one generated problem, or None without a baseline.
 
-    The attack and the race share one distance field, as in run_suite.
+    The side, the cell size in [0.1, 2] and the race are drawn from rng. The
+    attack and the race share one distance field, as in run_suite.
     """
-    unit_grid, start, goal = problem
-    grid = unit_grid.with_cell_size(cell_size)
+    side = rng.choice((1, 3))
+    grid = unit_grid.with_cell_size(uniform(rng, 0.1, 2.0))
+    cfg = race_config(rng)
     field = distance_field(grid, start)
     try:
         plan = brute_force_attack(grid, start, goal, side, field)
@@ -247,31 +250,24 @@ def _race(problem, side, cell_size, cfg):
     return simulate(grid, plan, cfg, field)
 
 
-@PROPERTY_SETTINGS
-@given(grid_problems(), st.sampled_from((1, 3)), st.floats(0.1, 2.0), race_configs)
-def test_replanning_never_fails_property(problem, side, cell_size, cfg):
+@seeded_problems(7)
+def test_replanning_never_fails_property(rng, grid, start, goal):
     # the replan's assertion, or any other exception, fails the test
-    _race(problem, side, cell_size, cfg)
+    _race(rng, grid, start, goal)
 
 
-@PROPERTY_SETTINGS
-@given(grid_problems(), st.sampled_from((1, 3)), st.floats(0.1, 2.0), race_configs)
-def test_landed_attack_never_shortens_the_trip_property(problem, side, cell_size, cfg):
-    result = _race(problem, side, cell_size, cfg)
+@seeded_problems(8)
+def test_landed_attack_never_shortens_the_trip_property(rng, grid, start, goal):
+    result = _race(rng, grid, start, goal)
     if result is not None and result.attack_success:
         assert result.adversarial_time >= result.benign_time
 
 
-@PROPERTY_SETTINGS
-@given(
-    grid_problems(),
-    st.sampled_from((1, 3)),
-    race_configs,
-    st.floats(0.0, 0.1),
-    st.floats(0.0, 1.0),
-)
-def test_slower_attack_never_turns_a_miss_into_a_landing_property(problem, side, cfg, more_eval, more_delay):
-    grid, start, goal = problem
+@seeded_problems(9)
+def test_slower_attack_never_turns_a_miss_into_a_landing_property(rng, grid, start, goal):
+    side = rng.choice((1, 3))
+    cfg = race_config(rng)
+    more_eval, more_delay = uniform(rng, 0.0, 0.1), uniform(rng, 0.0, 1.0)
     field = distance_field(grid, start)
     try:
         plan = brute_force_attack(grid, start, goal, side, field)
@@ -421,7 +417,7 @@ def test_spawns_at_arrival_marks():
     rng = random.Random(4608)
     done = 0
     while done < 12:
-        unit_grid, start, goal = random_case(rng, 12, 12)
+        unit_grid, start, goal = random_problem(rng, 12, 12)
         side = rng.choice((1, 3))
         try:
             if brute_force_attack(unit_grid, start, goal, side).best is None:

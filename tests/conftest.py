@@ -121,14 +121,13 @@ def seeded_problems(seed: int):
     return decorate
 
 
-# Two tests still draw from Hypothesis. They replay a fixed sequence of
-# examples, so every run checks the same ones, and keep no example database
-# on disk. The near-tie cost test stays because its strategy shrinks a
-# failing pair of step counts to the smallest tie. The race's corner-cut test
-# stays on `grid_problems` unchanged, because the race still lets the robot
-# cut a corner of the obstacle after the spawn: its examples hold no such
-# case, and any edit of its body or of this strategy redraws them. Every other
-# random test draws from `random_problem`, which reads nothing but its seed.
+# One test still draws from Hypothesis: the race's corner-cut test, on
+# `grid_problems` unchanged, because the race still lets the robot cut a
+# corner of the obstacle after the spawn: its examples hold no such case,
+# and any edit of its body or of this strategy redraws them. It replays a
+# fixed sequence of examples, so every run checks the same ones, and keeps
+# no example database on disk. Every other random test draws from
+# `random_problem` or a `random.Random`, which read nothing but their seeds.
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 

@@ -1,10 +1,10 @@
 """Independent reference implementations that the tests compare against.
 
 None of this runs in the package: the Dijkstra planner cross-checks `astar`
-and, run over a whole component, `distance_field`; the attack oracle
-cross-checks `brute_force_attack`, `obstruct` builds the map a placement
-leaves behind, and the candidate enumeration pins properties the attack
-relies on.
+and, run over a whole component, `distance_field`; `obstruct` builds the
+map a placement leaves behind, the cut oracle cross-checks
+`planner._separators`, and the attack oracle cross-checks
+`brute_force_attack`.
 """
 
 import heapq
@@ -111,25 +111,6 @@ def _dijkstra(grid: GridMap, start: Cell, goal) -> tuple:
     return dist, via, done
 
 
-def enumerate_candidates(baseline: Path, side: int = 3) -> list:
-    """Feasible placements, one per baseline cell, in path order.
-
-    A placement whose footprint covers the start or the goal is not a
-    legitimate attack (the robot or its target would be buried) and is
-    excluded here; the attack records those as INFEASIBLE without
-    evaluating them.
-    """
-    start = baseline.cells[0]
-    goal = baseline.cells[-1]
-    out = []
-    for step in baseline.cells:
-        placement = ObstaclePlacement(step, side)
-        if placement.covers(start) or placement.covers(goal):
-            continue
-        out.append(placement)
-    return out
-
-
 def obstruct(grid: GridMap, placement: ObstaclePlacement) -> GridMap:
     """A copy of grid with the placement's square occupied, clipped at the border."""
     half = placement.side // 2
@@ -139,6 +120,22 @@ def obstruct(grid: GridMap, placement: ObstaclePlacement) -> GridMap:
         for col in range(max(0, center.col - half), min(grid.width, center.col + half + 1)):
             blocked[row][col] = True
     return GridMap(grid.width, grid.height, grid.cell_size, tuple(tuple(r) for r in blocked))
+
+
+def oracle_cuts(grid: GridMap, start: Cell, goal: Cell) -> set:
+    """The cells, neither start nor goal, whose one-cell obstacle leaves goal unreachable from start.
+
+    Such a cell lies on every route, the oracle's own among them, so only
+    that route's inner cells are blocked in turn. Raises NoPathError when
+    no route reaches goal at all.
+    """
+    cuts = set()
+    for cell in dijkstra_oracle(grid, start, goal).cells[1:-1]:
+        try:
+            dijkstra_oracle(obstruct(grid, ObstaclePlacement(cell, 1)), start, goal)
+        except NoPathError:
+            cuts.add(cell)
+    return cuts
 
 
 def attack_oracle(grid: GridMap, start: Cell, goal: Cell, side: int = 3) -> AttackPlan:

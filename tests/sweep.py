@@ -10,16 +10,17 @@ sweeps, and a larger one runs from the command line, for example
     PYTHONPATH=src python tests/sweep.py 4 3
     PYTHONPATH=src python tests/sweep.py 4 3 separators
 
-which print the number of attacks, or of (start, goal) pairs whose cut
-cells were compared, or fail with an AssertionError, exit status 1, on the
-first case that differs from the oracle.
+which print the number of attacks compared in each tier of exact costs,
+or of (start, goal) pairs whose cut cells were compared, or fail with an
+AssertionError, exit status 1, on the first case that differs from the
+oracle.
 """
 
 import sys
 
-from gridjam import Cell, GridMap, NoPathError, ObstaclePlacement, brute_force_attack, distance_field
+from gridjam import Cell, GridMap, NoPathError, brute_force_attack, distance_field, planner
 from gridjam.planner import _separators
-from oracles import attack_oracle, obstruct, oracle_distances
+from oracles import attack_oracle, oracle_cuts, oracle_distances
 
 
 def _maps(width: int, height: int):
@@ -30,57 +31,71 @@ def _maps(width: int, height: int):
         yield bits, GridMap(width, height, 1.0, rows), [cell for cell in cells if not rows[cell.row][cell.col]]
 
 
+def in_int_tier(call, *args):
+    """call(*args) with every distance field it builds in the int tier, whose sentinels are ints, not infinities.
+
+    Every map small enough to sweep is in the float tier; the int tier's
+    bound, `planner._FLOAT_CELLS`, is set to 0 for the call and restored.
+    """
+    saved, planner._FLOAT_CELLS = planner._FLOAT_CELLS, 0
+    try:
+        return call(*args)
+    finally:
+        planner._FLOAT_CELLS = saved
+
+
+def _plan(attack, *args):
+    """attack(*args), or None when it finds no route."""
+    try:
+        return attack(*args)
+    except NoPathError:
+        return None
+
+
 def attack_sweep(width: int, height: int, sides=(1, 3)) -> int:
-    """Compare every attack on every width x height map with `attack_oracle`; return how many were compared.
+    """Compare every attack on every width x height map with `attack_oracle` in both tiers; return the count per tier.
 
     Each of the 2**(width * height) maps takes every ordered pair of free
     cells as its start and goal, a cell paired with itself included, with
-    each obstacle side in `sides`, and one field per start serves all of
-    its goals. A pair with no route must raise NoPathError in both and is
-    not counted; any other pair must give the oracle's whole plan:
-    baseline, every ledger entry and the attacked path. Raises
-    AssertionError naming the first case that differs.
+    each obstacle side in `sides`. Each start has one field per tier of
+    exact costs, which serves all of its goals, and the int tier's attack
+    builds its goal field in that tier too. The oracle plans each case
+    once. A pair with no route must raise NoPathError in the oracle and in
+    both attacks and is not counted; any other pair must give the oracle's
+    whole plan in both: baseline, every ledger entry and the attacked path.
+    Raises AssertionError naming the first case that differs.
     """
     compared = 0
     for bits, grid, free in _maps(width, height):
         for start in free:
-            field = distance_field(grid, start)
+            float_field, int_field = distance_field(grid, start), in_int_tier(distance_field, grid, start)
             for goal in free:
                 for side in sides:
-                    case = f"map {bits:0{width * height}b}, start {start}, goal {goal}, side {side}"
-                    try:
-                        plan = brute_force_attack(grid, start, goal, side, field)
-                    except NoPathError:
-                        try:
-                            attack_oracle(grid, start, goal, side)
-                        except NoPathError:
-                            continue
-                        raise AssertionError(f"{case}: the attack found no route, the oracle did") from None
-                    if plan != attack_oracle(grid, start, goal, side):
-                        raise AssertionError(f"{case}: the attack's plan differs from the oracle's")
-                    compared += 1
+                    expected = _plan(attack_oracle, grid, start, goal, side)
+                    for tier, plan in (
+                        ("float", _plan(brute_force_attack, grid, start, goal, side, float_field)),
+                        ("int", in_int_tier(_plan, brute_force_attack, grid, start, goal, side, int_field)),
+                    ):
+                        if plan != expected:
+                            case = f"map {bits:0{width * height}b}, start {start}, goal {goal}, side {side}"
+                            raise AssertionError(f"{case}: the {tier} tier's plan differs from the oracle's (None: no route)")
+                    compared += expected is not None
     return compared
 
 
 def separator_sweep(width: int, height: int) -> int:
-    """Compare `_separators` with the oracle on every width x height map; return the number of start-goal pairs.
+    """Compare `_separators` with `oracle_cuts` on every width x height map; return the number of start-goal pairs.
 
     Each of the 2**(width * height) maps takes every free cell as its start
     and every cell the start reaches as its goal, the start itself
-    included. The cuts must be exactly the free cells, neither the start
-    nor the goal, whose one-cell obstacle leaves the goal out of
-    `oracle_distances` from the start. Raises AssertionError naming the
-    first case that differs.
+    included. Raises AssertionError naming the first case that differs.
     """
     compared = 0
     for bits, grid, free in _maps(width, height):
-        blocked = {cell: obstruct(grid, ObstaclePlacement(cell, 1)) for cell in free}
         for start in free:
             field = distance_field(grid, start)
-            reach = {cell: oracle_distances(blocked[cell], start) for cell in free if cell != start}
             for goal in oracle_distances(grid, start):
-                cuts = {cell for cell, seen in reach.items() if cell != goal and goal not in seen}
-                if _separators(field, goal) != cuts:
+                if _separators(field, goal) != oracle_cuts(grid, start, goal):
                     case = f"map {bits:0{width * height}b}, start {start}, goal {goal}"
                     raise AssertionError(f"{case}: the cut cells differ from the oracle's")
                 compared += 1
@@ -93,4 +108,4 @@ if __name__ == "__main__":
         pairs = separator_sweep(width, height)
         print(f"{pairs} start-goal pairs on every {width}x{height} map have the oracle's cut cells")
     else:
-        print(f"{attack_sweep(width, height)} attacks on every {width}x{height} map match the oracle")
+        print(f"{attack_sweep(width, height)} attacks on every {width}x{height} map match the oracle in each tier")

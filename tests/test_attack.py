@@ -1,7 +1,6 @@
 """Attack search: candidate enumeration, ledger bookkeeping, oracle parity."""
 
 import math
-import random
 
 import pytest
 
@@ -10,7 +9,6 @@ from gridjam import (
     GridMap,
     NoPathError,
     Outcome,
-    astar,
     brute_force_attack,
     distance_field,
     parse_map,
@@ -18,32 +16,28 @@ from gridjam import (
 )
 from gridjam import attack as attack_module
 from gridjam.planner import _FLOAT_CELLS, _FLOAT_COSTS, _INT_COSTS
-from conftest import BRANCH_TEXT, MAZE_TEXT, free_cells, random_problem, seeded_problems
-from oracles import attack_oracle, dijkstra_oracle, enumerate_candidates, obstruct
-from sweep import attack_sweep
+from conftest import BRANCH_TEXT, MAZE_TEXT, free_cells, seeded_problems
+from oracles import attack_oracle
+from sweep import attack_sweep, in_int_tier
 
 SQRT2 = math.sqrt(2.0)
 
 
-def test_enumerate_straight_baseline_side1():
-    grid = parse_map(".....")
-    baseline = astar(grid, Cell(0, 0), Cell(4, 0))
-    candidates = enumerate_candidates(baseline, 1)
-    assert [c.center for c in candidates] == [Cell(1, 0), Cell(2, 0), Cell(3, 0)]
-
-
-def test_enumerate_straight_baseline_side3():
-    grid = parse_map("\n".join(["....."] * 3))
-    baseline = astar(grid, Cell(0, 1), Cell(4, 1))
-    candidates = enumerate_candidates(baseline, 3)
-    # only the middle footprint misses both endpoints
-    assert [c.center for c in candidates] == [Cell(2, 1)]
-
-
-def test_enumerate_degenerate_baseline():
-    grid = parse_map("..\n..")
-    baseline = astar(grid, Cell(0, 0), Cell(0, 0))
-    assert enumerate_candidates(baseline, 1) == []
+@pytest.mark.parametrize(
+    "text, start, goal, side, feasible",
+    [
+        (".....", Cell(0, 0), Cell(4, 0), 1, [Cell(1, 0), Cell(2, 0), Cell(3, 0)]),
+        # only the middle footprint misses both endpoints
+        ("\n".join(["....."] * 3), Cell(0, 1), Cell(4, 1), 3, [Cell(2, 1)]),
+        ("..\n..", Cell(0, 0), Cell(0, 0), 1, []),
+    ],
+    ids=["straight_baseline_side1", "straight_baseline_side3", "degenerate_baseline"],
+)
+def test_feasible_candidates(text, start, goal, side, feasible):
+    # a footprint that covers the start or the goal would bury the robot or
+    # its target: the ledger marks it infeasible and evaluates the rest
+    plan = brute_force_attack(parse_map(text), start, goal, side)
+    assert [e.placement.center for e in plan.ledger if e.outcome is not Outcome.INFEASIBLE] == feasible
 
 
 def test_branch_attack_golden(branch_map):
@@ -178,34 +172,15 @@ def test_attacks_on_either_side_of_the_float_bound_match_the_oracle():
 def test_every_attack_on_every_3x3_map_matches_the_oracle():
     # the exhaustive sweep of `tests/sweep.py`: all 512 maps, every ordered
     # pair of free cells with a route, start == goal included, sides 1 and
-    # 3; CI sweeps the 4 x 3 maps too (229,796 attacks)
+    # 3, each in both tiers. The int tier's sentinels are the ints -2**120
+    # and 2**120, not -inf and inf: every bundled and generated test map is
+    # in the float tier, so this is where every wall and flank test of the
+    # kernels, the walk, the cut pass and the move counts meets an int
+    # `wall`. CI sweeps the 4 x 3 maps too (229,796 attacks in each tier)
+    one_row = parse_map("...\n")
+    assert in_int_tier(distance_field, one_row, Cell(0, 0)).costs is _INT_COSTS
     assert attack_sweep(3, 3) == 18192
-
-
-def test_every_attack_on_every_3x3_map_matches_the_oracle_in_the_int_tier(monkeypatch):
-    # the same sweep with every field in the int tier, whose sentinels are
-    # the ints -2**120 and 2**120, not -inf and inf: every bundled and
-    # generated test map is in the float tier, so this is where every wall
-    # and flank test of the kernels, the walk, the cut pass and the move counts
-    # meets an int `wall`; CI sweeps the 4 x 3 maps in this tier too
-    monkeypatch.setattr(planner, "_FLOAT_CELLS", 0)
-    assert distance_field(parse_map("...\n"), Cell(0, 0)).costs is _INT_COSTS
-    assert attack_sweep(3, 3) == 18192
-
-
-def test_oracle_equivalence_random():
-    rng = random.Random(31337)
-    sides = (1, 3, 5)
-    done = 0
-    while done < 30:
-        grid, start, goal = random_problem(rng, 12, 12)
-        side = sides[done % 3]
-        try:
-            mine = brute_force_attack(grid, start, goal, side)
-        except NoPathError:
-            continue
-        assert mine == attack_oracle(grid, start, goal, side)
-        done += 1
+    assert distance_field(one_row, Cell(0, 0)).costs is _FLOAT_COSTS
 
 
 @seeded_problems(6)
@@ -225,6 +200,16 @@ def test_oracle_equivalence_property(rng, grid, start, goal):
             continue
         assert shared == brute_force_attack(grid, start, goal, side)
         assert shared == attack_oracle(grid, start, goal, side)
+        # one entry per baseline cell, in order, and no candidate shortens
+        # the route or beats the winner
+        assert [e.index for e in shared.ledger] == list(range(len(shared.baseline.cells)))
+        for entry in shared.ledger:
+            if entry.outcome is Outcome.EVALUATED:
+                assert shared.baseline.cost <= entry.cost <= shared.baseline.cost + shared.gain + 1e-9
+        if shared.best is None:
+            assert shared.gain == 0.0 and shared.attacked_path is None
+        else:
+            assert shared.gain > 1e-9 and shared.attacked_path is not None
 
 
 def test_field_for_another_grid_or_start_is_rejected(branch_map):
@@ -244,47 +229,6 @@ def test_attack_side_must_be_an_int(branch_map, side):
     # a NaN side once returned a plan with gain 0.0
     with pytest.raises(ValueError, match=f"^obstacle side must be an odd positive integer, got {side}$"):
         brute_force_attack(branch_map, Cell(1, 1), Cell(5, 1), side)
-
-
-def test_ledger_completeness_and_bounds():
-    rng = random.Random(808)
-    done = 0
-    while done < 25:
-        grid, start, goal = random_problem(rng, 10, 10)
-        try:
-            plan = brute_force_attack(grid, start, goal, 3)
-        except NoPathError:
-            continue
-        assert len(plan.ledger) == len(plan.baseline.cells)
-        assert [e.index for e in plan.ledger] == list(range(len(plan.ledger)))
-        for entry in plan.ledger:
-            if entry.outcome is Outcome.EVALUATED:
-                # blocking a cell can never shorten the route
-                assert entry.cost >= plan.baseline.cost - 1e-9
-                assert entry.cost <= plan.baseline.cost + plan.gain + 1e-9
-        if plan.best is not None:
-            assert plan.gain > 1e-9
-            assert plan.attacked_path is not None
-        else:
-            assert plan.gain == 0.0
-            assert plan.attacked_path is None
-        done += 1
-
-
-def test_best_placement_keeps_map_solvable():
-    rng = random.Random(606)
-    found = 0
-    while found < 15:
-        grid, start, goal = random_problem(rng, 12, 12)
-        try:
-            plan = brute_force_attack(grid, start, goal, 3)
-        except NoPathError:
-            continue
-        if plan.best is None:
-            continue
-        rerouted = dijkstra_oracle(obstruct(grid, plan.best), start, goal)
-        assert rerouted.cost == plan.attacked_path.cost
-        found += 1
 
 
 def test_attack_requires_baseline():

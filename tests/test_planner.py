@@ -4,8 +4,6 @@ import math
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from gridjam import (
     BadEndpointError,
@@ -39,19 +37,11 @@ from gridjam.planner import (
     _spare,
     _walk,
 )
-from conftest import PROPERTY_SETTINGS, free_cells, is_free, random_problem, seeded_problems
-from oracles import dijkstra_oracle, obstruct, oracle_distances, priced_path
+from conftest import free_cells, is_free, random_problem, seeded_problems
+from oracles import dijkstra_oracle, obstruct, oracle_cuts, oracle_distances, priced_path
 from sweep import separator_sweep
 
 SQRT2 = math.sqrt(2.0)
-
-
-def path_cost_recomputed(path):
-    # independent accumulation, step by step
-    total = 0.0
-    for a, b in zip(path.cells, path.cells[1:]):
-        total += SQRT2 if (a.col != b.col and a.row != b.row) else 1.0
-    return total
 
 
 def assert_valid_path(grid, path, start, goal):
@@ -67,7 +57,7 @@ def assert_valid_path(grid, path, start, goal):
             # diagonal moves need both flanking cells free
             assert is_free(grid, Cell(a.col + dc, a.row))
             assert is_free(grid, Cell(a.col, a.row + dr))
-    assert path.cost == pytest.approx(path_cost_recomputed(path), abs=1e-9)
+    assert path.cost == priced_path(path.cells).cost
 
 
 def test_straight_corridor():
@@ -198,78 +188,20 @@ def test_prefix_costs_match_steps():
     assert all(b > a for a, b in zip(marks, marks[1:]))
 
 
-def test_oracle_equivalence_random():
-    rng = random.Random(90125)
-    agreements = 0
-    for _ in range(150):
-        grid, start, goal = random_problem(rng, 10, 10)
-        try:
-            fast = astar(grid, start, goal)
-        except NoPathError:
-            with pytest.raises(NoPathError):
-                dijkstra_oracle(grid, start, goal)
-            continue
-        slow = dijkstra_oracle(grid, start, goal)
-        assert fast.cost == slow.cost
-        # both planners reconstruct the same canonical optimal path, which
-        # the attack layer depends on for candidate enumeration
-        assert fast.cells == slow.cells
-        assert_valid_path(grid, fast, start, goal)
-        agreements += 1
-    assert agreements > 50
-
-
-def test_blocking_monotonicity_random():
-    rng = random.Random(555)
-    checked = 0
-    for _ in range(60):
-        grid, start, goal = random_problem(rng, 10, 10)
-        try:
-            base = astar(grid, start, goal)
-        except NoPathError:
-            continue
-        if len(base.cells) < 3:
-            continue
-        mid = base.cells[len(base.cells) // 2]
-        if mid in (start, goal):
-            continue
-        blocked = obstruct(grid, ObstaclePlacement(mid, 1))
-        try:
-            rerouted = astar(blocked, start, goal)
-        except NoPathError:
-            continue
-        assert rerouted.cost >= base.cost - 1e-9
-        checked += 1
-    assert checked > 10
-
-
 @seeded_problems(1)
 def test_separators_match_brute_force_property(rng, grid, start, goal):
-    # every free cell, not only the baseline's, and goals the start cannot reach
+    # the attack asks only for a goal the start reaches
     try:
-        dijkstra_oracle(grid, start, goal)
-        reachable = True
+        cuts = oracle_cuts(grid, start, goal)
     except NoPathError:
-        reachable = False
-    # with no route to cut, every cell trivially blocks
-    cuts = _separators(distance_field(grid, start), goal) if reachable else None
-    for cell in free_cells(grid):
-        if cell in (start, goal):
-            continue
-        try:
-            dijkstra_oracle(obstruct(grid, ObstaclePlacement(cell, 1)), start, goal)
-            blocks = False
-        except NoPathError:
-            blocks = True
-        assert (not reachable or cell in cuts) == blocks
+        return
+    assert _separators(distance_field(grid, start), goal) == cuts
 
 
 def test_separators_on_every_3x3_map_match_the_oracle():
     # the exhaustive sweep of `tests/sweep.py`: all 512 maps, every start and
-    # every goal it reaches, start == goal included, against every one-cell
-    # obstacle; unlike the property test and the attack sweep, it also checks
-    # that neither endpoint, nor any cell off the attack's baseline, is ever
-    # called a cut. CI sweeps the 4 x 3 maps too (114,898 pairs)
+    # every goal it reaches, start == goal included, against `oracle_cuts`.
+    # CI sweeps the 4 x 3 maps too (114,898 pairs)
     assert separator_sweep(3, 3) == 9096
 
 
@@ -300,18 +232,6 @@ def test_two_move_cells_flank_no_legal_diagonal():
         for col, row in corners:
             assert not (free(col, 1) and free(1, row) and free(col, row)), sorted(blocked)
     assert two_move == 64
-
-
-def test_determinism():
-    rng = random.Random(11)
-    for _ in range(20):
-        grid, start, goal = random_problem(rng, 12, 12)
-        try:
-            first = astar(grid, start, goal)
-        except NoPathError:
-            continue
-        second = astar(grid, start, goal)
-        assert first == second
 
 
 def test_the_work_counter_keeps_its_slots():
@@ -419,12 +339,19 @@ def test_cost_matches_oracle_property(rng, grid, start, goal):
 
 @seeded_problems(4)
 def test_spare_route_decides_exact_costs_property(rng, grid, start, goal):
-    # every candidate along the baseline whose square misses the spare route
-    # and the flanks of its diagonals keeps the optimum, bitwise
+    # the baseline is the oracle's canonical route, which the attack's
+    # candidates follow; every candidate along it whose square misses the
+    # spare route and the flanks of its diagonals keeps the optimum, bitwise
     field = distance_field(grid, start)
     if goal not in oracle_distances(grid, start):
+        with pytest.raises(NoPathError):
+            astar(grid, start, goal)
+        with pytest.raises(NoPathError):
+            dijkstra_oracle(grid, start, goal)
         return
     baseline = astar(grid, start, goal)
+    assert baseline == dijkstra_oracle(grid, start, goal)
+    assert_valid_path(grid, baseline, start, goal)
     route = spare_route(field, goal)
     spare = priced_path(route)
     assert_valid_path(grid, spare, start, goal)
@@ -521,24 +448,33 @@ def sqrt2_convergents(limit):
         p, q = p + 2 * q, p + q
 
 
-@st.composite
-def near_tie_costs(draw, bound):
-    """Two (k, m) step counts, each of fewer than bound steps, whose k + m*sqrt(2) nearly tie."""
-    if draw(st.booleans()):
-        # largest first: the closest tie, the one that breaks a short orth
-        p, q = draw(st.sampled_from(list(sqrt2_convergents(bound))[::-1]))
-        dm = draw(st.sampled_from((q, -q)))
-        dk = -p if dm > 0 else p
-    else:
-        reach = int((bound - 2) / SQRT2)  # so that |dk| < bound
-        dm = draw(st.integers(-reach, reach))
-        dk = -round(dm * SQRT2) + draw(st.integers(-1, 1))
-    # (k2, m2) and (k2 + dk, m2 + dm) both non-negative, with fewer than
-    # `room` steps in (k2, m2)
-    low_k, low_m, room = max(0, -dk), max(0, -dm), bound - max(0, dk + dm)
-    m2 = draw(st.integers(low_m, room - low_k - 1))
-    k2 = draw(st.integers(low_k, room - m2 - 1))
-    return (k2 + dk, m2 + dm), (k2, m2)
+def near_ties(bound, rng):
+    """Pairs of (k, m) step counts, each of fewer than bound steps, whose k + m*sqrt(2) nearly tie.
+
+    First every convergent (p, q) below bound as the differences (-p, q)
+    and (p, -q), the closest ties there are, placed at the least steps and
+    then at the most that the bound leaves room for, each pass smallest
+    first, so that the first failure is the smallest. Then 200 differences
+    (dk, dm) with dk within one of -dm*sqrt(2), each placed at random, all
+    drawn from rng.
+    """
+
+    def placed(dk, dm, pick):
+        # (k2, m2) and (k2 + dk, m2 + dm) both non-negative, with fewer
+        # than `room` steps in (k2, m2)
+        low_k, low_m, room = max(0, -dk), max(0, -dm), bound - max(0, dk + dm)
+        m2 = pick(low_m, room - low_k - 1)
+        k2 = pick(low_k, room - m2 - 1)
+        return (k2 + dk, m2 + dm), (k2, m2)
+
+    for pick in (min, max):
+        for p, q in sqrt2_convergents(bound):
+            yield placed(-p, q, pick)
+            yield placed(p, -q, pick)
+    reach = int((bound - 2) / SQRT2)  # so that |dk| < bound
+    for _ in range(200):
+        dm = rng.randint(-reach, reach)
+        yield placed(-round(dm * SQRT2) + rng.randint(-1, 1), dm, rng.randint)
 
 
 def exact_sign(dk, dm):
@@ -551,20 +487,20 @@ def exact_sign(dk, dm):
 
 
 @pytest.mark.parametrize("tier", TIER_BOUNDS)
-@PROPERTY_SETTINGS
-@given(data=st.data())
-def test_integer_costs_decode_and_order_exactly_property(tier, data):
+def test_integer_costs_decode_and_order_exactly_property(tier):
     costs, bound = TIER_BOUNDS[tier]
-    (k1, m1), (k2, m2) = data.draw(near_tie_costs(bound))
-    assert max(k1 + m1, k2 + m2) < bound
-    a, b = k1 * costs.orth + m1 * costs.diag, k2 * costs.orth + m2 * costs.diag
-    # formed in the tier's own number type, each is the exact integer
-    assert a == k1 * int(costs.orth) + m1 * int(costs.diag) and b == k2 * int(costs.orth) + m2 * int(costs.diag)
-    if costs is _FLOAT_COSTS:
-        assert type(a) is type(b) is float and max(a, b) < 2**53
-    assert _decode(a, costs).hex() == (k1 + m1 * SQRT2).hex()
-    assert _decode(b, costs).hex() == (k2 + m2 * SQRT2).hex()
-    assert (a > b) - (a < b) == exact_sign(k1 - k2, m1 - m2)
+    for (k1, m1), (k2, m2) in near_ties(bound, random.Random(tier)):
+        case = f"({k1}, {m1}) against ({k2}, {m2})"
+        assert max(k1 + m1, k2 + m2) < bound, case
+        a, b = k1 * costs.orth + m1 * costs.diag, k2 * costs.orth + m2 * costs.diag
+        # formed in the tier's own number type, each is the exact integer
+        assert a == k1 * int(costs.orth) + m1 * int(costs.diag), case
+        assert b == k2 * int(costs.orth) + m2 * int(costs.diag), case
+        if costs is _FLOAT_COSTS:
+            assert type(a) is type(b) is float and max(a, b) < 2**53, case
+        assert _decode(a, costs).hex() == (k1 + m1 * SQRT2).hex(), case
+        assert _decode(b, costs).hex() == (k2 + m2 * SQRT2).hex(), case
+        assert (a > b) - (a < b) == exact_sign(k1 - k2, m1 - m2), case
 
 
 def test_cost_cuts_tree_routes_at_blocked_flanks():

@@ -121,8 +121,8 @@ A placement becomes the flat indices of the square that
 `ObstaclePlacement.extent` clips at the border. Callers ask six
 questions of the field, each answered by one function. Two of them,
 `_cost` and `_search`, run one A* kernel, `_astar`, on a copy of the
-field's `blank` with the obstacle blocked; they pass it their own heuristic,
-tie-break and stop flags, and read their own result from its costs.
+field's `blank` with the obstacle blocked; they pass it their own heuristic
+and stop flags, and read their own result from its costs.
 
 * `_route`: the canonical route to a goal, backtracked on the field by the
   rule above. It is the attack's baseline, and `astar` is the route on a
@@ -333,29 +333,29 @@ def _decode(cost, costs: _Costs) -> float:
     return ((cost - m * int(costs.diag)) >> costs.bits) + m * SQRT2
 
 
-def _astar(field: "DistanceField", origin: int, h: list, tie: list, stop: bytearray, dist: list, kind: int):
+def _astar(field: "DistanceField", origin: int, h: list, stop: bytearray, dist: list, kind: int):
     """A* over the cost list `dist` from origin: the first popped index x with stop[first[x]] set, or None.
 
-    `h`, `tie` and `dist` are indexed like the field's flat core, and `h` is
-    a consistent heuristic in the field's exact costs; `first` is the
-    field's. The heap pops by (g + h[x], tie[x], x); `tie` may be `dist`
-    itself, and then it is g. `dist` comes in as the search's map: the
-    field's `wall` on every blocked index and its `far` on every other. It
-    leaves with the best g found for every reached index, exact on every
-    popped one and on the returned one. A move is relaxed when its value is
-    below `dist[nxt]`, which no blocked index passes (`wall`) and no popped
-    one either: under a consistent heuristic its g is already optimal. A
-    popped entry is stale when its key is not the cell's g + h: every push
-    lowers g, so only the cell's last entry matches, and it pops before any
-    older one. Keys are exact, so the test is too. The search's work goes
-    to the counter's slots from `kind`, its caller's.
+    `h` and `dist` are indexed like the field's flat core, and `h` is a
+    consistent heuristic in the field's exact costs; `first` is the
+    field's. The heap pops by (f, g, x), f = g + h[x]: among equal f the
+    smaller g first, then the lower index. `dist` comes in as the search's
+    map: the field's `wall` on every blocked index and its `far` on every
+    other. It leaves with the best g found for every reached index, exact
+    on every popped one and on the returned one. A move is relaxed when its
+    value is below `dist[nxt]`, which no blocked index passes (`wall`) and
+    no popped one either: under a consistent heuristic its g is already
+    optimal. A popped entry is stale when its key is not the cell's g + h:
+    every push lowers g, so only the cell's last entry matches, and it pops
+    before any older one. Keys are exact, so the test is too. The search's
+    work goes to the counter's slots from `kind`, its caller's.
     """
     push, pop = heapq.heappush, heapq.heappop
     stride, first = field.stride, field.first
     orth, diag, wall = field.costs.orth, field.costs.diag, field.costs.wall
     straight, diagonals = _steps(stride)
     dist[origin] = 0
-    open_heap = [(h[origin], tie[origin], origin)]
+    open_heap = [(h[origin], 0, origin)]
     pops = 0
     while open_heap:
         key, _, cur = pop(open_heap)
@@ -370,14 +370,14 @@ def _astar(field: "DistanceField", origin: int, h: list, tie: list, stop: bytear
             nxt = cur + offset
             if value < dist[nxt]:
                 dist[nxt] = value
-                push(open_heap, (value + h[nxt], tie[nxt], nxt))
+                push(open_heap, (value + h[nxt], value, nxt))
         value = d + diag
         for offset, flank_a, flank_b in diagonals:
             nxt = cur + offset
             # no corner cutting: both orthogonal neighbours must be free
             if value < dist[nxt] and dist[cur + flank_a] != wall and dist[cur + flank_b] != wall:
                 dist[nxt] = value
-                push(open_heap, (value + h[nxt], tie[nxt], nxt))
+                push(open_heap, (value + h[nxt], value, nxt))
     else:
         cur = None
     _work[kind] += 1
@@ -396,7 +396,7 @@ def _search(field: "DistanceField", placement: ObstaclePlacement, goal: Cell, to
     its root is a consistent heuristic toward that root on the copy. Each
     search heads toward the root of its field: away from it, d(root, x)
     minus a constant cancels g on every edge of the field's tree, and the
-    search degenerates into a Dijkstra. The tie is the search's own g, and
+    search degenerates into a Dijkstra. `_astar` breaks f-ties by g, and
     `_backtrack` builds the path on the obstructed copy from start-side
     costs. Every cell a search pops is in the start's component, where
     `first` is one-to-one, so the stop flag is set on one cell only; a goal
@@ -442,7 +442,7 @@ def _search(field: "DistanceField", placement: ObstaclePlacement, goal: Cell, to
     origin, target, h = (goal, start, field.dist) if toward is None else (start, goal, toward.dist)
     stop = bytearray(field.reached)
     stop[field.first[target]] = 1
-    if _astar(field, origin, h, dist, stop, dist, _SEARCH) is None:
+    if _astar(field, origin, h, stop, dist, _SEARCH) is None:
         return None
     if toward is None:
         # the pass outward from the start: dist holds b, forward gets F on
@@ -786,7 +786,7 @@ def _exits(field: DistanceField, dist: list, covered: list, target: int) -> byte
     parent, first, end = field.parent, field.first, field.end
     stride = field.stride
     lo, hi = first[target], end[target]
-    flags = bytearray(end[_index(field.start, stride)])
+    flags = bytearray(field.reached)
     flags[lo:hi] = b"\x01" * (hi - lo)
     straight, wall = _steps(stride)[0], field.costs.wall
     for blocked in covered:
@@ -830,10 +830,9 @@ def _cost(field: DistanceField, placement: ObstaclePlacement, origin: Cell, targ
     above C* before t, so f(x) = C*, exactly, and at t itself f is g(t).
     The result is the one float built from that exact cost (`_decode`), so
     it is bitwise the same on any field. When t is out of reach no such x
-    exists, and the search runs until the heap is empty. Among equal f the
-    heap pops the cell nearest the root first (the tie is d_r too), so the
-    search heads down the field, where tree routes to the root end it
-    soonest.
+    exists, and the search runs until the heap is empty. The answer needs
+    no order among equal f: any popped x with its flag set has f = C*.
+    Ties go to the smaller g, as in every A* here (`_astar`).
     """
     stride = field.stride
     if covered is None:
@@ -841,7 +840,7 @@ def _cost(field: DistanceField, placement: ObstaclePlacement, origin: Cell, targ
     dist = _obstructed(field, covered)
     origin, target = _index(origin, stride), _index(target, stride)
     h = field.dist
-    cur = _astar(field, origin, h, h, _exits(field, dist, covered, target), dist, _COST)
+    cur = _astar(field, origin, h, _exits(field, dist, covered, target), dist, _COST)
     return None if cur is None else _decode(dist[cur] + h[cur] - h[target], field.costs)
 
 

@@ -155,7 +155,8 @@ def test_criterion_7_csv_rows_reproduce_the_summary(tmp_path):
         assert len(rows) == sum(1 for r in runs if r.condition == ADVERSARIAL)
 
         mean_abs = sum(r["delay_abs_s"] for r in rows) / len(rows)
-        mean_pct = sum(r["delay_pct"] for r in rows if r["delay_pct"] is not None) / len(rows)
+        pcts = [r["delay_pct"] for r in rows if r["delay_pct"] is not None]
+        mean_pct = sum(pcts) / len(pcts)
         judged = [r["success"] for r in rows if r["success"] is not None]
         rate = 100.0 * sum(judged) / len(judged) if judged else None
 

@@ -26,9 +26,9 @@ The tier changes the number type, not the code: the field carries its
 
 * Every value a search forms has fewer than 2n steps. A cost is that of a
   simple route, over fewer than n free cells; a relaxed value adds one step
-  to such a cost, and a heap key adds a field's cost to that. So every
-  component of a value, and of a difference of two, is below 2n in absolute
-  value.
+  to such a cost, and a search's key f adds a field's cost to that. So
+  every component of a value, and of a difference of two, is below 2n in
+  absolute value.
 * Equal values are equal pairs: ``dk * orth == -dm * diag`` needs 2**S to
   divide dm, since diag is odd, so dk = dm = 0 for any components below
   2**S.
@@ -64,23 +64,23 @@ from the goal, each time to the lowest-(row, col) neighbour whose exact
 cost plus the step equals the current cost. `_walk` takes that walk for
 it, and in the reverse neighbour order for `_spare`'s route. It needs
 exact costs only on the goal and every optimal predecessor on the way
-back. A full distance
-field has them, and so does `_search`: it orders its heap by (f, g, row,
-col), which closes every cell of every optimal route before its search
-ends, and, when it searched from the goal, it turns those costs into
-start-side ones in one pass outward from the start.
+back. A full distance field has them, and so does `_search`: its search
+pops every cell whose f is at most the optimum before it ends (`_astar`),
+which closes every cell of every optimal route, and, when it searched from
+the goal, it turns those costs into start-side ones in one pass outward
+from the start.
 
 Every search runs on a flat core: the grid becomes one list with a
 blocked border one cell wide, and cell (col, row) becomes the index
 ``(row + 1) * (width + 2) + col + 1``. That index sorts exactly like
-(row, col), so the heap orders and the backtrack's tie-break above use it
-directly. The flat core is private to this module: callers pass cells,
-obstacle placements and a `distance_field`, one Dijkstra of exact
-distances from a start, shared by every goal planned from it on the same
-grid. Moves have two lengths only, so that Dijkstra keeps one FIFO queue
-per length instead of a heap. One function, `_steps`, defines the moves:
-every search relaxes a popped cell's 4 straight moves at one cost and
-then its 4 diagonals, the only moves with flanks to test, at the other.
+(row, col), so the backtrack's tie-break above uses it directly. The
+flat core is private to this module: callers pass cells, obstacle
+placements and a `distance_field`, one Dijkstra of exact distances from a
+start, shared by every goal planned from it on the same grid. Moves have
+two lengths only, so that Dijkstra keeps one FIFO queue per length instead
+of a heap. One function, `_steps`, defines the moves: every search relaxes
+a popped cell's 4 straight moves at one cost and then its 4 diagonals, the
+only moves with flanks to test, at the other.
 
 Each search's cost list is its only record of the map. Besides costs it
 holds its tier's two sentinels: `wall`, below every cost, on each blocked
@@ -108,12 +108,12 @@ One private counter, `_work`, keeps the searches' work: a fixed list of
 ints. Each search kind, `distance_field`, `_cost` and `_search`, has three
 slots from its base (`_FIELD`, `_COST`, `_SEARCH`): its searches, pops and
 pushes; `_BACKTRACK` and `_SEPARATORS` count the calls of `_backtrack` and
-`_separators`. A pop is one entry taken off a search's heap or queues,
+`_separators`. A pop is one entry taken off a search's levels or queues,
 stale entries included, and a push is one entry put on them other than the
 origin's seed. Each kernel counts its pops in a local int and adds to the
 counter once, at its end; `_astar` adds to the kind its caller names. Each
-derives its pushes: `_astar`'s are its pops plus what its heap still
-holds, less the seed, and `distance_field`'s queues drain, so its pushes
+derives its pushes: `_astar`'s are its pops plus what its levels still
+hold, less the seed, and `distance_field`'s queues drain, so its pushes
 are its pops less the seed. `_search`'s pass outward from the start and
 `_separators`' flood push onto plain lists, not heaps, and are not counted.
 
@@ -122,7 +122,13 @@ A placement becomes the flat indices of the square that
 questions of the field, each answered by one function. Two of them,
 `_cost` and `_search`, run one A* kernel, `_astar`, on a copy of the
 field's `blank` with the obstacle blocked; they pass it their own heuristic
-and stop flags, and read their own result from its costs.
+and stop flags, and read their own result from its costs. The kernel pops
+by levels of equal f, a plain list of indices per exact key, with a heap
+of the distinct keys alone, and it stops only once the level of the first
+flagged cell it pops has popped whole. That level is the optimum, so when
+the kernel stops, every cell of f at most the optimum that an optimal route
+from the origin reaches before any flagged cell has closed with its exact
+g, whatever the order of pops within a level.
 
 * `_route`: the canonical route to a goal, backtracked on the field by the
   rule above. It is the attack's baseline, and `astar` is the route on a
@@ -142,12 +148,12 @@ and stop flags, and read their own result from its costs.
   answer is bitwise the same on either field: both searches end at the
   optimum, whose exact cost is unique.
 * `_search`: the canonical route around the winning obstacle, backtracked
-  on the obstructed copy. It searches from the goal until the start pops,
-  with the start's field as the heuristic, exact wherever the obstacle
-  casts no shadow; for a winner in the first half of a route that got a
-  field from the goal, it searches from the start with that one instead,
-  the candidates' own nearer-end rule. The canonical rule picks the same
-  path either way.
+  on the obstructed copy. It searches from the goal until the start's
+  level has popped, with the start's field as the heuristic, exact
+  wherever the obstacle casts no shadow; for a winner in the first half of
+  a route that got a field from the goal, it searches from the start with
+  that one instead, the candidates' own nearer-end rule. The canonical
+  rule picks the same path either way.
 * `_separators`: the cells whose blocking alone cuts the start from a
   goal (below).
 * `_corridor`: the route cells in one-cell corridors whose side-1 cost
@@ -334,56 +340,88 @@ def _decode(cost, costs: _Costs) -> float:
 
 
 def _astar(field: "DistanceField", origin: int, h: list, stop: bytearray, dist: list, kind: int):
-    """A* over the cost list `dist` from origin: the first popped index x with stop[first[x]] set, or None.
+    """A* over the cost list `dist` from origin: a popped index x with stop[first[x]] set, or None.
 
     `h` and `dist` are indexed like the field's flat core, and `h` is a
     consistent heuristic in the field's exact costs; `first` is the
-    field's. The heap pops by (f, g, x), f = g + h[x]: among equal f the
-    smaller g first, then the lower index. `dist` comes in as the search's
-    map: the field's `wall` on every blocked index and its `far` on every
-    other. It leaves with the best g found for every reached index, exact
-    on every popped one and on the returned one. A move is relaxed when its
+    field's. The search pops by levels of equal f = g + h[x], Dial's
+    bucket queue (Dial 1969) on exact keys: `levels` maps each key to a
+    plain list of the indices pushed with it, and a heap holds each key
+    above the current one once. The current level's list is read in push
+    order while it grows: a consistent heuristic never pushes below the
+    current key, and a push at it joins the level being read. `dist` comes
+    in as the search's map: the field's `wall` on every blocked index and
+    its `far` on every other. It leaves with the best g found for every
+    reached index, exact on every popped one. A move is relaxed when its
     value is below `dist[nxt]`, which no blocked index passes (`wall`) and
     no popped one either: under a consistent heuristic its g is already
     optimal. A popped entry is stale when its key is not the cell's g + h:
     every push lowers g, so only the cell's last entry matches, and it pops
-    before any older one. Keys are exact, so the test is too. The search's
-    work goes to the counter's slots from `kind`, its caller's.
+    before any older one. Keys are exact, so the test and the levels are
+    too.
+
+    A flagged cell is never expanded, and the search returns the first one
+    popped only once its whole level has popped. In every caller (`_cost`,
+    `_search`) that level is the optimum, C*, so on return every cell x
+    with f(x) <= C* on an optimal route from the origin that passes no
+    flagged cell before x has closed at its exact g: until x closes, the
+    first open cell on that route sits, with its exact g, in a level of at
+    most f(x). The search's work goes to the counter's slots from `kind`,
+    its caller's.
     """
-    push, pop = heapq.heappush, heapq.heappop
     stride, first = field.stride, field.first
     orth, diag, wall = field.costs.orth, field.costs.diag, field.costs.wall
     straight, diagonals = _steps(stride)
     dist[origin] = 0
-    open_heap = [(h[origin], 0, origin)]
-    pops = 0
-    while open_heap:
-        key, _, cur = pop(open_heap)
-        pops += 1
-        d = dist[cur]
-        if key != d + h[cur]:
-            continue
-        if stop[first[cur]]:
+    key = h[origin]
+    level = [origin]
+    levels, keys = {key: level}, []
+    found, pops = None, 0
+    while True:
+        # `level` grows while it is read: a push at `key` lands on it
+        for cur in level:
+            d = dist[cur]
+            if d + h[cur] != key:
+                continue
+            if stop[first[cur]]:
+                if found is None:
+                    found = cur
+                continue
+            value = d + orth
+            for offset in straight:
+                nxt = cur + offset
+                if value < dist[nxt]:
+                    dist[nxt] = value
+                    f = value + h[nxt]
+                    bucket = levels.get(f)
+                    if bucket is None:
+                        levels[f] = [nxt]
+                        heapq.heappush(keys, f)
+                    else:
+                        bucket.append(nxt)
+            value = d + diag
+            for offset, flank_a, flank_b in diagonals:
+                nxt = cur + offset
+                # no corner cutting: both orthogonal neighbours must be free
+                if value < dist[nxt] and dist[cur + flank_a] != wall and dist[cur + flank_b] != wall:
+                    dist[nxt] = value
+                    f = value + h[nxt]
+                    bucket = levels.get(f)
+                    if bucket is None:
+                        levels[f] = [nxt]
+                        heapq.heappush(keys, f)
+                    else:
+                        bucket.append(nxt)
+        pops += len(level)
+        del levels[key]
+        if found is not None or not keys:
             break
-        value = d + orth
-        for offset in straight:
-            nxt = cur + offset
-            if value < dist[nxt]:
-                dist[nxt] = value
-                push(open_heap, (value + h[nxt], value, nxt))
-        value = d + diag
-        for offset, flank_a, flank_b in diagonals:
-            nxt = cur + offset
-            # no corner cutting: both orthogonal neighbours must be free
-            if value < dist[nxt] and dist[cur + flank_a] != wall and dist[cur + flank_b] != wall:
-                dist[nxt] = value
-                push(open_heap, (value + h[nxt], value, nxt))
-    else:
-        cur = None
+        key = heapq.heappop(keys)
+        level = levels[key]
     _work[kind] += 1
     _work[kind + 1] += pops
-    _work[kind + 2] += pops + len(open_heap) - 1
-    return cur
+    _work[kind + 2] += pops - 1 + sum(map(len, levels.values()))
+    return found
 
 
 def _search(field: "DistanceField", placement: ObstaclePlacement, goal: Cell, toward: "DistanceField" = None):
@@ -396,42 +434,44 @@ def _search(field: "DistanceField", placement: ObstaclePlacement, goal: Cell, to
     its root is a consistent heuristic toward that root on the copy. Each
     search heads toward the root of its field: away from it, d(root, x)
     minus a constant cancels g on every edge of the field's tree, and the
-    search degenerates into a Dijkstra. `_astar` breaks f-ties by g, and
-    `_backtrack` builds the path on the obstructed copy from start-side
-    costs. Every cell a search pops is in the start's component, where
-    `first` is one-to-one, so the stop flag is set on one cell only; a goal
-    out of that component has no route.
+    search degenerates into a Dijkstra. `_backtrack` builds the path on the
+    obstructed copy from start-side costs. Every cell a search pops is in
+    the start's component, where `first` is one-to-one, so the stop flag is
+    set on one cell only, the search's target; a goal out of that component
+    has no route.
+
+    Each search pops the target at the optimum's level, f = C*, and
+    `_astar` returns only once that level has popped whole. A cell x on an
+    optimal route has f(x) <= C*: g(x) is its exact cost from the origin
+    along that route, and the consistent h(x) is at most the rest of it.
+    Until x closes, the first cell not yet closed on its optimal route from
+    the origin, which passes no target before x, sits in a level of at most
+    f(x) with its exact g; no such level is left when the search returns.
+    So every cell of every optimal route has then closed with its exact
+    cost, in either direction and whatever the order within a level.
 
     When `toward` is a field rooted at goal on the same grid, the search
-    runs forward, from the start until the goal pops, and its own costs are
-    already start-side. Among equal f a smaller g is a larger h, so the
-    heap pops by (f, -h, index), and every cell on an optimal route to the
-    goal, whose f is at most the optimum and whose h is above the goal's 0,
-    is closed with its exact cost before the goal pops. The attack passes
-    that field for a winner in the first half of a long route through a
-    narrow map, nearer the start than the goal, where it guides the search
-    better than the start's field guides the backward one, and no pass is
-    needed.
+    runs forward, from the start to the goal, and its own costs are already
+    start-side. The attack passes that field for a winner in the first half
+    of a long route through a narrow map, nearer the start than the goal,
+    where it guides the search better than the start's field guides the
+    backward one, and no pass is needed.
 
-    Otherwise the search runs backward, from the goal until the start
-    pops, guided by the start's own field d_s, which is exact wherever the
-    obstacle casts no shadow. Its g is b(x), the exact cost from x to the
-    goal on the copy once x closes, and the start pops with b = C*, the
-    optimum. A cell x on an optimal route has a start-side cost F(x) =
-    C* - b(x) at least d_s(x), so f(x) = b(x) + d_s(x) <= C*, and g(x) =
-    b(x) < C* unless x is the start. Until x closes, the first cell not
-    yet closed on its optimal route from the goal sits in the heap with its
-    exact b and such a key, below the start's (C*, C*): so every cell of
-    every optimal route closes with its exact b before the start pops. One
-    pass outward from the start then turns b into start-side costs on
-    exactly those cells: F(start) = 0, and a legal step on the copy from a
-    marked p to x with b(x) + step = b(p) marks x with F(x) = C* - b(x).
-    A search's cost is never below the true one, and the true b(x) + step
-    is at least b(p), so a match means that start..p, x..goal is an optimal
-    route: x is on one, and so closed and exact. By induction from the
-    start every cell of every optimal route is marked, and `_backtrack`
-    walks them to the same path as the forward search. The pass pushes
-    each marked cell once onto a plain list, not a heap.
+    Otherwise the search runs backward, from the goal to the start, guided
+    by the start's own field d_s, which is exact wherever the obstacle
+    casts no shadow. Its g is b(x), the exact cost from x to the goal on
+    the copy once x closes, and the start pops with b = C*, the optimum.
+    By the above every cell of every optimal route has closed with its
+    exact b when the search returns. One pass outward from the start then
+    turns b into start-side costs on exactly those cells: F(start) = 0, and
+    a legal step on the copy from a marked p to x with b(x) + step = b(p)
+    marks x with F(x) = C* - b(x). A search's cost is never below the true
+    one, and the true b(x) + step is at least b(p), so a match means that
+    start..p, x..goal is an optimal route: x is on one, and so closed and
+    exact. By induction from the start every cell of every optimal route is
+    marked, and `_backtrack` walks them to the same path as the forward
+    search. The pass pushes each marked cell once onto a plain list, not a
+    heap.
     """
     stride, costs = field.stride, field.costs
     start, goal = _index(field.start, stride), _index(goal, stride)
@@ -821,18 +861,20 @@ def _cost(field: DistanceField, placement: ObstaclePlacement, origin: Cell, targ
     symmetric, so the cost is also that of the route from target to
     origin.
 
-    The search stops at the first popped cell x whose flag in `_exits` is
+    The search returns the first popped cell x whose flag in `_exits` is
     set: t itself, or a cell whose route up the field's tree to t survives
-    the obstacle. At such an x the heuristic is exact. g(x) is optimal, since x
-    popped under a consistent heuristic, and origin to x followed by the
-    tree route is a legal route to t of cost f(x) = g(x) + d_r(x) - d_r(t),
-    so f(x) >= C*, the optimum. A* with a consistent heuristic pops no f
-    above C* before t, so f(x) = C*, exactly, and at t itself f is g(t).
-    The result is the one float built from that exact cost (`_decode`), so
-    it is bitwise the same on any field. When t is out of reach no such x
-    exists, and the search runs until the heap is empty. The answer needs
-    no order among equal f: any popped x with its flag set has f = C*.
-    Ties go to the smaller g, as in every A* here (`_astar`).
+    the obstacle. At such an x the heuristic is exact. g(x) is optimal,
+    since x popped under a consistent heuristic, and origin to x followed
+    by the tree route is a legal route to t of cost f(x) = g(x) + d_r(x) -
+    d_r(t), so f(x) >= C*, the optimum. No flagged cell popped before x, so
+    every popped cell was expanded until then, and A* with a consistent
+    heuristic pops no f above C* before t: so f(x) = C*, exactly, and at t
+    itself f is g(t). `_astar` pops the rest of x's level before it returns
+    and expands no flagged cell, which leaves g(x) as it was. The result is
+    the one float built from that exact cost (`_decode`), so it is bitwise
+    the same on any field. When t is out of reach no such x exists, and the
+    search runs until its levels are empty. The answer needs no order among
+    equal f: any popped x with its flag set has f = C*.
     """
     stride = field.stride
     if covered is None:

@@ -3,24 +3,30 @@
 The property tests check a fixed set of seeded random examples, 200 maps
 each, which can miss a case for good, and they do not shrink a failing map.
 A sweep over every map of a given size has neither gap: it finds the
-smallest maps on which a check fails. This module is not collected by
-pytest: `tests/test_attack.py` and `tests/test_planner.py` run the 3 x 3
-sweeps, and a larger one runs from the command line, for example
+smallest maps on which a check fails. The search sweep takes the other
+way to many cases: every obstacle on each of many seeded maps. This module
+is not collected by pytest: `tests/test_attack.py` and
+`tests/test_planner.py` run the 3 x 3 sweeps, and a larger one runs from
+the command line, for example
 
     PYTHONPATH=src python tests/sweep.py 4 3
     PYTHONPATH=src python tests/sweep.py 4 3 separators
+    PYTHONPATH=src python tests/sweep.py searches 1500
 
 which print the number of attacks compared in each tier of exact costs,
-or of (start, goal) pairs whose cut cells were compared, or fail with an
-AssertionError, exit status 1, on the first case that differs from the
-oracle.
+of (start, goal) pairs whose cut cells were compared, or of canonical
+searches compared, or fail with an AssertionError, exit status 1, on the
+first case that differs from the oracle.
 """
 
+import itertools
+import random
 import sys
 
-from gridjam import Cell, GridMap, NoPathError, brute_force_attack, distance_field, planner
-from gridjam.planner import _separators
-from oracles import attack_oracle, oracle_cuts, oracle_distances
+from gridjam import Cell, GridMap, NoPathError, ObstaclePlacement, brute_force_attack, distance_field, planner
+from gridjam.planner import _search, _separators
+from conftest import random_problem
+from oracles import attack_oracle, dijkstra_oracle, obstruct, oracle_cuts, oracle_distances
 
 
 def _maps(width: int, height: int):
@@ -44,10 +50,10 @@ def in_int_tier(call, *args):
         planner._FLOAT_CELLS = saved
 
 
-def _plan(attack, *args):
-    """attack(*args), or None when it finds no route."""
+def _plan(call, *args):
+    """call(*args), or None when it finds no route."""
     try:
-        return attack(*args)
+        return call(*args)
     except NoPathError:
         return None
 
@@ -102,10 +108,46 @@ def separator_sweep(width: int, height: int) -> int:
     return compared
 
 
+def search_sweep(problems: int) -> int:
+    """Compare `_search` with `dijkstra_oracle` around every obstacle on seeded maps; return the number of searches.
+
+    Problem i is `conftest.random_problem` of at most 12 x 12 cells, drawn
+    from `random.Random(f"searches:{i}")`. Each takes every placement of
+    side 1 and 3, centred on any cell, that covers neither endpoint, and
+    runs `_search` around it in both directions: backward on the start's
+    field, and forward toward a field from the goal. Each must return the
+    oracle's canonical route on the obstructed map, cells and cost, or None
+    where it finds none. Raises AssertionError naming the first case that
+    differs.
+    """
+    compared = 0
+    for index in range(problems):
+        grid, start, goal = random_problem(random.Random(f"searches:{index}"), 12, 12)
+        field, toward = distance_field(grid, start), distance_field(grid, goal)
+        for side, row, col in itertools.product((1, 3), range(grid.height), range(grid.width)):
+            placement = ObstaclePlacement(Cell(col, row), side)
+            if placement.covers(start) or placement.covers(goal):
+                continue
+            expected = _plan(dijkstra_oracle, obstruct(grid, placement), start, goal)
+            for direction, route in (
+                ("backward", _search(field, placement, goal)),
+                ("forward", _search(field, placement, goal, toward)),
+            ):
+                if route != expected:
+                    case = f"problem {index}, start {start}, goal {goal}, side {side} centred on {col},{row}"
+                    raise AssertionError(f"{case}: the {direction} search's route differs from the oracle's (None: no route)")
+            compared += 2
+    return compared
+
+
 if __name__ == "__main__":
-    width, height = map(int, sys.argv[1:3])
-    if sys.argv[3:] == ["separators"]:
-        pairs = separator_sweep(width, height)
-        print(f"{pairs} start-goal pairs on every {width}x{height} map have the oracle's cut cells")
+    if sys.argv[1] == "searches":
+        problems = int(sys.argv[2])
+        print(f"{search_sweep(problems)} searches on {problems} seeded maps match the oracle")
     else:
-        print(f"{attack_sweep(width, height)} attacks on every {width}x{height} map match the oracle in each tier")
+        width, height = map(int, sys.argv[1:3])
+        if sys.argv[3:] == ["separators"]:
+            pairs = separator_sweep(width, height)
+            print(f"{pairs} start-goal pairs on every {width}x{height} map have the oracle's cut cells")
+        else:
+            print(f"{attack_sweep(width, height)} attacks on every {width}x{height} map match the oracle in each tier")

@@ -313,10 +313,10 @@ def _start_field(grid, start):
 # landed attack. Before candidates that miss the spare route took the
 # baseline's cost without a search, `_cost` ran 297 times on the warehouse
 # and 57 times on `turn`.
-# The pops of each search are pinned too: heap pops, and the field's pops
-# from its two queues, which equal the heap pops it made before. Before
-# `_cost` ended at the first cell whose tree route survives the obstacle,
-# its searches made 9,062 pops on the warehouse and 6,095 on `turn`. Before
+# The pops of each search are pinned too: an A* search's pops from its
+# levels of equal f, and the field's pops from its two queues, which equal
+# the heap pops it made before. Before `_cost` ended at the first cell
+# whose tree route survives the obstacle, its searches made 9,062 pops on the warehouse and 6,095 on `turn`. Before
 # `_search` ran backward from the goal on the start's field, it made 3,544
 # pops on the warehouse and 486 on `turn` with the octile heuristic. Before
 # an attack on a shared field scored candidates from the nearer end, `turn`'s
@@ -324,10 +324,13 @@ def _start_field(grid, start):
 # candidates, 5,271 on the warehouse and 1,622 on `turn`, with 9,623 and
 # 2,798 pushes; before `_cost` broke f-ties by g, as `_search` does, 3,848
 # pops and 6,488 pushes on the warehouse and 1,007 and 1,467 on `turn`.
-# `branch` is the one side-1 scenario
-# with evaluated candidates: its three lie in one corridor of two-move
-# cells, so one is searched and the other two take its cost
-# (`planner._corridor`); before that, `_cost` ran 3 times. The test takes
+# Every search now pops the whole level of f at which it stops (`_astar`);
+# before the kernel popped by levels, `_cost` made 3,847 pops and 5,604
+# pushes on the warehouse and 700 pops on `turn`, and `_search` 2,109
+# pushes on the warehouse. `branch` is the one side-1 scenario with
+# evaluated candidates: its three lie in one corridor of two-move cells, so
+# one is searched and the other two take its cost (`planner._corridor`);
+# before that, `_cost` ran 3 times. The test takes
 # its call counts from `SUITE_CALLS` by scenario name, so that re-pinning
 # one leaves the test's id as it is.
 # Tighten these; never loosen them.
@@ -337,23 +340,25 @@ SUITE_CALLS = {
     "branch": {"_search": 1, "_cost": 1},
 }
 SUITE_POPS = {
-    "warehouse": {"start field": 840, "_cost": 3847, "_search": 1363},
-    "turn": {"start field": 621, "goal field": 621, "_cost": 700, "_search": 245},
+    "warehouse": {"start field": 840, "_cost": 3991, "_search": 1363},
+    "turn": {"start field": 621, "goal field": 621, "_cost": 712, "_search": 245},
     "branch": {"start field": 12, "goal field": 12, "_cost": 4, "_search": 9},
 }
-# The pushes of the same searches: heap pushes, and the field's appends to
-# its two queues (the source seeds one queue without an append). A
-# relaxation pushes exactly when it lowers a cost, so these pin every
-# relaxation, not only every pop. They are the counts of the kernels that
-# tested each move's cell for a wall, a closed or a settled cell before
-# comparing costs, so they show that the sentinel costs alone decide the
-# same relaxations. They were also the counts of the kernels that held
-# every cost as a Python int, before maps of this size took the float tier
-# (`planner._FLOAT_CELLS`), so they show that doubles decide them too, and
-# of the kernels that tested flanks on a byte grid and kept closed flags,
-# so they show that each search's cost list alone decides them.
+# The pushes of the same searches: an A* search's appends to its levels
+# (its heap took one tuple per push before it popped by levels), and the
+# field's appends to its two queues (the source seeds one queue without an
+# append). A relaxation pushes exactly when it lowers a cost, so these pin
+# every relaxation, not only every pop. Up to the level kernel's re-pin
+# above, they were the counts of the kernels that tested each move's cell
+# for a wall, a closed or a settled cell before comparing costs, so they
+# show that the sentinel costs alone decide the same relaxations. They
+# were also the counts of the kernels that held every cost as a Python int,
+# before maps of this size took the float tier (`planner._FLOAT_CELLS`), so
+# they show that doubles decide them too, and of the kernels that tested
+# flanks on a byte grid and kept closed flags, so they show that each
+# search's cost list alone decides them.
 SUITE_PUSHES = {
-    "warehouse": {"start field": 839, "_cost": 5604, "_search": 2109},
+    "warehouse": {"start field": 839, "_cost": 5763, "_search": 2112},
     "turn": {"start field": 620, "goal field": 620, "_cost": 895, "_search": 368},
     "branch": {"start field": 11, "goal field": 11, "_cost": 3, "_search": 8},
 }
@@ -429,7 +434,9 @@ def test_the_spare_route_decides_zero_gain_candidates():
 # pops before they ended at the first cell whose tree route survives the
 # obstacle, 269 before they were scored from the nearer end, when
 # `_search` made 66, 197 in 22 searches before each corridor was searched
-# once, and 40 pops and 36 pushes before `_cost` broke f-ties by g.
+# once, 40 pops and 36 pushes before `_cost` broke f-ties by g, and, before
+# the kernel popped by levels and finished the optimum's, 39 pops and 35
+# pushes, with 65 pops and 64 pushes in `_search`.
 # Tighten these; never loosen them.
 def test_blocking_side1_candidates_are_not_searched(maze_map):
     start = Cell(1, 1)
@@ -445,8 +452,8 @@ def test_blocking_side1_candidates_are_not_searched(maze_map):
     searches, pops, pushes = _by_kind(work, start_field)
     # the test's own start field and one field from each goal
     assert (searches["distance_field"], searches["_cost"], work[planner._SEPARATORS]) == (3, searched, 2)
-    assert pops == {"start field": 41, "goal field": 82, "_cost": 39, "_search": 65}
-    assert pushes == {"start field": 40, "goal field": 80, "_cost": 35, "_search": 64}
+    assert pops == {"start field": 41, "goal field": 82, "_cost": 40, "_search": 66}
+    assert pushes == {"start field": 40, "goal field": 80, "_cost": 36, "_search": 65}
 
     before = planner._work[:]
     brute_force_attack(maze_map, start, Cell(9, 1), 3, field)
@@ -465,7 +472,9 @@ def test_blocking_side1_candidates_are_not_searched(maze_map):
 #   its 12 evaluated candidates lie in two one-cell corridors, so 2 are
 #   searched; on the goal field's tree of a heap the `_cost` searches made
 #   111 pops, 108 in 12 searches before each corridor was searched once,
-#   and 23 pops and 21 pushes before `_cost` broke f-ties by g;
+#   23 pops and 21 pushes before `_cost` broke f-ties by g, and 22 pops and
+#   20 pushes, with 32 pops and 31 pushes in `_search`, before the kernel
+#   popped by levels;
 # - the warehouse goal whose baseline holds the largest share of the start's
 #   component, 0.031, stays below the gate and gets no second field; 20 of
 #   its 22 evaluated candidates miss the spare route (`planner._spare`), so
@@ -480,8 +489,8 @@ OWN_FIELD_WORK = {
     ("maze", Cell(9, 1), 1): (
         {"evaluated": 12, "blocking": 3, "infeasible": 2},
         {"distance_field": 2, "_cost": 2, "_search": 1},
-        {"start field": 41, "goal field": 41, "_cost": 22, "_search": 32},
-        {"start field": 40, "goal field": 40, "_cost": 20, "_search": 31},
+        {"start field": 41, "goal field": 41, "_cost": 23, "_search": 33},
+        {"start field": 40, "goal field": 40, "_cost": 21, "_search": 32},
     ),
     ("warehouse", Cell(37, 27), 3): (
         {"evaluated": 22, "infeasible": 4},

@@ -414,11 +414,25 @@ def test_search_with_goal_field_heuristic_property(rng, grid, start, goal):
         # the same at (2,0)-(1,1), whose flank (1,0) is a wall: the backtrack
         # reaches (1,1) on a cost it does not have and finds no legal way on
         ("##..\n#..#\n....\n....\n", Cell(3, 0), Cell(1, 3), ObstaclePlacement(Cell(0, 3), 1)),
-        # Every cell of the three optimal routes has f = C*. Popping a smaller
-        # g first closes them all before the start; popping the larger g
-        # first pops the start before (3,2) closes, and the backtrack turns
-        # at (3,3) instead.
+        # Every cell of the three optimal routes has f = C*. Had the search
+        # returned when the start popped, before (3,2) closed, the backtrack
+        # would turn at (3,3) instead; it pops the start's whole level first.
         (".....\n.....\n.....\n.....\n", Cell(4, 3), Cell(1, 2), ObstaclePlacement(Cell(0, 0), 1)),
+        # The oracle's route leaves 8,2 through 8,1. A search that returned
+        # at its target's first pop, with its level read in push order, left
+        # a cell of that route open and backtracked through 9,2 at the same
+        # cost, 8, in the backward direction.
+        (
+            "#..#.....#\n..........\n...#...#..\n....#.....\n...#.#..#.\n"
+            "#.........\n..#.......\n..........\n#.......#.\n",
+            Cell(8, 2), Cell(5, 5), ObstaclePlacement(Cell(8, 3), 1),
+        ),
+        # The same through 10,1 instead of 8,0, in both directions.
+        (
+            "............\n............\n....#....#..\n............\n#..#....#...\n"
+            "....#...#...\n..#..#......\n............\n......#..#..\n........#...\n",
+            Cell(9, 0), Cell(3, 9), ObstaclePlacement(Cell(6, 6), 3),
+        ),
     ],
 )
 def test_backward_search_marks_every_optimal_cell_and_no_other(text, start, goal, placement):

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 from .gridmap import Cell, GridMap, ObstaclePlacement
 from .planner import (
-    DistanceField, Path, _check_field, _corridor, _cost, _covered, _route, _search, _separators, _spare, distance_field,
-    prefix_costs,
+    DistanceField, Path, _check_field, _cost, _covered, _route, _search, _side1, _spare, distance_field, prefix_costs,
 )
 
 # An attack builds a second field, from the goal, when the baseline holds
@@ -93,17 +92,16 @@ def brute_force_attack(
     baseline is backtracked from the field, a candidate is scored by its
     cost alone from the goal back to the start with the field as the
     heuristic, and only the winner is planned as a canonical path. A side-1
-    candidate that blocks is known without a search from one flood fill
-    beside the field's tree route to the goal (see `planner._separators`);
-    it still costs a planning round. So does a side-1 candidate in a
-    one-cell corridor: when it and the cell before it both have exactly two
-    legal moves, and that cell was evaluated, it takes that cell's cost
-    without a search, since both force the same detour (see
-    `planner._corridor`). Any other candidate whose
-    square misses the spare route, the highest-index optimal route to the
-    goal, with both flanks of its diagonals (`planner._spare`), gains
-    nothing: it takes the baseline's cost without a search, and still costs
-    a planning round. The route is walked once per attack, for the first
+    attack walks its baseline once (`planner._side1`) for two flags per
+    cell. A cut cell's candidate blocks, known without a search; it still
+    costs a planning round. So does a candidate in a one-cell corridor:
+    when it and the cell before it both have exactly two legal moves, and
+    that cell was evaluated, it takes that cell's cost without a search,
+    since both force the same detour. Any other candidate whose square
+    misses the spare route, the highest-index optimal route to the goal,
+    with both flanks of its diagonals (`planner._spare`), gains nothing: it
+    takes the baseline's cost without a search, and still costs a planning
+    round. The spare route is walked once per attack, for the first
     candidate that would otherwise be searched.
 
     An attack whose baseline is long against the start's component
@@ -130,8 +128,7 @@ def brute_force_attack(
     split = 0  # candidates before this baseline index are scored on the goal field
     if len(baseline.cells) / field.reached > _GOAL_FIELD_SHARE:
         split = bisect.bisect_left(prefix_costs(baseline), baseline.cost / 2)
-    cuts = _separators(field, goal) if side == 1 else ()
-    corridor = _corridor(field, baseline.cells) if side == 1 else None
+    cuts, corridor = _side1(field, baseline.cells) if side == 1 else (None, None)
     spare = None  # built for the first candidate that would be searched
     ledger = []
     best = None  # the ledger entry of the winner so far
@@ -140,7 +137,7 @@ def brute_force_attack(
         if placement.covers(start) or placement.covers(goal):
             ledger.append(CandidateEval(index, placement, Outcome.INFEASIBLE))
             continue
-        if step in cuts:
+        if side == 1 and cuts[index]:
             cost = None
         elif side == 1 and corridor[index] and ledger[-1].outcome is Outcome.EVALUATED:
             cost = ledger[-1].cost

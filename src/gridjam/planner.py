@@ -107,18 +107,18 @@ diagonal entry whose cell's tree parent is a straight step away, and
 One private counter, `_work`, keeps the searches' work: a fixed list of
 ints. Each search kind, `distance_field`, `_cost` and `_search`, has three
 slots from its base (`_FIELD`, `_COST`, `_SEARCH`): its searches, pops and
-pushes; `_BACKTRACK` and `_SEPARATORS` count the calls of `_backtrack` and
-`_separators`. A pop is one entry taken off a search's levels or queues,
+pushes; `_BACKTRACK` and `_SIDE1` count the calls of `_backtrack` and
+`_side1`. A pop is one entry taken off a search's levels or queues,
 stale entries included, and a push is one entry put on them other than the
 origin's seed. Each kernel counts its pops in a local int and adds to the
 counter once, at its end; `_astar` adds to the kind its caller names. Each
 derives its pushes: `_astar`'s are its pops plus what its levels still
 hold, less the seed, and `distance_field`'s queues drain, so its pushes
 are its pops less the seed. `_search`'s pass outward from the start and
-`_separators`' flood push onto plain lists, not heaps, and are not counted.
+`_side1`'s flood push onto plain lists, not heaps, and are not counted.
 
 A placement becomes the flat indices of the square that
-`ObstaclePlacement.extent` clips at the border. Callers ask six
+`ObstaclePlacement.extent` clips at the border. Callers ask five
 questions of the field, each answered by one function. Two of them,
 `_cost` and `_search`, run one A* kernel, `_astar`, on a copy of the
 field's `blank` with the obstacle blocked; they pass it their own heuristic
@@ -154,43 +154,14 @@ g, whatever the order of pops within a level.
   a route that got a field from the goal, it searches from the start with
   that one instead, the candidates' own nearer-end rule. The canonical
   rule picks the same path either way.
-* `_separators`: the cells whose blocking alone cuts the start from a
-  goal (below).
-* `_corridor`: the route cells in one-cell corridors whose side-1 cost
-  equals the cost of the cell before them (below).
+* `_side1`: two flags per cell of a route, which the attack reads for
+  side-1 candidates: whether blocking the cell alone cuts the route's
+  ends apart, and whether its side-1 cost is that of the cell before it,
+  in a one-cell corridor (proofs in its docstring).
 * `_spare`: the cells of a second optimal route to a goal; an obstacle
   that misses them gains nothing (below).
 
-A side-1 candidate that blocks needs no search at all. Corner cutting is
-forbidden, so a legal diagonal always has both flanks free and can be
-replaced by its two orthogonal steps, on any obstructed copy too: start
-and goal stay connected exactly when they are connected over 4-connected
-free cells. A one-cell obstacle therefore blocks exactly when its cell is
-a cut vertex between them. Such a cell lies on every route, the field's
-tree route to the goal too, and one flood fill of the free cells beside
-that route names every such cell at once.
-
-A side-1 candidate in a one-cell corridor needs no search either, once
-the candidate before it was evaluated. `_corridor` flags each route cell
-that, like the cell before it, has exactly two legal moves on the
-unobstructed grid; the attack gives such a cell its predecessor's cost.
-
-* A two-move cell flanks no legal diagonal. If c flanked a legal
-  diagonal a -> b, then a, b and the diagonal's other flank would all be
-  legal moves from c: a and b are free straight neighbours, and the other
-  flank is a free diagonal neighbour whose flanks are a and b. That is
-  three moves, not two. So blocking c removes the vertex c and nothing
-  else, and a route that avoids c is legal with c blocked.
-* Adjacent two-move cells share one detour. A simple route through a
-  two-move cell that is not an endpoint uses both of its moves. Take two
-  adjacent such cells c and c', neither the start nor the goal: c' is one
-  of c's two moves, so a shortest route that avoids c' cannot pass c, and
-  the other way round. By the first point, each blocked copy's optimal
-  route is therefore legal on the other, so the two optima are equal:
-  both searches would end on the same exact integer, which decodes to the
-  same float.
-
-A candidate that misses the spare route needs no search either. `_spare`
+A candidate that misses the spare route needs no search. `_spare`
 walks back from the goal on the start's field like `_backtrack`, but each
 time to the highest-index matching neighbour, and flags the route's cells
 and both flanks of each of its diagonal steps. The baseline takes the
@@ -247,7 +218,7 @@ _FLOAT_COSTS = _Costs(35, float, -math.inf, math.inf)
 _INT_COSTS = _Costs(52, int, -(1 << 120), 1 << 120)
 
 # the work counter (see above): three slots from each search kind's base
-_FIELD, _COST, _SEARCH, _BACKTRACK, _SEPARATORS = 0, 3, 6, 9, 10
+_FIELD, _COST, _SEARCH, _BACKTRACK, _SIDE1 = 0, 3, 6, 9, 10
 _work = [0] * 11
 
 
@@ -726,51 +697,77 @@ def _spare(field: DistanceField, goal: Cell) -> bytearray:
     return flags
 
 
-def _separators(field: DistanceField, goal: Cell) -> set:
-    """The free cells whose blocking alone cuts every route from the field's start to goal.
+def _side1(field: DistanceField, cells) -> tuple:
+    """(cuts, corridor): two flag lists aligned with `cells`, a legal route on the field's grid.
 
-    goal must be in the start's reach. Neither the start nor goal is ever
-    in the set. The answer holds for 8-connected moves without corner
-    cutting: a legal diagonal has both flanks free, so it can be replaced
-    by its two orthogonal steps, and blocking cells keeps that true. Two
-    cells are therefore connected on any blocked copy of the grid exactly
-    when they are connected over its 4-connected free cells.
+    A cut is a route cell whose one-cell obstacle leaves no route between
+    the route's ends; an end is never a cut. A corridor flag is set where
+    the cell and the one before it both have exactly two legal moves,
+    counted over `_moves` on the field's `blank`, the unobstructed grid (a
+    straight move's flanks are the cell itself, free on a route); the first
+    cell is never flagged. One walk of the route sets both.
 
-    A cut lies on every route, so the cells of one are the only ones to
-    test: the field's tree route, walked through `parent` from goal, place
-    0, back to the start, the last place. Block route cell i, neither end.
-    Each diagonal step of the route keeps a free flank that is not i, so
-    the route cells before i stay connected, and so do those after it. The
-    ends are then connected exactly when a 4-connected path that avoids i
-    joins a route cell before i to one after it, with every inner cell off
-    the route. Such a path is either one step between two 4-adjacent route
-    cells, or it runs through one 4-connected component of the free cells
-    off the route that touches both.
+    Cuts. Corner cutting is forbidden, so a legal diagonal has both flanks
+    free and can be replaced by its two orthogonal steps, and blocking
+    cells keeps that true: two cells are connected on any blocked copy of
+    the grid exactly when they are connected over its 4-connected free
+    cells. A cut lies on every route, so the cells of this one are the
+    only ones to test, each at its place: 0 at the first cell, the last
+    place at the other end. Block route cell i, neither end. Each diagonal
+    step of the route keeps a free flank other than i, so the route cells
+    before i stay connected, and so do those after it. The ends are then
+    connected exactly when a 4-connected path that avoids i joins a route
+    cell before i to one after it, with every inner cell off the route.
+    Such a path is either one step between two 4-adjacent route cells, or
+    it runs through one 4-connected component of the free cells off the
+    route that touches both.
 
-    One pass decides every i. It walks the route in order and, from each
-    route cell in turn, floods the free cells off the route, with one list
-    `at` over the flat core: each route cell's place, -2 on a flooded cell
-    and -1 on every other index. `far` is the highest place seen next to a
-    route cell or a flooded cell. Each component is flooded whole from the
-    lowest place it touches, so at cell i's turn `far` is the highest place
-    joined to a cell before i by one step or through one component.
-    Consecutive route cells are 4-adjacent or share a free flank, so `far
-    >= i` then, and i is a cut exactly when `far == i`.
+    One pass decides every i. One list `at` over the flat core holds each
+    route cell's place, -2 on a flooded cell and -1 on every other index.
+    The pass walks the route in order and, from each route cell in turn,
+    floods the free cells off the route. `far` is the highest place seen
+    next to a route cell or a flooded cell. Each component is flooded whole
+    from the lowest place it touches, so at cell i's turn `far` is the
+    highest place joined to a cell before i by one step or through one
+    component. Consecutive route cells are 4-adjacent or share a free
+    flank, so `far >= i` then, and i is a cut exactly when `far == i`.
+
+    Corridors. When neither a flagged cell nor the cell before it is an
+    end, their one-cell obstacles force the same optimum.
+
+    * A two-move cell flanks no legal diagonal. If c flanked a legal
+      diagonal a -> b, then a, b and the diagonal's other flank would all
+      be legal moves from c: a and b are free straight neighbours, and the
+      other flank is a free diagonal neighbour whose flanks are a and b.
+      That is three moves, not two. So blocking c removes the vertex c and
+      nothing else, and a route that avoids c is legal with c blocked.
+    * Adjacent two-move cells share one detour. A simple route through a
+      two-move cell that is not an end uses both of its moves. Take two
+      adjacent such cells c and c', neither an end: c' is one of c's two
+      moves, so a shortest route that avoids c' cannot pass c, and the
+      other way round. By the first point, each blocked copy's optimal
+      route is therefore legal on the other, so the two optima are equal:
+      both searches would end on the same exact integer, which decodes to
+      the same float.
     """
-    _work[_SEPARATORS] += 1
-    blank, parent, stride, wall = field.blank, field.parent, field.stride, field.costs.wall
+    _work[_SIDE1] += 1
+    blank, stride, wall = field.blank, field.stride, field.costs.wall
     at = [-1] * len(blank)
-    route = []
-    cur = _index(goal, stride)
-    while cur >= 0:
-        at[cur] = len(route)
-        route.append(cur)
-        cur = parent[cur]
-    straight = _steps(stride)[0]
-    cuts, far = set(), 0
+    route = [_index(cell, stride) for cell in cells]
     for place, index in enumerate(route):
-        if far == place and 0 < place < len(route) - 1:
-            cuts.add(_cell(index, stride))
+        at[index] = place
+    straight, table = _steps(stride)[0], _moves(field)
+    cuts, corridor = [], []
+    far, before, last = 0, False, len(route) - 1
+    for place, index in enumerate(route):
+        cuts.append(far == place and 0 < place < last)
+        moves = 0
+        for offset, _, flank_a, flank_b in table:
+            if blank[index + offset] != wall and blank[index + flank_a] != wall and blank[index + flank_b] != wall:
+                moves += 1
+        two = moves == 2
+        corridor.append(before and two)
+        before = two
         stack = [index]
         while stack:
             cur = stack.pop()
@@ -782,31 +779,7 @@ def _separators(field: DistanceField, goal: Cell) -> set:
                 elif mark == -1 and blank[nxt] != wall:
                     at[nxt] = -2
                     stack.append(nxt)
-    return cuts
-
-
-def _corridor(field: DistanceField, cells) -> list:
-    """A flag per route cell: set where it and the cell before it both have exactly two legal moves.
-
-    Moves are counted over `_moves` on the field's `blank`, the unobstructed
-    grid; a straight move's flanks are the cell itself, which is free on a
-    route. The first cell has no cell before it and is never flagged. A
-    flagged cell's one-cell obstacle forces the same detour as its
-    predecessor's (see the module docstring) when neither is an endpoint.
-    """
-    blank, stride, wall = field.blank, field.stride, field.costs.wall
-    table = _moves(field)
-    flags, before = [], False
-    for cell in cells:
-        x = _index(cell, stride)
-        moves = 0
-        for offset, _, flank_a, flank_b in table:
-            if blank[x + offset] != wall and blank[x + flank_a] != wall and blank[x + flank_b] != wall:
-                moves += 1
-        two = moves == 2
-        flags.append(before and two)
-        before = two
-    return flags
+    return cuts, corridor
 
 
 def _exits(field: DistanceField, dist: list, covered: list, target: int) -> bytearray:

@@ -2,8 +2,8 @@
 
 None of this runs in the package: the Dijkstra planner cross-checks `astar`
 and, run over a whole component, `distance_field`; `obstruct` builds the
-map a placement leaves behind, the cut oracle cross-checks
-`planner._separators`, and the attack oracle cross-checks
+map a placement leaves behind, the cut oracle and the move count
+cross-check `planner._side1`, and the attack oracle cross-checks
 `brute_force_attack`.
 """
 
@@ -66,8 +66,6 @@ def _dijkstra(grid: GridMap, start: Cell, goal) -> tuple:
     cells in `done`; `via` holds its optimal parent with the lowest
     (row, col). With goal None it settles the start's whole component.
     """
-    occupied = grid.rows
-    width, height = grid.width, grid.height
     dist = {start: (0, 0)}
     via = {}
     done = set()
@@ -82,33 +80,43 @@ def _dijkstra(grid: GridMap, start: Cell, goal) -> tuple:
         if node == goal:
             break
         k, m = dist[node]
-        for dcol in (-1, 0, 1):
-            for drow in (-1, 0, 1):
-                if dcol == 0 and drow == 0:
-                    continue
-                c2 = col + dcol
-                r2 = row + drow
-                if c2 < 0 or c2 >= width or r2 < 0 or r2 >= height:
-                    continue
-                if occupied[r2][c2]:
-                    continue
-                if dcol != 0 and drow != 0:
-                    if occupied[row][c2] or occupied[r2][col]:
-                        continue
-                    cand = (k, m + 1)
-                else:
-                    cand = (k + 1, m)
-                other = Cell(c2, r2)
-                seen = dist.get(other)
-                if seen is None or cand[0] + cand[1] * SQRT2 < seen[0] + seen[1] * SQRT2:
-                    dist[other] = cand
+        for c2, r2, diagonal in _legal_moves(grid, col, row):
+            cand = (k, m + 1) if diagonal else (k + 1, m)
+            other = Cell(c2, r2)
+            seen = dist.get(other)
+            if seen is None or cand[0] + cand[1] * SQRT2 < seen[0] + seen[1] * SQRT2:
+                dist[other] = cand
+                via[other] = node
+                heapq.heappush(heap, (cand[0] + cand[1] * SQRT2, r2, c2))
+            elif cand == seen and other not in done:
+                prev = via[other]
+                if (row, col) < (prev.row, prev.col):
                     via[other] = node
-                    heapq.heappush(heap, (cand[0] + cand[1] * SQRT2, r2, c2))
-                elif cand == seen and other not in done:
-                    prev = via[other]
-                    if (row, col) < (prev.row, prev.col):
-                        via[other] = node
     return dist, via, done
+
+
+def _legal_moves(grid: GridMap, col: int, row: int):
+    """(col, row, diagonal) of each legal move from the free cell (col, row): 8-connected, no corner cutting."""
+    occupied = grid.rows
+    for dcol in (-1, 0, 1):
+        for drow in (-1, 0, 1):
+            if dcol == 0 and drow == 0:
+                continue
+            c2 = col + dcol
+            r2 = row + drow
+            if c2 < 0 or c2 >= grid.width or r2 < 0 or r2 >= grid.height:
+                continue
+            if occupied[r2][c2]:
+                continue
+            diagonal = dcol != 0 and drow != 0
+            if diagonal and (occupied[row][c2] or occupied[r2][col]):
+                continue
+            yield c2, r2, diagonal
+
+
+def oracle_moves(grid: GridMap, cell: Cell) -> int:
+    """The number of legal moves from the free cell, by the rule `dijkstra_oracle` moves by."""
+    return sum(1 for _ in _legal_moves(grid, cell.col, cell.row))
 
 
 def obstruct(grid: GridMap, placement: ObstaclePlacement) -> GridMap:

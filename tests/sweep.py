@@ -14,9 +14,10 @@ the command line, for example
     PYTHONPATH=src python tests/sweep.py searches 1500
 
 which print the number of attacks compared in each tier of exact costs,
-of (start, goal) pairs whose cut cells were compared, or of canonical
-searches compared, or fail with an AssertionError, exit status 1, on the
-first case that differs from the oracle.
+of (start, goal) pairs whose side-1 flags (cut cells and corridor flags)
+were compared, or of canonical searches compared, or fail with an
+AssertionError, exit status 1, on the first case that differs from the
+oracle.
 """
 
 import itertools
@@ -24,9 +25,9 @@ import random
 import sys
 
 from gridjam import Cell, GridMap, NoPathError, ObstaclePlacement, brute_force_attack, distance_field, planner
-from gridjam.planner import _search, _separators
+from gridjam.planner import _route, _search, _side1
 from conftest import random_problem
-from oracles import attack_oracle, dijkstra_oracle, obstruct, oracle_cuts, oracle_distances
+from oracles import attack_oracle, dijkstra_oracle, obstruct, oracle_cuts, oracle_distances, oracle_moves
 
 
 def _maps(width: int, height: int):
@@ -89,21 +90,42 @@ def attack_sweep(width: int, height: int, sides=(1, 3)) -> int:
     return compared
 
 
+def side1_errors(field, goal: Cell) -> list:
+    """Which of `_side1`'s two flag lists on the baseline to goal differ from the oracles: a list of names, empty when none.
+
+    The baseline is the attack's, the field's canonical route from its
+    start to goal, which must be in the start's reach. Its cut cells must be
+    `oracle_cuts`, and its corridor flags must be set exactly where a cell
+    and the one before it both have two legal moves by `oracle_moves`.
+    """
+    grid, cells = field.grid, _route(field, goal).cells
+    cuts, corridor = _side1(field, cells)
+    two = [oracle_moves(grid, cell) == 2 for cell in cells]
+    errors = []
+    if {cell for cell, cut in zip(cells, cuts) if cut} != oracle_cuts(grid, field.start, goal):
+        errors.append("cut cells")
+    if corridor != [False] + [before and here for before, here in zip(two, two[1:])]:
+        errors.append("corridor flags")
+    return errors
+
+
 def separator_sweep(width: int, height: int) -> int:
-    """Compare `_separators` with `oracle_cuts` on every width x height map; return the number of start-goal pairs.
+    """Compare `_side1` with the oracles on every width x height map; return the number of start-goal pairs.
 
     Each of the 2**(width * height) maps takes every free cell as its start
     and every cell the start reaches as its goal, the start itself
-    included. Raises AssertionError naming the first case that differs.
+    included, and checks both flag lists with `side1_errors`. Raises
+    AssertionError naming the first case that differs.
     """
     compared = 0
     for bits, grid, free in _maps(width, height):
         for start in free:
             field = distance_field(grid, start)
             for goal in oracle_distances(grid, start):
-                if _separators(field, goal) != oracle_cuts(grid, start, goal):
+                errors = side1_errors(field, goal)
+                if errors:
                     case = f"map {bits:0{width * height}b}, start {start}, goal {goal}"
-                    raise AssertionError(f"{case}: the cut cells differ from the oracle's")
+                    raise AssertionError(f"{case}: the {' and '.join(errors)} differ from the oracle's")
                 compared += 1
     return compared
 

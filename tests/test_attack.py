@@ -93,7 +93,7 @@ def test_side1_corridor_is_searched_once(monkeypatch):
     assert cells == tuple(Cell(*c) for c in (
         (1, 1), (2, 1), (3, 1), (4, 1), (4, 2), (4, 3), (5, 4), (5, 5), (6, 5), (7, 5), (8, 5), (9, 5),
     ))
-    flags = planner._corridor(distance_field(grid, start), cells)
+    _, flags = planner._side1(distance_field(grid, start), cells)
     assert [cell for cell, flag in zip(cells, flags) if flag] == [
         Cell(2, 1), Cell(3, 1), Cell(4, 1), Cell(4, 2), Cell(6, 5), Cell(7, 5), Cell(8, 5), Cell(9, 5),
     ]

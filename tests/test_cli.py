@@ -72,6 +72,19 @@ def test_simulate(workdir, capsys):
     )
 
 
+def test_simulate_reports_an_unreachable_goal(workdir, capsys):
+    # free pocket behind the wall at col 5: a valid goal no route reaches
+    (workdir / "pocket.txt").write_text("########\n#....#.#\n#....#.#\n########\n")
+    text = BRANCH_SCN.replace("map = branch.txt", "map = pocket.txt").replace("goal = 5,1", "goal = 6,1\ngoal = 4,1")
+    (workdir / "pocket.scn").write_text(text)
+    code = cli(["simulate", str(workdir / "pocket.scn")])
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert code == 0
+    assert len(lines) == 7  # six runs to the reachable goal
+    assert all(" goal=4,1 " in line for line in lines[:6])
+    assert lines[6] == "skipped scenario=branch goal=6,1 reason=unreachable"
+
+
 def test_suite(workdir, capsys, tmp_path):
     csv_path = tmp_path / "out.csv"
     svg_dir = tmp_path / "svg"

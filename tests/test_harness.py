@@ -310,29 +310,15 @@ def _start_field(grid, start):
 # on its `_search`'s start-side costs; and one cost-only search (`_cost`) per
 # judged candidate that misses neither the spare route (`planner._spare`)
 # nor a one-cell corridor, and per replan from a cell past the start after a
-# landed attack. Before candidates that miss the spare route took the
-# baseline's cost without a search, `_cost` ran 297 times on the warehouse
-# and 57 times on `turn`.
+# landed attack. `branch` is the one side-1 scenario with evaluated
+# candidates: its three lie in one corridor of two-move cells, so one is
+# searched and the other two take its cost (`planner._side1`'s corridor
+# flags).
 # The pops of each search are pinned too: an A* search's pops from its
-# levels of equal f, and the field's pops from its two queues, which equal
-# the heap pops it made before. Before `_cost` ended at the first cell
-# whose tree route survives the obstacle, its searches made 9,062 pops on the warehouse and 6,095 on `turn`. Before
-# `_search` ran backward from the goal on the start's field, it made 3,544
-# pops on the warehouse and 486 on `turn` with the octile heuristic. Before
-# an attack on a shared field scored candidates from the nearer end, `turn`'s
-# `_cost` searches made 4,482 pops; before the spare route decided zero-gain
-# candidates, 5,271 on the warehouse and 1,622 on `turn`, with 9,623 and
-# 2,798 pushes; before `_cost` broke f-ties by g, as `_search` does, 3,848
-# pops and 6,488 pushes on the warehouse and 1,007 and 1,467 on `turn`.
-# Every search now pops the whole level of f at which it stops (`_astar`);
-# before the kernel popped by levels, `_cost` made 3,847 pops and 5,604
-# pushes on the warehouse and 700 pops on `turn`, and `_search` 2,109
-# pushes on the warehouse. `branch` is the one side-1 scenario with
-# evaluated candidates: its three lie in one corridor of two-move cells, so
-# one is searched and the other two take its cost (`planner._corridor`);
-# before that, `_cost` ran 3 times. The test takes
-# its call counts from `SUITE_CALLS` by scenario name, so that re-pinning
-# one leaves the test's id as it is.
+# levels of equal f, the whole level at which it stops included (`_astar`),
+# and the field's pops from its two queues. The test takes its call counts
+# from `SUITE_CALLS` by scenario name, so that re-pinning one leaves the
+# test's id as it is.
 # Tighten these; never loosen them.
 SUITE_CALLS = {
     "warehouse": {"_search": 23, "_cost": 148},
@@ -344,19 +330,10 @@ SUITE_POPS = {
     "turn": {"start field": 621, "goal field": 621, "_cost": 712, "_search": 245},
     "branch": {"start field": 12, "goal field": 12, "_cost": 4, "_search": 9},
 }
-# The pushes of the same searches: an A* search's appends to its levels
-# (its heap took one tuple per push before it popped by levels), and the
-# field's appends to its two queues (the source seeds one queue without an
-# append). A relaxation pushes exactly when it lowers a cost, so these pin
-# every relaxation, not only every pop. Up to the level kernel's re-pin
-# above, they were the counts of the kernels that tested each move's cell
-# for a wall, a closed or a settled cell before comparing costs, so they
-# show that the sentinel costs alone decide the same relaxations. They
-# were also the counts of the kernels that held every cost as a Python int,
-# before maps of this size took the float tier (`planner._FLOAT_CELLS`), so
-# they show that doubles decide them too, and of the kernels that tested
-# flanks on a byte grid and kept closed flags, so they show that each
-# search's cost list alone decides them.
+# The pushes of the same searches: an A* search's appends to its levels,
+# and the field's appends to its two queues (the source seeds one queue
+# without an append). A relaxation pushes exactly when it lowers a cost, so
+# these pin every relaxation, not only every pop.
 SUITE_PUSHES = {
     "warehouse": {"start field": 839, "_cost": 5763, "_search": 2112},
     "turn": {"start field": 620, "goal field": 620, "_cost": 895, "_search": 368},
@@ -378,9 +355,9 @@ def test_each_goal_is_solved_once(name, tmp_path):
     canonical = SUITE_CALLS[name]["_search"]
     assert searches["_search"] == canonical == sum(1 for plan in summary.plans if plan.best is not None)
     # every attack backtracks its baseline once, so this pins one attack per
-    # goal; each side-1 attack runs one `_separators` pass
+    # goal; each side-1 attack runs one `_side1` pass
     assert work[planner._BACKTRACK] == len(scenario.goals) + canonical
-    assert work[planner._SEPARATORS] == (len(scenario.goals) if scenario.obstacle_side == 1 else 0)
+    assert work[planner._SIDE1] == (len(scenario.goals) if scenario.obstacle_side == 1 else 0)
     assert searches["_cost"] == SUITE_CALLS[name]["_cost"]
     assert pops == SUITE_POPS[name]
     assert pushes == SUITE_PUSHES[name]
@@ -407,7 +384,7 @@ def test_the_spare_route_decides_zero_gain_candidates():
         for goal in scenario.goals:
             plan = brute_force_attack(grid, start, goal, side, field)
             flags = planner._spare(field, goal)
-            corridor = planner._corridor(field, plan.baseline.cells) if side == 1 else None
+            corridor = planner._side1(field, plan.baseline.cells)[1] if side == 1 else None
             for entry in plan.ledger:
                 if entry.outcome is Outcome.BLOCKING and side > 1:
                     searched += 1  # it covers a cut vertex, which lies on the spare route
@@ -424,19 +401,13 @@ def test_the_spare_route_decides_zero_gain_candidates():
     assert spared == SPARED
 
 
-# A side-1 candidate that blocks is decided by one `_separators` pass per
+# A side-1 candidate that blocks is decided by one `_side1` pass per
 # attack, so `_cost` runs only for the evaluated ones; side 3 never runs
 # the pass. Of those, a candidate in a one-cell corridor whose
-# predecessor was evaluated takes its cost (`planner._corridor`), so only
-# 4 of the 22 are searched. Both side-1 baselines are long against the
-# maze, so each attack builds a field from its goal. The two side-1
-# attacks' pops and pushes are pinned too; their `_cost` searches made 609
-# pops before they ended at the first cell whose tree route survives the
-# obstacle, 269 before they were scored from the nearer end, when
-# `_search` made 66, 197 in 22 searches before each corridor was searched
-# once, 40 pops and 36 pushes before `_cost` broke f-ties by g, and, before
-# the kernel popped by levels and finished the optimum's, 39 pops and 35
-# pushes, with 65 pops and 64 pushes in `_search`.
+# predecessor was evaluated takes its cost (the same pass's corridor
+# flags), so only 4 of the 22 are searched. Both side-1 baselines are long
+# against the maze, so each attack builds a field from its goal. The two
+# side-1 attacks' pops and pushes are pinned too.
 # Tighten these; never loosen them.
 def test_blocking_side1_candidates_are_not_searched(maze_map):
     start = Cell(1, 1)
@@ -451,13 +422,13 @@ def test_blocking_side1_candidates_are_not_searched(maze_map):
     searched = 4
     searches, pops, pushes = _by_kind(work, start_field)
     # the test's own start field and one field from each goal
-    assert (searches["distance_field"], searches["_cost"], work[planner._SEPARATORS]) == (3, searched, 2)
+    assert (searches["distance_field"], searches["_cost"], work[planner._SIDE1]) == (3, searched, 2)
     assert pops == {"start field": 41, "goal field": 82, "_cost": 40, "_search": 66}
     assert pushes == {"start field": 40, "goal field": 80, "_cost": 36, "_search": 65}
 
     before = planner._work[:]
     brute_force_attack(maze_map, start, Cell(9, 1), 3, field)
-    assert _since(before)[planner._SEPARATORS] == 0
+    assert _since(before)[planner._SIDE1] == 0
 
 
 # Which fields and searches an attack runs depends on its problem alone, not
@@ -470,17 +441,11 @@ def test_blocking_side1_candidates_are_not_searched(maze_map):
 #   attack builds a field from the goal (`attack._GOAL_FIELD_SHARE`) and
 #   scores the candidates in the first half of the baseline from the start;
 #   its 12 evaluated candidates lie in two one-cell corridors, so 2 are
-#   searched; on the goal field's tree of a heap the `_cost` searches made
-#   111 pops, 108 in 12 searches before each corridor was searched once,
-#   23 pops and 21 pushes before `_cost` broke f-ties by g, and 22 pops and
-#   20 pushes, with 32 pops and 31 pushes in `_search`, before the kernel
-#   popped by levels;
+#   searched;
 # - the warehouse goal whose baseline holds the largest share of the start's
 #   component, 0.031, stays below the gate and gets no second field; 20 of
 #   its 22 evaluated candidates miss the spare route (`planner._spare`), so
-#   2 are searched, with 315 pops and 408 pushes; all 22 were, with 753
-#   pops, before those took the baseline's cost without a search, and the 2
-#   made 367 pops and 546 pushes before `_cost` broke f-ties by g;
+#   2 are searched;
 # - the corridor's baseline is its whole component, so the gate passes, but
 #   every side-1 candidate covers an endpoint or is a cut vertex: none is
 #   scored on a goal field, so none is built.

@@ -27,19 +27,18 @@ from gridjam.planner import (
     _INT_COSTS,
     _backtrack,
     _cell,
-    _corridor,
     _cost,
     _covered,
     _decode,
     _index,
     _search,
-    _separators,
+    _side1,
     _spare,
     _walk,
 )
 from conftest import free_cells, is_free, random_problem, seeded_problems
-from oracles import dijkstra_oracle, obstruct, oracle_cuts, oracle_distances, priced_path
-from sweep import separator_sweep
+from oracles import dijkstra_oracle, obstruct, oracle_distances, priced_path
+from sweep import separator_sweep, side1_errors
 
 SQRT2 = math.sqrt(2.0)
 
@@ -190,17 +189,19 @@ def test_prefix_costs_match_steps():
 
 @seeded_problems(1)
 def test_separators_match_brute_force_property(rng, grid, start, goal):
-    # the attack asks only for a goal the start reaches
+    # the attack asks only for a goal the start reaches; both of `_side1`'s
+    # flag lists on its baseline, cut cells and corridor flags
     try:
-        cuts = oracle_cuts(grid, start, goal)
+        errors = side1_errors(distance_field(grid, start), goal)
     except NoPathError:
         return
-    assert _separators(distance_field(grid, start), goal) == cuts
+    assert errors == []
 
 
 def test_separators_on_every_3x3_map_match_the_oracle():
     # the exhaustive sweep of `tests/sweep.py`: all 512 maps, every start and
-    # every goal it reaches, start == goal included, against `oracle_cuts`.
+    # every goal it reaches, start == goal included, `_side1`'s cut cells
+    # against `oracle_cuts` and its corridor flags against `oracle_moves`.
     # CI sweeps the 4 x 3 maps too (114,898 pairs)
     assert separator_sweep(3, 3) == 9096
 
@@ -222,8 +223,8 @@ def test_two_move_cells_flank_no_legal_diagonal():
 
         moves = sum(free(*cell) for cell in straight)
         moves += sum(free(col, row) and free(col, 1) and free(1, row) for col, row in corners)
-        # the centre twice: its second flag says whether it has two moves
-        assert _corridor(distance_field(grid, centre), (centre, centre))[1] == (moves == 2), sorted(blocked)
+        # the centre twice: its second corridor flag says whether it has two moves
+        assert _side1(distance_field(grid, centre), (centre, centre))[1][1] == (moves == 2), sorted(blocked)
         if moves != 2:
             continue
         two_move += 1

@@ -16,7 +16,7 @@ from gridjam import (
     parse_map,
     parse_scenario,
 )
-from gridjam.data import scenario_path
+from gridjam.data import map_path, scenario_path
 from conftest import BRANCH_TEXT
 
 MINIMAL = """\
@@ -195,6 +195,17 @@ def test_map_error_names_the_map_and_its_scenario_line(map_text, message, tmp_pa
         parse_scenario(text, base_dir=tmp_path)
     assert str(err.value) == f"line 2: {tmp_path / 'm.txt'}:{message}"
     assert isinstance(err.value.__cause__, MapError)
+
+
+def test_key_without_value(scenario_dir):
+    with pytest.raises(ScenarioError, match="^line 5: key 'speed' has no value$"):
+        parse_scenario(MINIMAL.replace("speed = 1.0", "speed ="), base_dir=scenario_dir)
+
+
+def test_bundled_map_path():
+    assert map_path("branch") == map_path("branch.txt")
+    with pytest.raises(FileNotFoundError, match="^no bundled map named 'nosuch'$"):
+        map_path("nosuch")
 
 
 def test_line_without_equals(scenario_dir):

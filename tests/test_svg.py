@@ -76,3 +76,18 @@ def test_scenario_renders(tmp_path):
     assert names == ["branch-goal01.svg", "branch-obstacles.svg"]
     for path in written:
         assert path.read_text().startswith("<svg ")
+
+
+def test_scenario_renders_skip_an_unreachable_goal(tmp_path):
+    # the pocket behind the wall at col 5 holds the first goal; the second
+    # goal's file keeps its number
+    (tmp_path / "pocket.txt").write_text("########\n#....#.#\n#....#.#\n########\n")
+    scenario = parse_scenario(
+        "name = pocket\nmap = pocket.txt\ncell_size = 1.0\nstart = 1,1\ngoal = 6,1\ngoal = 4,1\n"
+        "speed = 1.0\nobstacle_side = 1\n",
+        base_dir=tmp_path,
+    )
+    _, summary = run_suite(scenario)
+    assert summary.plans[0] is None
+    written = render_scenario_svgs(scenario, summary.plans, tmp_path / "svg")
+    assert [p.name for p in written] == ["pocket-goal02.svg", "pocket-obstacles.svg"]

@@ -6,7 +6,8 @@ without defensive copies.
 Every input value is read here, whichever front end it comes from: a
 scenario file, the command line, a results CSV or a record built in code.
 `read_text` reads a file, `read_cell` a `col,row` cell, `read_number` a
-finite integer or float, `check_positive` a positive and
+finite integer or float, both in ASCII without `_` separators,
+`check_positive` a positive and
 `check_nonnegative` a non-negative finite number, `check_side` an obstacle
 side and `check_endpoint` a start or goal on a map. Each raises the error
 class its caller passes (`check_endpoint` always raises BadEndpointError),
@@ -101,19 +102,31 @@ def _check_cells(width, height):
         raise MapError(f"grid must have fewer than {_MAX_CELLS} cells, got {width}x{height}")
 
 
+def _plain(text: str) -> str:
+    """text itself; raises ValueError unless it is ASCII without `_`.
+
+    Python's `int` and `float` also read `_` digit separators (`1_0` is 10)
+    and the digits of other scripts (`٢` is 2, `１.5` is 1.5). No file
+    format here writes those, so `read_cell` and `read_number` reject them.
+    """
+    if text.isascii() and "_" not in text:
+        return text
+    raise ValueError(text)
+
+
 def read_cell(text, label, error) -> Cell:
-    """The cell that `col,row` text names; raises `error` naming `label` when it names none."""
+    """The cell that `col,row` text names, in ASCII digits; raises `error` naming `label` when it names none."""
     try:
-        col, row = (int(part) for part in text.split(","))
+        col, row = (int(part) for part in _plain(text).split(","))
     except ValueError:  # also when there are not exactly two parts
         raise error(f"{label} expects 'col,row', got {text!r}") from None
     return Cell(col, row)
 
 
 def read_number(text, label, kind, error):
-    """`text` read as a `kind`, int or float; raises `error` naming `label` unless it reads as a finite one."""
+    """`text` read as a `kind`, int or float, in ASCII digits; raises `error` naming `label` unless it reads as a finite one."""
     try:
-        value = kind(text)
+        value = kind(_plain(text))
     except ValueError:
         raise error(f"{label} expects {'an integer' if kind is int else 'a number'}, got {text!r}") from None
     if kind is float and not math.isfinite(value):  # every int is finite

@@ -78,9 +78,13 @@ flat core is private to this module: callers pass cells, obstacle
 placements and a `distance_field`, one Dijkstra of exact distances from a
 start, shared by every goal planned from it on the same grid. Moves have
 two lengths only, so that Dijkstra keeps one FIFO queue per length instead
-of a heap. One function, `_steps`, defines the moves: every search relaxes
-a popped cell's 4 straight moves at one cost and then its 4 diagonals, the
-only moves with flanks to test, at the other.
+of a heap. `_steps` and `_moves` define the moves for every other
+function. The two search kernels, `distance_field` and `_astar`, spell each
+popped cell's 8 moves out instead, with no loop: they read its 4 straight
+neighbours' entries once, relax each at one cost, and then try each
+diagonal, at the other, only when both of its flanks, two of those same
+reads, are free. Both relax in one fixed order, E, W, S, N and then SE,
+NE, SW, NW, which breaks the field's FIFO ties and so shapes its tree.
 
 Each search's cost list is its only record of the map. Besides costs it
 holds its tier's two sentinels: `wall`, below every cost, on each blocked
@@ -89,8 +93,10 @@ on each free index not reached yet. Each field keeps one template,
 `blank`, the grid itself: `wall` on its blocked indices and `far` on the
 rest. Every search starts from a copy of it, with its obstacle's indices
 set to `wall`, and nothing ever lowers a `wall`, so a flank is free
-exactly when its entry is not `wall`. A relaxation is then one test,
-``value < dist[nxt]``, plus a diagonal's two flank tests on the same list:
+exactly when its entry is not `wall`. No relaxation moves an entry into or
+out of `wall`, so the flank reads taken before the pop's first relaxation
+still decide it after. A relaxation is then one test, ``value <
+dist[nxt]``, plus a diagonal's two flank tests on those reads:
 
 * a blocked index: no value is below `wall`;
 * a settled cell of `distance_field`: cells settle in non-decreasing cost,
@@ -284,8 +290,10 @@ def _steps(stride: int) -> tuple:
     """(straight, diagonals): the 4 straight offsets, and (offset, flank, flank) per diagonal.
 
     A diagonal's flanks are its two straight parts; it is legal only when
-    both flanking cells are free (no corner cutting). The straight order
-    breaks `distance_field`'s FIFO ties, and so shapes the field's tree.
+    both flanking cells are free (no corner cutting). No caller depends on
+    this order: the search kernels spell their moves out in their own
+    order, E, W, S, N and then SE, NE, SW, NW, which lives in
+    `distance_field` and `_astar` and shapes the field's tree.
     """
     return (1, -1, stride, -stride), (
         (stride + 1, 1, stride), (1 - stride, 1, -stride), (stride - 1, -1, stride), (-stride - 1, -1, -stride),
@@ -342,7 +350,7 @@ def _astar(field: "DistanceField", origin: int, h: list, stop: bytearray, dist: 
     """
     stride, first = field.stride, field.first
     orth, diag, wall = field.costs.orth, field.costs.diag, field.costs.wall
-    straight, diagonals = _steps(stride)
+    heappush = heapq.heappush
     dist[origin] = 0
     key = h[origin]
     level = [origin]
@@ -358,31 +366,95 @@ def _astar(field: "DistanceField", origin: int, h: list, stop: bytearray, dist: 
                 if found is None:
                     found = cur
                 continue
+            # E, W, S, N and then SE, NE, SW, NW, as in `distance_field`,
+            # which fixes the order of pops within a level; the straight
+            # entries are read once and are the diagonals' flanks too
+            east, west, south, north = cur + 1, cur - 1, cur + stride, cur - stride
+            d_east, d_west, d_south, d_north = dist[east], dist[west], dist[south], dist[north]
             value = d + orth
-            for offset in straight:
-                nxt = cur + offset
-                if value < dist[nxt]:
-                    dist[nxt] = value
-                    f = value + h[nxt]
-                    bucket = levels.get(f)
-                    if bucket is None:
-                        levels[f] = [nxt]
-                        heapq.heappush(keys, f)
-                    else:
-                        bucket.append(nxt)
+            if value < d_east:
+                dist[east] = value
+                f = value + h[east]
+                bucket = levels.get(f)
+                if bucket is None:
+                    levels[f] = [east]
+                    heappush(keys, f)
+                else:
+                    bucket.append(east)
+            if value < d_west:
+                dist[west] = value
+                f = value + h[west]
+                bucket = levels.get(f)
+                if bucket is None:
+                    levels[f] = [west]
+                    heappush(keys, f)
+                else:
+                    bucket.append(west)
+            if value < d_south:
+                dist[south] = value
+                f = value + h[south]
+                bucket = levels.get(f)
+                if bucket is None:
+                    levels[f] = [south]
+                    heappush(keys, f)
+                else:
+                    bucket.append(south)
+            if value < d_north:
+                dist[north] = value
+                f = value + h[north]
+                bucket = levels.get(f)
+                if bucket is None:
+                    levels[f] = [north]
+                    heappush(keys, f)
+                else:
+                    bucket.append(north)
             value = d + diag
-            for offset, flank_a, flank_b in diagonals:
-                nxt = cur + offset
-                # no corner cutting: both orthogonal neighbours must be free
-                if value < dist[nxt] and dist[cur + flank_a] != wall and dist[cur + flank_b] != wall:
-                    dist[nxt] = value
-                    f = value + h[nxt]
-                    bucket = levels.get(f)
-                    if bucket is None:
-                        levels[f] = [nxt]
-                        heapq.heappush(keys, f)
-                    else:
-                        bucket.append(nxt)
+            if d_east != wall:
+                if d_south != wall:
+                    nxt = south + 1
+                    if value < dist[nxt]:
+                        dist[nxt] = value
+                        f = value + h[nxt]
+                        bucket = levels.get(f)
+                        if bucket is None:
+                            levels[f] = [nxt]
+                            heappush(keys, f)
+                        else:
+                            bucket.append(nxt)
+                if d_north != wall:
+                    nxt = north + 1
+                    if value < dist[nxt]:
+                        dist[nxt] = value
+                        f = value + h[nxt]
+                        bucket = levels.get(f)
+                        if bucket is None:
+                            levels[f] = [nxt]
+                            heappush(keys, f)
+                        else:
+                            bucket.append(nxt)
+            if d_west != wall:
+                if d_south != wall:
+                    nxt = south - 1
+                    if value < dist[nxt]:
+                        dist[nxt] = value
+                        f = value + h[nxt]
+                        bucket = levels.get(f)
+                        if bucket is None:
+                            levels[f] = [nxt]
+                            heappush(keys, f)
+                        else:
+                            bucket.append(nxt)
+                if d_north != wall:
+                    nxt = north - 1
+                    if value < dist[nxt]:
+                        dist[nxt] = value
+                        f = value + h[nxt]
+                        bucket = levels.get(f)
+                        if bucket is None:
+                            levels[f] = [nxt]
+                            heappush(keys, f)
+                        else:
+                            bucket.append(nxt)
         pops += len(level)
         del levels[key]
         if found is not None or not keys:
@@ -546,7 +618,8 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
     copy of it, so a move is relaxed when its value is below `dist[nxt]`:
     never into a blocked index (`wall`), and never into a settled one, whose
     cost is at most the popped cell's, below the value. A diagonal's flanks
-    are tested against `wall` on the same list.
+    are tested against `wall` on the straight neighbours' entries, read
+    before any of the pop's relaxations (see the module docstring).
 
     Stale entries are still discarded at the pop, and the tree tells them
     without settled flags. A popped straight entry is live, by the above.
@@ -579,7 +652,6 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
     straight_queue, diagonal_queue = deque((source,)), deque()
     pop_straight, pop_diagonal = straight_queue.popleft, diagonal_queue.popleft
     push_straight, push_diagonal = straight_queue.append, diagonal_queue.append
-    straight, diagonals = _steps(stride)
     dist[source] = 0
     while straight_queue or diagonal_queue:
         if straight_queue and not (diagonal_queue and dist[diagonal_queue[0]] < dist[straight_queue[0]]):
@@ -592,18 +664,47 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
                 continue
         order.append(cur)
         d = dist[cur]
+        # E, W, S, N and then SE, NE, SW, NW: this order breaks the queues'
+        # FIFO ties, and so shapes the tree. The straight entries are read
+        # once; they are the diagonals' flanks too
+        east, west, south, north = cur + 1, cur - 1, cur + stride, cur - stride
+        d_east, d_west, d_south, d_north = dist[east], dist[west], dist[south], dist[north]
         value = d + orth
-        for offset in straight:
-            nxt = cur + offset
-            if value < dist[nxt]:
-                dist[nxt], parent[nxt] = value, cur
-                push_straight(nxt)
+        if value < d_east:
+            dist[east], parent[east] = value, cur
+            push_straight(east)
+        if value < d_west:
+            dist[west], parent[west] = value, cur
+            push_straight(west)
+        if value < d_south:
+            dist[south], parent[south] = value, cur
+            push_straight(south)
+        if value < d_north:
+            dist[north], parent[north] = value, cur
+            push_straight(north)
         value = d + diag
-        for offset, flank_a, flank_b in diagonals:
-            nxt = cur + offset
-            if value < dist[nxt] and dist[cur + flank_a] != wall and dist[cur + flank_b] != wall:
-                dist[nxt], parent[nxt] = value, cur
-                push_diagonal(nxt)
+        if d_east != wall:
+            if d_south != wall:
+                nxt = south + 1
+                if value < dist[nxt]:
+                    dist[nxt], parent[nxt] = value, cur
+                    push_diagonal(nxt)
+            if d_north != wall:
+                nxt = north + 1
+                if value < dist[nxt]:
+                    dist[nxt], parent[nxt] = value, cur
+                    push_diagonal(nxt)
+        if d_west != wall:
+            if d_south != wall:
+                nxt = south - 1
+                if value < dist[nxt]:
+                    dist[nxt], parent[nxt] = value, cur
+                    push_diagonal(nxt)
+            if d_north != wall:
+                nxt = north - 1
+                if value < dist[nxt]:
+                    dist[nxt], parent[nxt] = value, cur
+                    push_diagonal(nxt)
     pops = len(order) + stale
     _work[_FIELD] += 1
     _work[_FIELD + 1] += pops

@@ -15,9 +15,9 @@ the command line, for example
 
 which print the number of attacks compared in each tier of exact costs,
 of (start, goal) pairs whose side-1 flags (cut cells and corridor flags)
-were compared, or of canonical searches compared, or fail with an
-AssertionError, exit status 1, on the first case that differs from the
-oracle.
+were compared, or of canonical searches compared, one line per tier, or
+fail with an AssertionError, exit status 1, on the first case that
+differs from the oracle.
 """
 
 import itertools
@@ -165,7 +165,8 @@ def search_sweep(problems: int) -> int:
 if __name__ == "__main__":
     if sys.argv[1] == "searches":
         problems = int(sys.argv[2])
-        print(f"{search_sweep(problems)} searches on {problems} seeded maps match the oracle")
+        print(f"{search_sweep(problems)} searches on {problems} seeded maps match the oracle in the float tier")
+        print(f"{in_int_tier(search_sweep, problems)} searches on {problems} seeded maps match the oracle in the int tier")
     else:
         width, height = map(int, sys.argv[1:3])
         if sys.argv[3:] == ["separators"]:

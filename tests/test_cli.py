@@ -255,6 +255,14 @@ def test_bad_cell_argument(workdir, capsys):
     assert capsys.readouterr().err == "error: start expects 'col,row', got 'onecomma'\n"
 
 
+@pytest.mark.parametrize("text", ["0_1,1", "١,1", "1,１"])
+def test_cell_argument_in_other_digits_rejected(text, workdir, capsys):
+    # `int` would read each as 1,1, a free cell of branch.txt
+    code = cli(["plan", str(workdir / "branch.txt"), text, "5,1"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: start expects 'col,row', got {text!r}\n"
+
+
 @pytest.mark.parametrize("command", ["attack", "render"])
 def test_even_side_rejected(command, workdir, capsys):
     out = ["--out", str(workdir / "route.svg")] if command == "render" else []

@@ -235,6 +235,9 @@ def test_read_csv_rejects_short_row(suite_dir, tmp_path):
 @pytest.mark.parametrize("index, text, message", [
     (4, "two", "repeat expects an integer, got 'two'"),
     (6, "nan", "time_s must be finite, got 'nan'"),
+    # `int` and `float` would read these as 10 and 1.5
+    (4, "1_0", "repeat expects an integer, got '1_0'"),
+    (6, "１.5", "time_s expects a number, got '１.5'"),
 ])
 def test_read_csv_rejects_bad_number(index, text, message, suite_dir, tmp_path):
     out = _csv_with_bad_line(suite_dir, tmp_path, lambda fields: fields[:index] + [text] + fields[index + 1:])

@@ -1,5 +1,6 @@
 """Planner contract: optimality, no corner cutting, determinism, oracle parity."""
 
+import hashlib
 import math
 import random
 
@@ -38,7 +39,7 @@ from gridjam.planner import (
 )
 from conftest import free_cells, is_free, random_problem, seeded_problems
 from oracles import dijkstra_oracle, obstruct, oracle_distances, priced_path
-from sweep import separator_sweep, side1_errors
+from sweep import in_int_tier, separator_sweep, side1_errors
 
 SQRT2 = math.sqrt(2.0)
 
@@ -310,6 +311,27 @@ def test_distance_field_matches_oracle_property(rng, grid, start, goal):
             up = parent[up]
     for index, below in subtree.items():
         assert {other for other in reached.values() if first[index] <= first[other] < end[index]} == below
+
+
+def tree_digest() -> str:
+    """The SHA-256 of `parent` and `first` of the start's field on 200 seeded `random_problem` maps."""
+    digest = hashlib.sha256()
+    for index in range(200):
+        grid, start, _ = random_problem(random.Random(f"trees:{index}"))
+        field = distance_field(grid, start)
+        digest.update(repr((field.parent, field.first)).encode())
+    return digest.hexdigest()
+
+
+def test_field_trees_keep_their_shape():
+    # Any tree of optimal legal steps is correct, so the oracle test above
+    # accepts every one. The order in which a popped cell relaxes its moves
+    # breaks the field's FIFO ties and so picks the tree, which decides
+    # where `_cost` stops. Relaxing the diagonals in the order SE, SW, NE,
+    # NW changes this digest and no other pin
+    trees = "8702a22efe6040868f1ae7d07d447559907ca2bae903476c0a65c9915795708e"
+    assert tree_digest() == trees
+    assert in_int_tier(tree_digest) == trees
 
 
 @seeded_problems(3)

@@ -123,6 +123,20 @@ def test_bad_number(scenario_dir):
         parse_scenario(MINIMAL.replace("cell_size = 1.0", "cell_size = -1"), base_dir=scenario_dir)
 
 
+@pytest.mark.parametrize("text", ["1_0", "١", "１.5"])
+def test_number_in_other_digits_rejected(text, scenario_dir):
+    # `float` would read each: 10, 1 and 1.5
+    with pytest.raises(ScenarioError, match=f"^line 5: speed expects a number, got '{text}'$"):
+        parse_scenario(MINIMAL.replace("speed = 1.0", f"speed = {text}"), base_dir=scenario_dir)
+
+
+@pytest.mark.parametrize("text", ["1_0,1", "1,١", "１,1"])
+def test_cell_in_other_digits_rejected(text, scenario_dir):
+    # `int` would read each part: 10, 1 and 1
+    with pytest.raises(ScenarioError, match=f"^line 3: start expects 'col,row', got '{text}'$"):
+        parse_scenario(MINIMAL.replace("start = 1,1", f"start = {text}"), base_dir=scenario_dir)
+
+
 def test_even_obstacle_side(scenario_dir):
     for side in (2, 0):
         with pytest.raises(ScenarioError) as err:

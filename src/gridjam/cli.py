@@ -11,7 +11,7 @@ from pathlib import Path
 from . import data as _data
 from .attack import Outcome, brute_force_attack
 from .errors import GridJamError
-from .gridmap import check_side, load_map, read_cell
+from .gridmap import check_side, load_map, read_cell, read_number
 from .harness import format_run, run_suite, write_csv
 from .planner import astar
 from .scenario import load_scenario
@@ -53,7 +53,7 @@ def _build_parser():
     for name in ("map", "start", "goal"):
         on_map.add_argument(name)
     sided = argparse.ArgumentParser(add_help=False)  # the obstacle side of every command that attacks
-    sided.add_argument("--side", type=int, default=3)
+    sided.add_argument("--side", type=_side, default=3)
 
     p = sub.add_parser("plan", parents=[on_map], help="plan a route on a map")
     p.set_defaults(handler=_cmd_plan)
@@ -152,6 +152,11 @@ def _num(value):
 def _endpoints(args):
     """The start and goal cells a map command names."""
     return read_cell(args.start, "start", _UsageError), read_cell(args.goal, "goal", _UsageError)
+
+
+def _side(text):
+    """The `--side` text read as an int like every other number; `check_side` rules on its value."""
+    return read_number(text, "--side", int, _UsageError)
 
 
 def _scenario_arg(entry):

@@ -78,13 +78,14 @@ flat core is private to this module: callers pass cells, obstacle
 placements and a `distance_field`, one Dijkstra of exact distances from a
 start, shared by every goal planned from it on the same grid. Moves have
 two lengths only, so that Dijkstra keeps one FIFO queue per length instead
-of a heap. `_steps` and `_moves` define the moves for every other
-function. The two search kernels, `distance_field` and `_astar`, spell each
-popped cell's 8 moves out instead, with no loop: they read its 4 straight
-neighbours' entries once, relax each at one cost, and then try each
-diagonal, at the other, only when both of its flanks, two of those same
-reads, are free. Both relax in one fixed order, E, W, S, N and then SE,
-NE, SW, NW, which breaks the field's FIFO ties and so shapes its tree.
+of a heap. Each field carries one move table, `moves`, built with it,
+which defines the moves for every other function. The two search
+kernels, `distance_field` and `_astar`, spell each popped cell's 8 moves
+out instead, with no loop: they read its 4 straight neighbours' entries
+once, relax each at one cost, and then try each diagonal, at the other,
+only when both of its flanks, two of those same reads, are free. Both
+relax in one fixed order, E, W, S, N and then SE, NE, SW, NW, which
+breaks the field's FIFO ties and so shapes its tree.
 
 Each search's cost list is its only record of the map. Besides costs it
 holds its tier's two sentinels: `wall`, below every cost, on each blocked
@@ -141,9 +142,14 @@ g, whatever the order of pops within a level.
   fresh field.
 * `_cost`: the cost alone of the cheapest route between two cells around
   an obstacle, with the field as the heuristic. It ends at the target or
-  at the first cell it pops whose route up the field's shortest-path tree
-  to the target survives the obstacle: there the heuristic is exact, so
-  that cell's f is the optimum. The attack scores
+  at the first cell it pops in the target's subtree of the field's
+  shortest-path tree whose route up that tree to the root survives the
+  obstacle: there the heuristic is exact, so that cell's f is the
+  optimum. `_exits` flags those cells, and it tests the tree's steps at
+  the obstacle's 4 corners alone: a step cut by a blocked flank joins two
+  neighbours of that flank in perpendicular directions, and unless one of
+  them is covered, and so cleared already, only a corner has both outside
+  the square (proof in its docstring). The attack scores
   each candidate with it from the goal back to the start on the start's
   field, and the race prices the robot's replan with it, toward the cell
   where the robot halted. An attack on a route that is long against the
@@ -284,31 +290,6 @@ def _obstructed(field: "DistanceField", covered: list) -> list:
 def _cell(index: int, stride: int) -> Cell:
     row, col = divmod(index, stride)
     return Cell(col - 1, row - 1)
-
-
-def _steps(stride: int) -> tuple:
-    """(straight, diagonals): the 4 straight offsets, and (offset, flank, flank) per diagonal.
-
-    A diagonal's flanks are its two straight parts; it is legal only when
-    both flanking cells are free (no corner cutting). No caller depends on
-    this order: the search kernels spell their moves out in their own
-    order, E, W, S, N and then SE, NE, SW, NW, which lives in
-    `distance_field` and `_astar` and shapes the field's tree.
-    """
-    return (1, -1, stride, -stride), (
-        (stride + 1, 1, stride), (1 - stride, 1, -stride), (stride - 1, -1, stride), (-stride - 1, -1, -stride),
-    )
-
-
-def _moves(field: "DistanceField") -> list:
-    """(offset, step cost, flank, flank) per move, by offset; a straight move's flanks are 0, the cell itself.
-
-    A move from a free cell is legal when neither flank holds `wall`, so
-    one test serves both kinds of move.
-    """
-    straight, diagonals = _steps(field.stride)
-    orth, diag = field.costs.orth, field.costs.diag
-    return sorted([(offset, orth, 0, 0) for offset in straight] + [(offset, diag, a, b) for offset, a, b in diagonals])
 
 
 def _decode(cost, costs: _Costs) -> float:
@@ -533,8 +514,7 @@ def _search(field: "DistanceField", placement: ObstaclePlacement, goal: Cell, to
         optimum = dist[start]
         forward = _obstructed(field, covered)
         forward[start] = 0
-        wall, far = costs.wall, costs.far
-        moves = _moves(field)
+        wall, far, moves = costs.wall, costs.far, field.moves
         marked = [start]
         while marked:
             cur = marked.pop()
@@ -570,18 +550,27 @@ class DistanceField:
     exactly the indices whose `first` lies in [first[x], end[x]). A cell has
     a route up the tree to x, legal on the grid and of cost
     d_s(cell) - d_s(x), exactly when it is in that subtree. Both are 0 out
-    of the start's reach. Only this module reads any of these; other
-    modules pass the field to its functions whole.
+    of the start's reach.
+
+    `moves` is the move table of every function but the two search
+    kernels, which spell their moves out: one (offset, step cost, flank,
+    flank) per move, in offset order, so in (row, col) order of the
+    neighbour. A diagonal's flanks are its two straight parts; a straight
+    move's flanks are 0, the cell itself. A move from a free cell is legal
+    when neither flank holds `wall` (no corner cutting), so one test serves
+    both kinds of move. Only this module reads any of these; other modules
+    pass the field to its functions whole.
     """
 
     # a plain class: a frozen dataclass builds its methods at import, which
     # measured about two thirds of this module's own import time
-    __slots__ = ("grid", "start", "stride", "costs", "blank", "dist", "parent", "first", "end")
+    __slots__ = ("grid", "start", "stride", "costs", "blank", "dist", "parent", "first", "end", "moves")
 
     def __init__(self, grid: GridMap, start: Cell, stride: int, costs: _Costs, blank: list,
-                 dist: list, parent: list, first: list, end: list):
+                 dist: list, parent: list, first: list, end: list, moves: tuple):
         self.grid, self.start, self.stride, self.costs = grid, start, stride, costs
         self.blank, self.dist, self.parent, self.first, self.end = blank, dist, parent, first, end
+        self.moves = moves
 
     @property
     def reached(self) -> int:
@@ -725,7 +714,12 @@ def distance_field(grid: GridMap, start: Cell) -> DistanceField:
         slot = first[cur] = end[up]
         end[up] = slot + 1 + end[cur]
         end[cur] = slot + 1
-    return DistanceField(grid, start, stride, costs, blank, dist, parent, first, end)
+    # offset order: stride is at least 3, so 1 - stride < -1
+    moves = (
+        (-stride - 1, diag, -1, -stride), (-stride, orth, 0, 0), (1 - stride, diag, 1, -stride), (-1, orth, 0, 0),
+        (1, orth, 0, 0), (stride - 1, diag, -1, stride), (stride, orth, 0, 0), (stride + 1, diag, 1, stride),
+    )
+    return DistanceField(grid, start, stride, costs, blank, dist, parent, first, end, moves)
 
 
 def _check_field(field: DistanceField, grid: GridMap, start: Cell):
@@ -750,9 +744,7 @@ def _walk(field: DistanceField, dist: list, source: int, goal: int, highest: boo
     RuntimeError when no neighbour does, which exact costs never allow.
     """
     stride, wall = field.stride, field.costs.wall
-    moves = _moves(field)
-    if highest:
-        moves.reverse()
+    moves = field.moves[::-1] if highest else field.moves
     chain = [goal]
     cur = goal
     while cur != source:
@@ -789,7 +781,7 @@ def _spare(field: DistanceField, goal: Cell) -> bytearray:
     stride = field.stride
     chain = _walk(field, field.dist, _index(field.start, stride), _index(goal, stride), True)
     # a straight move's flanks are the cell itself
-    flanks = {offset: (a, b) for offset, _, a, b in _moves(field)}
+    flanks = {offset: (a, b) for offset, _, a, b in field.moves}
     flags = bytearray(len(field.dist))
     for cur, prev in zip(chain, chain[1:]):
         flank_a, flank_b = flanks[prev - cur]
@@ -804,7 +796,7 @@ def _side1(field: DistanceField, cells) -> tuple:
     A cut is a route cell whose one-cell obstacle leaves no route between
     the route's ends; an end is never a cut. A corridor flag is set where
     the cell and the one before it both have exactly two legal moves,
-    counted over `_moves` on the field's `blank`, the unobstructed grid (a
+    counted over the field's `moves` on its `blank`, the unobstructed grid (a
     straight move's flanks are the cell itself, free on a route); the first
     cell is never flagged. One walk of the route sets both.
 
@@ -857,7 +849,7 @@ def _side1(field: DistanceField, cells) -> tuple:
     route = [_index(cell, stride) for cell in cells]
     for place, index in enumerate(route):
         at[index] = place
-    straight, table = _steps(stride)[0], _moves(field)
+    straight, table = (1, -1, stride, -stride), field.moves
     cuts, corridor = [], []
     far, before, last = 0, False, len(route) - 1
     for place, index in enumerate(route):
@@ -883,38 +875,53 @@ def _side1(field: DistanceField, cells) -> tuple:
     return cuts, corridor
 
 
-def _exits(field: DistanceField, dist: list, covered: list, target: int) -> bytearray:
-    """A flag per preorder number of the field's tree, set where the tree route to target survives.
+def _exits(field: DistanceField, covered: list, target: int) -> bytearray:
+    """A flag per preorder number of the field's tree: target, and each cell below it whose tree route survives.
 
-    `covered` holds the indices of the blocked cells, `dist` is a search's
-    cost list with them blocked (`_obstructed`), read for its `wall` alone,
-    and `target` is an index the field reached. The flag of cell x is at first[x]. x has a tree route up to
-    target when it is in target's subtree. The route stays legal with
-    `covered` blocked unless it passes a cut root: a blocked cell, or an
-    orthogonal neighbour y of one whose step to parent(y) is a diagonal with
-    that blocked cell as a flank. The flags are target's subtree minus the
-    subtrees of every cut root; each subtree is an interval of preorder
-    numbers, so each is set or cleared with one slice. Target's own flag is
-    set even when it is cut, so that a search toward it stops there too.
+    `covered` holds the flat indices of the blocked cells, a rectangle row
+    by row (`_covered`), and `target` is an index the field reached. The
+    flag of cell x is at first[x]. It is set on target itself, even when
+    target is cut, so that a search toward it stops there too, and on each
+    x in target's subtree whose route up the tree to the field's root
+    survives the obstacle. So a cut above target clears its whole subtree,
+    although a route from x up to target alone may survive: the search may
+    then pop more than it would with those routes flagged, never less, and
+    it ends at the same optimum (see `_cost`).
+
+    A tree route survives unless it passes a cut root: a blocked cell, or a
+    cell y whose step to parent(y) is a diagonal with a blocked flank b.
+    The flags are target's subtree minus the subtree of every cut root;
+    each subtree is an interval of preorder numbers, so each is set or
+    cleared with one slice. Every blocked cell is cleared. Of the other cut
+    roots, only 8 can matter, two at each corner of the rectangle: y and
+    parent(y) are orthogonal neighbours of b in perpendicular directions.
+    If y or parent(y) is blocked, y lies in a subtree cleared already. If
+    not, y and parent(y) both lie outside the rectangle, on two
+    perpendicular sides of b, and only a corner has two outward sides. So at each corner,
+    with its outward directions u and v, the root corner + u is cut when
+    its parent is corner + v, and the other way round. A wall and a cell
+    out of the field's reach have parent -1, which is no index, so the test
+    needs no map.
     """
-    parent, first, end = field.parent, field.first, field.end
-    stride = field.stride
+    parent, first, end, stride = field.parent, field.first, field.end, field.stride
     lo, hi = first[target], end[target]
     flags = bytearray(field.reached)
     flags[lo:hi] = b"\x01" * (hi - lo)
-    straight, wall = _steps(stride)[0], field.costs.wall
     for blocked in covered:
         # the interval of a cell out of the field's reach is empty
         flags[first[blocked]:end[blocked]] = bytes(end[blocked] - first[blocked])
-        for offset in straight:
-            root = blocked + offset
-            if dist[root] == wall:
-                continue  # a blocked root is cut as a blocked cell, a wall has no tree
-            up = parent[root]
-            # up is next to root and blocked is next to both, so the step is a
-            # diagonal and blocked is one of its flanks
-            if up >= 0 and abs(up - blocked) in (1, stride):
-                flags[first[root]:end[root]] = bytes(end[root] - first[root])
+    top_left, bottom_right = covered[0], covered[-1]
+    top_right = top_left + (bottom_right - top_left) % stride
+    bottom_left = bottom_right - (top_right - top_left)
+    # (root, its parent if cut) at each corner, both ways round
+    for root, up in (
+        (top_left - 1, top_left - stride), (top_left - stride, top_left - 1),
+        (top_right + 1, top_right - stride), (top_right - stride, top_right + 1),
+        (bottom_left - 1, bottom_left + stride), (bottom_left + stride, bottom_left - 1),
+        (bottom_right + 1, bottom_right + stride), (bottom_right + stride, bottom_right + 1),
+    ):
+        if parent[root] == up:
+            flags[first[root]:end[root]] = bytes(end[root] - first[root])
     flags[lo] = 1  # the target itself, even when it is cut
     return flags
 
@@ -936,8 +943,9 @@ def _cost(field: DistanceField, placement: ObstaclePlacement, origin: Cell, targ
     origin.
 
     The search returns the first popped cell x whose flag in `_exits` is
-    set: t itself, or a cell whose route up the field's tree to t survives
-    the obstacle. At such an x the heuristic is exact. g(x) is optimal,
+    set: t itself, or a cell in t's subtree whose route up the field's tree
+    to the root survives the obstacle, and with it the part up to t. At
+    such an x the heuristic is exact. g(x) is optimal,
     since x popped under a consistent heuristic, and origin to x followed
     by the tree route is a legal route to t of cost f(x) = g(x) + d_r(x) -
     d_r(t), so f(x) >= C*, the optimum. No flagged cell popped before x, so
@@ -956,7 +964,7 @@ def _cost(field: DistanceField, placement: ObstaclePlacement, origin: Cell, targ
     dist = _obstructed(field, covered)
     origin, target = _index(origin, stride), _index(target, stride)
     h = field.dist
-    cur = _astar(field, origin, h, _exits(field, dist, covered, target), dist, _COST)
+    cur = _astar(field, origin, h, _exits(field, covered, target), dist, _COST)
     return None if cur is None else _decode(dist[cur] + h[cur] - h[target], field.costs)
 
 

@@ -12,12 +12,13 @@ the command line, for example
     PYTHONPATH=src python tests/sweep.py 4 3
     PYTHONPATH=src python tests/sweep.py 4 3 separators
     PYTHONPATH=src python tests/sweep.py searches 1500
+    PYTHONPATH=src python tests/sweep.py exits 1500
 
 which print the number of attacks compared in each tier of exact costs,
 of (start, goal) pairs whose side-1 flags (cut cells and corridor flags)
-were compared, or of canonical searches compared, one line per tier, or
-fail with an AssertionError, exit status 1, on the first case that
-differs from the oracle.
+were compared, of canonical searches compared, one line per tier, or of
+`_exits` flag lists compared, or fail with an AssertionError, exit
+status 1, on the first case that differs from the oracle.
 """
 
 import itertools
@@ -25,7 +26,7 @@ import random
 import sys
 
 from gridjam import Cell, GridMap, NoPathError, ObstaclePlacement, brute_force_attack, distance_field, planner
-from gridjam.planner import _route, _search, _side1
+from gridjam.planner import _covered, _exits, _index, _route, _search, _side1
 from conftest import random_problem
 from oracles import attack_oracle, dijkstra_oracle, obstruct, oracle_cuts, oracle_distances, oracle_moves
 
@@ -162,8 +163,77 @@ def search_sweep(problems: int) -> int:
     return compared
 
 
+def walked_exits(field, covered: list, targets: list) -> list:
+    """`_exits`' flags for each target, by a walk up `parent` from every cell the field reached.
+
+    `covered` holds the flat indices of the blocked cells, and each target is
+    a flat index the field reached. The flag of cell x, at first[x], is set
+    when x is the target, or when x's walk up to the field's root passes the
+    target and passes no blocked cell and no diagonal step with a blocked
+    flank: a flank shares its row with one end of the step and its column
+    with the other.
+    """
+    parent, first, stride = field.parent, field.first, field.stride
+    blocked = set(covered)
+    flags = [bytearray(field.reached) for _ in targets]
+    for x, d in enumerate(field.dist):
+        if d == field.costs.wall or d == field.costs.far:
+            continue
+        passed, survives = {x}, x not in blocked
+        cur, up = x, parent[x]
+        while up >= 0:
+            (row, col), (up_row, up_col) = divmod(cur, stride), divmod(up, stride)
+            if row != up_row and col != up_col and {row * stride + up_col, up_row * stride + col} & blocked:
+                survives = False
+            cur, up = up, parent[up]
+            passed.add(cur)
+            survives = survives and cur not in blocked
+        for target, flag in zip(targets, flags):
+            flag[first[x]] = x == target or (survives and target in passed)
+    return flags
+
+
+def exits_errors(field, placement: ObstaclePlacement, targets) -> list:
+    """The targets, cells the field reached, on which `_exits` around the placement differs from `walked_exits`."""
+    stride = field.stride
+    covered = _covered(placement, field.grid, stride)
+    indices = [_index(target, stride) for target in targets]
+    walked = walked_exits(field, covered, indices)
+    return [target for target, index, flags in zip(targets, indices, walked) if _exits(field, covered, index) != flags]
+
+
+def exits_sweep(problems: int) -> int:
+    """Compare `_exits` with `walked_exits` around every obstacle on seeded maps; return the number of flag lists.
+
+    Problem i is `conftest.random_problem` of at most 12 x 12 cells, drawn
+    from `random.Random(f"exits:{i}")`. Each takes every placement of side
+    1, 3 and 5 centred on any cell, clipped at the border or not, and three
+    targets: the field's root, the problem's goal when the start reaches it,
+    and one more reached cell drawn from the same generator. Raises
+    AssertionError naming the first case that differs.
+    """
+    compared = 0
+    for index in range(problems):
+        rng = random.Random(f"exits:{index}")
+        grid, start, goal = random_problem(rng, 12, 12)
+        field = distance_field(grid, start)
+        reached = sorted(oracle_distances(grid, start))
+        targets = sorted({start, rng.choice(reached)} | ({goal} if goal in reached else set()))
+        for side, row, col in itertools.product((1, 3, 5), range(grid.height), range(grid.width)):
+            placement = ObstaclePlacement(Cell(col, row), side)
+            wrong = exits_errors(field, placement, targets)
+            if wrong:
+                case = f"problem {index}, start {start}, side {side} centred on {col},{row}, target {wrong[0]}"
+                raise AssertionError(f"{case}: `_exits`' flags differ from the walk up the tree")
+            compared += len(targets)
+    return compared
+
+
 if __name__ == "__main__":
-    if sys.argv[1] == "searches":
+    if sys.argv[1] == "exits":
+        problems = int(sys.argv[2])
+        print(f"{exits_sweep(problems)} exit flag lists on {problems} seeded maps match the walk up the tree")
+    elif sys.argv[1] == "searches":
         problems = int(sys.argv[2])
         print(f"{search_sweep(problems)} searches on {problems} seeded maps match the oracle in the float tier")
         print(f"{in_int_tier(search_sweep, problems)} searches on {problems} seeded maps match the oracle in the int tier")

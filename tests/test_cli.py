@@ -272,6 +272,17 @@ def test_even_side_rejected(command, workdir, capsys):
     assert not (workdir / "route.svg").exists()
 
 
+@pytest.mark.parametrize("command", ["attack", "render"])
+@pytest.mark.parametrize("text", ["٣", "1_1", "x"])
+def test_side_read_like_every_number(command, text, workdir, capsys):
+    # argparse's `int` would read `٣` as 3 and `1_1` as 11, both valid sides
+    out = ["--out", str(workdir / "route.svg")] if command == "render" else []
+    code = cli([command, str(workdir / "branch.txt"), "1,1", "5,1", "--side", text, *out])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --side expects an integer, got {text!r}\n"
+    assert not (workdir / "route.svg").exists()
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     code = cli(["plan", str(tmp_path / "nope.txt"), "0,0", "1,1"])
     assert code == 2

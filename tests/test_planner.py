@@ -31,6 +31,7 @@ from gridjam.planner import (
     _cost,
     _covered,
     _decode,
+    _exits,
     _index,
     _search,
     _side1,
@@ -39,7 +40,7 @@ from gridjam.planner import (
 )
 from conftest import free_cells, is_free, random_problem, seeded_problems
 from oracles import dijkstra_oracle, obstruct, oracle_distances, priced_path
-from sweep import in_int_tier, separator_sweep, side1_errors
+from sweep import exits_errors, exits_sweep, in_int_tier, separator_sweep, side1_errors
 
 SQRT2 = math.sqrt(2.0)
 
@@ -538,6 +539,27 @@ def test_integer_costs_decode_and_order_exactly_property(tier):
         assert _decode(a, costs).hex() == (k1 + m1 * SQRT2).hex(), case
         assert _decode(b, costs).hex() == (k2 + m2 * SQRT2).hex(), case
         assert (a > b) - (a < b) == exact_sign(k1 - k2, m1 - m2), case
+
+
+def test_exits_match_the_walk_up_the_tree():
+    # `_exits` tests only the 8 roots at the obstacle's corners; the walk
+    # checks every cell of each tree route and both flanks of its diagonals.
+    # Sides 1, 3 and 5 on 30 seeded maps, every centre, so clipped squares
+    # too. CI sweeps 1,500 maps. The 4 x 3 attack sweep misses a side-3
+    # square's top-right corner taken for its top-left one; this does not
+    assert exits_sweep(30) == 7584
+    # A cut above the target clears its whole subtree: on an open 7 x 3 map
+    # from 0,1, blocking 2,1 clears 6,1, although its tree route to the
+    # target 4,1 (6,1, 5,1, 4,1) survives. The search only pops more
+    grid = parse_map(".......\n.......\n.......\n")
+    field = distance_field(grid, Cell(0, 1))
+    placement, target = ObstaclePlacement(Cell(2, 1), 1), Cell(4, 1)
+    assert exits_errors(field, placement, [target]) == []
+    stride = field.stride
+    beyond = _index(Cell(6, 1), stride)
+    assert field.parent[field.parent[beyond]] == _index(target, stride)
+    flags = _exits(field, _covered(placement, grid, stride), _index(target, stride))
+    assert flags[field.first[beyond]] == 0
 
 
 def test_cost_cuts_tree_routes_at_blocked_flanks():

@@ -150,9 +150,9 @@ def brute_force_attack(
             elif index < split:
                 if goal_field is None:
                     goal_field = distance_field(grid, goal)
-                cost = _cost(goal_field, placement, start, goal, covered)
+                cost = _cost(goal_field, covered, start, goal)
             else:
-                cost = _cost(field, placement, goal, start, covered)
+                cost = _cost(field, covered, goal, start)
         if cost is None:
             ledger.append(CandidateEval(index, placement, Outcome.BLOCKING))
             continue

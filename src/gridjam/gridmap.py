@@ -15,7 +15,9 @@ with a message naming the value but not its place: the caller puts the
 location first.
 """
 
+import errno
 import math
+import os
 import pathlib
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -170,11 +172,17 @@ def check_endpoint(grid: GridMap, label: str, cell: Cell) -> Cell:
 
 
 def read_text(path, error=MapError) -> str:
-    """The text of the file at path, read as UTF-8; raises `error` naming the file when it is not UTF-8."""
+    """The text of the file at path, read as UTF-8; raises `error` naming the file when it is not UTF-8.
+
+    A path that no file can have, one that holds a NUL or a lone surrogate,
+    raises FileNotFoundError, as a missing file does.
+    """
     try:
         return pathlib.Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{where(path)}not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except ValueError:  # raised by the open, before any byte is read
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path)) from None
 
 
 def parse_map(text: str) -> GridMap:

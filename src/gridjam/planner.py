@@ -125,17 +125,19 @@ are its pops less the seed. `_search`'s pass outward from the start and
 `_side1`'s flood push onto plain lists, not heaps, and are not counted.
 
 A placement becomes the flat indices of the square that
-`ObstaclePlacement.extent` clips at the border. Callers ask five
+`ObstaclePlacement.extent` clips at the border (`_covered`); `_cost`
+takes those indices, built once by its caller. Callers ask five
 questions of the field, each answered by one function. Two of them,
 `_cost` and `_search`, run one A* kernel, `_astar`, on a copy of the
 field's `blank` with the obstacle blocked; they pass it their own heuristic
 and stop flags, and read their own result from its costs. The kernel pops
-by levels of equal f, a plain list of indices per exact key, with a heap
-of the distinct keys alone, and it stops only once the level of the first
-flagged cell it pops has popped whole. That level is the optimum, so when
-the kernel stops, every cell of f at most the optimum that an optimal route
-from the origin reaches before any flagged cell has closed with its exact
-g, whatever the order of pops within a level.
+by levels of equal f: one dict of lists maps each exact key to the indices
+pushed with it, and the next level is the dict's smallest key. It stops
+only once the level of the first flagged cell it pops has popped whole.
+That level is the optimum, so when the kernel stops, every cell of f at
+most the optimum that an optimal route from the origin reaches before any
+flagged cell has closed with its exact g, whatever the order of pops
+within a level.
 
 * `_route`: the canonical route to a goal, backtracked on the field by the
   rule above. It is the attack's baseline, and `astar` is the route on a
@@ -193,9 +195,8 @@ covers no flagged index, and let C0 be the baseline's exact cost.
   spare one included, so no blocking candidate is ever decided this way.
 """
 
-import heapq
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 from .errors import NoPathError
@@ -305,20 +306,33 @@ def _astar(field: "DistanceField", origin: int, h: list, stop: bytearray, dist: 
     `h` and `dist` are indexed like the field's flat core, and `h` is a
     consistent heuristic in the field's exact costs; `first` is the
     field's. The search pops by levels of equal f = g + h[x], Dial's
-    bucket queue (Dial 1969) on exact keys: `levels` maps each key to a
-    plain list of the indices pushed with it, and a heap holds each key
-    above the current one once. The current level's list is read in push
-    order while it grows: a consistent heuristic never pushes below the
-    current key, and a push at it joins the level being read. `dist` comes
-    in as the search's map: the field's `wall` on every blocked index and
-    its `far` on every other. It leaves with the best g found for every
-    reached index, exact on every popped one. A move is relaxed when its
-    value is below `dist[nxt]`, which no blocked index passes (`wall`) and
-    no popped one either: under a consistent heuristic its g is already
-    optimal. A popped entry is stale when its key is not the cell's g + h:
-    every push lowers g, so only the cell's last entry matches, and it pops
-    before any older one. Keys are exact, so the test and the levels are
-    too.
+    bucket queue (Dial 1969) on exact keys: `levels`, a dict of lists,
+    holds each key pushed and not yet read with the indices pushed at it,
+    in push order, and the next level is its smallest key. Each level's
+    list is read in push order while it grows: a consistent heuristic
+    never pushes below the current key. Three invariants keep this the
+    order of a heap of the distinct keys:
+
+    * The level being read stays in `levels` until it has been read whole,
+      and is deleted only then: a push at the current key appends to the
+      list being read, so it pops in this level, and no later level
+      repeats the key.
+    * Every read of `levels` is at a key it holds, the one `min` returned:
+      `levels` is a `defaultdict`, whose read of a missing key inserts an
+      empty level. Each push indexes it only to append.
+    * Keys are exact in both tiers, so a level holds exactly the pushes of
+      one f, and `min` picks the smallest f left, on floats and on ints
+      alike.
+
+    `dist` comes in as the search's map: the field's `wall` on every
+    blocked index and its `far` on every other. It leaves with the best g
+    found for every reached index, exact on every popped one. A move is
+    relaxed when its value is below `dist[nxt]`, which no blocked index
+    passes (`wall`) and no popped one either: under a consistent heuristic
+    its g is already optimal. A popped entry is stale when its key is not
+    the cell's g + h: every push lowers g, so only the cell's last entry
+    matches, and it pops before any older one. Keys are exact, so the test
+    is too.
 
     A flagged cell is never expanded, and the search returns the first one
     popped only once its whole level has popped. In every caller (`_cost`,
@@ -331,14 +345,13 @@ def _astar(field: "DistanceField", origin: int, h: list, stop: bytearray, dist: 
     """
     stride, first = field.stride, field.first
     orth, diag, wall = field.costs.orth, field.costs.diag, field.costs.wall
-    heappush = heapq.heappush
+    levels = defaultdict(list)
     dist[origin] = 0
     key = h[origin]
-    level = [origin]
-    levels, keys = {key: level}, []
+    level = levels[key] = [origin]
     found, pops = None, 0
     while True:
-        # `level` grows while it is read: a push at `key` lands on it
+        # `level` stays in `levels` while it is read: a push at `key` lands on it
         for cur in level:
             d = dist[cur]
             if d + h[cur] != key:
@@ -355,92 +368,44 @@ def _astar(field: "DistanceField", origin: int, h: list, stop: bytearray, dist: 
             value = d + orth
             if value < d_east:
                 dist[east] = value
-                f = value + h[east]
-                bucket = levels.get(f)
-                if bucket is None:
-                    levels[f] = [east]
-                    heappush(keys, f)
-                else:
-                    bucket.append(east)
+                levels[value + h[east]].append(east)
             if value < d_west:
                 dist[west] = value
-                f = value + h[west]
-                bucket = levels.get(f)
-                if bucket is None:
-                    levels[f] = [west]
-                    heappush(keys, f)
-                else:
-                    bucket.append(west)
+                levels[value + h[west]].append(west)
             if value < d_south:
                 dist[south] = value
-                f = value + h[south]
-                bucket = levels.get(f)
-                if bucket is None:
-                    levels[f] = [south]
-                    heappush(keys, f)
-                else:
-                    bucket.append(south)
+                levels[value + h[south]].append(south)
             if value < d_north:
                 dist[north] = value
-                f = value + h[north]
-                bucket = levels.get(f)
-                if bucket is None:
-                    levels[f] = [north]
-                    heappush(keys, f)
-                else:
-                    bucket.append(north)
+                levels[value + h[north]].append(north)
             value = d + diag
             if d_east != wall:
                 if d_south != wall:
                     nxt = south + 1
                     if value < dist[nxt]:
                         dist[nxt] = value
-                        f = value + h[nxt]
-                        bucket = levels.get(f)
-                        if bucket is None:
-                            levels[f] = [nxt]
-                            heappush(keys, f)
-                        else:
-                            bucket.append(nxt)
+                        levels[value + h[nxt]].append(nxt)
                 if d_north != wall:
                     nxt = north + 1
                     if value < dist[nxt]:
                         dist[nxt] = value
-                        f = value + h[nxt]
-                        bucket = levels.get(f)
-                        if bucket is None:
-                            levels[f] = [nxt]
-                            heappush(keys, f)
-                        else:
-                            bucket.append(nxt)
+                        levels[value + h[nxt]].append(nxt)
             if d_west != wall:
                 if d_south != wall:
                     nxt = south - 1
                     if value < dist[nxt]:
                         dist[nxt] = value
-                        f = value + h[nxt]
-                        bucket = levels.get(f)
-                        if bucket is None:
-                            levels[f] = [nxt]
-                            heappush(keys, f)
-                        else:
-                            bucket.append(nxt)
+                        levels[value + h[nxt]].append(nxt)
                 if d_north != wall:
                     nxt = north - 1
                     if value < dist[nxt]:
                         dist[nxt] = value
-                        f = value + h[nxt]
-                        bucket = levels.get(f)
-                        if bucket is None:
-                            levels[f] = [nxt]
-                            heappush(keys, f)
-                        else:
-                            bucket.append(nxt)
+                        levels[value + h[nxt]].append(nxt)
         pops += len(level)
         del levels[key]
-        if found is not None or not keys:
+        if found is not None or not levels:
             break
-        key = heapq.heappop(keys)
+        key = min(levels)
         level = levels[key]
     _work[kind] += 1
     _work[kind + 1] += pops
@@ -926,14 +891,14 @@ def _exits(field: DistanceField, covered: list, target: int) -> bytearray:
     return flags
 
 
-def _cost(field: DistanceField, placement: ObstaclePlacement, origin: Cell, target: Cell, covered: list = None):
-    """Cost of the cheapest route from origin to target with the placement's cells occupied, or None.
+def _cost(field: DistanceField, covered: list, origin: Cell, target: Cell):
+    """Cost of the cheapest route from origin to target with an obstacle's cells occupied, or None.
 
-    The placement is clipped at the border, and `covered` is its `_covered`
-    list when the caller has built it already; `origin` and `target` are free
-    cells in the component of the field's root, outside the placement, so
+    `covered` holds the obstacle's flat indices, the `_covered` list of its
+    placement, which the caller builds; `origin` and `target` are free
+    cells in the component of the field's root, outside the obstacle, so
     every move the search takes stays inside it. The search runs on a copy
-    of the field's `blank` with the placement blocked, and its heuristic is
+    of the field's `blank` with the obstacle blocked, and its heuristic is
     the field's distance from its root, d_r. Toward any target t that is
     the same as d_r(x) - d_r(t), shifted by a constant that leaves the pop
     order unchanged. Blocking cells only removes moves, so by the triangle
@@ -959,8 +924,6 @@ def _cost(field: DistanceField, placement: ObstaclePlacement, origin: Cell, targ
     equal f: any popped x with its flag set has f = C*.
     """
     stride = field.stride
-    if covered is None:
-        covered = _covered(placement, field.grid, stride)
     dist = _obstructed(field, covered)
     origin, target = _index(origin, stride), _index(target, stride)
     h = field.dist

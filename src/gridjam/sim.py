@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .attack import AttackPlan
 from .gridmap import Cell, GridMap, ObstaclePlacement, check_nonnegative, check_positive
-from .planner import DistanceField, _check_field, _cost, euclidean_distance, prefix_costs
+from .planner import DistanceField, _check_field, _cost, _covered, euclidean_distance, prefix_costs
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def simulate(grid: GridMap, plan: AttackPlan, config: SimConfig, field: Distance
             # halted at the start: the attack already planned this exact route
             replanned_cost = plan.attacked_path.cost
         else:
-            replanned_cost = _cost(field, plan.best, goal, baseline.cells[snap])
+            replanned_cost = _cost(field, _covered(plan.best, grid, field.stride), goal, baseline.cells[snap])
             if replanned_cost is None:
                 raise RuntimeError("the replan cannot fail (see the module docstring)")
         adversarial_time = t_snap + replanned_cost * grid.cell_size / config.speed

@@ -3,6 +3,7 @@
 import functools
 import inspect
 import random
+import re
 
 import pytest
 from hypothesis import assume, settings
@@ -85,6 +86,33 @@ def random_problem(rng: random.Random, max_width=14, max_height=14):
         cells = free_cells(grid)
         if cells:
             return grid, rng.choice(cells), rng.choice(cells[len(cells) // 2 :])
+
+
+def mutate(rng: random.Random, pieces, tokens, edits: int = 3) -> list:
+    """`pieces` as a list after up to `edits` random edits: each deletes, repeats or replaces a piece, or inserts a token.
+
+    The fuzz tests draw their inputs with it, from a valid input and the
+    tokens most likely to break a reader.
+    """
+    out = list(pieces)
+    for _ in range(rng.randint(0, edits)):
+        at = rng.randint(0, len(out))
+        kind = rng.randrange(4) if at < len(out) else 3
+        if kind == 0:
+            del out[at]
+        elif kind == 1:
+            out.insert(at, out[at])
+        elif kind == 2:
+            out[at] = rng.choice(tokens)
+        else:
+            out.insert(at, rng.choice(tokens))
+    return out
+
+
+def names_a_line(message: str, prefix: str, text: str) -> bool:
+    """Whether an error message starts `<prefix><N>: ` with N a line of `text`, counted from 1."""
+    match = re.match(rf"{re.escape(prefix)}(\d+): ", message)
+    return match is not None and 1 <= int(match[1]) <= len(text.split("\n"))
 
 
 def uniform(rng: random.Random, low: float, high: float) -> float:

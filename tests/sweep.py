@@ -18,7 +18,10 @@ which print the number of attacks compared in each tier of exact costs,
 of (start, goal) pairs whose side-1 flags (cut cells and corridor flags)
 were compared, of canonical searches compared, one line per tier, or of
 `_exits` flag lists compared, or fail with an AssertionError, exit
-status 1, on the first case that differs from the oracle.
+status 1, on the first case that differs from the oracle. The attack and
+search sweeps also check that both tiers do the same work: each attack,
+and each tier's whole search sweep, must change every slot of the
+planner's work counter, `planner._work`, by the same amount in either.
 """
 
 import itertools
@@ -60,6 +63,13 @@ def _plan(call, *args):
         return None
 
 
+def with_work(call, *args) -> tuple:
+    """(call(*args), the planner's work over the call: how much it added to each slot of `planner._work`)."""
+    before = planner._work[:]
+    result = call(*args)
+    return result, [now - then for now, then in zip(planner._work, before)]
+
+
 def attack_sweep(width: int, height: int, sides=(1, 3)) -> int:
     """Compare every attack on every width x height map with `attack_oracle` in both tiers; return the count per tier.
 
@@ -71,7 +81,8 @@ def attack_sweep(width: int, height: int, sides=(1, 3)) -> int:
     once. A pair with no route must raise NoPathError in the oracle and in
     both attacks and is not counted; any other pair must give the oracle's
     whole plan in both: baseline, every ledger entry and the attacked path.
-    Raises AssertionError naming the first case that differs.
+    Both attacks must also do the same work, slot by slot of the planner's
+    work counter. Raises AssertionError naming the first case that differs.
     """
     compared = 0
     for bits, grid, free in _maps(width, height):
@@ -80,13 +91,14 @@ def attack_sweep(width: int, height: int, sides=(1, 3)) -> int:
             for goal in free:
                 for side in sides:
                     expected = _plan(attack_oracle, grid, start, goal, side)
-                    for tier, plan in (
-                        ("float", _plan(brute_force_attack, grid, start, goal, side, float_field)),
-                        ("int", in_int_tier(_plan, brute_force_attack, grid, start, goal, side, int_field)),
-                    ):
+                    case = f"map {bits:0{width * height}b}, start {start}, goal {goal}, side {side}"
+                    float_plan, float_work = with_work(_plan, brute_force_attack, grid, start, goal, side, float_field)
+                    int_plan, int_work = in_int_tier(with_work, _plan, brute_force_attack, grid, start, goal, side, int_field)
+                    for tier, plan in (("float", float_plan), ("int", int_plan)):
                         if plan != expected:
-                            case = f"map {bits:0{width * height}b}, start {start}, goal {goal}, side {side}"
                             raise AssertionError(f"{case}: the {tier} tier's plan differs from the oracle's (None: no route)")
+                    if float_work != int_work:
+                        raise AssertionError(f"{case}: the tiers' work differs, {float_work} on floats, {int_work} on ints")
                     compared += expected is not None
     return compared
 
@@ -235,8 +247,12 @@ if __name__ == "__main__":
         print(f"{exits_sweep(problems)} exit flag lists on {problems} seeded maps match the walk up the tree")
     elif sys.argv[1] == "searches":
         problems = int(sys.argv[2])
-        print(f"{search_sweep(problems)} searches on {problems} seeded maps match the oracle in the float tier")
-        print(f"{in_int_tier(search_sweep, problems)} searches on {problems} seeded maps match the oracle in the int tier")
+        searches, float_work = with_work(search_sweep, problems)
+        print(f"{searches} searches on {problems} seeded maps match the oracle in the float tier")
+        searches, int_work = in_int_tier(with_work, search_sweep, problems)
+        if int_work != float_work:
+            raise AssertionError(f"the tiers' work differs, {float_work} on floats, {int_work} on ints")
+        print(f"{searches} searches on {problems} seeded maps match the oracle in the int tier")
     else:
         width, height = map(int, sys.argv[1:3])
         if sys.argv[3:] == ["separators"]:

@@ -83,9 +83,10 @@ def test_side1_corridor_is_searched_once(monkeypatch):
     start, goal = Cell(1, 1), Cell(9, 5)
     searched = []
 
-    def counted(field, placement, origin, target, covered=None):
-        searched.append(placement.center)
-        return planner._cost(field, placement, origin, target, covered)
+    def counted(field, covered, origin, target):
+        # every candidate has side 1: its one covered index is its centre
+        searched.append(planner._cell(covered[0], field.stride))
+        return planner._cost(field, covered, origin, target)
 
     monkeypatch.setattr(attack_module, "_cost", counted)
     plan = brute_force_attack(grid, start, goal, 1)
@@ -176,7 +177,9 @@ def test_every_attack_on_every_3x3_map_matches_the_oracle():
     # and 2**120, not -inf and inf: every bundled and generated test map is
     # in the float tier, so this is where every wall and flank test of the
     # kernels, the walk, the cut pass and the move counts meets an int
-    # `wall`. CI sweeps the 4 x 3 maps too (229,796 attacks in each tier)
+    # `wall`. Both tiers' attacks must do the same work too, slot by slot
+    # of the planner's work counter. CI sweeps the 4 x 3 maps too (229,796
+    # attacks in each tier)
     one_row = parse_map("...\n")
     assert in_int_tier(distance_field, one_row, Cell(0, 0)).costs is _INT_COSTS
     assert attack_sweep(3, 3) == 18192

@@ -2,6 +2,7 @@
 
 import os
 import pathlib
+import random
 import shlex
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import gridjam
 from gridjam.cli import cli
 from gridjam.data import map_path
-from conftest import BRANCH_TEXT, CORRIDOR_TEXT
+from conftest import BRANCH_TEXT, CORRIDOR_TEXT, mutate
 
 BRANCH_SCN = """\
 name = branch
@@ -281,6 +282,44 @@ def test_side_read_like_every_number(command, text, workdir, capsys):
     assert code == 1
     assert capsys.readouterr().err == f"error: --side expects an integer, got {text!r}\n"
     assert not (workdir / "route.svg").exists()
+
+
+def test_argument_lists_exit_0_1_or_2(workdir, monkeypatch, capsys):
+    # seeded argument lists, each a valid command on a tiny map or scenario
+    # with a few arguments swapped and then up to one edit: each exits 0, 1
+    # or 2, lets no exception out, and prints one error line when it fails.
+    # Relative outputs land in the test's own directory, and the inputs are
+    # written again after each list that names an output file, since an
+    # edit may make an input that file
+    monkeypatch.chdir(workdir)
+    (workdir / "bad.txt").write_text("#.\n#x\n")
+    (workdir / "latin.txt").write_bytes(b"\xff.\n..\n")
+    valid = [
+        ["plan", "branch.txt", "1,1", "5,1"],
+        ["attack", "branch.txt", "1,1", "5,1", "--side", "1"],
+        ["render", "corridor.txt", "1,1", "5,1", "--side", "1", "--out", "route.svg"],
+        ["simulate", "branch.scn"],
+        ["suite", "branch.scn", "corridor", "--csv", "runs.csv", "--svg-dir", "svg"],
+    ]
+    tokens = [
+        "plan", "attack", "simulate", "suite", "render", "--side", "--out", "--csv", "--svg-dir", "--help", "-x", "",
+        "٣", "1_1", "x", "1", "3", "2", "0", "-1", "1,1", "5,1", "0,0", "9,9", "٣,1", "1_1,1", "1,1,1", "1,3",
+        "branch.txt", "corridor.txt", "bad.txt", "latin.txt", "missing.txt", "branch.scn", "branch", "corridor",
+        "route.svg", "runs.csv", "svg", "nodir/runs.csv", ".",
+    ]
+    rng = random.Random("fuzz:cli")
+    for _ in range(200):
+        argv = list(rng.choice(valid))
+        for _ in range(rng.randint(0, 2)):
+            argv[rng.randrange(1, len(argv))] = rng.choice(tokens)
+        argv = mutate(rng, argv, tokens, 1)
+        code = cli(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and (err == "" if code == 0 else err.startswith("error: ")), argv
+        assert err.count("\n") == (code != 0), argv
+        if {"--out", "--csv"} & set(argv):
+            for name, text in (("branch.txt", BRANCH_TEXT), ("corridor.txt", CORRIDOR_TEXT), ("branch.scn", BRANCH_SCN)):
+                (workdir / name).write_text(text)
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

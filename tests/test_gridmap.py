@@ -1,6 +1,7 @@
 """Map parsing, bounds and obstacle footprints."""
 
 import math
+import random
 import re
 
 import pytest
@@ -15,6 +16,7 @@ from gridjam import (
 from gridjam.gridmap import load_map
 from gridjam.planner import _cell, _covered
 from gridjam.svgrender import PX, _overlay
+from conftest import mutate, names_a_line
 from oracles import obstruct
 
 
@@ -210,3 +212,22 @@ def test_cell_size_must_be_finite():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             GridMap(2, 1, bad, ((False, False),))
+
+
+def test_map_texts_parse_or_fail_at_a_line():
+    # seeded map texts, each a valid map after a few edits: each parses to
+    # its own rows or raises MapError naming one of its lines; only the
+    # text as a whole, with no rows, is named by no line
+    rng = random.Random("fuzz:maps")
+    tokens = ["#", ".", "\n", "", " ", "x", "\r", "\t", "٣", "\ufeff", "##", "\n\n"]
+    for _ in range(1500):
+        width, height = rng.randint(1, 6), rng.randint(1, 5)
+        rows = ["".join(rng.choice("#.") for _ in range(width)) for _ in range(height)]
+        text = "".join(mutate(rng, "\n".join(rows) + "\n" * rng.randint(0, 1), tokens))
+        try:
+            grid = parse_map(text)
+        except MapError as err:
+            assert names_a_line(str(err), "line ", text) or str(err) == "map text contains no rows", repr(text)
+            continue
+        rows = ["".join(".#"[blocked] for blocked in row) for row in grid.rows]
+        assert rows == text.removesuffix("\n").split("\n"), repr(text)

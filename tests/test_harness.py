@@ -1,6 +1,7 @@
 """Suite protocol, metric aggregation, and the CSV report."""
 
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -22,7 +23,7 @@ from gridjam import (
     write_csv,
 )
 from gridjam.data import scenario_names, scenario_path
-from conftest import BRANCH_TEXT, CORRIDOR_TEXT
+from conftest import BRANCH_TEXT, CORRIDOR_TEXT, mutate, names_a_line
 
 BRANCH_SCN = """\
 name = branch
@@ -266,6 +267,33 @@ def test_read_csv_rejects_bad_success(suite_dir, tmp_path):
     with pytest.raises(ValueError) as err:
         read_csv(out)
     assert str(err.value) == f"{out}:3: success must be 'true', 'false' or blank, got 'maybe'"
+
+
+def test_csv_texts_read_or_fail_at_a_line(suite_dir, tmp_path):
+    # seeded CSV files, each a suite's CSV with a few fields swapped and then
+    # a few characters edited, some into bytes that are not UTF-8: each
+    # reads back or raises ValueError naming one of its lines; only a file
+    # that is not UTF-8 is named as a whole
+    runs, _ = run_suite(parse_scenario(BRANCH_SCN, base_dir=suite_dir))
+    write_csv(runs, tmp_path / "runs.csv")
+    valid = (tmp_path / "runs.csv").read_text().split("\n")
+    values = ["", "x", "1", "-1", "0.5", "nan", "inf", "1e999", "٣", "1_0", "true", "false", "True", '"', '"a,b"', "1" * 140_000]
+    chars = [",", "\n", '"', "\r", " ", "x", "٣", "_", "1", ".", "e", "\x00", "\udcff"]
+    out = tmp_path / "fuzz.csv"
+    rng = random.Random("fuzz:csv")
+    for _ in range(400):
+        lines = list(valid)
+        at = rng.randrange(1, len(lines) - 1)  # a run: the header is line 0, and the final newline ends the text
+        fields = lines[at].split(",")
+        for index in rng.sample(range(len(fields)), rng.randint(0, 2)):
+            fields[index] = rng.choice(values)
+        lines[at] = ",".join(fields)
+        text = "".join(mutate(rng, "\n".join(lines), chars, 2))
+        out.write_bytes(text.encode("utf-8", "surrogateescape"))
+        try:
+            read_csv(out)
+        except ValueError as err:
+            assert names_a_line(str(err), f"{out}:", text) or str(err).startswith(f"{out}: not UTF-8"), repr(text)
 
 
 # The planner's work counter, `planner._work`, keeps three slots from each

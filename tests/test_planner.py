@@ -19,6 +19,7 @@ from gridjam import (
     load_scenario,
     parse_map,
     prefix_costs,
+    run_suite,
 )
 from gridjam import planner
 from gridjam.data import scenario_names, scenario_path
@@ -40,7 +41,7 @@ from gridjam.planner import (
 )
 from conftest import free_cells, is_free, random_problem, seeded_problems
 from oracles import dijkstra_oracle, obstruct, oracle_distances, priced_path
-from sweep import exits_errors, exits_sweep, in_int_tier, separator_sweep, side1_errors
+from sweep import exits_errors, exits_sweep, in_int_tier, separator_sweep, side1_errors, with_work
 
 SQRT2 = math.sqrt(2.0)
 
@@ -335,6 +336,30 @@ def test_field_trees_keep_their_shape():
     assert in_int_tier(tree_digest) == trees
 
 
+def tier_traffic():
+    """200 seeded attacks, each at sides 1 and 3, and `run_suite` on every bundled scenario."""
+    for index in range(200):
+        grid, start, goal = random_problem(random.Random(f"tiers:{index}"))
+        for side in (1, 3):
+            try:
+                brute_force_attack(grid, start, goal, side)
+            except NoPathError:
+                pass
+    for name in scenario_names():
+        run_suite(load_scenario(scenario_path(name)))
+
+
+def test_both_tiers_do_the_same_work():
+    # Every comparison decides in either tier as it would on k + m*sqrt(2),
+    # so the searches pop and push the same cells on floats and on ints,
+    # `_astar`'s next level, `min(levels)`, included: every slot of the
+    # work counter agrees. CI's search and attack sweeps compare the tiers'
+    # work at scale
+    work = [507, 19516, 19009, 711, 11373, 14422, 109, 3104, 4966, 467, 166]
+    assert with_work(tier_traffic)[1] == work
+    assert in_int_tier(with_work, tier_traffic)[1] == work
+
+
 @seeded_problems(3)
 def test_cost_matches_oracle_property(rng, grid, start, goal):
     # the attack prices from a goal back to the start, and from the start
@@ -358,7 +383,7 @@ def test_cost_matches_oracle_property(rng, grid, start, goal):
                     expected = dijkstra_oracle(obstruct(grid, placement), origin, target).cost
                 except NoPathError:
                     expected = None
-                assert _cost(field, placement, origin, target) == expected
+                assert _cost(field, _covered(placement, grid, field.stride), origin, target) == expected
 
 
 @seeded_problems(4)
@@ -578,7 +603,7 @@ def test_cost_cuts_tree_routes_at_blocked_flanks():
     costs = field.costs
     assert field.dist[chain[0]] == 3 * costs.orth + costs.diag and _decode(field.dist[chain[0]], costs) == 3.0 + SQRT2
     for flank in (Cell(1, 0), Cell(0, 1)):
-        assert _cost(field, ObstaclePlacement(flank, 1), goal, start) == 5.0
+        assert _cost(field, _covered(ObstaclePlacement(flank, 1), grid, field.stride), goal, start) == 5.0
         assert dijkstra_oracle(obstruct(grid, ObstaclePlacement(flank, 1)), goal, start).cost == 5.0
     # A target that is itself a cut root: (1,1)'s tree step is that diagonal,
     # so with a flank blocked no cell has a surviving tree route to it, yet
@@ -588,4 +613,4 @@ def test_cost_cuts_tree_routes_at_blocked_flanks():
         placement = ObstaclePlacement(flank, 1)
         for origin in (goal, Cell(3, 2), Cell(0, 2)):
             expected = dijkstra_oracle(obstruct(grid, placement), origin, target).cost
-            assert _cost(field, placement, origin, target) == expected
+            assert _cost(field, _covered(placement, grid, field.stride), origin, target) == expected

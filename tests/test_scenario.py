@@ -1,5 +1,6 @@
 """Scenario file parsing and validation."""
 
+import random
 import re
 from dataclasses import replace
 
@@ -17,7 +18,7 @@ from gridjam import (
     parse_scenario,
 )
 from gridjam.data import map_path, scenario_path
-from conftest import BRANCH_TEXT
+from conftest import BRANCH_TEXT, mutate, names_a_line
 
 MINIMAL = """\
 map = branch.txt
@@ -250,3 +251,43 @@ def test_scenario_name_cannot_hold_a_path(scenario_dir):
         parse_scenario(MINIMAL.replace("branch.txt", "floor.v2.txt"), base_dir=scenario_dir)
     named = MINIMAL.replace("branch.txt", "floor.v2.txt") + "name = floor_v2-b\n"
     assert parse_scenario(named, base_dir=scenario_dir).name == "floor_v2-b"
+
+
+@pytest.mark.parametrize("name", ["branch.txt\x00", "\ud800.txt"], ids=["nul", "lone-surrogate"])
+def test_map_name_no_file_can_have_is_a_missing_file(scenario_dir, name):
+    # found by the fuzz test below: the open raised a bare ValueError,
+    # with no line, which the command line did not catch
+    with pytest.raises(FileNotFoundError) as err:
+        parse_scenario(MINIMAL.replace("branch.txt", name), base_dir=scenario_dir)
+    assert str(err.value) == f"line 1: [Errno 2] No such file or directory: {str(scenario_dir / name)!r}"
+
+
+def test_scenario_texts_parse_or_fail_at_a_line(scenario_dir):
+    # seeded scenario texts, each a valid one with a few values swapped,
+    # then up to one whole line and one character edited: each parses or
+    # raises one of the errors `parse_scenario` names, at one of its lines;
+    # only a missing key is named by no line. A map value names the map, a
+    # bad one, one that is not UTF-8, the directory or no file at all
+    (scenario_dir / "bad.txt").write_text("#.\n#x\n")
+    (scenario_dir / "latin.txt").write_bytes(b"\xff.\n..\n")
+    valid = [*MINIMAL.splitlines(), "goal = 1,3", "obstacle_side = 1", "repeats = 2", "name = fuzz",
+             "eval_time_per_candidate = 0.5", "attack_start_delay = 1"]
+    values = [
+        "bad.txt", "latin.txt", ".", "missing.txt", "branch.txt\x00", "\ud800.txt", "50,1", "0,0", "1,1,1", "٣,1",
+        "1_1,1", "-1,3", "1", "3", "2", "0", "-1", "2.5", "nan", "inf", "1e-320", "1e-300", "1e308", "٣", "1_1", "x",
+        "a/b", "..", "",
+    ]
+    lines = ["goal =", "= 3", "nokey", "unknown = 1", "# comment", "", "goal = 5,3  # inline"]
+    chars = ["=", "#", ",", "\n", " ", "x", "٣", "_", "1", "0", ".", "-", "e", "\r"]
+    errors = (ScenarioError, BadEndpointError, MapError, OSError)
+    rng = random.Random("fuzz:scenarios")
+    for _ in range(1500):
+        pairs = [line.split(" = ") for line in rng.sample(valid, len(valid))]
+        for pair in rng.sample(pairs, rng.randint(0, 2)):
+            pair[1] = rng.choice(values)
+        text = "\n".join(mutate(rng, [" = ".join(pair) for pair in pairs], lines, 1)) + "\n"
+        text = "".join(mutate(rng, text, chars, 1))
+        try:
+            parse_scenario(text, base_dir=scenario_dir)
+        except errors as err:
+            assert names_a_line(str(err), "line ", text) or str(err).startswith("missing required key"), repr(text)

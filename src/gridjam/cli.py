@@ -1,10 +1,17 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 for validation or usage errors, 2 for I/O
-errors. All output is deterministic for identical inputs.
+Every value the command line spells out (a start or goal cell, `--side`,
+a scenario name or path, an output path) is read and checked by its
+argparse type, before any map or scenario file is read. Exit codes: 0 on
+success, 1 for validation or usage errors, 2 for I/O errors: a file that
+cannot be read or written, or an output path that no file can have. All
+output is deterministic for identical inputs.
 """
 
 import argparse
+import errno
+import functools
+import os
 import sys
 from pathlib import Path
 
@@ -34,7 +41,7 @@ def cli(argv=None) -> int:
         return args.handler(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except OSError as exc:  # a file that cannot be read, a map that a scenario names included
+    except OSError as exc:  # a file that cannot be read or written, or an output path no file can have
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GridJamError as exc:
@@ -46,12 +53,14 @@ def main():
     raise SystemExit(cli())
 
 
+@functools.cache  # built at the first call, so that importing the module stays cheap
 def _build_parser():
     parser = _Parser(prog="gridjam", description="Plan, attack, and race grid navigation runs.")
     sub = parser.add_subparsers(dest="command", required=True)
     on_map = argparse.ArgumentParser(add_help=False)  # the arguments of every command that takes a map
-    for name in ("map", "start", "goal"):
-        on_map.add_argument(name)
+    on_map.add_argument("map")
+    for name in ("start", "goal"):
+        on_map.add_argument(name, type=functools.partial(read_cell, label=name, error=_UsageError))
     sided = argparse.ArgumentParser(add_help=False)  # the obstacle side of every command that attacks
     sided.add_argument("--side", type=_side, default=3)
 
@@ -62,24 +71,24 @@ def _build_parser():
     p.set_defaults(handler=_cmd_attack)
 
     p = sub.add_parser("simulate", help="run one scenario and print every run")
-    p.add_argument("scenario")
+    p.add_argument("scenario", type=_scenario_arg)
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("suite", help="run scenarios, write a CSV, print summaries")
-    p.add_argument("scenarios", nargs="+")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--svg-dir")
+    p.add_argument("scenarios", nargs="+", type=_scenario_arg)
+    p.add_argument("--csv", required=True, type=_out_path)
+    p.add_argument("--svg-dir", type=_out_path)
     p.set_defaults(handler=_cmd_suite)
 
     p = sub.add_parser("render", parents=[on_map, sided], help="render a map, its route, and the attack to SVG")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, type=_out_path)
     p.set_defaults(handler=_cmd_render)
     return parser
 
 
 def _cmd_plan(args) -> int:
     grid = load_map(args.map)
-    path = astar(grid, *_endpoints(args))
+    path = astar(grid, args.start, args.goal)
     print(f"cost={path.cost:.6f}")
     print("path=" + " ".join(str(c) for c in path.cells))
     return 0
@@ -87,7 +96,7 @@ def _cmd_plan(args) -> int:
 
 def _cmd_attack(args) -> int:
     grid = load_map(args.map)
-    plan = brute_force_attack(grid, *_endpoints(args), check_side(args.side, "--side", _UsageError))
+    plan = brute_force_attack(grid, args.start, args.goal, args.side)
     print(f"baseline_cost={plan.baseline.cost:.6f}")
     for entry in plan.ledger:
         line = f"candidate index={entry.index} center={entry.placement.center} outcome={entry.outcome.value}"
@@ -102,7 +111,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    scenario = load_scenario(_scenario_arg(args.scenario))
+    scenario = load_scenario(args.scenario)
     runs, summary = run_suite(scenario)
     for run in runs:
         print(format_run(run))
@@ -112,7 +121,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    scenarios = [load_scenario(_scenario_arg(entry)) for entry in args.scenarios]
+    scenarios = [load_scenario(path) for path in args.scenarios]
     names = set()
     for scenario in scenarios:
         # the name keys the CSV rows and the SVG file names
@@ -139,7 +148,7 @@ def _cmd_suite(args) -> int:
 
 def _cmd_render(args) -> int:
     grid = load_map(args.map)
-    plan = brute_force_attack(grid, *_endpoints(args), check_side(args.side, "--side", _UsageError))
+    plan = brute_force_attack(grid, args.start, args.goal, args.side)
     render_svg(grid, plan, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -149,14 +158,9 @@ def _num(value):
     return "na" if value is None else f"{value:.6f}"
 
 
-def _endpoints(args):
-    """The start and goal cells a map command names."""
-    return read_cell(args.start, "start", _UsageError), read_cell(args.goal, "goal", _UsageError)
-
-
 def _side(text):
-    """The `--side` text read as an int like every other number; `check_side` rules on its value."""
-    return read_number(text, "--side", int, _UsageError)
+    """The `--side` text read as an int like every other number, and checked as an obstacle side."""
+    return check_side(read_number(text, "--side", int, _UsageError), "--side", _UsageError)
 
 
 def _scenario_arg(entry):
@@ -168,6 +172,20 @@ def _scenario_arg(entry):
     if bundled is not None:
         return bundled
     raise FileNotFoundError(f"no such scenario file or bundled scenario: {entry}")
+
+
+def _out_path(text):
+    """An output path; one that no file can have raises FileNotFoundError, as `gridmap.read_text` does for an input.
+
+    Such a path holds a NUL or a lone surrogate the file system cannot
+    encode, and `open` or `mkdir` would raise ValueError for it.
+    """
+    try:
+        if b"\0" not in os.fsencode(text):
+            return text
+    except UnicodeEncodeError:
+        pass
+    raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), text)
 
 
 if __name__ == "__main__":

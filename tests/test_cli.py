@@ -264,6 +264,44 @@ def test_cell_argument_in_other_digits_rejected(text, workdir, capsys):
     assert capsys.readouterr().err == f"error: start expects 'col,row', got {text!r}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["plan", "missing.txt", "onecomma", "5,1"], "start expects 'col,row', got 'onecomma'"),
+        (["attack", "missing.txt", "1,1", "5,1", "--side", "2"], "--side must be an odd positive integer, got 2"),
+    ],
+    ids=["cell", "side"],
+)
+def test_command_line_values_checked_before_any_file(argv, message, tmp_path, monkeypatch, capsys):
+    # the map is missing, but the bad value on the command line is named first
+    monkeypatch.chdir(tmp_path)
+    code = cli(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text", ["a\x00", "a\ud800"], ids=["nul", "lone-surrogate"])
+@pytest.mark.parametrize("option", ["--csv", "--svg-dir", "--out"])
+def test_output_path_no_file_can_have_exits_2(option, text, workdir, monkeypatch, capsys):
+    # rejected with the other arguments, so no output of the command is begun
+    monkeypatch.chdir(workdir)
+    outputs = {"--csv": "runs.csv", "--svg-dir": "svg", "--out": "route.svg"}
+    outputs[option] = text
+    if option == "--out":
+        argv = ["render", "branch.txt", "1,1", "5,1", "--side", "1", "--out", outputs["--out"]]
+    else:
+        argv = ["suite", "branch.scn", "--csv", outputs["--csv"], "--svg-dir", outputs["--svg-dir"]]
+    before = sorted(os.listdir(workdir))
+    code = cli(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: [Errno 2] No such file or directory: {text!r}\n"
+    assert captured.out == ""
+    assert sorted(os.listdir(workdir)) == before
+
+
 @pytest.mark.parametrize("command", ["attack", "render"])
 def test_even_side_rejected(command, workdir, capsys):
     out = ["--out", str(workdir / "route.svg")] if command == "render" else []
@@ -305,7 +343,7 @@ def test_argument_lists_exit_0_1_or_2(workdir, monkeypatch, capsys):
         "plan", "attack", "simulate", "suite", "render", "--side", "--out", "--csv", "--svg-dir", "--help", "-x", "",
         "٣", "1_1", "x", "1", "3", "2", "0", "-1", "1,1", "5,1", "0,0", "9,9", "٣,1", "1_1,1", "1,1,1", "1,3",
         "branch.txt", "corridor.txt", "bad.txt", "latin.txt", "missing.txt", "branch.scn", "branch", "corridor",
-        "route.svg", "runs.csv", "svg", "nodir/runs.csv", ".",
+        "route.svg", "runs.csv", "svg", "nodir/runs.csv", ".", "r\x00.csv",
     ]
     rng = random.Random("fuzz:cli")
     for _ in range(200):

@@ -4,8 +4,12 @@ Every value the command line spells out (a start or goal cell, `--side`,
 a scenario name or path, an output path) is read and checked by its
 argparse type, before any map or scenario file is read. Exit codes: 0 on
 success, 1 for validation or usage errors, 2 for I/O errors: a file that
-cannot be read or written, or an output path that no file can have. All
-output is deterministic for identical inputs.
+cannot be read or written, or an output path that no file can have. A
+command's output files, `suite`'s CSV and SVGs or `render`'s SVG, are
+written together by one call of `gridmap._write_texts` once everything
+is computed, and `suite` prints its summaries after that: a command that
+exits 1 or 2 creates or replaces no output file or directory. All output
+is deterministic for identical inputs.
 """
 
 import argparse
@@ -18,11 +22,11 @@ from pathlib import Path
 from . import data as _data
 from .attack import Outcome, brute_force_attack
 from .errors import GridJamError
-from .gridmap import check_side, load_map, read_cell, read_number
-from .harness import format_run, run_suite, write_csv
+from .gridmap import _write_texts, check_side, load_map, read_cell, read_number
+from .harness import _csv_text, format_run, run_suite
 from .planner import astar
 from .scenario import load_scenario
-from .svgrender import render_scenario_svgs, render_svg
+from .svgrender import _scenario_svgs, render_svg
 
 
 class _UsageError(GridJamError):
@@ -129,11 +133,12 @@ def _cmd_suite(args) -> int:
             raise _UsageError(f"scenario name {scenario.name!r} is used by more than one scenario")
         names.add(scenario.name)
     blocks = [(scenario, *run_suite(scenario)) for scenario in scenarios]
-    # the CSV first: a CSV path that cannot be written leaves no SVG behind
-    write_csv([run for _, runs, _ in blocks for run in runs], args.csv)
+    outputs = [(args.csv, _csv_text([run for _, runs, _ in blocks for run in runs]))]
+    if args.svg_dir:
+        for scenario, _, summary in blocks:
+            outputs += _scenario_svgs(scenario, summary.plans, args.svg_dir)
+    _write_texts(outputs, args.svg_dir)
     for scenario, runs, summary in blocks:
-        if args.svg_dir:
-            render_scenario_svgs(scenario, summary.plans, args.svg_dir)
         print(
             f"scenario={scenario.name} goals={len(scenario.goals)} "
             f"skipped={len(summary.skipped_goals)} runs={len(runs)}"

@@ -12,13 +12,17 @@ finite integer or float, both in ASCII without `_` separators,
 side and `check_endpoint` a start or goal on a map. Each raises the error
 class its caller passes (`check_endpoint` always raises BadEndpointError),
 with a message naming the value but not its place: the caller puts the
-location first.
+location first. Every output file is written here too: `_write_texts`
+writes all of a command's files, or none of them.
 """
 
+import contextlib
 import errno
+import itertools
 import math
 import os
 import pathlib
+import stat
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -183,6 +187,51 @@ def read_text(path, error=MapError) -> str:
         raise error(f"{where(path)}not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except ValueError:  # raised by the open, before any byte is read
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path)) from None
+
+
+def _write_texts(outputs, new_dir=None) -> None:
+    """Write each `(path, text)` of the list outputs as UTF-8, without newline translation: all of them or none.
+
+    `new_dir`, when given, is a directory that outputs may go into; it is
+    made with its missing parents. Every target is checked first: its
+    directory must exist and it must not be a directory itself. Then each
+    text is written under a temporary name in its target's directory,
+    `.gridjam-<pid>-<n>.tmp`, which does not grow with the target's name,
+    and only once all of them are written is each renamed onto its target,
+    so an existing file is replaced, never written into. On any error the
+    temporaries and the directories made here are removed, and an OSError
+    is raised again naming the target it met, never a temporary. A new
+    file gets the mode that `open(path, "w")` would give it.
+    """
+    made, temps = [], []  # made: the directories made here, innermost first
+    try:
+        if new_dir:
+            target = new_dir = pathlib.Path(new_dir)
+            made = list(itertools.takewhile(lambda p: not p.exists(), (new_dir, *new_dir.parents)))
+            if made:  # an existing file there is left for the targets' check to name
+                os.makedirs(new_dir)
+        for target, _ in outputs:
+            os.stat(os.path.join(os.path.dirname(target), "."))  # fails unless the directory is one
+            with contextlib.suppress(FileNotFoundError):  # a new file
+                if stat.S_ISDIR(os.stat(target).st_mode):
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        for index, (target, text) in enumerate(outputs):
+            temp = os.path.join(os.path.dirname(target), f".gridjam-{os.getpid()}-{index}.tmp")
+            with open(temp, "x", encoding="utf-8", newline="") as fh:
+                temps.append(temp)
+                fh.write(text)
+        for temp, (target, _) in zip(temps, outputs):
+            os.replace(temp, target)
+    except BaseException as exc:
+        for temp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        for folder in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(folder)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, os.fspath(target)) from None
+        raise
 
 
 def parse_map(text: str) -> GridMap:

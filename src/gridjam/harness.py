@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .attack import brute_force_attack
 from .errors import NoPathError, where
-from .gridmap import Cell, read_number, read_text
+from .gridmap import Cell, _write_texts, read_number, read_text
 from .planner import distance_field
 from .scenario import Scenario
 from .sim import RunResult, simulate
@@ -105,12 +105,20 @@ def _mean(values):
 
 
 def write_csv(runs, out_path):
-    """One row per run; optionals are blank, floats use 6 decimals."""
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for run in runs:
-            writer.writerow(_csv_row(run))
+    """Write the results CSV to out_path: one row per run; optionals are blank, floats use 6 decimals.
+
+    On an error no file is created or replaced (`gridmap._write_texts`).
+    """
+    _write_texts([(out_path, _csv_text(runs))])
+
+
+def _csv_text(runs) -> str:
+    """The text that `write_csv` writes for runs."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    writer.writerows(map(_csv_row, runs))
+    return buf.getvalue()
 
 
 def format_run(run) -> str:

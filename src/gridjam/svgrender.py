@@ -6,6 +6,8 @@ inputs produce byte-identical files and renders can be golden-file tested.
 
 from pathlib import Path
 
+from .gridmap import _write_texts
+
 PX = 16  # pixels per cell
 
 _STYLE = (
@@ -22,36 +24,46 @@ _STYLE = (
 
 
 def render_svg(grid, plan, out_path):
-    """Draw the map with an AttackPlan's baseline route and, when it has a winner, its attack."""
-    _write(out_path, _map_head(grid), _route_lines(grid, plan))
+    """Draw the map with an AttackPlan's baseline route and, when it has a winner, its attack.
+
+    On an error no file is created or replaced (`gridmap._write_texts`).
+    """
+    _write_texts([(out_path, _map_head(grid) + _route_tail(grid, plan))])
 
 
 def render_scenario_svgs(scenario, plans, out_dir):
-    """Render one attacked view per goal plus a placement overview.
+    """Render one attacked view per goal plus a placement overview into out_dir; returns their paths in order.
+
+    out_dir is made if it is missing. `plans` is as `_scenario_svgs` takes
+    it. On an error no file or directory is created or replaced
+    (`gridmap._write_texts`).
+    """
+    files = _scenario_svgs(scenario, plans, out_dir)
+    _write_texts(files, out_dir)
+    return [path for path, _ in files]
+
+
+def _scenario_svgs(scenario, plans, out_dir):
+    """`(path, text)` of one attacked view per goal plus a placement overview, in out_dir.
 
     `plans` holds one AttackPlan per scenario goal, None for a goal that was
     skipped, as run_suite's summary does; nothing is planned here, and the
-    map layer is drawn once for every file. Returns the written paths in
-    order.
+    map layer is drawn once for every file.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     grid = scenario.grid
     head = _map_head(grid)
-    written = []
+    files = []
     placements = []
     for index, plan in enumerate(plans, start=1):
         if plan is None:
             continue
-        path = out / f"{scenario.name}-goal{index:02d}.svg"
-        _write(path, head, _route_lines(grid, plan))
+        files.append((out / f"{scenario.name}-goal{index:02d}.svg", head + _route_tail(grid, plan)))
         if plan.best is not None:
             placements.append(plan.best)
-        written.append(path)
-    overview = out / f"{scenario.name}-obstacles.svg"
-    _write(overview, head, _positions_lines(grid, placements, scenario.start, scenario.goals))
-    written.append(overview)
-    return written
+    overview = head + _positions_tail(grid, placements, scenario.start, scenario.goals)
+    files.append((out / f"{scenario.name}-obstacles.svg", overview))
+    return files
 
 
 def _map_head(grid):
@@ -75,26 +87,24 @@ def _map_head(grid):
     return "\n".join(lines) + "\n"
 
 
-def _route_lines(grid, plan):
-    """The layers over the map for one plan's baseline and, when it has a winner, its attack."""
+def _route_tail(grid, plan):
+    """The text after the map: the layers for one plan's baseline and, when it has a winner, its attack."""
     lines = _overlay(grid, [plan.best]) if plan.best is not None else []
     lines.append(f'<polyline class="baseline" points="{_points(plan.baseline.cells)}"/>')
     if plan.attacked_path is not None:
         lines.append(f'<polyline class="attacked" points="{_points(plan.attacked_path.cells)}"/>')
     lines.append(_marker("start", plan.baseline.cells[0]))
     lines.append(_marker("goal", plan.baseline.cells[-1]))
-    lines.append("</svg>")
-    return lines
+    return "\n".join(lines) + "\n</svg>\n"
 
 
-def _positions_lines(grid, placements, start, goals):
-    """The layers over the map for a placement overview."""
+def _positions_tail(grid, placements, start, goals):
+    """The text after the map: the layers for a placement overview."""
     lines = _overlay(grid, placements)
     for goal in goals:
         lines.append(_marker("goal", goal))
     lines.append(_marker("start", start))
-    lines.append("</svg>")
-    return lines
+    return "\n".join(lines) + "\n</svg>\n"
 
 
 def _overlay(grid, placements):
@@ -119,8 +129,3 @@ def _marker(kind, cell):
     cx = cell.col * PX + PX // 2
     cy = cell.row * PX + PX // 2
     return f'<circle class="{kind}" cx="{cx}" cy="{cy}" r="{PX // 3}"/>'
-
-
-def _write(out_path, head, lines):
-    with open(out_path, "w", newline="") as fh:
-        fh.write(head + "\n".join(lines) + "\n")

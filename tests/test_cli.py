@@ -1,5 +1,6 @@
 """Command-line behaviour: output shapes and exit codes."""
 
+import errno
 import os
 import pathlib
 import random
@@ -114,15 +115,70 @@ def test_suite_start_delay_reaches_the_race(workdir, tmp_path, capsys):
     assert success == {"0.5": "100.000000", "1.5": "0.000000"}
 
 
-def test_suite_writes_no_svg_when_the_csv_cannot_be_written(workdir, tmp_path, capsys):
-    svg_dir = tmp_path / "svg"
-    code = cli([
-        "suite", str(workdir / "branch.scn"),
-        "--csv", str(tmp_path / "nodir" / "out.csv"), "--svg-dir", str(svg_dir),
-    ])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not svg_dir.exists()
+def _listing(root):
+    """Every path under root, relative to it, sorted."""
+    return sorted(os.path.relpath(os.path.join(folder, name), root) for folder, dirs, files in os.walk(root) for name in dirs + files)
+
+
+def _long_scenario(workdir, name_bytes):
+    """Write long.scn, branch.scn with a name of `n`s that makes its overview SVG's name name_bytes long."""
+    length = name_bytes - len("-obstacles.svg")
+    (workdir / "long.scn").write_text(BRANCH_SCN.replace("name = branch", "name = " + "n" * length))
+    return "n" * length
+
+
+_SUITE = ["suite", "branch.scn", "--csv", "runs.csv", "--svg-dir", "svg"]
+_RENDER = ["render", "branch.txt", "1,1", "5,1", "--side", "1", "--out", "route.svg"]
+
+
+@pytest.mark.parametrize(("made", "argv", "target", "code"), [
+    pytest.param(
+        None, ["suite", "branch.scn", "--csv", "nodir/runs.csv", "--svg-dir", "out/svg"], "nodir/runs.csv",
+        errno.ENOENT, id="csv-directory-missing",
+    ),
+    pytest.param("svg/branch-obstacles.svg/", _SUITE, "svg/branch-obstacles.svg", errno.EISDIR, id="directory-at-an-svg-path"),
+    pytest.param("svg", _SUITE, "svg/branch-goal01.svg", errno.ENOTDIR, id="svg-dir-is-a-file"),
+    pytest.param(
+        None, ["suite", "long.scn", "--csv", "runs.csv", "--svg-dir", "svg"], "svg/{long}-obstacles.svg",
+        errno.ENAMETOOLONG, id="svg-name-too-long",
+    ),
+    pytest.param("route.svg/", _RENDER, "route.svg", errno.EISDIR, id="render-onto-a-directory"),
+])
+def test_an_output_that_cannot_be_written_leaves_every_file_as_it_was(made, argv, target, code, workdir, monkeypatch, capsys):
+    # a command's output files are written together or not at all: one
+    # that cannot be written leaves no other file, no temporary and no new
+    # directory, and an existing file keeps its bytes. The error line names
+    # the target, never the temporary name it was written under. `made` is
+    # the directory (ending in /) or file in the way
+    monkeypatch.chdir(workdir)
+    (workdir / "runs.csv").write_text("old rows\n")
+    # one byte too long for the overview, while the goal's SVG name fits
+    long = _long_scenario(workdir, os.pathconf(workdir, "PC_NAME_MAX") + 1)
+    if made is not None:
+        if made.endswith("/"):
+            (workdir / made).mkdir(parents=True)
+        else:
+            (workdir / made).write_text("in the way\n")
+    before = _listing(workdir)
+    exit_code = cli(argv)
+    captured = capsys.readouterr()
+    assert exit_code == 2
+    assert captured.err == f"error: [Errno {code}] {os.strerror(code)}: {target.format(long=long)!r}\n"
+    assert captured.out == ""
+    assert (workdir / "runs.csv").read_text() == "old rows\n"
+    assert _listing(workdir) == before
+
+
+def test_suite_writes_an_svg_name_of_the_longest_length(workdir, monkeypatch, capsys):
+    # the temporary names do not grow with the target's name
+    monkeypatch.chdir(workdir)
+    name_max = os.pathconf(workdir, "PC_NAME_MAX")
+    long = _long_scenario(workdir, name_max)
+    code = cli(["suite", "long.scn", "--csv", "runs.csv", "--svg-dir", "svg"])
+    assert code == 0
+    assert f"scenario={long} goals=1" in capsys.readouterr().out
+    assert sorted(os.listdir(workdir / "svg")) == [f"{long}-goal01.svg", f"{long}-obstacles.svg"]
+    assert len(os.fsencode(f"{long}-obstacles.svg")) == name_max
 
 
 def test_suite_rejects_a_repeated_scenario_name(workdir, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Map parsing, bounds and obstacle footprints."""
 
 import math
+import os
 import random
 import re
 
@@ -13,7 +14,7 @@ from gridjam import (
     ObstaclePlacement,
     parse_map,
 )
-from gridjam.gridmap import load_map
+from gridjam.gridmap import _write_texts, load_map
 from gridjam.planner import _cell, _covered
 from gridjam.svgrender import PX, _overlay
 from conftest import mutate, names_a_line
@@ -231,3 +232,23 @@ def test_map_texts_parse_or_fail_at_a_line():
             continue
         rows = ["".join(".#"[blocked] for blocked in row) for row in grid.rows]
         assert rows == text.removesuffix("\n").split("\n"), repr(text)
+
+
+def test_write_texts_writes_every_file_or_none(tmp_path):
+    # UTF-8 cannot encode a lone surrogate, so the second file fails while
+    # it is written, after the first one's temporary is complete: the first
+    # target keeps its bytes, and no temporary or new directory is left
+    (tmp_path / "a.txt").write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):
+        _write_texts([(tmp_path / "a.txt", "new\n"), (tmp_path / "new" / "b.txt", "\ud800")], tmp_path / "new")
+    assert os.listdir(tmp_path) == ["a.txt"]
+    assert (tmp_path / "a.txt").read_bytes() == b"old\n"
+    _write_texts([(tmp_path / "a.txt", "new\r\n"), (tmp_path / "new" / "b.txt", "\u00e9")], tmp_path / "new")
+    assert sorted(os.listdir(tmp_path)) == ["a.txt", "new"]
+    assert os.listdir(tmp_path / "new") == ["b.txt"]
+    assert (tmp_path / "a.txt").read_bytes() == b"new\r\n"
+    assert (tmp_path / "new" / "b.txt").read_bytes() == b"\xc3\xa9"
+    # a new file gets the mode that open(path, "w") gives one
+    with open(tmp_path / "plain.txt", "w"):
+        pass
+    assert os.stat(tmp_path / "new" / "b.txt").st_mode == os.stat(tmp_path / "plain.txt").st_mode
